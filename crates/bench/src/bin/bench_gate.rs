@@ -19,12 +19,17 @@
 //!
 //! A third gate covers the SMP scaling curve (DESIGN.md §4.9): when
 //! `target/sva-bench/scaling.json` (written by `table7_syscalls
-//! --vcpus ...`) is present it is compared against
-//! `crates/bench/baselines/scaling.json`. The deterministic merged
-//! cycles-per-syscall may not regress past the threshold at any common
-//! vCPU count, and the measured speedup at ≥4 vCPUs may not fall below
-//! the 2.5× acceptance floor. Without a current scaling run the gate is
-//! skipped unless `--require-scaling` is given (the nightly passes it).
+//! --vcpus ...`) is present it is checked in host time and in virtual
+//! time. The host gate: at every point with 2 ≤ vCPUs ≤ the host's
+//! available parallelism, host syscalls per second — `total_syscalls`
+//! over the fastest of at least 5 repetitions' `wall_ms` — may not fall
+//! below the 1-vCPU point's. The virtual-time checks, which test
+//! determinism rather than speed: the merged cycles-per-syscall may not
+//! regress past the threshold against `crates/bench/baselines/
+//! scaling.json` at any common vCPU count, and the virtual-makespan
+//! speedup at ≥4 vCPUs may not fall below the 2.5× acceptance floor.
+//! Without a current scaling run the gate is skipped unless
+//! `--require-scaling` is given (the nightly passes it).
 //!
 //! Usage: `cargo run --release -p bench --bin bench_gate --
 //!     [--baseline PATH] [--current PATH] [--threshold PCT]
@@ -134,8 +139,23 @@ fn parse_args() -> Result<Options, String> {
 /// One parsed line of a `scaling.json` artifact.
 struct ScalingLine {
     vcpus: u32,
+    total_syscalls: f64,
     cycles_per_syscall: f64,
     speedup_vs_1: f64,
+    /// Fastest host wall time over `reps` repetitions.
+    wall_ms: f64,
+    /// Repetitions (1 in artifacts that predate the field).
+    reps: u32,
+}
+
+impl ScalingLine {
+    fn host_syscalls_per_s(&self) -> f64 {
+        if self.wall_ms > 0.0 {
+            self.total_syscalls / (self.wall_ms / 1e3)
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Parses the line-oriented `scaling.json` array into its points.
@@ -151,8 +171,15 @@ fn parse_scaling(path: &PathBuf) -> Result<Vec<ScalingLine>, String> {
         };
         out.push(ScalingLine {
             vcpus: num("vcpus")? as u32,
+            total_syscalls: num("total_syscalls")?,
             cycles_per_syscall: num("cycles_per_syscall")?,
             speedup_vs_1: num("speedup_vs_1")?,
+            wall_ms: num("wall_ms")?,
+            reps: if field(line, "reps").is_some() {
+                num("reps")? as u32
+            } else {
+                1
+            },
         });
     }
     if out.is_empty() {
@@ -161,9 +188,62 @@ fn parse_scaling(path: &PathBuf) -> Result<Vec<ScalingLine>, String> {
     Ok(out)
 }
 
-/// Minimum speedup the ≥4-vCPU point must clear (the PR's acceptance
-/// floor for the SMP machine).
+/// Minimum speedup the ≥4-vCPU point must clear (the acceptance floor
+/// for the SMP machine's virtual makespan).
 const SCALING_SPEEDUP_FLOOR: f64 = 2.5;
+
+/// Repetitions a point's wall time must be the fastest of before the host
+/// gate trusts it.
+const HOST_MIN_REPS: u32 = 5;
+
+/// The host-time gate: every point the host can run in parallel (2 ≤
+/// vCPUs ≤ available parallelism) must serve at least as many syscalls
+/// per host second as the 1-vCPU point. Returns whether anything failed.
+fn gate_host_scaling(cur: &[ScalingLine]) -> bool {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
+    let gated: Vec<&ScalingLine> = cur
+        .iter()
+        .filter(|c| (2..=cores).contains(&c.vcpus))
+        .collect();
+    if gated.is_empty() {
+        println!("scaling host: no point with 2..={cores} vCPUs, host gate not checked");
+        return false;
+    }
+    let Some(one) = cur.iter().find(|c| c.vcpus == 1) else {
+        println!("scaling host: no 1-vCPU point to compare against  FAIL");
+        return true;
+    };
+    let mut failed = false;
+    let base = one.host_syscalls_per_s();
+    println!(
+        "{:<34} {:>12} {:>12} {:>9}  gate",
+        "scaling (host syscalls/s)", "1 vCPU", "now", "ratio"
+    );
+    for c in std::iter::once(one).chain(gated.iter().copied()) {
+        if c.reps < HOST_MIN_REPS {
+            failed = true;
+            println!(
+                "scaling/{}vcpu wall is the fastest of {} reps, need {HOST_MIN_REPS}  FAIL",
+                c.vcpus, c.reps
+            );
+        }
+    }
+    for c in gated {
+        let now = c.host_syscalls_per_s();
+        let ratio = if base > 0.0 { now / base } else { 0.0 };
+        let verdict = if ratio < 1.0 {
+            failed = true;
+            "FAIL"
+        } else {
+            "ok"
+        };
+        println!(
+            "{:<34} {base:>12.0} {now:>12.0} {ratio:>8.2}x  {verdict} (floor 1.00x, {cores} cores)",
+            format!("scaling/{}vcpu host", c.vcpus)
+        );
+    }
+    failed
+}
 
 /// Gates the scaling curve. Returns whether anything failed.
 fn gate_scaling(opts: &Options) -> bool {
@@ -188,7 +268,7 @@ fn gate_scaling(opts: &Options) -> bool {
             return true;
         }
     };
-    let mut failed = false;
+    let mut failed = gate_host_scaling(&cur);
     println!(
         "{:<34} {:>12} {:>12} {:>9}  gate",
         "scaling (cycles/syscall)", "base", "now", "delta"

@@ -41,7 +41,7 @@
 //!
 //! **SMP arm.** After the single-CPU grid, the same 6-class grid runs
 //! as concurrent job batches on a `--vcpus`-wide (default 4) nested
-//! [`SmpMachine`] whose vCPUs share one epoch-published metadata plane
+//! [`SmpMachine`] whose vCPUs share one per-slot published metadata plane
 //! (DESIGN.md §4.9) — proving containment survives real thread
 //! interleaving on the lock-free check path. Any death there drops a
 //! bundle whose `cpu` field names the faulting vCPU.
@@ -861,7 +861,7 @@ fn run_retire_drill(handler: &str, args: &[u64], pool: u32) -> RetireDrill {
 // (seed, workload) cell is an [`SmpJob`] that arms its own plan (the
 // same per-cell determinism the grid has) and enables crash capture, so
 // an unexpected death drops a bundle whose `cpu` field names the
-// faulting vCPU (`svadbg` prints it). The vCPUs share the epoch-
+// faulting vCPU (`svadbg` prints it). The vCPUs share the per-slot
 // published metadata plane, so the injected violations exercise the
 // lock-free check path under real thread interleaving. Gates: zero
 // escaped safety violations and zero machine deaths anywhere in the
@@ -1315,11 +1315,11 @@ fn run_upgrade_quiesce(vcpus: u32) -> QuiesceProbe {
     match fresh.resume_quiesced(&outcome.image) {
         Err(e) => probe.resume_error = Some(e.to_string()),
         Ok(resumed) => {
-            // Under a shared plane the cache-hit/page-hit split of the
-            // check path is epoch-timing dependent (a concurrent vCPU's
-            // publish invalidates this vCPU's range cache at a
-            // scheduling-dependent instruction), so compare the folded
-            // total of resolved checks, not the split.
+            // A resumed member rebinds its pools to the plane with empty
+            // MRU lines, so a check the uninterrupted run answered from
+            // the range cache may be answered by the slot snapshot after
+            // the cut: compare the folded total of resolved checks, not
+            // the cache-hit/page-hit split.
             let smp_key = |s: &VmStats| {
                 let mut k = (*s).equivalence_key();
                 k.cache_hits += k.page_hits;

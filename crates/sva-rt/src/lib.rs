@@ -30,5 +30,5 @@ pub mod splay;
 
 pub use check::{CheckError, CheckKind, CheckStats};
 pub use metapool::{MetaPool, MetaPoolId, MetaPoolTable, PoolImage, PoolSummary};
-pub use shared::{PlaneLayer, PlaneReader, PlaneSnapshot, SharedMetaPlane};
+pub use shared::{PlaneLayer, PlaneReader, SharedMetaPlane};
 pub use splay::SplayTree;

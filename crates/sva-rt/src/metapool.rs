@@ -7,12 +7,11 @@
 //! completeness-based "reduced checks" rule.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use sva_trace::LookupLayer;
 
 use crate::check::{CheckError, CheckKind, CheckStats};
-use crate::shared::{PlaneLayer, PlaneReader, SharedMetaPlane};
+use crate::shared::{PlaneLayer, SharedMetaPlane, SlotReader};
 use crate::splay::SplayTree;
 
 /// Identifier of a metapool within a [`MetaPoolTable`].
@@ -101,27 +100,27 @@ pub struct MetaPool {
     /// by `sva.recover.repair` — the pool's repair history, surfaced in
     /// crash bundles.
     repairs: u32,
-    /// SMP: attachment to a shared, epoch-published metadata plane
-    /// (DESIGN.md §4.9). When set, the object registry lives in the plane
-    /// and `objects`/`page_index`/`singleton` stay empty: registrations
-    /// and drops publish plane epochs, lookups answer from the plane
-    /// snapshot through the epoch-tagged MRU below. Check semantics,
-    /// counters and quarantine state remain per-vCPU.
+    /// SMP: attachment to one slot of a shared metadata plane (DESIGN.md
+    /// §4.9). When set, the object registry lives in the plane slot and
+    /// `objects`/`page_index`/`singleton` stay empty: registrations and
+    /// drops publish the slot, lookups answer from its snapshot through
+    /// the generation-tagged MRU below. Check semantics, counters and
+    /// quarantine state remain per-vCPU.
     shared: Option<SharedBinding>,
 }
 
-/// One vCPU's attachment of a pool to a [`SharedMetaPlane`].
+/// One vCPU's attachment of a pool to a [`SharedMetaPlane`] slot.
 #[derive(Clone, Debug)]
 pub struct SharedBinding {
-    /// Cached-snapshot read handle (steady state: one `Acquire` load).
-    reader: PlaneReader,
-    /// This pool's slot in the plane.
-    idx: u32,
-    /// Epoch-tagged MRU, most recent first: `(publish_epoch, start, end)`.
-    /// An entry is live only while the plane epoch still equals its tag,
-    /// so a concurrent drop (which publishes a new epoch) kills every
-    /// cached line on all vCPUs at once — no cross-CPU invalidation
-    /// traffic, no stale use-after-free window.
+    /// The pool's own plane slot with its pinned snapshot (steady state:
+    /// one `Acquire` load of the slot generation).
+    reader: SlotReader,
+    /// Generation-tagged MRU, most recent first: `(generation, start,
+    /// end)`. An entry is live only while the slot generation still
+    /// equals its tag, so a drop on this slot (which publishes a new
+    /// generation) kills every cached line on all vCPUs at once — no
+    /// cross-CPU invalidation traffic, no stale use-after-free window —
+    /// while publishes on other slots leave it alive.
     mru: [Option<(u64, u64, u64)>; 2],
 }
 
@@ -158,8 +157,15 @@ impl MetaPool {
     /// (SMP machines; DESIGN.md §4.9). The plane slot must already hold
     /// this pool's live ranges (see [`MetaPoolTable::publish_to_plane`]);
     /// the private registry and its caches are dropped — every
-    /// registration, drop and lookup now goes through the plane.
-    pub fn bind_shared(&mut self, plane: Arc<SharedMetaPlane>, idx: u32) {
+    /// registration, drop and lookup now goes through the plane slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plane has no slot `idx`.
+    pub fn bind_shared(&mut self, plane: &SharedMetaPlane, idx: u32) {
+        let slot = plane
+            .slot(idx)
+            .unwrap_or_else(|| panic!("bind_shared: plane has no slot {idx}"));
         self.objects.clear();
         self.singleton = None;
         self.mru = [None; 2];
@@ -167,8 +173,7 @@ impl MetaPool {
         self.unindexed = 0;
         self.quiet_lookups = 0;
         self.shared = Some(SharedBinding {
-            reader: PlaneReader::new(plane),
-            idx,
+            reader: SlotReader::new(slot),
             mru: [None; 2],
         });
     }
@@ -178,11 +183,12 @@ impl MetaPool {
         self.shared.is_some()
     }
 
-    /// The shared-plane lookup: epoch-tagged MRU, then the published
-    /// snapshot (page index or interval walk). Counter discipline matches
-    /// the private path — exactly one of `cache_hits` / `page_hits` /
-    /// `tree_walks` per call; the singleton layer does not exist here
-    /// (a shared pool's membership can change under any vCPU's feet).
+    /// The shared-plane lookup: generation-tagged MRU, then the slot's
+    /// published snapshot (page index or interval walk). Counter
+    /// discipline matches the private path — exactly one of `cache_hits`
+    /// / `page_hits` / `tree_walks` per call; the singleton layer does
+    /// not exist here (a shared pool's membership can change under any
+    /// vCPU's feet).
     fn shared_lookup(&mut self, addr: u64) -> Option<(u64, u64)> {
         let MetaPool {
             shared,
@@ -191,13 +197,14 @@ impl MetaPool {
             ..
         } = self;
         let b = shared.as_mut().expect("shared_lookup on unbound pool");
-        // One Acquire load validates the MRU: a tag from any older epoch
-        // is dead because some register/drop published since it was
-        // filled — exactly the window where a cached range could be stale.
-        let cur = b.reader.plane().epoch();
+        // One Acquire load validates the MRU: a tag from any older
+        // generation is dead because some register/drop on this slot
+        // published since it was filled — exactly the window where a
+        // cached range could be stale.
+        let cur = b.reader.slot().generation();
         for i in 0..b.mru.len() {
-            if let Some((epoch, start, end)) = b.mru[i] {
-                if epoch == cur && start <= addr && addr < end {
+            if let Some((gen, start, end)) = b.mru[i] {
+                if gen == cur && start <= addr && addr < end {
                     stats.cache_hits += 1;
                     *last_layer = LookupLayer::Cache;
                     if i != 0 {
@@ -207,7 +214,7 @@ impl MetaPool {
                 }
             }
         }
-        let (hit, layer) = b.reader.lookup(b.idx, addr);
+        let (hit, layer) = b.reader.lookup(addr);
         match layer {
             PlaneLayer::Page => {
                 stats.page_hits += 1;
@@ -219,7 +226,7 @@ impl MetaPool {
             }
         }
         if let Some((start, end)) = hit {
-            let tagged = (b.reader.pinned_epoch(), start, end);
+            let tagged = (b.reader.pinned(), start, end);
             if b.mru[0] != Some(tagged) {
                 b.mru[1] = b.mru[0];
                 b.mru[0] = Some(tagged);
@@ -405,10 +412,10 @@ impl MetaPool {
     }
 
     /// Number of live registered objects. For a shared-bound pool this
-    /// reads the plane's current snapshot (cold path).
+    /// reads the slot's current snapshot (cold path).
     pub fn live_objects(&self) -> usize {
         match &self.shared {
-            Some(b) => b.reader.plane().snapshot().live_objects(b.idx),
+            Some(b) => b.reader.slot().live_objects(),
             None => self.objects.len(),
         }
     }
@@ -558,7 +565,7 @@ impl MetaPool {
     pub fn inject_corrupt_metadata(&mut self, seed: u64) -> bool {
         if let Some(b) = &mut self.shared {
             b.mru = [None; 2];
-            return b.reader.plane().corrupt(b.idx, seed);
+            return b.reader.slot().corrupt(seed);
         }
         let ranges = self.objects.iter_ranges();
         if ranges.is_empty() {
@@ -618,7 +625,7 @@ impl MetaPool {
         // pointer identity stays checkable.
         let len = len.max(1);
         if let Some(b) = &self.shared {
-            return match b.reader.plane().register(b.idx, addr, len) {
+            return match b.reader.slot().register(addr, len) {
                 Ok(()) => Ok(()),
                 Err(e) => Err(self.err(e.kind, e.addr, e.detail)),
             };
@@ -645,15 +652,15 @@ impl MetaPool {
     pub fn drop_obj(&mut self, addr: u64) -> Result<(), CheckError> {
         self.stats.drops += 1;
         if let Some(b) = &self.shared {
-            let (plane, idx) = (b.reader.plane().clone(), b.idx);
-            return match plane.drop_obj(idx, addr) {
+            return match b.reader.slot().drop_obj(addr) {
                 Ok((start, end)) => {
-                    // The epoch bump already killed every vCPU's MRU tags;
-                    // purging our own slots just keeps them tidy.
+                    // The generation bump already killed every vCPU's MRU
+                    // tags for this slot; purging our own lines just keeps
+                    // them tidy.
                     if let Some(b) = &mut self.shared {
-                        for slot in &mut b.mru {
-                            if matches!(slot, Some((_, s, e)) if *s == start && *e == end) {
-                                *slot = None;
+                        for line in &mut b.mru {
+                            if matches!(line, Some((_, s, e)) if *s == start && *e == end) {
+                                *line = None;
                             }
                         }
                     }
@@ -781,7 +788,7 @@ impl MetaPool {
     pub fn clear(&mut self) {
         if let Some(b) = &mut self.shared {
             b.mru = [None; 2];
-            b.reader.plane().clear_pool(b.idx);
+            b.reader.slot().clear();
             return;
         }
         self.objects.clear();
@@ -793,11 +800,11 @@ impl MetaPool {
     }
 
     /// All live ranges, ascending (diagnostics). For a shared-bound pool
-    /// this reads the plane's current snapshot (cold path: takes the
-    /// plane lock).
+    /// this reads the slot's current snapshot (cold path: takes the slot
+    /// lock).
     pub fn live_ranges(&self) -> Vec<(u64, u64)> {
         match &self.shared {
-            Some(b) => b.reader.plane().snapshot().ranges(b.idx),
+            Some(b) => b.reader.slot().ranges(),
             None => self.objects.iter_ranges(),
         }
     }
@@ -1164,9 +1171,9 @@ impl MetaPoolTable {
     /// `plane` — one fresh plane slot per pool, contiguous — and returns
     /// the base slot index. Publishing the same table once per vCPU gives
     /// each vCPU its own slot range (`base = vcpu * len()`) inside one
-    /// shared plane: lookups, registrations and epoch churn all share the
-    /// plane's snapshot/epoch machinery while each vCPU's kernel keeps
-    /// its own object namespace.
+    /// shared plane: every slot shares the plane's snapshot/generation
+    /// machinery while each vCPU's kernel keeps its own object namespace,
+    /// and a publish on one slot never disturbs readers of another.
     ///
     /// # Panics
     ///
@@ -1188,16 +1195,16 @@ impl MetaPoolTable {
     /// at slot range base 0 (plane slot = pool id, the layout a single
     /// [`Self::publish_to_plane`] call created). Each vCPU's table binds
     /// its own clone.
-    pub fn bind_shared(&mut self, plane: &Arc<SharedMetaPlane>) {
+    pub fn bind_shared(&mut self, plane: &SharedMetaPlane) {
         self.bind_shared_at(plane, 0);
     }
 
     /// Like [`Self::bind_shared`] with an explicit slot-range base: pool
     /// `i` binds to plane slot `base + i` (the layout one
     /// [`Self::publish_to_plane`] call per vCPU creates).
-    pub fn bind_shared_at(&mut self, plane: &Arc<SharedMetaPlane>, base: u32) {
+    pub fn bind_shared_at(&mut self, plane: &SharedMetaPlane, base: u32) {
         for (i, p) in self.pools.iter_mut().enumerate() {
-            p.bind_shared(plane.clone(), base + i as u32);
+            p.bind_shared(plane, base + i as u32);
         }
     }
 
@@ -1211,6 +1218,7 @@ impl MetaPoolTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn th_pool() -> MetaPool {
         MetaPool::new("MP0", true, true, Some(16))
@@ -1813,13 +1821,53 @@ mod tests {
             0,
             "no singleton layer when shared"
         );
-        // Any publish — even of an unrelated object, even by this vCPU —
-        // invalidates the tag; the next probe re-reads the snapshot.
+        // Any publish on this pool's slot — even of an unrelated object,
+        // even by this vCPU — invalidates the tag; the next probe
+        // re-reads the snapshot.
         cpu1.reg_obj(0x9000, 8).unwrap();
         cpu0.ls_check(0x1010).unwrap();
         assert_eq!(cpu0.stats().page_hits, 2);
         let s = *cpu0.stats();
         assert_eq!(s.lookups(), s.cache_hits + s.page_hits + s.tree_walks);
+    }
+
+    #[test]
+    fn mru_lines_survive_publishes_on_other_slots() {
+        // Two pools of one vCPU, bound to sibling slots A and B.
+        let mut t = MetaPoolTable::new();
+        let a = t.add_pool(MetaPool::new("MPa", false, true, None));
+        let b = t.add_pool(MetaPool::new("MPb", false, true, None));
+        t.pool_mut(a).reg_obj(0x1000, 64).unwrap();
+        t.pool_mut(b).reg_obj(0x1000, 64).unwrap();
+        let plane = Arc::new(SharedMetaPlane::new());
+        let base = t.publish_to_plane(&plane);
+        let mut sibling = t.clone();
+        t.bind_shared_at(&plane, base);
+        sibling.bind_shared_at(&plane, base);
+        // Fill B's MRU line.
+        t.pool_mut(b).ls_check(0x1010).unwrap();
+        assert_eq!(t.pool(b).stats().page_hits, 1);
+        // A publish on slot A — a register and a drop, from another vCPU —
+        // leaves B's line live: the next probe is a cache hit.
+        sibling.pool_mut(a).reg_obj(0x2000, 8).unwrap();
+        sibling.pool_mut(a).drop_obj(0x1000).unwrap();
+        t.pool_mut(b).ls_check(0x1010).unwrap();
+        assert_eq!(t.pool(b).stats().cache_hits, 1);
+        assert_eq!(t.pool(b).stats().page_hits, 1);
+        // The other direction: A's dropped object is never answered from
+        // a line filled before the drop, even though A's line was hot.
+        t.pool_mut(a).ls_check(0x2004).unwrap();
+        t.pool_mut(a).ls_check(0x2004).unwrap();
+        assert_eq!(t.pool(a).stats().cache_hits, 1);
+        sibling.pool_mut(a).drop_obj(0x2000).unwrap();
+        assert_eq!(
+            t.pool_mut(a).ls_check(0x2004).unwrap_err().kind,
+            CheckKind::LoadStore
+        );
+        assert_eq!(t.pool(a).stats().cache_hits, 1, "stale MRU hit after drop");
+        // And B still hits its line after A's second publish.
+        t.pool_mut(b).ls_check(0x1010).unwrap();
+        assert_eq!(t.pool(b).stats().cache_hits, 2);
     }
 
     #[test]

@@ -1,33 +1,40 @@
-//! Epoch-published shared metapool metadata (DESIGN.md §4.9).
+//! Per-slot published shared metapool metadata (DESIGN.md §4.9).
 //!
 //! A multi-vCPU machine shares pool-level object metadata across vCPUs.
 //! The write side (object registration and drop) is rare compared to the
 //! read side (every checked load), so the lookup structures are split the
-//! RCU way:
+//! RCU way, one plane *slot* (one pool of one vCPU's kernel) at a time:
 //!
-//! * The **authoritative interval set** lives behind a mutex and is only
-//!   touched by registrations and drops.
-//! * Every mutation **publishes** a fresh, immutable [`PlaneSnapshot`] —
-//!   a sorted interval list plus a page-granular index per pool — and
-//!   then bumps the plane epoch with `Release` ordering.
+//! * Each slot keeps its **authoritative interval set** behind its own
+//!   mutex, touched only by registrations and drops on that slot.
+//! * Every mutation **publishes** a fresh, immutable snapshot of that one
+//!   slot — a sorted interval list plus a page-granular index — and then
+//!   stores the slot's new generation with `Release` ordering. A publish
+//!   costs what the slot holds, never what the plane holds.
 //! * Readers never take the lock on the steady state: one `Acquire` load
-//!   of the epoch validates their cached `Arc<PlaneSnapshot>`; only when
-//!   the epoch moved do they briefly lock to swap in the new snapshot.
-//! * Reclamation is deferred until every vCPU quiesces: a superseded
+//!   of the slot generation validates their cached `Arc` of the slot's
+//!   snapshot; only when it moved do they briefly lock that slot to swap
+//!   in the new one.
+//! * Reclamation is deferred until the readers quiesce: a superseded
 //!   snapshot stays alive for exactly as long as some reader still holds
 //!   its `Arc`, and [`SharedMetaPlane::retired_live`] counts the
 //!   snapshots still pinned that way.
 //!
+//! A slot's generation is the plane epoch its latest publish drew, so
+//! generations are unique plane-wide and [`SharedMetaPlane::epoch`] stays
+//! a monotone count of every publish on every slot.
+//!
 //! The stale-read hazard this design must exclude: a checked load served
 //! from metadata that a concurrent drop already retired (a missed
-//! use-after-free). Two mechanisms close it — the epoch validates the
-//! snapshot before every answer, and the per-vCPU MRU entries in
-//! [`crate::metapool::MetaPool`] are epoch-tagged so a cache line filled
-//! under epoch E is dead the moment the plane publishes E+1.
+//! use-after-free). Two mechanisms close it — the slot generation
+//! validates the snapshot before every answer, and the per-vCPU MRU
+//! entries in [`crate::metapool::MetaPool`] are tagged with the
+//! generation they were filled under, so a line is dead the moment its
+//! slot publishes again. A publish on any *other* slot leaves it alive.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
 
 use crate::check::{CheckError, CheckKind};
 
@@ -48,9 +55,11 @@ pub enum PlaneLayer {
     Walk,
 }
 
-/// Immutable published view of one pool's live intervals.
-#[derive(Debug, Default)]
+/// Immutable published view of one slot's live intervals.
+#[derive(Debug)]
 struct PoolSnap {
+    /// The slot generation this snapshot was published at.
+    gen: u64,
     /// Live ranges `(start, end)`, ascending by start, disjoint.
     ranges: Vec<(u64, u64)>,
     /// Page number → indices into `ranges` of ranges touching that page.
@@ -61,7 +70,7 @@ struct PoolSnap {
 }
 
 impl PoolSnap {
-    fn build(intervals: &BTreeMap<u64, u64>) -> PoolSnap {
+    fn build(gen: u64, intervals: &BTreeMap<u64, u64>) -> PoolSnap {
         let ranges: Vec<(u64, u64)> = intervals.iter().map(|(&s, &e)| (s, e)).collect();
         let mut page_index: HashMap<u64, Vec<u32>> = HashMap::new();
         let mut unindexed = 0u32;
@@ -76,6 +85,7 @@ impl PoolSnap {
             }
         }
         PoolSnap {
+            gen,
             ranges,
             page_index,
             unindexed,
@@ -110,170 +120,110 @@ impl PoolSnap {
     }
 }
 
-/// One immutable published generation of the whole plane.
+/// Publisher-side state of one slot, only touched under its mutex.
 #[derive(Debug)]
-pub struct PlaneSnapshot {
-    /// The epoch this snapshot was published at.
-    pub epoch: u64,
-    pools: Vec<Arc<PoolSnap>>,
+struct SlotState {
+    /// Start → end of every live interval (the authoritative set).
+    intervals: BTreeMap<u64, u64>,
+    /// The currently published snapshot of `intervals`.
+    snap: Arc<PoolSnap>,
+    /// Superseded snapshots some reader still held when they were
+    /// replaced, kept as weak refs so deferred reclamation is observable
+    /// (an upgradeable weak means a reader still pins that generation).
+    retired: Vec<Weak<PoolSnap>>,
 }
 
-impl PlaneSnapshot {
-    /// Lookup `addr` in pool `idx`. Returns the containing range (if
-    /// any) and which snapshot layer answered.
-    pub fn lookup(&self, idx: u32, addr: u64) -> (Option<(u64, u64)>, PlaneLayer) {
-        match self.pools.get(idx as usize) {
-            Some(p) => p.lookup(addr),
-            None => (None, PlaneLayer::Page),
-        }
-    }
-
-    /// Live ranges of pool `idx` in this snapshot, ascending.
-    pub fn ranges(&self, idx: u32) -> Vec<(u64, u64)> {
-        self.pools
-            .get(idx as usize)
-            .map(|p| p.ranges.clone())
-            .unwrap_or_default()
-    }
-
-    /// Number of live objects in pool `idx`.
-    pub fn live_objects(&self, idx: u32) -> usize {
-        self.pools.get(idx as usize).map_or(0, |p| p.ranges.len())
-    }
-}
-
-/// Authoritative (publisher-side) state, only touched under the mutex.
+/// One plane slot: a pool's authoritative intervals, its published
+/// snapshot and the generation that validates it.
 #[derive(Debug)]
-struct PlaneInner {
-    /// Per pool: start → end of every live interval.
-    pools: Vec<BTreeMap<u64, u64>>,
-    /// The currently published snapshot.
-    current: Arc<PlaneSnapshot>,
-    /// Superseded snapshots, kept as weak refs so tests and diagnostics
-    /// can observe deferred reclamation (an upgradeable weak means some
-    /// reader still pins that generation).
-    retired: Vec<Weak<PlaneSnapshot>>,
+pub(crate) struct Slot {
+    /// Plane slot index (error attribution).
+    idx: u32,
+    /// The plane's publish counter, shared by every slot.
+    epoch: Arc<AtomicU64>,
+    /// Generation of the published snapshot. `Release`-stored after the
+    /// snapshot swap, `Acquire`-loaded by readers, so a reader that
+    /// observes generation G also observes the snapshot that published it.
+    gen: AtomicU64,
+    state: Mutex<SlotState>,
 }
 
-/// The shared, epoch-published metapool metadata plane.
-///
-/// Cheap to share (`Arc<SharedMetaPlane>`); all methods take `&self`.
-#[derive(Debug)]
-pub struct SharedMetaPlane {
-    /// Epoch of the currently published snapshot. `Release`-stored after
-    /// the snapshot swap, `Acquire`-loaded by readers, so a reader that
-    /// observes epoch E also observes the snapshot that published it.
-    epoch: AtomicU64,
-    inner: Mutex<PlaneInner>,
-}
-
-impl Default for SharedMetaPlane {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SharedMetaPlane {
-    /// An empty plane at epoch 0 with no pools.
-    pub fn new() -> SharedMetaPlane {
-        SharedMetaPlane {
-            epoch: AtomicU64::new(0),
-            inner: Mutex::new(PlaneInner {
-                pools: Vec::new(),
-                current: Arc::new(PlaneSnapshot {
-                    epoch: 0,
-                    pools: Vec::new(),
-                }),
+impl Slot {
+    /// An empty slot, published at a fresh epoch.
+    fn new(idx: u32, epoch: Arc<AtomicU64>) -> Slot {
+        let gen = epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        Slot {
+            idx,
+            epoch,
+            gen: AtomicU64::new(gen),
+            state: Mutex::new(SlotState {
+                intervals: BTreeMap::new(),
+                snap: Arc::new(PoolSnap::build(gen, &BTreeMap::new())),
                 retired: Vec::new(),
             }),
         }
     }
 
-    fn locked(&self) -> std::sync::MutexGuard<'_, PlaneInner> {
+    fn locked(&self) -> MutexGuard<'_, SlotState> {
         // A poisoned mutex means another vCPU thread panicked mid-publish;
-        // the authoritative state is only mutated *before* the snapshot
+        // the authoritative set is only mutated *before* the snapshot
         // swap, so the data is coherent — recover it.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Adds a pool slot, returning its plane index. Publishes.
-    pub fn add_pool(&self) -> u32 {
-        let mut g = self.locked();
-        g.pools.push(BTreeMap::new());
-        let idx = (g.pools.len() - 1) as u32;
-        self.publish(&mut g);
-        idx
-    }
-
-    /// Bulk-adopts boot-time ranges into pool `idx` with a single
-    /// publish (machine bring-up: vCPU 0's booted pool state becomes the
-    /// shared truth). Ranges must be disjoint; overlaps are rejected.
-    pub fn adopt(&self, idx: u32, ranges: &[(u64, u64)]) -> Result<(), CheckError> {
-        let mut g = self.locked();
-        for &(start, end) in ranges {
-            Self::insert_checked(&mut g, idx, start, end.saturating_sub(start).max(1))?;
+    /// Publishes the authoritative set as a new immutable snapshot at a
+    /// fresh plane epoch, then stores it as the slot generation
+    /// (`Release`). Caller holds the slot lock.
+    fn publish(&self, st: &mut SlotState) {
+        let gen = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        let old = std::mem::replace(&mut st.snap, Arc::new(PoolSnap::build(gen, &st.intervals)));
+        st.retired.retain(|w| w.strong_count() > 0);
+        if Arc::strong_count(&old) > 1 {
+            st.retired.push(Arc::downgrade(&old));
         }
-        self.publish(&mut g);
+        self.gen.store(gen, Ordering::Release);
+    }
+
+    /// The published generation (`Acquire`). One atomic load — the only
+    /// synchronization a steady-state reader performs per lookup.
+    pub(crate) fn generation(&self) -> u64 {
+        self.gen.load(Ordering::Acquire)
+    }
+
+    /// The published snapshot (readers call this only after a generation
+    /// mismatch; the steady state never locks).
+    fn current(&self) -> Arc<PoolSnap> {
+        self.locked().snap.clone()
+    }
+
+    /// Live ranges of the published snapshot, ascending.
+    pub(crate) fn ranges(&self) -> Vec<(u64, u64)> {
+        self.current().ranges.clone()
+    }
+
+    /// Live objects in the published snapshot.
+    pub(crate) fn live_objects(&self) -> usize {
+        self.current().ranges.len()
+    }
+
+    /// Registers `[addr, addr+len)` and publishes.
+    pub(crate) fn register(&self, addr: u64, len: u64) -> Result<(), CheckError> {
+        let mut st = self.locked();
+        insert_checked(&mut st.intervals, self.idx, addr, len.max(1))?;
+        self.publish(&mut st);
         Ok(())
     }
 
-    fn insert_checked(g: &mut PlaneInner, idx: u32, addr: u64, len: u64) -> Result<(), CheckError> {
-        let pool = g
-            .pools
-            .get_mut(idx as usize)
-            .ok_or_else(|| plane_err(idx, CheckKind::BadRegistration, addr, "unknown pool slot"))?;
-        let end = addr + len;
-        // Overlap: the nearest interval starting at or below `addr` must
-        // end by `addr`, and the next interval must start at or past `end`.
-        if let Some((&ps, &pe)) = pool.range(..=addr).next_back() {
-            if pe > addr {
-                return Err(plane_err(
-                    idx,
-                    CheckKind::BadRegistration,
-                    addr,
-                    format!("overlaps live object [{ps:#x}, {pe:#x})"),
-                ));
-            }
-        }
-        if let Some((&ns, _)) = pool.range(addr..).next() {
-            if ns < end {
-                return Err(plane_err(
-                    idx,
-                    CheckKind::BadRegistration,
-                    addr,
-                    format!("overlaps live object starting at {ns:#x}"),
-                ));
-            }
-        }
-        pool.insert(addr, end);
-        Ok(())
-    }
-
-    /// Registers `[addr, addr+len)` in pool `idx` and publishes a new
-    /// epoch. Overlap with a live object is a bad registration, exactly
-    /// as on the private path.
-    pub fn register(&self, idx: u32, addr: u64, len: u64) -> Result<(), CheckError> {
-        let mut g = self.locked();
-        Self::insert_checked(&mut g, idx, addr, len.max(1))?;
-        self.publish(&mut g);
-        Ok(())
-    }
-
-    /// Drops the object starting at `addr` from pool `idx` and publishes
-    /// a new epoch. A non-live or interior address is an illegal free.
-    pub fn drop_obj(&self, idx: u32, addr: u64) -> Result<(u64, u64), CheckError> {
-        let mut g = self.locked();
-        let pool = g
-            .pools
-            .get_mut(idx as usize)
-            .ok_or_else(|| plane_err(idx, CheckKind::IllegalFree, addr, "unknown pool slot"))?;
-        match pool.remove(&addr) {
+    /// Drops the object starting at `addr` and publishes.
+    pub(crate) fn drop_obj(&self, addr: u64) -> Result<(u64, u64), CheckError> {
+        let mut st = self.locked();
+        match st.intervals.remove(&addr) {
             Some(end) => {
-                self.publish(&mut g);
+                self.publish(&mut st);
                 Ok((addr, end))
             }
             None => Err(plane_err(
-                idx,
+                self.idx,
                 CheckKind::IllegalFree,
                 addr,
                 "object not live at this address",
@@ -281,15 +231,226 @@ impl SharedMetaPlane {
         }
     }
 
+    /// Removes every object; publishes only if the slot was nonempty.
+    pub(crate) fn clear(&self) {
+        let mut st = self.locked();
+        if !st.intervals.is_empty() {
+            st.intervals.clear();
+            self.publish(&mut st);
+        }
+    }
+
+    /// Adds `ranges` with one publish, all or nothing: every range is
+    /// checked against the live set and against the others before any
+    /// is inserted, so a rejected adopt leaves the slot untouched.
+    fn adopt(&self, ranges: &[(u64, u64)]) -> Result<(), CheckError> {
+        let mut st = self.locked();
+        let mut next = st.intervals.clone();
+        for &(start, end) in ranges {
+            insert_checked(&mut next, self.idx, start, end.saturating_sub(start).max(1))?;
+        }
+        st.intervals = next;
+        self.publish(&mut st);
+        Ok(())
+    }
+
+    /// Replaces the live set with `ranges` (already validated ascending
+    /// and disjoint), publishing only if it differs. Returns whether it
+    /// published.
+    fn reset(&self, ranges: &[(u64, u64)]) -> bool {
+        let mut st = self.locked();
+        let same = st.intervals.len() == ranges.len()
+            && st
+                .intervals
+                .iter()
+                .zip(ranges)
+                .all(|((&s, &e), &r)| (s, e) == normalized(r));
+        if same {
+            return false;
+        }
+        st.intervals = ranges.iter().map(|&r| normalized(r)).collect();
+        self.publish(&mut st);
+        true
+    }
+
+    /// See [`SharedMetaPlane::corrupt`].
+    pub(crate) fn corrupt(&self, seed: u64) -> bool {
+        let mut st = self.locked();
+        if st.intervals.is_empty() {
+            return false;
+        }
+        let n = st.intervals.len();
+        let start = *st
+            .intervals
+            .keys()
+            .nth((seed as usize) % n)
+            .expect("index below len");
+        let end = st.intervals.remove(&start).unwrap_or(start);
+        let len = end.saturating_sub(start);
+        if len > 1 {
+            st.intervals.insert(start, start + len / 2);
+        }
+        self.publish(&mut st);
+        true
+    }
+
+    fn retired_live(&self) -> usize {
+        let mut st = self.locked();
+        st.retired.retain(|w| w.strong_count() > 0);
+        st.retired.len()
+    }
+}
+
+/// `(start, end)` with an empty range widened to one byte, the way every
+/// registration path treats zero-sized objects.
+fn normalized((start, end): (u64, u64)) -> (u64, u64) {
+    (start, end.max(start.saturating_add(1)))
+}
+
+/// Inserts `[addr, addr+len)` into `pool` unless it overlaps a live
+/// interval.
+fn insert_checked(
+    pool: &mut BTreeMap<u64, u64>,
+    idx: u32,
+    addr: u64,
+    len: u64,
+) -> Result<(), CheckError> {
+    let end = addr + len;
+    // Overlap: the nearest interval starting at or below `addr` must
+    // end by `addr`, and the next interval must start at or past `end`.
+    if let Some((&ps, &pe)) = pool.range(..=addr).next_back() {
+        if pe > addr {
+            return Err(plane_err(
+                idx,
+                CheckKind::BadRegistration,
+                addr,
+                format!("overlaps live object [{ps:#x}, {pe:#x})"),
+            ));
+        }
+    }
+    if let Some((&ns, _)) = pool.range(addr..).next() {
+        if ns < end {
+            return Err(plane_err(
+                idx,
+                CheckKind::BadRegistration,
+                addr,
+                format!("overlaps live object starting at {ns:#x}"),
+            ));
+        }
+    }
+    pool.insert(addr, end);
+    Ok(())
+}
+
+/// The shared metapool metadata plane: a growable array of independently
+/// published slots.
+///
+/// Cheap to share (`Arc<SharedMetaPlane>`); all methods take `&self`.
+#[derive(Debug, Default)]
+pub struct SharedMetaPlane {
+    /// Publish counter: bumped once per publish on any slot.
+    epoch: Arc<AtomicU64>,
+    /// Write-locked only by [`Self::add_pool`] (machine bring-up).
+    slots: RwLock<Vec<Arc<Slot>>>,
+}
+
+impl SharedMetaPlane {
+    /// An empty plane at epoch 0 with no pools.
+    pub fn new() -> SharedMetaPlane {
+        SharedMetaPlane::default()
+    }
+
+    /// The slot at plane index `idx` (bindings resolve it once and keep
+    /// the `Arc`, so their steady state never touches the slot table).
+    pub(crate) fn slot(&self, idx: u32) -> Option<Arc<Slot>> {
+        self.slots
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(idx as usize)
+            .cloned()
+    }
+
+    /// [`Self::slot`], with an unknown slot reported as a `kind` error at
+    /// `addr`.
+    fn slot_or(&self, idx: u32, kind: CheckKind, addr: u64) -> Result<Arc<Slot>, CheckError> {
+        self.slot(idx)
+            .ok_or_else(|| plane_err(idx, kind, addr, "unknown pool slot"))
+    }
+
+    /// Adds a pool slot, returning its plane index. Publishes.
+    pub fn add_pool(&self) -> u32 {
+        let mut slots = self.slots.write().unwrap_or_else(|e| e.into_inner());
+        let idx = slots.len() as u32;
+        slots.push(Arc::new(Slot::new(idx, self.epoch.clone())));
+        idx
+    }
+
+    /// Bulk-adopts boot-time ranges into pool `idx` with a single
+    /// publish (machine bring-up: the booted pool state becomes the
+    /// shared truth). All or nothing: if any range overlaps a live
+    /// object or another adopted range, nothing is inserted.
+    pub fn adopt(&self, idx: u32, ranges: &[(u64, u64)]) -> Result<(), CheckError> {
+        let addr = ranges.first().map_or(0, |r| r.0);
+        self.slot_or(idx, CheckKind::BadRegistration, addr)?
+            .adopt(ranges)
+    }
+
+    /// Resets the slot range starting at `base` to `baseline` (one range
+    /// list per slot, each ascending and disjoint, as
+    /// [`crate::MetaPoolTable::live_ranges_by_pool`] returns them). Only
+    /// slots whose live set differs are republished. All or nothing: every
+    /// slot and range is validated before any slot changes. Returns how
+    /// many slots published.
+    pub fn reset_slots(
+        &self,
+        base: u32,
+        baseline: &[Vec<(u64, u64)>],
+    ) -> Result<usize, CheckError> {
+        let slots = self.slots.read().unwrap_or_else(|e| e.into_inner());
+        let mut targets = Vec::with_capacity(baseline.len());
+        for (i, ranges) in baseline.iter().enumerate() {
+            let idx = base + i as u32;
+            let slot = slots.get(idx as usize).ok_or_else(|| {
+                plane_err(idx, CheckKind::BadRegistration, 0, "unknown pool slot")
+            })?;
+            for w in ranges.windows(2) {
+                let (prev, next) = (normalized(w[0]), w[1]);
+                if prev.1 > next.0 {
+                    return Err(plane_err(
+                        idx,
+                        CheckKind::BadRegistration,
+                        next.0,
+                        format!(
+                            "reset range not ascending and disjoint after [{:#x}, {:#x})",
+                            prev.0, prev.1
+                        ),
+                    ));
+                }
+            }
+            targets.push((slot, ranges));
+        }
+        Ok(targets.into_iter().filter(|(s, r)| s.reset(r)).count())
+    }
+
+    /// Registers `[addr, addr+len)` in pool `idx` and publishes that
+    /// slot. Overlap with a live object is a bad registration, exactly
+    /// as on the private path.
+    pub fn register(&self, idx: u32, addr: u64, len: u64) -> Result<(), CheckError> {
+        self.slot_or(idx, CheckKind::BadRegistration, addr)?
+            .register(addr, len)
+    }
+
+    /// Drops the object starting at `addr` from pool `idx` and publishes
+    /// that slot. A non-live or interior address is an illegal free.
+    pub fn drop_obj(&self, idx: u32, addr: u64) -> Result<(u64, u64), CheckError> {
+        self.slot_or(idx, CheckKind::IllegalFree, addr)?
+            .drop_obj(addr)
+    }
+
     /// Removes every object from pool `idx` (pool destruction).
     pub fn clear_pool(&self, idx: u32) {
-        let mut g = self.locked();
-        if let Some(p) = g.pools.get_mut(idx as usize) {
-            if p.is_empty() {
-                return;
-            }
-            p.clear();
-            self.publish(&mut g);
+        if let Some(s) = self.slot(idx) {
+            s.clear();
         }
     }
 
@@ -298,58 +459,26 @@ impl SharedMetaPlane {
     /// publishes — the shared-plane counterpart of
     /// `MetaPool::inject_corrupt_metadata`.
     pub fn corrupt(&self, idx: u32, seed: u64) -> bool {
-        let mut g = self.locked();
-        let Some(pool) = g.pools.get_mut(idx as usize) else {
-            return false;
-        };
-        if pool.is_empty() {
-            return false;
-        }
-        let keys: Vec<u64> = pool.keys().copied().collect();
-        let start = keys[(seed as usize) % keys.len()];
-        let end = pool.remove(&start).unwrap_or(start);
-        let len = end.saturating_sub(start);
-        if len > 1 {
-            pool.insert(start, start + len / 2);
-        }
-        self.publish(&mut g);
-        true
+        self.slot(idx).is_some_and(|s| s.corrupt(seed))
     }
 
-    /// Publishes the authoritative state as a new immutable snapshot and
-    /// then bumps the epoch (Release). Caller holds the lock.
-    fn publish(&self, g: &mut PlaneInner) {
-        let epoch = g.current.epoch + 1;
-        let pools = g
-            .pools
-            .iter()
-            .map(|p| Arc::new(PoolSnap::build(p)))
-            .collect();
-        let old = std::mem::replace(&mut g.current, Arc::new(PlaneSnapshot { epoch, pools }));
-        g.retired.push(Arc::downgrade(&old));
-        g.retired.retain(|w| w.strong_count() > 0);
-        self.epoch.store(epoch, Ordering::Release);
-    }
-
-    /// The current epoch (`Acquire`). One atomic load — this is the only
-    /// synchronization a steady-state reader performs per lookup.
+    /// The plane epoch: how many publishes every slot together has done
+    /// (`Acquire`).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// The currently published snapshot (readers call this only after an
-    /// epoch mismatch; steady state never locks).
-    pub fn snapshot(&self) -> Arc<PlaneSnapshot> {
-        self.locked().current.clone()
+    /// The published generation of pool `idx` (0 for an unknown slot).
+    pub fn generation(&self, idx: u32) -> u64 {
+        self.slot(idx).map_or(0, |s| s.generation())
     }
 
     /// Superseded snapshots still pinned by some reader — the deferred
-    /// reclamation window. Returns to 0 once every vCPU has refreshed
+    /// reclamation window. Returns to 0 once every reader has refreshed
     /// (quiesced) past the publishes that retired them.
     pub fn retired_live(&self) -> usize {
-        let mut g = self.locked();
-        g.retired.retain(|w| w.strong_count() > 0);
-        g.retired.len()
+        let slots = self.slots.read().unwrap_or_else(|e| e.into_inner());
+        slots.iter().map(|s| s.retired_live()).sum()
     }
 }
 
@@ -362,25 +491,71 @@ fn plane_err(idx: u32, kind: CheckKind, addr: u64, detail: impl Into<String>) ->
     }
 }
 
-/// A per-vCPU read handle: caches the snapshot `Arc` and refreshes it
-/// only when the plane epoch moves. [`crate::metapool::MetaPool`] embeds
-/// one per shared-bound pool; standalone readers (tests, diagnostics)
-/// can use it directly.
+/// A read handle on one slot: caches the slot's snapshot `Arc` and
+/// refreshes it only when the slot generation moves.
+#[derive(Clone, Debug)]
+pub(crate) struct SlotReader {
+    slot: Arc<Slot>,
+    snap: Arc<PoolSnap>,
+}
+
+impl SlotReader {
+    pub(crate) fn new(slot: Arc<Slot>) -> SlotReader {
+        let snap = slot.current();
+        SlotReader { slot, snap }
+    }
+
+    /// The slot this reader watches.
+    pub(crate) fn slot(&self) -> &Slot {
+        &self.slot
+    }
+
+    /// The generation of the pinned snapshot.
+    pub(crate) fn pinned(&self) -> u64 {
+        self.snap.gen
+    }
+
+    /// Validates the pinned snapshot against the slot generation,
+    /// refreshing if it moved. Returns whether it refreshed. Steady state
+    /// is one `Acquire` load and a compare; the lock is taken only on
+    /// change.
+    pub(crate) fn pin(&mut self) -> bool {
+        if self.slot.generation() == self.snap.gen {
+            return false;
+        }
+        self.snap = self.slot.current();
+        true
+    }
+
+    /// Generation-validated lookup: pins, then answers from the immutable
+    /// snapshot. The answer comes from a snapshot at least as new as any
+    /// publish on this slot that happened-before the call — a drop that
+    /// published generation G can never be answered from an older one.
+    pub(crate) fn lookup(&mut self, addr: u64) -> (Option<(u64, u64)>, PlaneLayer) {
+        self.pin();
+        self.snap.lookup(addr)
+    }
+}
+
+/// A standalone read handle on a whole plane (tests, diagnostics,
+/// benchmarks): pins each slot's snapshot on first use and refreshes a
+/// slot only when that slot's generation moves.
+/// [`crate::metapool::MetaPool`] bindings hold a per-slot reader instead.
 #[derive(Clone, Debug)]
 pub struct PlaneReader {
     plane: Arc<SharedMetaPlane>,
-    snap: Arc<PlaneSnapshot>,
-    /// Epoch-change refreshes this reader performed (diagnostics).
+    /// Per plane slot, filled on first use.
+    pins: Vec<Option<SlotReader>>,
+    /// Generation-change refreshes this reader performed (diagnostics).
     pub refreshes: u64,
 }
 
 impl PlaneReader {
-    /// A reader pinned to the plane's current snapshot.
+    /// A reader on `plane`; it pins nothing until its first lookup.
     pub fn new(plane: Arc<SharedMetaPlane>) -> PlaneReader {
-        let snap = plane.snapshot();
         PlaneReader {
             plane,
-            snap,
+            pins: Vec::new(),
             refreshes: 0,
         }
     }
@@ -390,65 +565,85 @@ impl PlaneReader {
         &self.plane
     }
 
-    /// The epoch of the pinned snapshot.
-    pub fn pinned_epoch(&self) -> u64 {
-        self.snap.epoch
-    }
-
-    /// Validates the pinned snapshot against the plane epoch, refreshing
-    /// if it moved. Returns the epoch now pinned. Steady state is one
-    /// `Acquire` load and a compare; the lock is taken only on change.
-    pub fn pin(&mut self) -> u64 {
-        let cur = self.plane.epoch();
-        if cur != self.snap.epoch {
-            self.snap = self.plane.snapshot();
+    /// Pins pool `idx` — refreshing it if its slot generation moved —
+    /// and returns the pinned snapshot (`None` for an unknown slot).
+    fn pinned_snap(&mut self, idx: u32) -> Option<&PoolSnap> {
+        let i = idx as usize;
+        if self.pins.get(i).is_none_or(Option::is_none) {
+            let slot = self.plane.slot(idx)?;
+            if self.pins.len() <= i {
+                self.pins.resize(i + 1, None);
+            }
+            self.pins[i] = Some(SlotReader::new(slot));
+        }
+        let r = self.pins[i].as_mut()?;
+        if r.pin() {
             self.refreshes += 1;
         }
-        self.snap.epoch
+        Some(&r.snap)
     }
 
-    /// Epoch-validated lookup: pins the current epoch, then answers from
-    /// the immutable snapshot. The answer is guaranteed to come from a
-    /// snapshot at least as new as any publish that happened-before this
-    /// call — a drop that published epoch E+1 can never be answered from
-    /// epoch E here.
+    /// Validates the pinned snapshot of pool `idx` against its slot
+    /// generation, refreshing if it moved. Returns the generation now
+    /// pinned (0 for an unknown slot).
+    pub fn pin(&mut self, idx: u32) -> u64 {
+        self.pinned_snap(idx).map_or(0, |s| s.gen)
+    }
+
+    /// Generation-validated lookup of `addr` in pool `idx`: returns the
+    /// containing range (if any) and which snapshot layer answered.
     pub fn lookup(&mut self, idx: u32, addr: u64) -> (Option<(u64, u64)>, PlaneLayer) {
-        self.pin();
-        self.snap.lookup(idx, addr)
+        self.pinned_snap(idx)
+            .map_or((None, PlaneLayer::Page), |s| s.lookup(addr))
     }
 
-    /// Live ranges of pool `idx` at the pinned epoch (refreshes first).
+    /// Live ranges of pool `idx` at its pinned generation (refreshes
+    /// first).
     pub fn ranges(&mut self, idx: u32) -> Vec<(u64, u64)> {
-        self.pin();
-        self.snap.ranges(idx)
+        self.pinned_snap(idx)
+            .map(|s| s.ranges.clone())
+            .unwrap_or_default()
     }
 
-    /// Live objects of pool `idx` at the pinned epoch (refreshes first).
+    /// Live objects of pool `idx` at its pinned generation (refreshes
+    /// first).
     pub fn live_objects(&mut self, idx: u32) -> usize {
-        self.pin();
-        self.snap.live_objects(idx)
+        self.pinned_snap(idx).map_or(0, |s| s.ranges.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn register_lookup_drop_publishes_epochs() {
         let plane = Arc::new(SharedMetaPlane::new());
         let mp = plane.add_pool();
-        assert_eq!(plane.epoch(), 1);
-        plane.register(mp, 0x1000, 64).unwrap();
+        let other = plane.add_pool();
         assert_eq!(plane.epoch(), 2);
+        plane.register(mp, 0x1000, 64).unwrap();
+        assert_eq!(plane.epoch(), 3);
+        assert_eq!(plane.generation(mp), 3);
         let mut r = PlaneReader::new(plane.clone());
         assert_eq!(r.lookup(mp, 0x1020).0, Some((0x1000, 0x1040)));
         assert_eq!(r.lookup(mp, 0x2000).0, None);
+        // A publish on another slot moves the epoch but not this slot's
+        // generation: the reader keeps its pin.
+        plane.register(other, 0x1000, 64).unwrap();
+        assert_eq!(plane.generation(mp), 3);
+        assert_eq!(r.lookup(mp, 0x1020).0, Some((0x1000, 0x1040)));
+        assert_eq!(r.refreshes, 0);
         plane.drop_obj(mp, 0x1000).unwrap();
-        assert_eq!(plane.epoch(), 3);
-        // The reader's next lookup revalidates the epoch and must miss.
+        assert_eq!(plane.epoch(), 5);
+        assert_eq!(plane.generation(mp), 5);
+        // The reader's next lookup revalidates the generation and must
+        // miss.
         assert_eq!(r.lookup(mp, 0x1020).0, None);
         assert_eq!(r.refreshes, 1);
+        // The other slot's object is untouched by the drop.
+        assert_eq!(r.lookup(other, 0x1020).0, Some((0x1000, 0x1040)));
     }
 
     #[test]
@@ -466,6 +661,17 @@ mod tests {
         assert_eq!(e.kind, CheckKind::IllegalFree);
         let e = plane.drop_obj(mp, 0x9000).unwrap_err();
         assert_eq!(e.kind, CheckKind::IllegalFree);
+        // Rejections publish nothing.
+        assert_eq!(plane.generation(mp), plane.epoch());
+        assert_eq!(plane.epoch(), 3);
+        // Slots are separate namespaces: the same range is free in a
+        // sibling slot.
+        let sib = plane.add_pool();
+        plane.register(sib, 0x1000, 64).unwrap();
+        assert_eq!(
+            plane.register(9, 0x1000, 8).unwrap_err().kind,
+            CheckKind::BadRegistration
+        );
     }
 
     #[test]
@@ -493,65 +699,244 @@ mod tests {
     fn deferred_reclamation_tracks_pinned_readers() {
         let plane = Arc::new(SharedMetaPlane::new());
         let mp = plane.add_pool();
+        let other = plane.add_pool();
         plane.register(mp, 0x1000, 64).unwrap();
         let mut r1 = PlaneReader::new(plane.clone());
         let mut r2 = PlaneReader::new(plane.clone());
-        r1.pin();
-        r2.pin();
-        // A publish retires the snapshot both readers pin.
+        r1.pin(mp);
+        r2.pin(mp);
+        // A publish on another slot retires nothing the readers pin.
+        plane.register(other, 0x1000, 64).unwrap();
+        assert_eq!(plane.retired_live(), 0);
+        // A publish on the pinned slot retires the snapshot both hold.
         plane.register(mp, 0x2000, 64).unwrap();
         assert_eq!(plane.retired_live(), 1);
         // One reader quiesces: the old generation is still pinned.
-        r1.pin();
+        r1.pin(mp);
         assert_eq!(plane.retired_live(), 1);
         // Both quiesced: reclaimed.
-        r2.pin();
+        r2.pin(mp);
         assert_eq!(plane.retired_live(), 0);
     }
 
     #[test]
     fn concurrent_readers_never_see_stale_epoch_answers() {
-        // Writers register/drop a churn object while readers hammer
-        // lookups; each lookup asserts the answering snapshot is at
-        // least as new as the epoch observed before the call.
+        // Writers register/drop a churn object — one on the read slot,
+        // one on a sibling slot — while readers hammer lookups; each
+        // lookup asserts the answering snapshot is at least as new as
+        // the slot generation observed before the call.
         let plane = Arc::new(SharedMetaPlane::new());
         let mp = plane.add_pool();
+        let sib = plane.add_pool();
         plane.register(mp, 0x1000, 64).unwrap(); // stable object
         let stop = Arc::new(AtomicU64::new(0));
         std::thread::scope(|s| {
-            let writer = {
-                let plane = plane.clone();
-                let stop = stop.clone();
-                s.spawn(move || {
-                    for _ in 0..200 {
-                        plane.register(mp, 0x8000, 32).unwrap();
-                        plane.drop_obj(mp, 0x8000).unwrap();
-                    }
-                    stop.store(1, Ordering::Release);
+            let writers: Vec<_> = [mp, sib]
+                .into_iter()
+                .map(|slot| {
+                    let plane = plane.clone();
+                    let stop = stop.clone();
+                    s.spawn(move || {
+                        for _ in 0..200 {
+                            plane.register(slot, 0x8000, 32).unwrap();
+                            plane.drop_obj(slot, 0x8000).unwrap();
+                        }
+                        stop.fetch_add(1, Ordering::AcqRel);
+                    })
                 })
-            };
+                .collect();
             for _ in 0..3 {
                 let plane = plane.clone();
                 let stop = stop.clone();
                 s.spawn(move || {
                     let mut r = PlaneReader::new(plane.clone());
-                    while stop.load(Ordering::Acquire) == 0 {
-                        let before = plane.epoch();
-                        r.pin();
-                        assert!(r.pinned_epoch() >= before, "stale snapshot pinned");
+                    while stop.load(Ordering::Acquire) < 2 {
+                        let before = plane.generation(mp);
+                        assert!(r.pin(mp) >= before, "stale snapshot pinned");
                         // The stable object is always visible; the churn
                         // object may or may not be, but an answer from an
-                        // old epoch is impossible per the assert above.
+                        // old generation is impossible per the assert
+                        // above.
                         let (hit, _) = r.lookup(mp, 0x1010);
                         assert_eq!(hit, Some((0x1000, 0x1040)));
                     }
-                    // Writer quiesced: the churn object was dropped last,
+                    // Writers quiesced: the churn object was dropped last,
                     // so it must now be invisible — a stale hit here
                     // would be a missed use-after-free.
                     assert_eq!(r.lookup(mp, 0x8010).0, None);
+                    assert_eq!(r.lookup(sib, 0x8010).0, None);
                 });
             }
-            writer.join().unwrap();
+            for w in writers {
+                w.join().unwrap();
+            }
         });
+    }
+
+    #[test]
+    fn rejected_adopt_leaves_register_and_lookup_in_agreement() {
+        let plane = Arc::new(SharedMetaPlane::new());
+        let mp = plane.add_pool();
+        let epoch = plane.epoch();
+        // The second range overlaps the first: the whole adopt fails.
+        let e = plane
+            .adopt(mp, &[(0x1000, 0x1040), (0x1020, 0x1030)])
+            .unwrap_err();
+        assert_eq!(e.kind, CheckKind::BadRegistration);
+        assert_eq!(plane.epoch(), epoch, "a rejected adopt publishes nothing");
+        let mut r = PlaneReader::new(plane.clone());
+        let visible = r.lookup(mp, 0x1000).0.is_some();
+        let registered = plane.register(mp, 0x1000, 8);
+        assert_eq!(
+            visible,
+            registered.is_err(),
+            "lookup and register disagree on whether 0x1000 is live"
+        );
+        assert!(!visible, "the first range of a rejected adopt leaked in");
+    }
+
+    #[test]
+    fn reset_slots_republishes_only_changed_slots_all_or_nothing() {
+        let plane = SharedMetaPlane::new();
+        let base = plane.add_pool();
+        plane.add_pool();
+        let baseline = vec![
+            vec![(0x1000, 0x1040)],
+            vec![(0x2000, 0x2010), (0x2010, 0x2020)],
+        ];
+        assert_eq!(plane.reset_slots(base, &baseline).unwrap(), 2);
+        // Already at the baseline: nothing publishes.
+        let epoch = plane.epoch();
+        assert_eq!(plane.reset_slots(base, &baseline).unwrap(), 0);
+        assert_eq!(plane.epoch(), epoch);
+        // Dirty one slot: only it republishes.
+        plane.register(base + 1, 0x3000, 8).unwrap();
+        let gen0 = plane.generation(base);
+        assert_eq!(plane.reset_slots(base, &baseline).unwrap(), 1);
+        assert_eq!(plane.generation(base), gen0);
+        let s1 = plane.slot(base + 1).unwrap();
+        assert_eq!(s1.ranges(), vec![(0x2000, 0x2010), (0x2010, 0x2020)]);
+        // A bad baseline in the second slot changes neither slot.
+        plane.register(base, 0x5000, 8).unwrap();
+        let bad = vec![
+            vec![(0x1000, 0x1040)],
+            vec![(0x2000, 0x2010), (0x2008, 0x2020)],
+        ];
+        let epoch = plane.epoch();
+        assert!(plane.reset_slots(base, &bad).is_err());
+        assert_eq!(plane.epoch(), epoch);
+        let s0 = plane.slot(base).unwrap();
+        assert_eq!(s0.ranges(), vec![(0x1000, 0x1040), (0x5000, 0x5008)]);
+        // Past the last slot is rejected too.
+        assert!(plane.reset_slots(base + 1, &baseline).is_err());
+    }
+
+    /// The publish invariant: a slot's published snapshot holds exactly
+    /// its authoritative set, at exactly its generation.
+    fn published_matches_authoritative(plane: &SharedMetaPlane, slots: u32) -> Result<(), String> {
+        for idx in 0..slots {
+            let slot = plane.slot(idx).expect("slot exists");
+            let st = slot.locked();
+            let auth: Vec<(u64, u64)> = st.intervals.iter().map(|(&s, &e)| (s, e)).collect();
+            if st.snap.ranges != auth {
+                return Err(format!(
+                    "slot {idx}: published {:?} != authoritative {auth:?}",
+                    st.snap.ranges
+                ));
+            }
+            if st.snap.gen != slot.generation() {
+                return Err(format!(
+                    "slot {idx}: snapshot gen {} != slot generation {}",
+                    st.snap.gen,
+                    slot.generation()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn every_operation_leaves_each_slot_published_as_authoritative(
+            ops in prop::collection::vec((0u8..6, 0u32..3, 0u64..12, 1u64..4, any::<u64>()), 1..48),
+        ) {
+            const SLOTS: u32 = 3;
+            let plane = Arc::new(SharedMetaPlane::new());
+            for _ in 0..SLOTS {
+                plane.add_pool();
+            }
+            let mut reader = PlaneReader::new(plane.clone());
+            // 12 object positions, 0x40 apart; lengths of 1-3 × 0x20 can
+            // overlap a neighbour, so rejections are exercised too.
+            let addr = |k: u64| 0x1_0000 + k * 0x40;
+            for &(op, slot, k, len, seed) in &ops {
+                let before: Vec<u64> = (0..SLOTS).map(|i| plane.generation(i)).collect();
+                match op {
+                    0 => {
+                        let _ = plane.register(slot, addr(k), len * 0x20);
+                    }
+                    1 => {
+                        let _ = plane.drop_obj(slot, addr(k));
+                    }
+                    2 => {
+                        // 0x40 apart with up to 0x80 bytes each: the
+                        // adopted ranges can overlap one another.
+                        let ranges: Vec<(u64, u64)> = (0..len)
+                            .map(|j| (addr(k + j), addr(k + j) + 0x20 * (seed % 4 + 1)))
+                            .collect();
+                        let was = plane.slot(slot).unwrap().ranges();
+                        if plane.adopt(slot, &ranges).is_err() {
+                            prop_assert_eq!(plane.slot(slot).unwrap().ranges(), was);
+                        }
+                    }
+                    3 => {
+                        let base = slot.min(SLOTS - 2);
+                        let baseline: Vec<Vec<(u64, u64)>> = (0..2u64)
+                            .map(|j| (0..(seed >> (j * 8)) % 3)
+                                .map(|m| (addr(k + m * 2 + j), addr(k + m * 2 + j) + 0x30 * len))
+                                .collect())
+                            .collect();
+                        let was: Vec<_> = (0..2).map(|j| plane.slot(base + j).unwrap().ranges()).collect();
+                        match plane.reset_slots(base, &baseline) {
+                            Ok(_) => {
+                                for j in 0..2u32 {
+                                    let want: Vec<(u64, u64)> =
+                                        baseline[j as usize].iter().map(|&r| normalized(r)).collect();
+                                    prop_assert_eq!(plane.slot(base + j).unwrap().ranges(), want);
+                                }
+                            }
+                            Err(_) => {
+                                for j in 0..2u32 {
+                                    prop_assert_eq!(
+                                        &plane.slot(base + j).unwrap().ranges(),
+                                        &was[j as usize]
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    4 => plane.clear_pool(slot),
+                    _ => {
+                        plane.corrupt(slot, seed);
+                    }
+                }
+                published_matches_authoritative(&plane, SLOTS)?;
+                for i in 0..SLOTS {
+                    let now = plane.generation(i);
+                    prop_assert!(now >= before[i as usize], "slot {} generation went backwards", i);
+                    prop_assert!(now <= plane.epoch());
+                    // A standalone reader agrees with the authoritative
+                    // set at every probe address of every slot.
+                    let auth = plane.slot(i).unwrap().ranges();
+                    for probe in 0..20u64 {
+                        let a = addr(probe) + 0x10;
+                        let want = auth.iter().copied().find(|&(s, e)| s <= a && a < e);
+                        prop_assert_eq!(reader.lookup(i, a).0, want, "slot {} addr {:#x}", i, a);
+                    }
+                }
+            }
+        }
     }
 }

@@ -67,6 +67,50 @@ pub fn extern_addr(eid: u32) -> u64 {
     EXTERN_BASE + eid as u64 * FUNC_STRIDE
 }
 
+/// Indices of the [`PAGE_SIZE`] pages of `data` holding a nonzero byte.
+/// The snapshot encoder and the fork plan both scan the full 32 MiB
+/// kernel region with this, so the zero test goes a word at a time — a
+/// byte-wise loop there costs more than the copies it saves.
+pub(crate) fn nonzero_pages(data: &[u8]) -> Vec<usize> {
+    data.chunks(PAGE_SIZE as usize)
+        .enumerate()
+        .filter(|(_, c)| !all_zero(c))
+        .map(|(i, _)| i)
+        .collect()
+}
+
+fn all_zero(bytes: &[u8]) -> bool {
+    let mut words = bytes.chunks_exact(8);
+    if words.any(|c| u64::from_ne_bytes(c.try_into().unwrap()) != 0) {
+        return false;
+    }
+    words.remainder().iter().all(|&b| b == 0)
+}
+
+/// A `total`-byte zero buffer with each `(byte offset, bytes)` of
+/// `pages` copied in. `vec![0; n]` is a calloc: the buffer stays
+/// zero-page-backed until written, so this touches only the copied
+/// pages no matter how large the region is.
+pub(crate) fn sparse_fill<'a>(
+    total: usize,
+    pages: impl IntoIterator<Item = (usize, &'a [u8])>,
+) -> Vec<u8> {
+    let mut data = vec![0u8; total];
+    for (start, bytes) in pages {
+        data[start..start + bytes.len()].copy_from_slice(bytes);
+    }
+    data
+}
+
+/// The nonzero kernel pages of a memory image, recorded once so that
+/// [`Memory::fork_sparse`] copies only those. Valid only while the image
+/// it was taken from does not change — an SMP machine records it from
+/// its never-run template.
+#[derive(Debug)]
+pub(crate) struct ForkPlan {
+    kernel_pages: Vec<usize>,
+}
+
 /// One user address space.
 #[derive(Clone, Debug)]
 pub struct UserSpace {
@@ -174,6 +218,34 @@ impl Memory {
     /// Number of live address spaces.
     pub fn live_spaces(&self) -> usize {
         self.spaces.iter().filter(|s| s.live).count()
+    }
+
+    /// Records which kernel pages are nonzero (see [`ForkPlan`]).
+    pub(crate) fn fork_plan(&self) -> ForkPlan {
+        ForkPlan {
+            kernel_pages: nonzero_pages(&self.kernel),
+        }
+    }
+
+    /// A copy of this memory that copies only the kernel pages `plan`
+    /// lists and leaves the rest of the fresh kernel region zero-page
+    /// backed: a fork costs the template's nonzero pages, not 32 MiB.
+    /// `plan` must come from [`Self::fork_plan`] on this same, unchanged
+    /// image, or the copy is wrong.
+    pub(crate) fn fork_sparse(&self, plan: &ForkPlan) -> Memory {
+        let page = PAGE_SIZE as usize;
+        let pages = plan.kernel_pages.iter().map(|&i| {
+            let start = i * page;
+            (
+                start,
+                &self.kernel[start..(start + page).min(self.kernel.len())],
+            )
+        });
+        Memory {
+            kernel: sparse_fill(self.kernel.len(), pages),
+            spaces: self.spaces.clone(),
+            current_asid: self.current_asid,
+        }
     }
 
     /// Raw kernel-region bytes (machine snapshots).
@@ -450,6 +522,49 @@ mod tests {
             b"ababcd",
             "overlapping copies must behave like memmove"
         );
+    }
+
+    #[test]
+    fn sparse_fork_is_byte_identical_to_a_dense_clone() {
+        let mut m = Memory::new();
+        // Scatter writes: first and last kernel page, a word straddling a
+        // page boundary, a lone byte at a page's last offset, and user data
+        // in two spaces.
+        m.write_uint(KERN_BASE, 8, 0x1122_3344_5566_7788, Mode::Kernel)
+            .unwrap();
+        m.write_uint(KERN_END - 8, 8, u64::MAX, Mode::Kernel)
+            .unwrap();
+        m.write_uint(
+            KERN_BASE + 3 * PAGE_SIZE - 4,
+            8,
+            0xabcd_ef01_2345_6789,
+            Mode::Kernel,
+        )
+        .unwrap();
+        m.write_uint(KHEAP_BASE + 7 * PAGE_SIZE - 1, 1, 0x5a, Mode::Kernel)
+            .unwrap();
+        m.write_bytes(USER_BASE + 100, b"user zero", Mode::User)
+            .unwrap();
+        let a1 = m.new_space();
+        m.load_space(a1).unwrap();
+        m.write_bytes(USER_END - 3, b"end", Mode::User).unwrap();
+        let plan = m.fork_plan();
+        assert_eq!(plan.kernel_pages.len(), 5);
+        let dense = m.clone();
+        let sparse = m.fork_sparse(&plan);
+        assert!(sparse.kernel_bytes() == dense.kernel_bytes());
+        assert_eq!(sparse.current_asid, dense.current_asid);
+        assert_eq!(sparse.all_spaces().len(), dense.all_spaces().len());
+        for (s, d) in sparse.all_spaces().iter().zip(dense.all_spaces()) {
+            assert_eq!(s.live, d.live);
+            assert!(s.data == d.data);
+        }
+        // A fork of a pristine image is all zeros.
+        let blank = Memory::new();
+        assert!(blank.fork_plan().kernel_pages.is_empty());
+        assert!(all_zero(
+            blank.fork_sparse(&blank.fork_plan()).kernel_bytes()
+        ));
     }
 
     #[test]

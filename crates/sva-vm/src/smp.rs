@@ -5,24 +5,29 @@
 //!
 //! * **Shared, read-only**: the translated code image (`Arc<CodeImage>`,
 //!   translation and superinstruction fusion happen once).
-//! * **Shared, epoch-published**: metapool object metadata lives in one
-//!   [`SharedMetaPlane`]. Each vCPU owns a contiguous slot range inside
-//!   the plane (its kernel instance's object namespace), but every vCPU
-//!   reads through the same snapshot/epoch machinery: any registration
-//!   or drop publishes a new epoch, which invalidates every vCPU's
-//!   epoch-tagged MRU lines at the cost of a single `Acquire` load on
-//!   their next lookup — cross-CPU invalidation with zero traffic.
+//! * **Shared, published per slot**: metapool object metadata lives in
+//!   one [`SharedMetaPlane`]. Each vCPU owns a contiguous slot range
+//!   inside the plane (its kernel instance's object namespace), and every
+//!   slot publishes on its own: a registration or drop rebuilds only its
+//!   slot's snapshot and bumps only that slot's generation, which kills
+//!   the MRU lines tagged with the old generation at the cost of a single
+//!   `Acquire` load on their next lookup — cross-CPU invalidation with
+//!   zero traffic — and leaves every other slot's lines alive.
 //! * **Private**: memory image, thread state, recovery-domain stack,
 //!   per-vCPU MRU/singleton caches, `CheckStats`, `VmStats`, console and
-//!   trace sinks. [`Vm::fork_for_cpu`] deep-clones these, and the
-//!   kernel-stack window is carved into per-CPU lanes.
+//!   trace sinks. Each job runs on a fresh fork of the never-run
+//!   template; the fork copies only the template's nonzero kernel pages,
+//!   recorded once at construction, and the kernel-stack window is carved
+//!   into per-CPU lanes.
 //!
 //! Work arrives as [`SmpJob`]s on per-vCPU run queues. An idle vCPU
 //! first drains its own queue, then *steals* from its neighbours
-//! (`cpu+1, cpu+2, …` round-robin, stealing from the cold end), and
-//! finally parks on a condvar until the fleet drains. IRQs queued
-//! before a run are routed by [`IrqAffinity`]: round-robin fan-out
-//! (`Spread`), a fixed vCPU (`Pin`), or every vCPU (`Broadcast`).
+//! (`cpu+1, cpu+2, …` round-robin, stealing from the cold end) — but
+//! only from a neighbour whose virtual clock (the cycles of the jobs it
+//! has finished) is not behind its own — and finally parks on a condvar
+//! until the fleet drains. IRQs queued before a run are routed by
+//! [`IrqAffinity`]: round-robin fan-out (`Spread`), a fixed vCPU
+//! (`Pin`), or every vCPU (`Broadcast`).
 //!
 //! At halt the per-vCPU reports are merged **deterministically in
 //! cpu-id order** and job results are returned in submission order.
@@ -34,17 +39,20 @@
 //! time of a run is the maximum virtual cycle count over vCPUs (they
 //! run concurrently), while syscalls served is the sum — so
 //! `syscalls_per_mcycle` scales with vCPU count as long as the shared
-//! plane does not serialize the check path. Wall-clock time is recorded
-//! too, but on a single-core host it measures host scheduling, not the
-//! machine.
+//! plane does not serialize the check path. The steal rule keeps that
+//! makespan a property of the machine rather than of host scheduling: a
+//! vCPU whose host thread got a core first cannot drain the queues of
+//! siblings still waiting for one. Wall-clock time is recorded too
+//! ([`SmpReport::wall`]); it is the host-time view of the same run.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use sva_rt::{CheckStats, SharedMetaPlane};
 
+use crate::mem::ForkPlan;
 use crate::migrate::MigrateError;
 use crate::snapshot::{fnv64, SnapshotError};
 use crate::vm::{IrqAffinity, Vm, VmError, VmExit, VmStats};
@@ -186,13 +194,13 @@ struct RunState {
     jobs: Vec<SmpJob>,
     /// Per-vCPU run queues of indices into `jobs`.
     queues: Vec<Mutex<VecDeque<usize>>>,
+    /// Per-vCPU virtual clock: the cycles of the jobs it has finished.
+    clocks: Vec<AtomicU64>,
     /// Jobs enqueued but not yet claimed by any vCPU.
     unclaimed: AtomicUsize,
-    /// Jobs fully executed.
-    finished: AtomicUsize,
+    /// Jobs fully executed. Idle vCPUs wait on `cv` for it to move.
+    finished: Mutex<usize>,
     total: usize,
-    /// Set when `finished == total`; parked vCPUs wait on it.
-    done: Mutex<bool>,
     cv: Condvar,
 }
 
@@ -215,6 +223,8 @@ pub struct SmpMachine {
     /// Per-pool live ranges of the pristine template — what each slot
     /// range is reset to before a job boots.
     baseline: Vec<Vec<(u64, u64)>>,
+    /// The template's nonzero kernel pages: what each fork copies.
+    fork_plan: ForkPlan,
     /// Round-robin cursor for `IrqAffinity::Spread`.
     irq_next: u32,
     /// Vectors queued per vCPU, delivered to its next job.
@@ -231,6 +241,7 @@ impl SmpMachine {
         let vcpus = template.cfg.vcpus.max(1);
         let affinity = template.cfg.irq_affinity;
         let baseline = template.pools.live_ranges_by_pool();
+        let fork_plan = template.mem.fork_plan();
         let (plane, slot_base) = if vcpus >= 2 {
             let plane = Arc::new(SharedMetaPlane::new());
             let bases = (0..vcpus)
@@ -247,6 +258,7 @@ impl SmpMachine {
             plane,
             slot_base,
             baseline,
+            fork_plan,
             irq_next: 0,
             irq_pending: (0..vcpus).map(|_| VecDeque::new()).collect(),
         }
@@ -302,10 +314,10 @@ impl SmpMachine {
         let state = RunState {
             jobs,
             queues,
+            clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
             unclaimed: AtomicUsize::new(total),
-            finished: AtomicUsize::new(0),
+            finished: Mutex::new(0),
             total,
-            done: Mutex::new(total == 0),
             cv: Condvar::new(),
         };
         let mut irq_plans = std::mem::replace(
@@ -333,87 +345,46 @@ impl SmpMachine {
                     .collect()
             })
         };
-        let wall = start.elapsed();
-        let mut cpus = Vec::with_capacity(n);
-        let mut job_results = Vec::with_capacity(total);
-        for (rep, mut rs) in per_cpu {
-            cpus.push(rep);
-            job_results.append(&mut rs);
-        }
-        cpus.sort_by_key(|c| c.cpu);
-        job_results.sort_by_key(|r| r.job);
-        let mut merged = VmStats::default();
-        for c in &cpus {
-            merged.fold(&c.stats);
-        }
-        let max_cpu_cycles = cpus.iter().map(|c| c.stats.cycles).max().unwrap_or(0);
-        let (final_epoch, retired_snapshots) = match &self.plane {
-            Some(p) => (p.epoch(), p.retired_live()),
-            None => (0, 0),
-        };
-        SmpReport {
-            vcpus: self.vcpus,
-            cpus,
-            total_syscalls: merged.traps,
-            merged,
-            jobs: job_results,
-            max_cpu_cycles,
-            wall,
-            final_epoch,
-            retired_snapshots,
-        }
+        self.merge_report(per_cpu, start.elapsed())
     }
 
-    /// One vCPU's scheduler loop: own queue, then steal, then park.
+    /// One vCPU's scheduler loop: own queue, then steal, then wait for a
+    /// sibling to finish a job, then park once nothing is left to claim.
     fn vcpu_loop(
         &self,
         cpu: u32,
         state: &RunState,
         mut irqs: VecDeque<i64>,
     ) -> (CpuReport, Vec<JobResult>) {
-        let n = self.vcpus as usize;
         let mut rep = CpuReport {
             cpu,
             ..CpuReport::default()
         };
         let mut results = Vec::new();
         loop {
-            let mut claimed = {
-                let mut q = relock(&state.queues[cpu as usize]);
-                let j = q.pop_front();
-                if j.is_some() {
-                    state.unclaimed.fetch_sub(1, Ordering::AcqRel);
-                }
-                j
-            };
-            if claimed.is_none() {
-                for k in 1..n {
-                    let mut q = relock(&state.queues[(cpu as usize + k) % n]);
-                    // Steal from the cold end: the owner keeps locality
-                    // on its front.
-                    if let Some(j) = q.pop_back() {
-                        state.unclaimed.fetch_sub(1, Ordering::AcqRel);
-                        rep.steals += 1;
-                        claimed = Some(j);
-                        break;
-                    }
-                }
-            }
-            let Some(ji) = claimed else {
+            // Read before claiming, so a sibling's finish that lands after
+            // a failed claim cuts the wait below short instead of being
+            // missed.
+            let seen = *relock(&state.finished);
+            let Some(ji) = self.claim(cpu as usize, state, &mut rep) else {
+                let mut finished = relock(&state.finished);
                 if state.unclaimed.load(Ordering::Acquire) == 0 {
                     // Nothing left to claim, ever: park until the last
-                    // in-flight job unparks the fleet, then retire.
-                    let mut done = state.done.lock().unwrap_or_else(|e| e.into_inner());
-                    if !*done {
+                    // in-flight job finishes, then retire.
+                    if *finished < state.total {
                         rep.parks += 1;
-                        while !*done {
-                            done = state.cv.wait(done).unwrap_or_else(|e| e.into_inner());
-                        }
+                    }
+                    while *finished < state.total {
+                        finished = state.cv.wait(finished).unwrap_or_else(|e| e.into_inner());
                     }
                     break;
                 }
-                // A sibling is mid-claim; its decrement lands shortly.
-                std::thread::yield_now();
+                // Every queued job belongs to a sibling whose clock is
+                // behind ours (or a sibling is mid-claim): only a finished
+                // job can change that.
+                while *finished == seen {
+                    finished = state.cv.wait(finished).unwrap_or_else(|e| e.into_inner());
+                }
                 continue;
             };
             let vectors: Vec<i64> = irqs.drain(..).collect();
@@ -423,28 +394,57 @@ impl SmpMachine {
             rep.stats.fold(&r.stats);
             rep.checks.merge(&r.checks);
             results.push(r);
-            if state.finished.fetch_add(1, Ordering::AcqRel) + 1 == state.total {
-                *state.done.lock().unwrap_or_else(|e| e.into_inner()) = true;
-                state.cv.notify_all();
-            }
+            state.clocks[cpu as usize].store(rep.stats.cycles, Ordering::Release);
+            *relock(&state.finished) += 1;
+            state.cv.notify_all();
         }
         (rep, results)
+    }
+
+    /// Claims `cpu`'s next job: the front of its own queue, else the cold
+    /// end of the first sibling queue (`cpu+1, cpu+2, …`) whose owner's
+    /// virtual clock is not behind this vCPU's. A vCPU that is ahead in
+    /// virtual time would start a stolen job later than the job's owner
+    /// can; taking it anyway lets whichever host thread got a core first
+    /// drain the queues of siblings still waiting for one, and the
+    /// virtual makespan would then measure host scheduling.
+    fn claim(&self, cpu: usize, state: &RunState, rep: &mut CpuReport) -> Option<usize> {
+        {
+            let mut q = relock(&state.queues[cpu]);
+            if let Some(j) = q.pop_front() {
+                state.unclaimed.fetch_sub(1, Ordering::AcqRel);
+                return Some(j);
+            }
+        }
+        let n = self.vcpus as usize;
+        let mine = state.clocks[cpu].load(Ordering::Acquire);
+        for k in 1..n {
+            let victim = (cpu + k) % n;
+            if state.clocks[victim].load(Ordering::Acquire) < mine {
+                continue;
+            }
+            // Steal from the cold end: the owner keeps locality on its
+            // front.
+            let mut q = relock(&state.queues[victim]);
+            if let Some(j) = q.pop_back() {
+                state.unclaimed.fetch_sub(1, Ordering::AcqRel);
+                rep.steals += 1;
+                return Some(j);
+            }
+        }
+        None
     }
 
     /// Forks the template for `cpu`, resets and binds the vCPU's plane
     /// slot range, runs the job's setup hook, writes its globals and
     /// queues its IRQ vectors — everything up to (but excluding) boot.
     fn prepare_fork(&self, cpu: u32, job: &SmpJob, irqs: &[i64]) -> (Vm, Option<VmError>) {
-        let mut vm = self.template.fork_for_cpu(cpu);
+        let mut vm = self.template.fork_sparse(cpu, &self.fork_plan);
         if let Some(plane) = &self.plane {
             let base = self.slot_base[cpu as usize];
-            for (i, ranges) in self.baseline.iter().enumerate() {
-                let slot = base + i as u32;
-                plane.clear_pool(slot);
-                plane
-                    .adopt(slot, ranges)
-                    .expect("baseline ranges are disjoint");
-            }
+            plane
+                .reset_slots(base, &self.baseline)
+                .expect("baseline ranges are disjoint");
             vm.pools.bind_shared_at(plane, base);
         }
         if let Some(setup) = &job.setup {
@@ -653,25 +653,23 @@ impl SmpMachine {
         let start = Instant::now();
         let mut per_cpu = Vec::with_capacity(members.len());
         for (cpu, member) in members.iter().enumerate() {
-            let mut vm = self.template.fork_for_cpu(cpu as u32);
+            let mut vm = self.template.fork_sparse(cpu as u32, &self.fork_plan);
             // Restore into the unbound fork first (pool images repopulate
-            // the private registries), then publish the *restored* ranges
-            // into this vCPU's plane slots and bind — the same bring-up
-            // order `MetaPoolTable::publish_to_plane` + `bind_shared_at`
-            // use at machine construction.
+            // the private registries), then reset this vCPU's plane slots
+            // to the *restored* ranges and bind — the same bring-up order
+            // `MetaPoolTable::publish_to_plane` + `bind_shared_at` use at
+            // machine construction.
             vm.restore_migrated(member)?;
             if let Some(plane) = &self.plane {
                 let base = self.slot_base[cpu];
-                for (i, ranges) in vm.pools.live_ranges_by_pool().iter().enumerate() {
-                    let slot = base + i as u32;
-                    plane.clear_pool(slot);
-                    plane.adopt(slot, ranges).map_err(|e| {
+                plane
+                    .reset_slots(base, &vm.pools.live_ranges_by_pool())
+                    .map_err(|e| {
                         MigrateError::Image(SnapshotError::Malformed(format!(
                             "member {cpu} pool ranges rejected by the plane: {}",
                             e.detail
                         )))
                     })?;
-                }
                 vm.pools.bind_shared_at(plane, base);
             }
             let exit = vm.run();

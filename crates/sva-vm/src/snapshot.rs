@@ -56,7 +56,7 @@ use sva_ir::bytecode::SignedModule;
 use sva_rt::{CheckStats, PoolImage};
 use sva_trace::Tracer;
 
-use crate::mem::{Mode, UserSpace, PAGE_SIZE};
+use crate::mem::{nonzero_pages, sparse_fill, Mode, UserSpace, PAGE_SIZE};
 use crate::vm::{
     Frame, IContext, KernelKind, RecoveryCtx, SavedState, Thread, Vm, VmConfig, VmStats,
 };
@@ -268,12 +268,7 @@ impl W {
     pub(crate) fn sparse(&mut self, data: &[u8]) {
         self.u64(data.len() as u64);
         let page = PAGE_SIZE as usize;
-        let nonzero: Vec<usize> = data
-            .chunks(page)
-            .enumerate()
-            .filter(|(_, c)| !all_zero(c))
-            .map(|(i, _)| i)
-            .collect();
+        let nonzero = nonzero_pages(data);
         self.u64(nonzero.len() as u64);
         for i in nonzero {
             self.u64(i as u64);
@@ -282,17 +277,6 @@ impl W {
             self.buf.extend_from_slice(&data[start..end]);
         }
     }
-}
-
-/// Word-at-a-time zero test: the sparse codec scans the full 32 MiB
-/// kernel region on every snapshot *and* every restore, and a byte-wise
-/// loop there costs more than the fork it enables saves.
-fn all_zero(bytes: &[u8]) -> bool {
-    let mut words = bytes.chunks_exact(8);
-    if words.any(|c| u64::from_ne_bytes(c.try_into().unwrap()) != 0) {
-        return false;
-    }
-    words.remainder().iter().all(|&b| b == 0)
 }
 
 pub(crate) struct R<'a> {
@@ -408,15 +392,10 @@ pub(crate) struct SparseRegion<'a> {
 }
 
 impl SparseRegion<'_> {
-    /// Decodes into a fresh zero-filled buffer. `vec![0; n]` is a calloc:
-    /// the buffer stays zero-page-backed until written, so this touches
-    /// only the image's nonzero pages no matter how large the region is.
+    /// Decodes into a fresh zero-filled buffer that touches only the
+    /// image's nonzero pages (see [`sparse_fill`]).
     fn materialize(&self) -> Vec<u8> {
-        let mut data = vec![0u8; self.total];
-        for &(start, bytes) in &self.pages {
-            data[start..start + bytes.len()].copy_from_slice(bytes);
-        }
-        data
+        sparse_fill(self.total, self.pages.iter().copied())
     }
 }
 

@@ -149,6 +149,40 @@ entry:
 }
 
 #[test]
+fn sparse_fork_memory_matches_a_dense_fork() {
+    let src = r#"
+module "m"
+global @counter : i64 = zero
+func public @bump(%by: i64) : i64 {
+entry:
+  %old:i64 = load @counter
+  %new:i64 = add %old, %by
+  store %new, @counter
+  ret %new
+}
+"#;
+    let mut template = vm_for(src, KernelKind::Native);
+    template.call("bump", &[0x5a5a]).unwrap();
+    let plan = template.mem.fork_plan();
+    for cpu in [0u32, 1] {
+        let dense = template.fork_for_cpu(cpu);
+        let mut sparse = template.fork_sparse(cpu, &plan);
+        assert!(sparse.mem.kernel_bytes() == dense.mem.kernel_bytes());
+        assert_eq!(sparse.mem.current_asid, dense.mem.current_asid);
+        let spaces = |vm: &Vm| -> Vec<(bool, Vec<u8>)> {
+            vm.mem
+                .all_spaces()
+                .iter()
+                .map(|s| (s.live, s.data.clone()))
+                .collect()
+        };
+        assert!(spaces(&sparse) == spaces(&dense));
+        // The fork runs on from the template's state.
+        assert_eq!(sparse.call("bump", &[1]).unwrap(), VmExit::Returned(0x5a5b));
+    }
+}
+
+#[test]
 fn indirect_call_through_table() {
     let src = r#"
 module "m"

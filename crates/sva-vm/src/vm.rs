@@ -27,8 +27,8 @@ use sva_rt::{CheckError, MetaPool, MetaPoolTable};
 use sva_trace::{EventClass, LookupLayer, NullTracer, TraceEvent, Tracer};
 
 use crate::mem::{
-    addr_func, extern_addr, func_addr, Memory, Mode, KSTACK_BASE, KSTACK_END, PAGE_SIZE, USER_BASE,
-    USER_END, USER_SIZE,
+    addr_func, extern_addr, func_addr, ForkPlan, Memory, Mode, KSTACK_BASE, KSTACK_END, PAGE_SIZE,
+    USER_BASE, USER_END, USER_SIZE,
 };
 use crate::opt::HotProfile;
 use crate::resume::{check_kind_code, ResumeCode, RESUME_KIND_WATCHDOG};
@@ -209,8 +209,8 @@ pub struct VmConfig {
     /// Virtual CPUs of the machine (DESIGN.md §4.9). `1` (the default) is
     /// the classic single-threaded machine, bit-identical to the pre-SMP
     /// VM. At 2+ the [`crate::smp::SmpMachine`] runner forks one full VM
-    /// per vCPU sharing the code image and an epoch-published metapool
-    /// plane; each vCPU keeps its private MRU, check counters and trace
+    /// per job, sharing the code image and a metapool plane published per
+    /// slot; each vCPU keeps its private MRU, check counters and trace
     /// rings, merged deterministically at halt.
     pub vcpus: u32,
     /// How SMP machines route queued interrupts to vCPUs (ignored at
@@ -1220,12 +1220,23 @@ impl<T: Tracer> Vm<T> {
     /// a `RingTracer` whose ring is merged at halt with
     /// `EventRing::fold_into`).
     pub fn fork_for_cpu_traced<U: Tracer>(&self, cpu_id: u32, tracer: U) -> Vm<U> {
+        self.fork_with_mem(cpu_id, tracer, self.mem.clone())
+    }
+
+    /// Like [`Vm::fork_for_cpu`], but the fork's kernel region copies only
+    /// the pages `plan` lists ([`Memory::fork_sparse`]). `plan` must come
+    /// from this machine's unchanged memory.
+    pub(crate) fn fork_sparse(&self, cpu_id: u32, plan: &ForkPlan) -> Vm {
+        self.fork_with_mem(cpu_id, NullTracer, self.mem.fork_sparse(plan))
+    }
+
+    fn fork_with_mem<U: Tracer>(&self, cpu_id: u32, tracer: U, mem: Memory) -> Vm<U> {
         let lanes = self.cfg.vcpus.max(1) as u64;
         let lane = (KSTACK_END - KSTACK_BASE) / lanes;
         let mut thread = self.thread.clone();
         thread.ksp += u64::from(cpu_id).min(lanes - 1) * lane;
         Vm {
-            mem: self.mem.clone(),
+            mem,
             code: Arc::clone(&self.code),
             cfg: self.cfg.clone(),
             thread,
@@ -1367,8 +1378,10 @@ impl<T: Tracer> Vm<T> {
         ret_dst: Option<u32>,
         mode: Mode,
     ) -> Result<Frame, VmError> {
-        let code = self.code.clone();
-        let f = &code.module.funcs[func as usize];
+        // Borrow the shared image rather than cloning its `Arc`: every
+        // guest call lands here, and on an SMP machine all vCPUs would
+        // otherwise bounce one reference count between their cores.
+        let f = &self.code.module.funcs[func as usize];
         let nvals = f.num_values().max(args.len());
         let mut regs = vec![0u64; nvals];
         for (i, a) in args.iter().enumerate() {

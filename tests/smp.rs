@@ -6,7 +6,8 @@
 //!    single machine across the opt-equivalence kernel corpus.
 //! 2. **Shared-plane coherence**: concurrent register/drop racing
 //!    checked loads on 2–4 vCPU pool clones must never answer from a
-//!    stale epoch (a missed use-after-free) and never miss a violation
+//!    stale slot generation (a missed use-after-free) and never miss a
+//!    violation
 //!    — verified both by seeded deterministic schedules against a model
 //!    registry and by a free-running multithreaded race.
 //! 3. **4-vCPU kernel runs**: merged totals are deterministic, the
@@ -88,7 +89,7 @@ fn shared_pools(n: usize, boot: &[(u64, u64)]) -> (Arc<SharedMetaPlane>, Vec<Met
     let pools = (0..n)
         .map(|i| {
             let mut p = MetaPool::new(&format!("smp{i}"), false, true, None);
-            p.bind_shared(plane.clone(), slot);
+            p.bind_shared(&plane, slot);
             p
         })
         .collect();
@@ -253,9 +254,7 @@ fn four_vcpu_kernel_batch_is_clean_and_deterministic() {
     // Work-conserving: every job ran exactly once, whatever the steal
     // schedule did.
     assert_eq!(a.cpus.iter().map(|c| u64::from(c.jobs)).sum::<u64>(), 6);
-    // The merged machine totals are schedule-independent. (The split
-    // between MRU hits and snapshot layers is not: a sibling's publish
-    // can kill an MRU line, so only the lookup *sum* is stable.)
+    // The merged machine totals are schedule-independent.
     assert_eq!(a.merged.instructions, b.merged.instructions);
     assert_eq!(a.merged.traps, b.merged.traps);
     assert_eq!(a.merged.cycles, b.merged.cycles);
@@ -263,6 +262,18 @@ fn four_vcpu_kernel_batch_is_clean_and_deterministic() {
         a.merged.cache_hits + a.merged.page_hits + a.merged.tree_walks + a.merged.singleton_hits,
         b.merged.cache_hits + b.merged.page_hits + b.merged.tree_walks + b.merged.singleton_hits,
     );
+    // So is the split between MRU hits and snapshot layers, and every
+    // job's own counters: each vCPU publishes only to its own slot range,
+    // and a publish on one slot never kills another slot's MRU lines, so
+    // a sibling's registrations and drops cannot reach a job's lookups.
+    assert_eq!(a.merged, b.merged);
+    for (ja, jb) in a.jobs.iter().zip(&b.jobs) {
+        assert_eq!(
+            ja.stats, jb.stats,
+            "job {} counters depend on the schedule",
+            ja.job
+        );
+    }
     // Jobs land in submission order with their labels intact.
     assert_eq!(a.jobs[0].label, "user_getpid_loop");
     for (i, j) in a.jobs.iter().enumerate() {
@@ -350,10 +361,11 @@ fn midflight_boundary(c: &VmConfig) -> u64 {
     min / 2
 }
 
-/// The merged-machine equivalence key for SMP resume probes: a sibling's
-/// epoch publish can kill an MRU cache line at a schedule-dependent
-/// instruction, so only the `cache_hits + page_hits` *sum* is stable
-/// between a threaded run and its serially resumed twin.
+/// The merged-machine equivalence key for SMP resume probes: a resumed
+/// member rebinds its pools to the plane with empty MRU lines, so a probe
+/// the uninterrupted run answered from the MRU may be answered by the
+/// slot snapshot after the cut; only the `cache_hits + page_hits` *sum*
+/// is stable between a threaded run and its serially resumed twin.
 fn smp_key(s: &VmStats) -> VmStats {
     let mut k = (*s).equivalence_key();
     k.cache_hits += k.page_hits;
@@ -460,7 +472,7 @@ fn single_vcpu_quiesce_member_is_byte_identical_to_a_solo_midflight_snapshot() {
 
 /// The §7.2 exploit suite run as SMP jobs: the detection rate must be
 /// exactly 4/5 (the paper's as-tested result) at every vCPU count —
-/// sharding the check path behind the epoch-published plane can neither
+/// sharding the check path behind the per-slot published plane can neither
 /// open nor close a detection gap.
 #[test]
 fn exploit_detection_is_vcpu_invariant() {
