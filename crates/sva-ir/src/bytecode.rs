@@ -137,14 +137,25 @@ impl<'a> Dec<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<String, DecodeError> {
+    /// A `u32` element count. Every element encodes to at least one byte,
+    /// so a count larger than the remaining input is rejected before
+    /// anything is allocated for it.
+    fn count(&mut self) -> Result<usize, DecodeError> {
         let n = self.u32()? as usize;
+        if n > self.buf.len() - self.pos {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(n)
+    }
+
+    fn str(&mut self) -> Result<String, DecodeError> {
+        let n = self.count()?;
         let b = self.take(n)?;
         String::from_utf8(b.to_vec()).map_err(|_| DecodeError::BadString)
     }
 
     fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
-        let n = self.u32()? as usize;
+        let n = self.count()?;
         Ok(self.take(n)?.to_vec())
     }
 
@@ -226,7 +237,7 @@ fn enc_operands(e: &mut Enc, ops: &[Operand]) {
 }
 
 fn dec_operands(d: &mut Dec) -> Result<Vec<Operand>, DecodeError> {
-    let n = d.u32()? as usize;
+    let n = d.count()?;
     (0..n).map(|_| dec_operand(d)).collect()
 }
 
@@ -455,7 +466,7 @@ fn dec_inst(d: &mut Dec) -> Result<Inst, DecodeError> {
         }
         9 => {
             let ty = TypeId(d.u32()?);
-            let n = d.u32()? as usize;
+            let n = d.count()?;
             let mut incomings = Vec::with_capacity(n);
             for _ in 0..n {
                 let b = BlockId(d.u32()?);
@@ -485,7 +496,7 @@ fn dec_inst(d: &mut Dec) -> Result<Inst, DecodeError> {
         15 => {
             let val = dec_operand(d)?;
             let default = BlockId(d.u32()?);
-            let n = d.u32()? as usize;
+            let n = d.count()?;
             let mut cases = Vec::with_capacity(n);
             for _ in 0..n {
                 let c = d.i64()?;
@@ -558,7 +569,7 @@ fn dec_type(d: &mut Dec) -> Result<Type, DecodeError> {
         5 => Type::Struct(d.u32()?),
         6 => {
             let ret = TypeId(d.u32()?);
-            let n = d.u32()? as usize;
+            let n = d.count()?;
             let mut params = Vec::with_capacity(n);
             for _ in 0..n {
                 params.push(TypeId(d.u32()?));
@@ -766,12 +777,12 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
     let name = d.str()?;
     let mut m = Module::new(&name);
 
-    let nstructs = d.u32()? as usize;
+    let nstructs = d.count()?;
     let mut struct_defs = Vec::with_capacity(nstructs);
     for _ in 0..nstructs {
         let name = d.str()?;
         let opaque = d.u8()? != 0;
-        let n = d.u32()? as usize;
+        let n = d.count()?;
         let mut fields = Vec::with_capacity(n);
         for _ in 0..n {
             fields.push(TypeId(d.u32()?));
@@ -782,7 +793,7 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
             opaque,
         });
     }
-    let ntypes = d.u32()? as usize;
+    let ntypes = d.count()?;
     let mut table = TypeTable::new();
     table.structs = struct_defs;
     for i in 0..ntypes {
@@ -793,7 +804,7 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
     table.rebuild_struct_index();
     m.types = table;
 
-    let nglobals = d.u32()? as usize;
+    let nglobals = d.count()?;
     for _ in 0..nglobals {
         let name = d.str()?;
         let ty = TypeId(d.u32()?);
@@ -803,7 +814,7 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
             1 => GlobalInit::Bytes(d.bytes()?),
             2 => {
                 let bytes = d.bytes()?;
-                let n = d.u32()? as usize;
+                let n = d.count()?;
                 let mut relocs = Vec::with_capacity(n);
                 for _ in 0..n {
                     let off = d.u64()?;
@@ -822,14 +833,14 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
         m.add_global(&name, ty, init, is_const);
     }
 
-    let nexterns = d.u32()? as usize;
+    let nexterns = d.count()?;
     for _ in 0..nexterns {
         let name = d.str()?;
         let ty = TypeId(d.u32()?);
         m.add_extern(&name, ty);
     }
 
-    let nallocs = d.u32()? as usize;
+    let nallocs = d.count()?;
     for _ in 0..nallocs {
         let name = d.str()?;
         let kind = if d.u8()? != 0 {
@@ -864,7 +875,7 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
         });
     }
 
-    let nfuncs = d.u32()? as usize;
+    let nfuncs = d.count()?;
     for _ in 0..nfuncs {
         let fname = d.str()?;
         let fty = TypeId(d.u32()?);
@@ -874,7 +885,7 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
             Linkage::Internal
         };
         let mut f = Function::new(&fname, fty, linkage);
-        let nvals = d.u32()? as usize;
+        let nvals = d.count()?;
         for _ in 0..nvals {
             let vt = TypeId(d.u32()?);
             let def = match d.u8()? {
@@ -888,23 +899,23 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
                 f.params.push(v);
             }
         }
-        let ninsts = d.u32()? as usize;
+        let ninsts = d.count()?;
         for _ in 0..ninsts {
             let inst = dec_inst(&mut d)?;
             f.insts.push(inst);
             f.inst_results.push(d.opt_u32()?.map(ValueId));
         }
-        let nblocks = d.u32()? as usize;
+        let nblocks = d.count()?;
         for _ in 0..nblocks {
             let bname = d.str()?;
-            let n = d.u32()? as usize;
+            let n = d.count()?;
             let mut insts = Vec::with_capacity(n);
             for _ in 0..n {
                 insts.push(InstId(d.u32()?));
             }
             f.blocks.push(Block { name: bname, insts });
         }
-        let nsig = d.u32()? as usize;
+        let nsig = d.count()?;
         for _ in 0..nsig {
             f.sig_asserted_calls.push(InstId(d.u32()?));
         }
@@ -914,14 +925,14 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
     m.entry = d.opt_u32()?.map(FuncId);
 
     if d.u8()? != 0 {
-        let nmp = d.u32()? as usize;
+        let nmp = d.count()?;
         let mut pa = PoolAnnotations::default();
         for _ in 0..nmp {
             let name = d.str()?;
             let th = d.u8()? != 0;
             let complete = d.u8()? != 0;
             let elem_type = d.opt_u32()?.map(TypeId);
-            let np = d.u32()? as usize;
+            let np = d.count()?;
             let mut points_to = Vec::with_capacity(np);
             for _ in 0..np {
                 let c = d.u32()?;
@@ -940,38 +951,38 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
                 userspace,
             });
         }
-        let nf = d.u32()? as usize;
+        let nf = d.count()?;
         for _ in 0..nf {
-            let nv = d.u32()? as usize;
+            let nv = d.count()?;
             let mut vp = Vec::with_capacity(nv);
             for _ in 0..nv {
                 vp.push(d.opt_u32()?);
             }
             pa.value_pools.push(vp);
         }
-        let nfc = d.u32()? as usize;
+        let nfc = d.count()?;
         for _ in 0..nfc {
-            let nv = d.u32()? as usize;
+            let nv = d.count()?;
             let mut vc = Vec::with_capacity(nv);
             for _ in 0..nv {
                 vc.push(d.u32()?);
             }
             pa.value_cells.push(vc);
         }
-        let ng = d.u32()? as usize;
+        let ng = d.count()?;
         for _ in 0..ng {
             pa.global_pools.push(d.opt_u32()?);
         }
-        let ns = d.u32()? as usize;
+        let ns = d.count()?;
         for _ in 0..ns {
-            let n = d.u32()? as usize;
+            let n = d.count()?;
             let mut set = Vec::with_capacity(n);
             for _ in 0..n {
                 set.push(d.str()?);
             }
             pa.func_sets.push(set);
         }
-        let nc = d.u32()? as usize;
+        let nc = d.count()?;
         for _ in 0..nc {
             let f = d.u32()?;
             let i = d.u32()?;
@@ -1088,6 +1099,22 @@ entry @sum
         for cut in [7, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_module(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn decode_rejects_counts_the_input_cannot_hold() {
+        // A header claiming u32::MAX structs must fail before anything is
+        // sized by the count.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.push(b'm');
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 64]);
+        assert_eq!(decode_module(&bytes).unwrap_err(), DecodeError::Truncated);
+        // Likewise a string length past the end of the input.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_module(&bytes).unwrap_err(), DecodeError::Truncated);
     }
 
     #[test]

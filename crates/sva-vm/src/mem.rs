@@ -67,10 +67,11 @@ pub fn extern_addr(eid: u32) -> u64 {
     EXTERN_BASE + eid as u64 * FUNC_STRIDE
 }
 
-/// Indices of the [`PAGE_SIZE`] pages of `data` holding a nonzero byte.
-/// The snapshot encoder and the fork plan both scan the full 32 MiB
-/// kernel region with this, so the zero test goes a word at a time — a
-/// byte-wise loop there costs more than the copies it saves.
+/// Indices of the [`PAGE_SIZE`] pages of `data` holding a nonzero byte,
+/// found by scanning all of `data`. The snapshot encoder lists each
+/// 256 KiB user space with this; the 32 MiB kernel region is listed from
+/// its written-page set instead ([`Memory::kernel_pages`]), because
+/// scanning it read-faults every untouched zero page.
 pub(crate) fn nonzero_pages(data: &[u8]) -> Vec<usize> {
     data.chunks(PAGE_SIZE as usize)
         .enumerate()
@@ -79,12 +80,11 @@ pub(crate) fn nonzero_pages(data: &[u8]) -> Vec<usize> {
         .collect()
 }
 
+/// Whether `bytes` is all zero. Compares a page at a time against a zero
+/// page, which runs as one `memcmp` per page.
 fn all_zero(bytes: &[u8]) -> bool {
-    let mut words = bytes.chunks_exact(8);
-    if words.any(|c| u64::from_ne_bytes(c.try_into().unwrap()) != 0) {
-        return false;
-    }
-    words.remainder().iter().all(|&b| b == 0)
+    static ZERO: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+    bytes.chunks(ZERO.len()).all(|c| c == &ZERO[..c.len()])
 }
 
 /// A `total`-byte zero buffer with each `(byte offset, bytes)` of
@@ -111,6 +111,55 @@ pub(crate) struct ForkPlan {
     kernel_pages: Vec<usize>,
 }
 
+/// Number of [`PAGE_SIZE`] pages in kernel memory.
+const KERN_PAGES: usize = (KERN_SIZE / PAGE_SIZE) as usize;
+
+/// The written-page set of kernel memory: one bit per page, set by every
+/// store into the page. A page whose bit is clear is all zero; a page
+/// whose bit is set may since have been written back to zero.
+#[derive(Clone, Debug)]
+struct WrittenPages(Vec<u64>);
+
+impl WrittenPages {
+    /// A set holding exactly `pages`.
+    fn of(pages: impl IntoIterator<Item = usize>) -> Self {
+        let mut set = WrittenPages(vec![0; KERN_PAGES.div_ceil(64)]);
+        for p in pages {
+            set.insert(p);
+        }
+        set
+    }
+
+    #[inline]
+    fn insert(&mut self, page: usize) {
+        self.0[page / 64] |= 1 << (page % 64);
+    }
+
+    /// Marks the pages under the kernel byte range `[off, off + len)`;
+    /// `len` is nonzero.
+    #[inline]
+    fn mark(&mut self, off: usize, len: usize) {
+        let page = PAGE_SIZE as usize;
+        for p in off / page..(off + len - 1) / page + 1 {
+            self.insert(p);
+        }
+    }
+
+    /// The marked pages in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+}
+
 /// One user address space.
 #[derive(Clone, Debug)]
 pub struct UserSpace {
@@ -133,6 +182,9 @@ pub enum Mode {
 #[derive(Clone, Debug)]
 pub struct Memory {
     kernel: Vec<u8>,
+    /// Which kernel pages have been written since the region was last
+    /// replaced; every other kernel page is zero.
+    written: WrittenPages,
     spaces: Vec<UserSpace>,
     /// Currently loaded address space.
     pub current_asid: u32,
@@ -143,6 +195,7 @@ impl Memory {
     pub fn new() -> Self {
         Memory {
             kernel: vec![0; KERN_SIZE as usize],
+            written: WrittenPages::of([]),
             spaces: vec![UserSpace {
                 data: vec![0; USER_SIZE as usize],
                 live: true,
@@ -220,10 +273,21 @@ impl Memory {
         self.spaces.iter().filter(|s| s.live).count()
     }
 
+    /// Indices of the nonzero kernel pages, ascending: the written pages
+    /// minus any written back to zero. Costs the written pages, not the
+    /// 32 MiB region.
+    pub(crate) fn kernel_pages(&self) -> Vec<usize> {
+        let page = PAGE_SIZE as usize;
+        self.written
+            .iter()
+            .filter(|&p| !all_zero(&self.kernel[p * page..(p + 1) * page]))
+            .collect()
+    }
+
     /// Records which kernel pages are nonzero (see [`ForkPlan`]).
     pub(crate) fn fork_plan(&self) -> ForkPlan {
         ForkPlan {
-            kernel_pages: nonzero_pages(&self.kernel),
+            kernel_pages: self.kernel_pages(),
         }
     }
 
@@ -234,18 +298,19 @@ impl Memory {
     /// image, or the copy is wrong.
     pub(crate) fn fork_sparse(&self, plan: &ForkPlan) -> Memory {
         let page = PAGE_SIZE as usize;
-        let pages = plan.kernel_pages.iter().map(|&i| {
-            let start = i * page;
-            (
-                start,
-                &self.kernel[start..(start + page).min(self.kernel.len())],
-            )
-        });
-        Memory {
-            kernel: sparse_fill(self.kernel.len(), pages),
+        let pages: Vec<(usize, &[u8])> = plan
+            .kernel_pages
+            .iter()
+            .map(|&i| (i * page, &self.kernel[i * page..(i + 1) * page]))
+            .collect();
+        let mut fork = Memory {
+            kernel: Vec::new(),
+            written: WrittenPages::of([]),
             spaces: self.spaces.clone(),
             current_asid: self.current_asid,
-        }
+        };
+        fork.set_kernel(&pages);
+        fork
     }
 
     /// Raw kernel-region bytes (machine snapshots).
@@ -253,13 +318,22 @@ impl Memory {
         &self.kernel
     }
 
-    /// Replaces the kernel region wholesale (snapshot restore). Swapping
-    /// in a freshly calloc-ed buffer is much cheaper than zeroing the old
-    /// one in place: the 32 MiB region is zero-page-backed until touched,
-    /// so a restore costs only the image's nonzero pages.
-    pub(crate) fn set_kernel(&mut self, kernel: Vec<u8>) {
-        debug_assert_eq!(kernel.len(), self.kernel.len());
-        self.kernel = kernel;
+    /// The written-page set as ascending page indices.
+    #[cfg(test)]
+    pub(crate) fn written_pages(&self) -> Vec<usize> {
+        self.written.iter().collect()
+    }
+
+    /// Replaces the kernel region with zeros overlaid by `pages`
+    /// (`(page-aligned byte offset, page bytes)`, as a snapshot lists
+    /// them) and marks exactly those pages written. The region is a fresh
+    /// calloc-ed buffer, zero-page backed until touched, so this costs the
+    /// listed pages — and so does the next snapshot, which lists pages
+    /// from the written set rather than scanning the region.
+    pub(crate) fn set_kernel(&mut self, pages: &[(usize, &[u8])]) {
+        let page = PAGE_SIZE as usize;
+        self.kernel = sparse_fill(KERN_SIZE as usize, pages.iter().copied());
+        self.written = WrittenPages::of(pages.iter().map(|&(start, _)| start / page));
     }
 
     /// All address spaces including tombstones (machine snapshots).
@@ -291,6 +365,8 @@ impl Memory {
         Err(VmError::Fault { addr, len })
     }
 
+    /// The only path that hands out writable memory, so the one place
+    /// kernel stores are recorded in the written-page set.
     fn slice_mut(&mut self, addr: u64, len: u64, mode: Mode) -> Result<&mut [u8], VmError> {
         if len == 0 {
             return Ok(&mut []);
@@ -305,6 +381,7 @@ impl Memory {
                 return Err(VmError::Privilege { addr });
             }
             let off = (addr - KERN_BASE) as usize;
+            self.written.mark(off, len as usize);
             return Ok(&mut self.kernel[off..off + len as usize]);
         }
         Err(VmError::Fault { addr, len })
@@ -366,6 +443,7 @@ impl Default for Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn kernel_rw_round_trip() {
@@ -565,6 +643,84 @@ mod tests {
         assert!(all_zero(
             blank.fork_sparse(&blank.fork_plan()).kernel_bytes()
         ));
+    }
+
+    /// The address a written-set proptest operand names: `page` 0–4
+    /// picks the first, second, a middle, the next-to-last or the last
+    /// kernel page, 5 picks a user page; the address sits `off` bytes
+    /// after the page's start, or before its end when `from_end`, so
+    /// short accesses straddle page boundaries.
+    fn operand_addr((page, off, from_end): (usize, u64, bool)) -> u64 {
+        let last = KERN_SIZE / PAGE_SIZE - 1;
+        let base = match page {
+            0 => KERN_BASE,
+            1 => KERN_BASE + PAGE_SIZE,
+            2 => KERN_BASE + 0x123 * PAGE_SIZE,
+            3 => KERN_BASE + (last - 1) * PAGE_SIZE,
+            4 => KERN_BASE + last * PAGE_SIZE,
+            _ => USER_BASE + 3 * PAGE_SIZE,
+        };
+        if from_end {
+            base + PAGE_SIZE - off
+        } else {
+            base + off
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn written_set_lists_exactly_the_nonzero_kernel_pages(
+            ops in prop::collection::vec(
+                (
+                    0u8..6,
+                    (0usize..6, 0u64..12, any::<bool>()),
+                    (0usize..6, 0u64..12, any::<bool>()),
+                    1u64..24,
+                    any::<u64>(),
+                ),
+                1..16,
+            ),
+        ) {
+            let mut m = Memory::new();
+            for &(op, dst, src, len, val) in &ops {
+                let (dst, src) = (operand_addr(dst), operand_addr(src));
+                // Every fourth operation spans several pages.
+                let len = if val % 4 == 0 { len * 700 } else { len };
+                // A third of the stores write zeros, some over earlier data.
+                let zero = val % 3 == 0;
+                match op {
+                    0 => {
+                        let width = [1, 2, 4, 8][(val >> 8) as usize % 4];
+                        let v = if zero { 0 } else { val | 0x0101_0101_0101_0101 };
+                        let _ = m.write_uint(dst, width, v, Mode::Kernel);
+                    }
+                    1 => {
+                        let data: Vec<u8> = (0..len)
+                            .map(|i| if zero || (val >> (i % 64)) & 1 == 0 { 0 } else { i as u8 | 0x80 })
+                            .collect();
+                        let _ = m.write_bytes(dst, &data, Mode::Kernel);
+                    }
+                    2 => {
+                        let byte = if zero { 0 } else { (val >> 16) as u8 | 1 };
+                        let _ = m.set_bytes(dst, byte, len, Mode::Kernel);
+                    }
+                    3 | 4 => {
+                        // Operands 0-4 are kernel pages, 5 a user page, so
+                        // copies run kernel to user, user to kernel and
+                        // within each region.
+                        let (d, s) = if op == 3 { (dst, src) } else { (src, dst) };
+                        let _ = m.copy_bytes(d, s, len, Mode::Kernel);
+                    }
+                    _ => m = m.fork_sparse(&m.fork_plan()),
+                }
+                prop_assert_eq!(m.kernel_pages(), nonzero_pages(m.kernel_bytes()), "after op {}", op);
+            }
+            let fork = m.fork_sparse(&m.fork_plan());
+            prop_assert!(fork.kernel_bytes() == m.kernel_bytes());
+            prop_assert_eq!(fork.kernel_pages(), nonzero_pages(fork.kernel_bytes()));
+        }
     }
 
     #[test]

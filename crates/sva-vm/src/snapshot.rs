@@ -52,7 +52,6 @@
 
 use std::collections::HashMap;
 
-use sva_ir::bytecode::SignedModule;
 use sva_rt::{CheckStats, PoolImage};
 use sva_trace::Tracer;
 
@@ -264,13 +263,14 @@ impl W {
     }
     /// Zero-dominated byte region as a page-granular nonzero-page list.
     /// The kernel region is 32 MiB and mostly zeros; post-boot images
-    /// shrink ~50× under this encoding.
-    pub(crate) fn sparse(&mut self, data: &[u8]) {
+    /// shrink ~50× under this encoding. `pages` lists the region's
+    /// nonzero pages in ascending order; the kernel region's come from
+    /// its written-page set rather than a scan.
+    pub(crate) fn sparse(&mut self, data: &[u8], pages: &[usize]) {
         self.u64(data.len() as u64);
         let page = PAGE_SIZE as usize;
-        let nonzero = nonzero_pages(data);
-        self.u64(nonzero.len() as u64);
-        for i in nonzero {
+        self.u64(pages.len() as u64);
+        for &i in pages {
             self.u64(i as u64);
             let start = i * page;
             let end = (start + page).min(data.len());
@@ -393,7 +393,8 @@ pub(crate) struct SparseRegion<'a> {
 
 impl SparseRegion<'_> {
     /// Decodes into a fresh zero-filled buffer that touches only the
-    /// image's nonzero pages (see [`sparse_fill`]).
+    /// image's nonzero pages (see [`sparse_fill`]). The kernel region
+    /// skips this and hands its page list to [`crate::mem::Memory::set_kernel`].
     fn materialize(&self) -> Vec<u8> {
         sparse_fill(self.total, self.pages.iter().copied())
     }
@@ -851,10 +852,10 @@ struct Parsed<'a> {
 }
 
 impl<T: Tracer> Vm<T> {
-    /// FNV identity of the machine's code: the sealed (signed) module
-    /// bytes, exactly what the translation cache is a pure function of.
+    /// FNV identity of the machine's code (see
+    /// [`crate::vm::CodeImage::code_identity`]).
     pub(crate) fn code_identity(&self) -> u64 {
-        fnv64(&SignedModule::seal(&self.code.module, self.cfg.sign_key).bytecode)
+        self.code.code_identity()
     }
 
     /// Serializes the complete machine state into a versioned,
@@ -876,6 +877,12 @@ impl<T: Tracer> Vm<T> {
     }
 
     pub(crate) fn snapshot_with_origin(&self, origin: u8) -> Vec<u8> {
+        self.encode_image(origin, &self.mem.kernel_pages())
+    }
+
+    /// The image of this machine with the kernel region's nonzero pages
+    /// given as `kernel_pages` (ascending page indices).
+    pub(crate) fn encode_image(&self, origin: u8, kernel_pages: &[usize]) -> Vec<u8> {
         let mut w = W::default();
         // Fingerprint block: one word per config field so restore can
         // name the exact mismatching field.
@@ -883,12 +890,12 @@ impl<T: Tracer> Vm<T> {
             w.u64(word);
         }
         // Memory.
-        w.sparse(self.mem.kernel_bytes());
+        w.sparse(self.mem.kernel_bytes(), kernel_pages);
         let spaces = self.mem.all_spaces();
         w.u64(spaces.len() as u64);
         for s in spaces {
             w.bool(s.live);
-            w.sparse(&s.data);
+            w.sparse(&s.data, &nonzero_pages(&s.data));
         }
         w.u32(self.mem.current_asid);
         // Thread.
@@ -1237,7 +1244,7 @@ impl<T: Tracer> Vm<T> {
             .restore_images(&p.pool_images, p.func_stats)
             .map_err(SnapshotError::Malformed)?;
         self.pools = pools;
-        self.mem.set_kernel(p.kernel.materialize());
+        self.mem.set_kernel(&p.kernel.pages);
         self.mem.set_spaces(
             p.spaces
                 .into_iter()
@@ -1404,6 +1411,45 @@ out:
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn restore_rejected_in_commit_leaves_kernel_memory_untouched() {
+        use crate::mem::KERN_BASE;
+        // A target with written kernel pages, one written back to zero.
+        let mut target = mk(cfg());
+        for (page, v) in [(2, 0x77), (9, 0), (40, u64::MAX)] {
+            target
+                .mem
+                .write_uint(KERN_BASE + page * PAGE_SIZE, 8, v, Mode::Kernel)
+                .unwrap();
+        }
+        let bytes = target.mem.kernel_bytes().to_vec();
+        let written = target.mem.written_pages();
+        assert_eq!(written, [2, 9, 40]);
+        // Images that parse in full but fail a check in `commit`, each
+        // from a source whose kernel pages differ from the target's.
+        let source = || {
+            let mut vm = mk(cfg());
+            vm.mem
+                .write_uint(KERN_BASE + 5 * PAGE_SIZE, 8, 0x55, Mode::Kernel)
+                .unwrap();
+            vm
+        };
+        let mut bad_asid = source();
+        bad_asid.mem.current_asid = 3;
+        let mut extra_pool = source();
+        extra_pool
+            .pools
+            .add_pool(sva_rt::MetaPool::new("extra", false, false, None));
+        for img in [bad_asid.snapshot(), extra_pool.snapshot()] {
+            assert!(matches!(
+                target.restore(&img),
+                Err(SnapshotError::Malformed(_))
+            ));
+            assert!(target.mem.kernel_bytes() == &bytes[..]);
+            assert_eq!(target.mem.written_pages(), written);
+        }
     }
 
     #[test]

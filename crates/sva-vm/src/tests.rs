@@ -182,6 +182,68 @@ entry:
     }
 }
 
+/// Boots `prog` on the nested-recovery kernel to its first user
+/// instruction, the point a snapshot-forked campaign images. This is
+/// `sva_kernel::harness::boot_user_paused` over this crate's `Vm`; the
+/// harness's functions take the library build's.
+fn paused_kernel(prog: &str, arg: u64) -> Vm {
+    let module = sva_kernel::harness::safe_kernel_module_with(
+        sva_kernel::AS_TESTED_EXCLUSIONS,
+        &sva_kernel::build::KernelOptions {
+            recovery: true,
+            nested: true,
+            ..Default::default()
+        },
+    );
+    let mut vm = Vm::new(
+        module,
+        VmConfig {
+            kind: KernelKind::SvaSafe,
+            ..Default::default()
+        },
+    )
+    .expect("kernel loads");
+    let entry = vm.func_address(prog).expect("user program");
+    vm.write_global_u64("boot_user_prog", entry).unwrap();
+    vm.write_global_u64("boot_user_arg", arg).unwrap();
+    assert!(matches!(vm.boot_to_user(), Ok(None)), "{prog}: boot");
+    vm
+}
+
+#[test]
+fn kernel_images_encode_like_a_dense_scan() {
+    use crate::mem::nonzero_pages;
+    use crate::snapshot::{ORIGIN_CHECKPOINT, ORIGIN_MIDFLIGHT};
+    use sva_kernel::harness::pack_arg;
+    // The reference lists the kernel's nonzero pages by scanning the
+    // whole region instead of reading the written-page set.
+    let dense = |vm: &Vm, origin| vm.encode_image(origin, &nonzero_pages(vm.mem.kernel_bytes()));
+    for (prog, arg) in [
+        ("user_getpid_loop", pack_arg(400, 0, 0)),
+        ("user_openclose_loop", pack_arg(60, 0, 0)),
+        ("user_pipe_loop", pack_arg(6, 128, 0)),
+        ("user_fork_loop", pack_arg(8, 0, 0)),
+    ] {
+        let mut vm = paused_kernel(prog, arg);
+        assert!(
+            vm.snapshot() == dense(&vm, ORIGIN_CHECKPOINT),
+            "{prog}: boot image"
+        );
+        let mut cut = 0;
+        for steps in [1, 700, 4000, 20_000] {
+            if vm.run_steps(steps).unwrap().is_some() {
+                break;
+            }
+            cut += steps;
+            assert!(
+                vm.snapshot_midflight() == dense(&vm, ORIGIN_MIDFLIGHT),
+                "{prog}: cut {cut} steps into user mode"
+            );
+        }
+        assert!(cut > 0, "{prog}: finished before the first cut");
+    }
+}
+
 #[test]
 fn indirect_call_through_table() {
     let src = r#"

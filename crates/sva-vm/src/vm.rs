@@ -601,12 +601,26 @@ pub(crate) struct CodeImage {
     /// across forks through the `Arc`, so a machine family prints the
     /// module at most once no matter how many snapshots it takes.
     pub manifest: std::sync::OnceLock<crate::snapshot::CodeManifest>,
+    /// Lazily computed [`Self::code_identity`], cached the same way: a
+    /// snapshot, restore, bundle or migration would otherwise re-encode
+    /// the whole module each time.
+    pub code_id: std::sync::OnceLock<u64>,
 }
 
 impl CodeImage {
     pub(crate) fn manifest(&self) -> &crate::snapshot::CodeManifest {
         self.manifest
             .get_or_init(|| crate::snapshot::compute_manifest(&self.module))
+    }
+
+    /// FNV identity of the code: the module's bytecode, which is what a
+    /// sealed module signs and what the translation cache is a pure
+    /// function of. The signing key only changes the seal's tag, so the
+    /// identity depends on the module alone, which never changes.
+    pub(crate) fn code_identity(&self) -> u64 {
+        *self
+            .code_id
+            .get_or_init(|| crate::snapshot::fnv64(&sva_ir::bytecode::encode_module(&self.module)))
     }
 }
 
@@ -1094,6 +1108,7 @@ impl<T: Tracer> Vm<T> {
                 flat,
                 global_addr,
                 manifest: std::sync::OnceLock::new(),
+                code_id: std::sync::OnceLock::new(),
             }),
             cfg,
             thread: Thread::new(),

@@ -28,7 +28,10 @@ use sva::kernel::harness::{
     pack_arg,
 };
 use sva::rt::MetaPoolId;
-use sva::vm::{KernelKind, RingTracer, SnapshotError, Vm, VmConfig, VmError, VmExit, VmStats};
+use sva::vm::{
+    KernelKind, Mode, RingTracer, SnapshotError, Vm, VmConfig, VmError, VmExit, VmStats, KERN_BASE,
+    KERN_END,
+};
 
 // --- generated programs --------------------------------------------------
 
@@ -459,4 +462,52 @@ fn forked_faultcamp_cells_match_fresh_reboots() {
             );
         }
     }
+}
+
+/// Restore replaces the kernel region; it does not lay the image over
+/// what the last cell left behind. A machine that ran a fault cell to
+/// completion and then restored another program's mid-flight image must
+/// hold exactly the kernel bytes a fresh machine restores from that
+/// image, and its next image must be the one it restored. The restored
+/// image holds kernel pages the cell never wrote, so a written-page set
+/// that kept the cell's pages instead of taking the image's would drop
+/// them from the next image.
+#[test]
+fn restore_over_a_dirty_machine_matches_a_fresh_restore() {
+    let cfg = || VmConfig {
+        fuel: 3_000_000,
+        violation_budget: 3,
+        ..Default::default()
+    };
+    let paused = |prog, arg| {
+        let mut vm = make_vm_nested(cfg());
+        assert!(matches!(boot_user_paused(&mut vm, prog, arg), Ok(None)));
+        vm
+    };
+    let getpid = paused("user_getpid_loop", pack_arg(40, 0, 0));
+    let targets = complete_pools(&getpid);
+    let cell_image = getpid.snapshot();
+    let mut pipe = paused("user_pipe_loop", pack_arg(20, 128, 0));
+    assert!(matches!(pipe.run_steps(5_000), Ok(None)));
+    let image = pipe.snapshot_midflight();
+
+    let mut dirty = make_vm_nested(cfg());
+    dirty.restore(&cell_image).unwrap();
+    let plan = Arc::new(FaultPlan::new(FaultClass::WildPtr, 3, 2, targets));
+    dirty.arm_faults(plan.clone());
+    let _ = dirty.run();
+    assert!(plan.injected() > 0, "the cell injected no fault");
+    dirty.restore(&image).unwrap();
+
+    let mut fresh = make_vm_nested(cfg());
+    fresh.restore(&image).unwrap();
+    let kernel = |vm: &Vm| {
+        vm.mem
+            .read_bytes(KERN_BASE, KERN_END - KERN_BASE, Mode::Kernel)
+            .unwrap()
+    };
+    assert!(kernel(&dirty) == kernel(&fresh), "kernel regions differ");
+    let next = dirty.snapshot_midflight();
+    assert!(next == image, "the restored machine re-images differently");
+    assert!(next == fresh.snapshot_midflight(), "images differ");
 }
