@@ -579,15 +579,21 @@ impl Rules<'_> {
                         continue;
                     }
                     for (a, p) in args.iter().zip(tf.params.iter()) {
-                        let pty = tf.value_type(*p);
-                        if !self.m.types.is_ptr(pty) {
-                            continue;
-                        }
                         if matches!(a, Operand::Null(_) | Operand::Undef(_)) {
                             continue;
                         }
                         let ap = self.pool_of(fid, a);
                         let pp = self.pa.value_pool(*t, *p);
+                        // A pointer parameter always binds its argument.
+                        // The analysis also annotates pointer-sized
+                        // integers (an allocation size handed on to
+                        // `mm_claim`), so a non-pointer parameter binds
+                        // when both sides carry a pool; constants and
+                        // unannotated integers stay unbound.
+                        let pty = tf.value_type(*p);
+                        if !self.m.types.is_ptr(pty) && (ap.is_none() || pp.is_none()) {
+                            continue;
+                        }
                         if ap != pp {
                             self.err(
                                 fid,

@@ -189,6 +189,7 @@ impl MetaPool {
     /// / `page_hits` / `tree_walks` per call; the singleton layer does
     /// not exist here (a shared pool's membership can change under any
     /// vCPU's feet).
+    #[inline]
     fn shared_lookup(&mut self, addr: u64) -> Option<(u64, u64)> {
         let MetaPool {
             shared,
@@ -214,6 +215,19 @@ impl MetaPool {
                 }
             }
         }
+        self.shared_miss(addr)
+    }
+
+    /// [`Self::shared_lookup`] past an MRU miss: the slot's published
+    /// snapshot answers, and a hit refills the MRU.
+    fn shared_miss(&mut self, addr: u64) -> Option<(u64, u64)> {
+        let MetaPool {
+            shared,
+            stats,
+            last_layer,
+            ..
+        } = self;
+        let b = shared.as_mut().expect("shared_lookup on unbound pool");
         let (hit, layer) = b.reader.lookup(addr);
         match layer {
             PlaneLayer::Page => {
@@ -326,9 +340,14 @@ impl MetaPool {
         }
     }
 
-    /// The layered object lookup behind every check: MRU cache, then page
-    /// index, then splay tree. Exactly one of `cache_hits` / `page_hits` /
-    /// `tree_walks` is incremented per call.
+    /// The layered object lookup behind every check: singleton test, then
+    /// MRU cache, then page index, then splay tree, or for a pool bound to
+    /// a shared plane [`Self::shared_lookup`]. Exactly one of
+    /// `singleton_hits` / `cache_hits` / `page_hits` / `tree_walks` is
+    /// incremented per call. The singleton test and the shared MRU are
+    /// inlined into the checks, and through them into an interpreter that
+    /// runs checks inline; the deeper layers stay one call away.
+    #[inline]
     fn lookup_obj(&mut self, addr: u64) -> Option<(u64, u64)> {
         if self.shared.is_some() {
             return self.shared_lookup(addr);
@@ -348,6 +367,11 @@ impl MetaPool {
                 };
             }
         }
+        self.lookup_layers(addr)
+    }
+
+    /// Layers 1–3 of [`Self::lookup_obj`] for a private pool.
+    fn lookup_layers(&mut self, addr: u64) -> Option<(u64, u64)> {
         if !self.fast_path {
             self.stats.tree_walks += 1;
             self.last_layer = LookupLayer::Tree;
@@ -709,34 +733,35 @@ impl MetaPool {
     /// `derived == end` (one-past-the-end) is accepted, matching C pointer
     /// arithmetic rules; dereference would still be caught because loads use
     /// the same object lookup.
+    #[inline]
     pub fn bounds_check(&mut self, src: u64, derived: u64) -> Result<(), CheckError> {
         self.stats.bounds_checks += 1;
         if self.quarantined {
             return Err(self.quarantine_reject(derived));
         }
         match self.lookup_obj(src) {
-            Some((start, end)) => {
-                if derived >= start && derived <= end {
-                    Ok(())
-                } else {
-                    Err(self.err(
-                        CheckKind::Bounds,
-                        derived,
-                        format!("derived from {src:#x}, object [{start:#x}, {end:#x})"),
-                    ))
-                }
+            Some((start, end)) if derived >= start && derived <= end => Ok(()),
+            None if !self.complete => {
+                // Reduced check: unregistered (external) object.
+                self.stats.reduced_skips += 1;
+                Ok(())
             }
-            None => {
-                if self.complete {
-                    // In a complete pool every legal object is registered, so
-                    // an unknown source pointer is itself a violation.
-                    Err(self.err(CheckKind::Bounds, src, "source pointer hits no object"))
-                } else {
-                    // Reduced check: unregistered (external) object.
-                    self.stats.reduced_skips += 1;
-                    Ok(())
-                }
-            }
+            found => Err(self.bounds_violation(src, derived, found)),
+        }
+    }
+
+    /// The error of a failed [`Self::bounds_check`], built out of line.
+    #[cold]
+    fn bounds_violation(&self, src: u64, derived: u64, found: Option<(u64, u64)>) -> CheckError {
+        match found {
+            Some((start, end)) => self.err(
+                CheckKind::Bounds,
+                derived,
+                format!("derived from {src:#x}, object [{start:#x}, {end:#x})"),
+            ),
+            // In a complete pool every legal object is registered, so an
+            // unknown source pointer is itself a violation.
+            None => self.err(CheckKind::Bounds, src, "source pointer hits no object"),
         }
     }
 
@@ -767,6 +792,7 @@ impl MetaPool {
     /// `lscheck`: verifies a load/store pointer targets a registered object
     /// (paper §4.5 check 2). Only required for non-TH pools; disabled
     /// ("useless", paper) on incomplete pools.
+    #[inline]
     pub fn ls_check(&mut self, addr: u64) -> Result<(), CheckError> {
         self.stats.ls_checks += 1;
         if self.quarantined {

@@ -346,6 +346,7 @@ impl Memory {
         self.spaces = spaces;
     }
 
+    #[inline(always)]
     fn slice(&self, addr: u64, len: u64, mode: Mode) -> Result<&[u8], VmError> {
         if len == 0 {
             return Ok(&[]);
@@ -367,6 +368,7 @@ impl Memory {
 
     /// The only path that hands out writable memory, so the one place
     /// kernel stores are recorded in the written-page set.
+    #[inline(always)]
     fn slice_mut(&mut self, addr: u64, len: u64, mode: Mode) -> Result<&mut [u8], VmError> {
         if len == 0 {
             return Ok(&mut []);
@@ -387,18 +389,37 @@ impl Memory {
         Err(VmError::Fault { addr, len })
     }
 
-    /// Reads an unsigned little-endian integer of `width` bytes.
+    /// Reads an unsigned little-endian integer of `width` bytes. Every
+    /// guest load lands here, so the access widths get fixed-size copies
+    /// instead of a variable-length one.
+    #[inline(always)]
     pub fn read_uint(&self, addr: u64, width: u64, mode: Mode) -> Result<u64, VmError> {
         let s = self.slice(addr, width, mode)?;
-        let mut b = [0u8; 8];
-        b[..width as usize].copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
+        Ok(match *s {
+            [a] => a as u64,
+            [a, b] => u16::from_le_bytes([a, b]) as u64,
+            [a, b, c, d] => u32::from_le_bytes([a, b, c, d]) as u64,
+            [a, b, c, d, e, f, g, h] => u64::from_le_bytes([a, b, c, d, e, f, g, h]),
+            _ => {
+                let mut b = [0u8; 8];
+                b[..width as usize].copy_from_slice(s);
+                u64::from_le_bytes(b)
+            }
+        })
     }
 
-    /// Writes the low `width` bytes of `v`, little-endian.
+    /// Writes the low `width` bytes of `v`, little-endian. The store-side
+    /// twin of [`Memory::read_uint`]'s fixed-size copies.
+    #[inline(always)]
     pub fn write_uint(&mut self, addr: u64, width: u64, v: u64, mode: Mode) -> Result<(), VmError> {
         let s = self.slice_mut(addr, width, mode)?;
-        s.copy_from_slice(&v.to_le_bytes()[..width as usize]);
+        match width {
+            1 => s.copy_from_slice(&[v as u8]),
+            2 => s.copy_from_slice(&(v as u16).to_le_bytes()),
+            4 => s.copy_from_slice(&(v as u32).to_le_bytes()),
+            8 => s.copy_from_slice(&v.to_le_bytes()),
+            _ => s.copy_from_slice(&v.to_le_bytes()[..width as usize]),
+        }
         Ok(())
     }
 

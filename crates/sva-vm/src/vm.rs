@@ -1564,6 +1564,12 @@ impl<T: Tracer> Vm<T> {
     /// The interpreter loop. With `pause_on_user` the loop returns
     /// `Ok(None)` at the first iteration that would execute a user-mode
     /// instruction, *before* charging fuel or stats for it.
+    ///
+    /// Each iteration runs the per-boundary prologue below once, then
+    /// hands the flat engine a block of ops (DESIGN.md §4.11): the ops
+    /// after the first skip a prologue that would have found nothing to
+    /// do, and are charged the fuel, watchdog fuel and latch ticks it
+    /// would have taken.
     fn run_inner(&mut self, pause_on_user: bool) -> Result<Option<VmExit>, VmError> {
         let code = self.code.clone();
         loop {
@@ -1623,16 +1629,20 @@ impl<T: Tracer> Vm<T> {
             // domain is wedged and force-unwound so recovery itself can
             // never hang the machine. With no domain registered (or the
             // default infinite `domain_fuel`) this never fires and charges
-            // nothing.
-            if !self.recovery.is_empty() && self.mode() == Mode::Kernel {
-                if let Some(rc) = self.recovery.last_mut() {
-                    if rc.fuel == 0 {
-                        self.watchdog_unwind()?;
-                        continue;
-                    }
-                    rc.fuel -= 1;
+            // nothing. `watched` is the ticking domain's slot, which the
+            // ops a block runs past this boundary are charged to.
+            let watched = if !self.recovery.is_empty() && self.mode() == Mode::Kernel {
+                let slot = self.recovery.len() - 1;
+                let rc = &mut self.recovery[slot];
+                if rc.fuel == 0 {
+                    self.watchdog_unwind()?;
+                    continue;
                 }
-            }
+                rc.fuel -= 1;
+                Some(slot)
+            } else {
+                None
+            };
             // Deferred fault probe: counts down per kernel-mode
             // instruction and then models the stale dereference, taking
             // the same containment path as an in-step violation.
@@ -1698,9 +1708,9 @@ impl<T: Tracer> Vm<T> {
             } else {
                 0
             };
-            self.stats.instructions += 1;
-            self.stats.cycles += 1;
             if !self.pending_irq.is_empty() && self.mode() == Mode::User {
+                self.stats.instructions += 1;
+                self.stats.cycles += 1;
                 let vector = self.deliver_interrupt()?;
                 if T::wants(EventClass::Irq) {
                     let ts = self.stats.cycles;
@@ -1727,8 +1737,49 @@ impl<T: Tracer> Vm<T> {
                 (0, "")
             };
             let step = if self.cfg.kind.flat() {
-                self.step_flat(&code)
+                // The block budget (DESIGN.md §4.11): 1 while anything acts
+                // at a single boundary — per-instruction tracing or a
+                // deferred probe or skew counting down — otherwise as many
+                // ops as the fuel, the ticking domain's watchdog fuel and
+                // an armed latch leave before their next boundary action.
+                // This op's units are charged already, hence the `+ 1`s.
+                let budget = if T::wants(EventClass::Inst)
+                    || self.pending_probe.is_some()
+                    || self.pending_skew.is_some()
+                {
+                    1
+                } else {
+                    let mut b = self.fuel.saturating_add(1);
+                    if let Some(slot) = watched {
+                        b = b.min(self.recovery[slot].fuel.saturating_add(1));
+                    }
+                    if let Some(n) = self.snap_request {
+                        b = b.min(n.saturating_add(1));
+                    }
+                    b
+                };
+                let mut ran = 0;
+                let step = self.exec_flat(&code, budget, &mut ran);
+                // Charge the boundaries the block ran past before anything
+                // looks at the machine: recovery, crash capture and the
+                // caller all see what single steps would have left. The
+                // watchdog slot still names the ticking domain when the
+                // block's last op pushed a domain above it, and names
+                // nothing when that op popped it.
+                let skipped = ran.saturating_sub(1);
+                if skipped > 0 {
+                    self.fuel -= skipped;
+                    if let Some(rc) = watched.and_then(|s| self.recovery.get_mut(s)) {
+                        rc.fuel -= skipped;
+                    }
+                    if let Some(n) = self.snap_request.as_mut() {
+                        *n -= skipped;
+                    }
+                }
+                step
             } else {
+                self.stats.instructions += 1;
+                self.stats.cycles += 1;
                 self.step_tree(&code)
             };
             if T::wants(EventClass::Inst) {
@@ -2008,16 +2059,34 @@ impl<T: Tracer> Vm<T> {
         }
     }
 
-    fn step_flat(&mut self, code: &CodeImage) -> Result<StepOut, VmError> {
-        let fr = self
-            .thread
-            .frames
-            .last_mut()
-            .ok_or(VmError::Internal("step with empty frame stack"))?;
-        let func = fr.func as usize;
-        let pc = fr.pc as usize;
-        let op = &code.flat[func].ops[pc];
-        fr.pc += 1;
+    /// The flat engine's block executor (DESIGN.md §4.11). Runs ops of the
+    /// current frame in one host loop until `budget` ops have run, an op
+    /// has failed, or an op has run that can change what the boundary
+    /// prologue looks at — the frame stack, the mode, the address space,
+    /// the IRQ queue, `halted`, the latch or a countdown. Those are calls,
+    /// returns, allocas, `unreachable` and every intrinsic except the three
+    /// pure checks, which run inline. Each op is charged its instruction
+    /// and dispatch cycle before it runs; `ran` counts the ops that ran, a
+    /// failing one included, and a failing op leaves the pc past itself.
+    /// A budget of 1 is a single step.
+    fn exec_flat(
+        &mut self,
+        code: &CodeImage,
+        budget: u64,
+        ran: &mut u64,
+    ) -> Result<StepOut, VmError> {
+        macro_rules! top_frame {
+            () => {
+                self.thread
+                    .frames
+                    .last_mut()
+                    .ok_or(VmError::Internal("step with empty frame stack"))?
+            };
+        }
+        // The block never leaves this frame: only ops that end it push or
+        // pop frames. Ops that lend the whole machine out re-borrow it.
+        let mut fr = top_frame!();
+        let ops = code.flat[fr.func as usize].ops.as_slice();
         // Resolve sources against the current frame.
         macro_rules! src {
             ($s:expr) => {
@@ -2027,37 +2096,13 @@ impl<T: Tracer> Vm<T> {
                 }
             };
         }
-        match op {
-            FlatOp::Bin { op, w, dst, a, b } => {
-                let (a, b) = (src!(a), src!(b));
-                let r = eval_bin(*op, *w, a, b)?;
-                fr.regs[*dst as usize] = r;
-            }
-            FlatOp::ICmp { pred, w, dst, a, b } => {
-                let (a, b) = (src!(a), src!(b));
-                fr.regs[*dst as usize] = eval_icmp(*pred, *w, a, b) as u64;
-            }
-            FlatOp::Select { dst, c, a, b } => {
-                let v = if src!(c) & 1 == 1 { src!(a) } else { src!(b) };
-                fr.regs[*dst as usize] = v;
-            }
-            FlatOp::Cast {
-                dst,
-                a,
-                op,
-                from_w,
-                to_w,
-            } => {
-                fr.regs[*dst as usize] = eval_cast(*op, *from_w, *to_w, src!(a));
-            }
-            FlatOp::Gep {
-                dst,
-                base,
-                const_off,
-                dynamic,
-            } => {
-                let mut addr = src!(base) as i64 + const_off;
-                for (s, scale, w) in dynamic {
+        // Address formation, shared by `gep` and the fused ops that
+        // swallow one: an armed fault-injection skew shifts the next
+        // kernel-mode GEPs.
+        macro_rules! gep {
+            ($base:expr, $const_off:expr, $dynamic:expr) => {{
+                let mut addr = src!($base) as i64 + $const_off;
+                for (s, scale, w) in $dynamic {
                     let idx = sext_w(src!(s), *w);
                     addr += idx.wrapping_mul(*scale as i64);
                 }
@@ -2067,322 +2112,282 @@ impl<T: Tracer> Vm<T> {
                         self.gep_skew = if n > 1 { Some((n - 1, delta)) } else { None };
                     }
                 }
-                fr.regs[*dst as usize] = addr as u64;
-            }
-            FlatOp::Load { dst, ptr, w } => {
-                let addr = src!(ptr);
-                let mode = fr.mode;
-                let v = self.mem.read_uint(addr, *w as u64, mode)?;
-                let fr = self
-                    .thread
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("load with no frame"))?;
-                fr.regs[*dst as usize] = v;
-            }
-            FlatOp::Store { val, ptr, w } => {
-                let (v, addr) = (src!(val), src!(ptr));
-                let mode = fr.mode;
-                self.mem.write_uint(addr, *w as u64, v, mode)?;
-            }
-            FlatOp::Alloca {
-                dst,
-                elem,
-                count,
-                align,
-            } => {
-                let n = src!(count);
-                let dst = *dst;
-                let (elem, align) = (*elem, *align);
-                let addr = self.alloca(elem * n, align)?;
-                self.thread
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("alloca with no frame"))?
-                    .regs[dst as usize] = addr;
-            }
-            FlatOp::Call { dst, callee, args } => {
-                let dst = *dst;
-                let callee = *callee;
-                // Hot path: arguments go through a scratch buffer owned by
-                // the machine instead of a fresh `Vec` per call.
-                let mut argv = std::mem::take(&mut self.argv_scratch);
-                argv.clear();
-                let fr = self
-                    .thread
-                    .frames
-                    .last()
-                    .ok_or(VmError::Internal("call with no frame"))?;
-                argv.extend(args.iter().map(|a| match a {
-                    Src::Reg(r) => fr.regs[*r as usize],
-                    Src::Imm(v) => *v,
-                }));
-                let out = self.do_call(callee, &argv, dst);
-                self.argv_scratch = argv;
-                return out;
-            }
-            FlatOp::Phi { dst, incomings } => {
-                let pb = fr.prev_block;
-                let mut chosen = None;
-                for (b, s) in incomings {
-                    if *b == pb {
-                        chosen = Some(src!(s));
-                        break;
+                addr
+            }};
+        }
+        loop {
+            let op = &ops[fr.pc as usize];
+            fr.pc += 1;
+            *ran += 1;
+            self.stats.instructions += 1;
+            self.stats.cycles += 1;
+            match op {
+                FlatOp::Bin { op, w, dst, a, b } => {
+                    let (a, b) = (src!(a), src!(b));
+                    fr.regs[*dst as usize] = eval_bin(*op, *w, a, b)?;
+                }
+                FlatOp::ICmp { pred, w, dst, a, b } => {
+                    let (a, b) = (src!(a), src!(b));
+                    fr.regs[*dst as usize] = eval_icmp(*pred, *w, a, b) as u64;
+                }
+                FlatOp::Select { dst, c, a, b } => {
+                    let v = if src!(c) & 1 == 1 { src!(a) } else { src!(b) };
+                    fr.regs[*dst as usize] = v;
+                }
+                FlatOp::Cast {
+                    dst,
+                    a,
+                    op,
+                    from_w,
+                    to_w,
+                } => {
+                    fr.regs[*dst as usize] = eval_cast(*op, *from_w, *to_w, src!(a));
+                }
+                FlatOp::Gep {
+                    dst,
+                    base,
+                    const_off,
+                    dynamic,
+                } => {
+                    fr.regs[*dst as usize] = gep!(base, const_off, dynamic) as u64;
+                }
+                FlatOp::Load { dst, ptr, w } => {
+                    fr.regs[*dst as usize] = self.mem.read_uint(src!(ptr), *w as u64, fr.mode)?;
+                }
+                FlatOp::Store { val, ptr, w } => {
+                    let (v, addr) = (src!(val), src!(ptr));
+                    self.mem.write_uint(addr, *w as u64, v, fr.mode)?;
+                }
+                FlatOp::Alloca {
+                    dst,
+                    elem,
+                    count,
+                    align,
+                } => {
+                    let size = elem * src!(count);
+                    let addr = self.alloca(size, *align)?;
+                    top_frame!().regs[*dst as usize] = addr;
+                    return Ok(StepOut::Continue);
+                }
+                // The three pure checks run inline, bracketed like every
+                // other SVA-OS operation for a tracer that wants `Os`.
+                FlatOp::Call {
+                    callee:
+                        FlatCallee::Intrinsic(
+                            i @ (Intrinsic::LsCheck
+                            | Intrinsic::BoundsCheck
+                            | Intrinsic::BoundsCheckRange),
+                        ),
+                    args,
+                    ..
+                } => {
+                    let arg = |n: usize| args.get(n).map_or(0, |s| src!(s));
+                    let (i, a, b, c) = (*i, arg(0), arg(1), arg(2));
+                    self.os_span(i, |vm| vm.pure_check(i, a, b, c))?;
+                    fr = top_frame!();
+                }
+                FlatOp::Call { dst, callee, args } => {
+                    // Arguments go through a scratch buffer owned by the
+                    // machine instead of a fresh `Vec` per call.
+                    let mut argv = std::mem::take(&mut self.argv_scratch);
+                    argv.clear();
+                    argv.extend(args.iter().map(|a| src!(a)));
+                    let out = self.do_call(*callee, &argv, *dst);
+                    self.argv_scratch = argv;
+                    return out;
+                }
+                FlatOp::Phi { dst, incomings } => {
+                    let pb = fr.prev_block;
+                    let chosen = incomings.iter().find(|(b, _)| *b == pb);
+                    fr.regs[*dst as usize] = match chosen {
+                        Some((_, s)) => src!(s),
+                        None => {
+                            return Err(VmError::Unsupported("phi without matching pred".into()))
+                        }
+                    };
+                }
+                FlatOp::AtomicRmw {
+                    op,
+                    dst,
+                    ptr,
+                    val,
+                    w,
+                } => {
+                    let (addr, v, w) = (src!(ptr), src!(val), *w as u64);
+                    let old = self.mem.read_uint(addr, w, fr.mode)?;
+                    let newv = match op {
+                        AtomicOp::Add => old.wrapping_add(v),
+                        AtomicOp::Sub => old.wrapping_sub(v),
+                        AtomicOp::Xchg => v,
+                    };
+                    self.mem.write_uint(addr, w, newv, fr.mode)?;
+                    fr.regs[*dst as usize] = old;
+                }
+                FlatOp::CmpXchg {
+                    dst,
+                    ptr,
+                    expected,
+                    new,
+                    w,
+                } => {
+                    let (addr, e, n, w) = (src!(ptr), src!(expected), src!(new), *w as u64);
+                    let old = self.mem.read_uint(addr, w, fr.mode)?;
+                    if old == e {
+                        self.mem.write_uint(addr, w, n, fr.mode)?;
                     }
+                    fr.regs[*dst as usize] = old;
                 }
-                fr.regs[*dst as usize] =
-                    chosen.ok_or(VmError::Unsupported("phi without matching pred".into()))?;
-            }
-            FlatOp::AtomicRmw {
-                op,
-                dst,
-                ptr,
-                val,
-                w,
-            } => {
-                let (addr, v) = (src!(ptr), src!(val));
-                let (op, dst, w) = (*op, *dst, *w);
-                let mode = fr.mode;
-                let old = self.mem.read_uint(addr, w as u64, mode)?;
-                let newv = match op {
-                    AtomicOp::Add => old.wrapping_add(v),
-                    AtomicOp::Sub => old.wrapping_sub(v),
-                    AtomicOp::Xchg => v,
-                };
-                self.mem.write_uint(addr, w as u64, newv, mode)?;
-                self.thread
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("atomic with no frame"))?
-                    .regs[dst as usize] = old;
-            }
-            FlatOp::CmpXchg {
-                dst,
-                ptr,
-                expected,
-                new,
-                w,
-            } => {
-                let (addr, e, n) = (src!(ptr), src!(expected), src!(new));
-                let (dst, w) = (*dst, *w);
-                let mode = fr.mode;
-                let old = self.mem.read_uint(addr, w as u64, mode)?;
-                if old == e {
-                    self.mem.write_uint(addr, w as u64, n, mode)?;
+                FlatOp::Fence => {}
+                FlatOp::Br { pc, from } => {
+                    fr.prev_block = *from;
+                    fr.pc = *pc;
                 }
-                self.thread
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("cmpxchg with no frame"))?
-                    .regs[dst as usize] = old;
-            }
-            FlatOp::Fence => {}
-            FlatOp::Br { pc, from } => {
-                fr.prev_block = *from;
-                fr.pc = *pc;
-            }
-            FlatOp::CondBr { c, tpc, fpc, from } => {
-                fr.prev_block = *from;
-                fr.pc = if src!(c) & 1 == 1 { *tpc } else { *fpc };
-            }
-            FlatOp::Switch {
-                v,
-                w,
-                dpc,
-                cases,
-                from,
-            } => {
-                let x = sext_w(src!(v), *w);
-                fr.prev_block = *from;
-                fr.pc = cases
-                    .iter()
-                    .find(|(c, _)| *c == x)
-                    .map(|(_, p)| *p)
-                    .unwrap_or(*dpc);
-            }
-            FlatOp::Ret { val } => {
-                let v = val.as_ref().map(|s| src!(s)).unwrap_or(0);
-                return self.do_ret(v);
-            }
-            FlatOp::Unreachable => return Err(VmError::Unreachable),
-            // ---- optimizing-tier ops (DESIGN.md §4.4) ----
-            //
-            // Each fused handler retires the pair's second instruction in
-            // the same dispatch: `stats.instructions` gets the +1 the
-            // skipped loop iteration would have charged (so instruction
-            // counts are invariant under fusion) while `stats.cycles` does
-            // not — that missing dispatch cycle is the optimization. The
-            // extra instruction is charged at the same point the unfused
-            // sequence would have charged it: after the first op's work
-            // succeeds, before the second's can fail.
-            FlatOp::Nop => {
-                // Unreachable on legal paths: fused handlers skip their own
-                // placeholder and no branch targets one (the fusion pass
-                // never rewrites across a block boundary). Dispatching one
-                // anyway is a harmless no-op.
-            }
-            FlatOp::Mov { dst, src } => {
-                fr.regs[*dst as usize] = src!(src);
-            }
-            FlatOp::FusedGepLoad {
-                dst,
-                base,
-                const_off,
-                dynamic,
-                w,
-            } => {
-                let mut addr = src!(base) as i64 + const_off;
-                for (s, scale, iw) in dynamic {
-                    let idx = sext_w(src!(s), *iw);
-                    addr += idx.wrapping_mul(*scale as i64);
+                FlatOp::CondBr { c, tpc, fpc, from } => {
+                    fr.prev_block = *from;
+                    fr.pc = if src!(c) & 1 == 1 { *tpc } else { *fpc };
                 }
-                if self.gep_skew.is_some() && fr.mode == Mode::Kernel {
-                    if let Some((n, delta)) = self.gep_skew {
-                        addr = addr.wrapping_add(delta);
-                        self.gep_skew = if n > 1 { Some((n - 1, delta)) } else { None };
-                    }
+                FlatOp::Switch {
+                    v,
+                    w,
+                    dpc,
+                    cases,
+                    from,
+                } => {
+                    let x = sext_w(src!(v), *w);
+                    fr.prev_block = *from;
+                    fr.pc = cases
+                        .iter()
+                        .find(|(c, _)| *c == x)
+                        .map(|(_, p)| *p)
+                        .unwrap_or(*dpc);
                 }
-                fr.pc += 1; // skip the placeholder in the load's old slot
-                let mode = fr.mode;
-                let (dst, w) = (*dst, *w);
-                self.stats.instructions += 1;
-                self.stats.fused_execs += 1;
-                let v = self.mem.read_uint(addr as u64, w as u64, mode)?;
-                self.thread
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("load with no frame"))?
-                    .regs[dst as usize] = v;
+                FlatOp::Ret { val } => {
+                    let v = val.as_ref().map(|s| src!(s)).unwrap_or(0);
+                    return self.do_ret(v);
+                }
+                FlatOp::Unreachable => return Err(VmError::Unreachable),
+                // ---- optimizing-tier ops (DESIGN.md §4.4) ----
+                //
+                // Each fused handler retires the pair's second instruction
+                // in the same dispatch: `stats.instructions` gets the +1
+                // the skipped dispatch would have charged (so instruction
+                // counts are invariant under fusion) while `stats.cycles`
+                // does not — that missing dispatch cycle is the
+                // optimization. The extra instruction is charged at the
+                // same point the unfused sequence would have charged it:
+                // after the first op's work succeeds, before the second's
+                // can fail.
+                FlatOp::Nop => {
+                    // Unreachable on legal paths: fused handlers skip their
+                    // own placeholder and no branch targets one (the fusion
+                    // pass never rewrites across a block boundary).
+                    // Dispatching one anyway is a harmless no-op.
+                }
+                FlatOp::Mov { dst, src } => {
+                    fr.regs[*dst as usize] = src!(src);
+                }
+                FlatOp::FusedGepLoad {
+                    dst,
+                    base,
+                    const_off,
+                    dynamic,
+                    w,
+                } => {
+                    let addr = gep!(base, const_off, dynamic) as u64;
+                    fr.pc += 1; // skip the placeholder in the load's old slot
+                    self.stats.instructions += 1;
+                    self.stats.fused_execs += 1;
+                    fr.regs[*dst as usize] = self.mem.read_uint(addr, *w as u64, fr.mode)?;
+                }
+                FlatOp::FusedGepChkLoad {
+                    dst,
+                    base,
+                    const_off,
+                    dynamic,
+                    w,
+                    mp,
+                    chk_src,
+                } => {
+                    let addr = gep!(base, const_off, dynamic) as u64;
+                    let chk_src = chk_src.as_ref().map(|s| src!(s));
+                    // Skip the placeholders in the check's and load's old
+                    // slots.
+                    fr.pc += 2;
+                    // Each swallowed op is charged exactly where the
+                    // unfused machine would have dispatched it, so
+                    // instruction counts (and the cycles-saved ==
+                    // fused_execs invariant) agree with opt 0 on *every*
+                    // path — including a check failure, where the unfused
+                    // load was never reached. The check itself is the
+                    // standalone one against the skew-adjusted address.
+                    self.stats.instructions += 1;
+                    self.stats.fused_execs += 1;
+                    self.pool_check(*mp, chk_src, addr)?;
+                    fr = top_frame!();
+                    self.stats.instructions += 1;
+                    self.stats.fused_execs += 1;
+                    fr.regs[*dst as usize] = self.mem.read_uint(addr, *w as u64, fr.mode)?;
+                }
+                FlatOp::FusedGepStore {
+                    val,
+                    base,
+                    const_off,
+                    dynamic,
+                    w,
+                } => {
+                    let addr = gep!(base, const_off, dynamic) as u64;
+                    let v = src!(val);
+                    fr.pc += 1; // skip the placeholder in the store's old slot
+                    self.stats.instructions += 1;
+                    self.stats.fused_execs += 1;
+                    self.mem.write_uint(addr, *w as u64, v, fr.mode)?;
+                }
+                FlatOp::FusedCmpBr {
+                    pred,
+                    w,
+                    a,
+                    b,
+                    tpc,
+                    fpc,
+                    from,
+                } => {
+                    let (a, b) = (src!(a), src!(b));
+                    fr.prev_block = *from;
+                    fr.pc = if eval_icmp(*pred, *w, a, b) {
+                        *tpc
+                    } else {
+                        *fpc
+                    };
+                    self.stats.instructions += 1;
+                    self.stats.fused_execs += 1;
+                }
+                FlatOp::FusedBin2 {
+                    op1,
+                    w1,
+                    a,
+                    b,
+                    op2,
+                    w2,
+                    c,
+                    t_lhs,
+                    dst,
+                } => {
+                    let (av, bv, cv) = (src!(a), src!(b), src!(c));
+                    fr.pc += 1; // skip the placeholder in the second bin's slot
+                    let t = eval_bin(*op1, *w1, av, bv)?;
+                    self.stats.instructions += 1;
+                    self.stats.fused_execs += 1;
+                    fr.regs[*dst as usize] = if *t_lhs {
+                        eval_bin(*op2, *w2, t, cv)?
+                    } else {
+                        eval_bin(*op2, *w2, cv, t)?
+                    };
+                }
             }
-            FlatOp::FusedGepChkLoad {
-                dst,
-                base,
-                const_off,
-                dynamic,
-                w,
-                mp,
-                chk_src,
-            } => {
-                let mut addr = src!(base) as i64 + const_off;
-                for (s, scale, iw) in dynamic {
-                    let idx = sext_w(src!(s), *iw);
-                    addr += idx.wrapping_mul(*scale as i64);
-                }
-                if self.gep_skew.is_some() && fr.mode == Mode::Kernel {
-                    if let Some((n, delta)) = self.gep_skew {
-                        addr = addr.wrapping_add(delta);
-                        self.gep_skew = if n > 1 { Some((n - 1, delta)) } else { None };
-                    }
-                }
-                let chk_src = chk_src.as_ref().map(|s| src!(s));
-                fr.pc += 2; // skip the placeholders in the check's and load's old slots
-                let mode = fr.mode;
-                let (dst, w, mp) = (*dst, *w, *mp);
-                // Each swallowed op is charged exactly where the unfused
-                // machine would have dispatched it, so instruction counts
-                // (and the cycles-saved == fused_execs invariant) agree
-                // with opt 0 on *every* path — including a check failure,
-                // where the unfused load was never reached.
-                self.stats.instructions += 1;
-                self.stats.fused_execs += 1;
-                // The swallowed check, verbatim from `intrinsic_inner`:
-                // same cycle charge, same lookup, same trace attribution,
-                // same failure path — against the skew-adjusted address.
-                self.stats.cycles += CHECK_CYCLES;
-                let before = self.lookups_of(mp);
-                let pool = self.pools.pool_mut(sva_rt::MetaPoolId(mp));
-                let (name, r) = match chk_src {
-                    Some(src) => (
-                        Intrinsic::BoundsCheck.name(),
-                        pool.bounds_check(src, addr as u64),
-                    ),
-                    None => (Intrinsic::LsCheck.name(), pool.ls_check(addr as u64)),
-                };
-                if T::wants(EventClass::Check) {
-                    self.trace_check(name, mp, before, r.is_ok(), CHECK_CYCLES);
-                }
-                r.map_err(VmError::Safety)?;
-                self.stats.instructions += 1;
-                self.stats.fused_execs += 1;
-                let v = self.mem.read_uint(addr as u64, w as u64, mode)?;
-                self.thread
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("load with no frame"))?
-                    .regs[dst as usize] = v;
-            }
-            FlatOp::FusedGepStore {
-                val,
-                base,
-                const_off,
-                dynamic,
-                w,
-            } => {
-                let mut addr = src!(base) as i64 + const_off;
-                for (s, scale, iw) in dynamic {
-                    let idx = sext_w(src!(s), *iw);
-                    addr += idx.wrapping_mul(*scale as i64);
-                }
-                if self.gep_skew.is_some() && fr.mode == Mode::Kernel {
-                    if let Some((n, delta)) = self.gep_skew {
-                        addr = addr.wrapping_add(delta);
-                        self.gep_skew = if n > 1 { Some((n - 1, delta)) } else { None };
-                    }
-                }
-                let v = src!(val);
-                fr.pc += 1; // skip the placeholder in the store's old slot
-                let mode = fr.mode;
-                let w = *w;
-                self.stats.instructions += 1;
-                self.stats.fused_execs += 1;
-                self.mem.write_uint(addr as u64, w as u64, v, mode)?;
-            }
-            FlatOp::FusedCmpBr {
-                pred,
-                w,
-                a,
-                b,
-                tpc,
-                fpc,
-                from,
-            } => {
-                let (a, b) = (src!(a), src!(b));
-                let t = eval_icmp(*pred, *w, a, b);
-                fr.prev_block = *from;
-                fr.pc = if t { *tpc } else { *fpc };
-                self.stats.instructions += 1;
-                self.stats.fused_execs += 1;
-            }
-            FlatOp::FusedBin2 {
-                op1,
-                w1,
-                a,
-                b,
-                op2,
-                w2,
-                c,
-                t_lhs,
-                dst,
-            } => {
-                let (av, bv, cv) = (src!(a), src!(b), src!(c));
-                fr.pc += 1; // skip the placeholder in the second bin's slot
-                let t = eval_bin(*op1, *w1, av, bv)?;
-                self.stats.instructions += 1;
-                self.stats.fused_execs += 1;
-                let r = if *t_lhs {
-                    eval_bin(*op2, *w2, t, cv)?
-                } else {
-                    eval_bin(*op2, *w2, cv, t)?
-                };
-                let fr = self
-                    .thread
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("bin with no frame"))?;
-                fr.regs[*dst as usize] = r;
+            if *ran == budget {
+                return Ok(StepOut::Continue);
             }
         }
-        Ok(StepOut::Continue)
     }
 
     fn step_tree(&mut self, code: &CodeImage) -> Result<StepOut, VmError> {
@@ -2644,7 +2649,7 @@ impl<T: Tracer> Vm<T> {
                 self.thread.frames.push(frame);
                 Ok(StepOut::Continue)
             }
-            FlatCallee::Intrinsic(i) => self.intrinsic(i, args, dst),
+            FlatCallee::Intrinsic(i) => self.os_span(i, |vm| vm.intrinsic_inner(i, args, dst)),
         }
     }
 
@@ -2685,21 +2690,17 @@ impl<T: Tracer> Vm<T> {
 
     // --- SVA-OS + safety intrinsics ---------------------------------------
 
-    fn intrinsic(
-        &mut self,
-        i: Intrinsic,
-        args: &[u64],
-        dst: Option<u32>,
-    ) -> Result<StepOut, VmError> {
+    /// Runs `f` as SVA-OS operation `i`: for a tracer that wants `Os`,
+    /// enter/exit events bracket it and the exit carries the cycles it
+    /// added beyond the base charge.
+    fn os_span<R>(&mut self, i: Intrinsic, f: impl FnOnce(&mut Self) -> R) -> R {
         if !T::wants(EventClass::Os) {
-            return self.intrinsic_inner(i, args, dst);
+            return f(self);
         }
-        // SVA-OS span: enter/exit events bracket the operation; the exit
-        // carries the cycles the operation added beyond the base charge.
         let enter = self.stats.cycles;
         self.tracer
             .record(enter, TraceEvent::OsEnter { op: i.name() });
-        let result = self.intrinsic_inner(i, args, dst);
+        let result = f(self);
         let ts = self.stats.cycles;
         self.tracer.record(
             ts,
@@ -2709,6 +2710,66 @@ impl<T: Tracer> Vm<T> {
             },
         );
         result
+    }
+
+    /// The three pure run-time checks, `pchk.lscheck`, `pchk.bounds` and
+    /// `pchk.bounds.range`, on their first three intrinsic arguments. They
+    /// change no state the boundary prologue reads, so the flat engine
+    /// runs them inside a block (DESIGN.md §4.11); both engines run them
+    /// here, with the same charges, counters, events and failures.
+    #[inline(always)]
+    fn pure_check(&mut self, i: Intrinsic, a: u64, b: u64, c: u64) -> Result<(), VmError> {
+        match i {
+            Intrinsic::LsCheck => self.pool_check(a as u32, None, b),
+            Intrinsic::BoundsCheck => self.pool_check(a as u32, Some(b), c),
+            Intrinsic::BoundsCheckRange => {
+                let (start, derived, end) = (a, b, c);
+                self.stats.cycles += 2;
+                self.stats.range_checks += 1;
+                let ok = derived >= start && derived <= end;
+                if T::wants(EventClass::Check) {
+                    self.tracer.record(
+                        self.stats.cycles,
+                        TraceEvent::Check {
+                            check: i.name(),
+                            pool: u32::MAX,
+                            layer: LookupLayer::None,
+                            passed: ok,
+                            cost: 2,
+                        },
+                    );
+                }
+                if ok {
+                    Ok(())
+                } else {
+                    Err(VmError::Safety(CheckError {
+                        kind: sva_rt::CheckKind::Bounds,
+                        pool: "static".into(),
+                        addr: derived,
+                        detail: format!("static object [{start:#x}, {end:#x})"),
+                    }))
+                }
+            }
+            _ => Err(VmError::Internal("not a pure check")),
+        }
+    }
+
+    /// A metapool check against pool `mp`: `pchk.bounds(mp, src, addr)`
+    /// with `src`, `pchk.lscheck(mp, addr)` without. Also the check a
+    /// fused checked load swallows.
+    #[inline(always)]
+    fn pool_check(&mut self, mp: u32, src: Option<u64>, addr: u64) -> Result<(), VmError> {
+        self.stats.cycles += CHECK_CYCLES;
+        let before = self.lookups_of(mp);
+        let pool = self.pools.pool_mut(sva_rt::MetaPoolId(mp));
+        let (name, r) = match src {
+            Some(src) => (Intrinsic::BoundsCheck.name(), pool.bounds_check(src, addr)),
+            None => (Intrinsic::LsCheck.name(), pool.ls_check(addr)),
+        };
+        if T::wants(EventClass::Check) {
+            self.trace_check(name, mp, before, r.is_ok(), CHECK_CYCLES);
+        }
+        r.map_err(VmError::Safety)
     }
 
     fn intrinsic_inner(
@@ -3033,54 +3094,8 @@ impl<T: Tracer> Vm<T> {
                     hook.on_pool_drop(mp, addr);
                 }
             }
-            BoundsCheck => {
-                self.stats.cycles += CHECK_CYCLES;
-                let (mp, src, derived) = (arg(0) as u32, arg(1), arg(2));
-                let before = self.lookups_of(mp);
-                let r = self
-                    .pools
-                    .pool_mut(sva_rt::MetaPoolId(mp))
-                    .bounds_check(src, derived);
-                if T::wants(EventClass::Check) {
-                    self.trace_check(i.name(), mp, before, r.is_ok(), CHECK_CYCLES);
-                }
-                r.map_err(VmError::Safety)?;
-            }
-            BoundsCheckRange => {
-                self.stats.cycles += 2;
-                self.stats.range_checks += 1;
-                let (start, derived, end) = (arg(0), arg(1), arg(2));
-                let ok = derived >= start && derived <= end;
-                if T::wants(EventClass::Check) {
-                    self.tracer.record(
-                        self.stats.cycles,
-                        TraceEvent::Check {
-                            check: i.name(),
-                            pool: u32::MAX,
-                            layer: LookupLayer::None,
-                            passed: ok,
-                            cost: 2,
-                        },
-                    );
-                }
-                if !ok {
-                    return Err(VmError::Safety(CheckError {
-                        kind: sva_rt::CheckKind::Bounds,
-                        pool: "static".into(),
-                        addr: derived,
-                        detail: format!("static object [{start:#x}, {end:#x})"),
-                    }));
-                }
-            }
-            LsCheck => {
-                self.stats.cycles += CHECK_CYCLES;
-                let (mp, addr) = (arg(0) as u32, arg(1));
-                let before = self.lookups_of(mp);
-                let r = self.pools.pool_mut(sva_rt::MetaPoolId(mp)).ls_check(addr);
-                if T::wants(EventClass::Check) {
-                    self.trace_check(i.name(), mp, before, r.is_ok(), CHECK_CYCLES);
-                }
-                r.map_err(VmError::Safety)?;
+            BoundsCheck | BoundsCheckRange | LsCheck => {
+                self.pure_check(i, arg(0), arg(1), arg(2))?;
             }
             GetBounds => {
                 self.stats.cycles += CHECK_CYCLES;
@@ -3603,6 +3618,7 @@ enum StepOut {
 // Shared evaluation helpers.
 // ---------------------------------------------------------------------------
 
+#[inline]
 fn mask_w(v: u64, w: u8) -> u64 {
     match w {
         64 => v,
@@ -3611,6 +3627,7 @@ fn mask_w(v: u64, w: u8) -> u64 {
     }
 }
 
+#[inline]
 fn sext_w(v: u64, w: u8) -> i64 {
     match w {
         64 => v as i64,
@@ -3622,6 +3639,7 @@ fn sext_w(v: u64, w: u8) -> i64 {
     }
 }
 
+#[inline(always)]
 fn eval_bin(op: BinOp, w: u8, a: u64, b: u64) -> Result<u64, VmError> {
     if op.is_float() {
         let (x, y) = (f64::from_bits(a), f64::from_bits(b));
@@ -3675,6 +3693,7 @@ fn eval_bin(op: BinOp, w: u8, a: u64, b: u64) -> Result<u64, VmError> {
     Ok(mask_w(r, w))
 }
 
+#[inline]
 fn eval_icmp(pred: IPred, w: u8, a: u64, b: u64) -> bool {
     let (ua, ub) = (mask_w(a, w), mask_w(b, w));
     let (sa, sb) = (sext_w(a, w), sext_w(b, w));
@@ -3692,6 +3711,7 @@ fn eval_icmp(pred: IPred, w: u8, a: u64, b: u64) -> bool {
     }
 }
 
+#[inline]
 fn eval_cast(op: CastOp, from_w: u8, to_w: u8, v: u64) -> u64 {
     match op {
         CastOp::Bitcast | CastOp::PtrToInt | CastOp::IntToPtr => v,

@@ -248,6 +248,40 @@ entry:
     }
 }
 
+/// Paper §5: the verifier rejects every one of the 20 injected analysis
+/// bugs (5 seeds of each of the 4 kinds) against the entire-kernel build,
+/// and the clean build still typechecks.
+#[test]
+fn verifier_rejects_all_twenty_injected_kernel_faults() {
+    let cfg = AnalysisConfig::kernel_excluding(sva::kernel::ENTIRE_KERNEL_EXCLUSIONS);
+    let base = compile(
+        sva::kernel::harness::raw_kernel(),
+        &cfg,
+        &CompileOptions::default(),
+    )
+    .module;
+    assert!(
+        typecheck_module(&base).is_empty(),
+        "clean kernel must typecheck"
+    );
+    let mut undetected = Vec::new();
+    for kind in sva::core::inject::FaultKind::ALL {
+        for seed in 0..5 {
+            let mut m = base.clone();
+            let desc = sva::core::inject::inject_fault(&mut m, kind, seed)
+                .unwrap_or_else(|| panic!("{kind:?} seed {seed}: no injection point"));
+            if typecheck_module(&m).is_empty() {
+                undetected.push(format!("{kind:?} seed {seed}: {desc}"));
+            }
+        }
+    }
+    assert!(
+        undetected.is_empty(),
+        "{}/20 injections undetected: {undetected:#?}",
+        undetected.len()
+    );
+}
+
 #[test]
 fn all_four_configs_agree_on_results() {
     // Differential test: the two code generators (and the checked build)
