@@ -6,7 +6,8 @@
 //! integrity at load time (paper §3.4). This module provides:
 //!
 //! * [`encode_module`] / [`decode_module`] — a compact, versioned binary
-//!   encoding of a whole [`Module`] including its pool annotations, and
+//!   encoding of a whole [`Module`] including its pool annotations, built
+//!   on the shared [`crate::codec`] with `u32` length prefixes, and
 //! * [`sign`] / [`verify_signature`] — a keyed integrity tag.
 //!
 //! The tag is a keyed sponge over a 64-bit mixing permutation — an
@@ -15,6 +16,7 @@
 //! together, verify before use) is what the paper specifies and is what the
 //! SVM in `sva-vm` enforces.
 
+use crate::codec::{CodecError, Reader, Writer};
 use crate::inst::{AtomicOp, BinOp, Callee, CastOp, IPred, Inst, InstId, Intrinsic, Operand};
 use crate::module::{
     AllocKind, AllocatorDecl, Block, BlockId, ExternId, FuncId, Function, GlobalId, GlobalInit,
@@ -24,6 +26,10 @@ use crate::types::{StructDef, Type, TypeId, TypeTable};
 
 /// Magic bytes at the start of every bytecode file.
 pub const MAGIC: &[u8; 6] = b"SVABC\x01";
+
+/// Bytecode writes its length prefixes and element counts as `u32`.
+type BytecodeWriter = Writer<4>;
+type BytecodeReader<'a> = Reader<'a, 4>;
 
 /// Errors produced while decoding bytecode.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,127 +60,35 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-
-    fn opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u32(x);
-            }
-        }
-    }
-
-    fn opt_str(&mut self, v: &Option<String>) {
-        match v {
-            None => self.u8(0),
-            Some(s) => {
-                self.u8(1);
-                self.str(s);
+/// Bytecode is not framed and never calls `finish`, so only the reader's
+/// own errors reach this; a count the input cannot hold is truncation.
+impl From<CodecError> for DecodeError {
+    fn from(e: CodecError) -> DecodeError {
+        match e {
+            CodecError::Invalid { what, value } => DecodeError::BadTag(what, value as u8),
+            CodecError::BadUtf8 => DecodeError::BadString,
+            CodecError::BadMagic(_) | CodecError::BadVersion { .. } => DecodeError::BadMagic,
+            CodecError::Corrupt { .. } => DecodeError::BadSignature,
+            CodecError::Truncated { .. } | CodecError::Count { .. } | CodecError::Trailing(_) => {
+                DecodeError::Truncated
             }
         }
     }
 }
 
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.buf.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A `u32` element count. Every element encodes to at least one byte,
-    /// so a count larger than the remaining input is rejected before
-    /// anything is allocated for it.
-    fn count(&mut self) -> Result<usize, DecodeError> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() - self.pos {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.count()?;
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| DecodeError::BadString)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
-        let n = self.count()?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn opt_u32(&mut self) -> Result<Option<u32>, DecodeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            _ => Ok(Some(self.u32()?)),
-        }
-    }
-
-    fn opt_str(&mut self) -> Result<Option<String>, DecodeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            _ => Ok(Some(self.str()?)),
-        }
+fn bad_tag(what: &'static str, tag: u8) -> CodecError {
+    CodecError::Invalid {
+        what,
+        value: tag as u64,
     }
 }
 
-fn enc_operand(e: &mut Enc, op: &Operand) {
+/// Smallest encodings, the `min_elem_bytes` of each count: an operand is
+/// a tag and at least a `u32`; a string is at least its prefix.
+const OPERAND_MIN: usize = 5;
+const STR_MIN: usize = 4;
+
+fn enc_operand(e: &mut BytecodeWriter, op: &Operand) {
     match op {
         Operand::Value(v) => {
             e.u8(0);
@@ -212,7 +126,7 @@ fn enc_operand(e: &mut Enc, op: &Operand) {
     }
 }
 
-fn dec_operand(d: &mut Dec) -> Result<Operand, DecodeError> {
+fn dec_operand(d: &mut BytecodeReader) -> Result<Operand, CodecError> {
     Ok(match d.u8()? {
         0 => Operand::Value(ValueId(d.u32()?)),
         1 => {
@@ -225,23 +139,19 @@ fn dec_operand(d: &mut Dec) -> Result<Operand, DecodeError> {
         5 => Operand::Func(FuncId(d.u32()?)),
         6 => Operand::Extern(ExternId(d.u32()?)),
         7 => Operand::Undef(TypeId(d.u32()?)),
-        t => return Err(DecodeError::BadTag("operand", t)),
+        t => return Err(bad_tag("operand", t)),
     })
 }
 
-fn enc_operands(e: &mut Enc, ops: &[Operand]) {
-    e.u32(ops.len() as u32);
-    for o in ops {
-        enc_operand(e, o);
-    }
+fn enc_operands(e: &mut BytecodeWriter, ops: &[Operand]) {
+    e.seq(ops, enc_operand);
 }
 
-fn dec_operands(d: &mut Dec) -> Result<Vec<Operand>, DecodeError> {
-    let n = d.count()?;
-    (0..n).map(|_| dec_operand(d)).collect()
+fn dec_operands(d: &mut BytecodeReader) -> Result<Vec<Operand>, CodecError> {
+    d.vec(OPERAND_MIN, dec_operand)
 }
 
-fn enc_inst(e: &mut Enc, inst: &Inst) {
+fn enc_inst(e: &mut BytecodeWriter, inst: &Inst) {
     match inst {
         Inst::Bin { op, lhs, rhs } => {
             e.u8(0);
@@ -311,11 +221,10 @@ fn enc_inst(e: &mut Enc, inst: &Inst) {
         Inst::Phi { incomings, ty } => {
             e.u8(9);
             e.u32(ty.0);
-            e.u32(incomings.len() as u32);
-            for (b, v) in incomings {
+            e.seq(incomings, |e, (b, v)| {
                 e.u32(b.0);
                 enc_operand(e, v);
-            }
+            });
         }
         Inst::AtomicRmw { op, ptr, val } => {
             e.u8(10);
@@ -352,64 +261,53 @@ fn enc_inst(e: &mut Enc, inst: &Inst) {
             e.u8(15);
             enc_operand(e, val);
             e.u32(default.0);
-            e.u32(cases.len() as u32);
-            for (c, b) in cases {
+            e.seq(cases, |e, (c, b)| {
                 e.i64(*c);
                 e.u32(b.0);
-            }
+            });
         }
         Inst::Ret { val } => {
             e.u8(16);
-            match val {
-                None => e.u8(0),
-                Some(v) => {
-                    e.u8(1);
-                    enc_operand(e, v);
-                }
-            }
+            e.opt(val.as_ref(), enc_operand);
         }
         Inst::Unreachable => e.u8(17),
     }
 }
 
-fn bin_from(v: u8) -> Result<BinOp, DecodeError> {
+/// The enum value `v` indexes in `all`, or a tag error naming `what`.
+fn enum_from<T: Copy>(all: &[T], what: &'static str, v: u8) -> Result<T, CodecError> {
+    all.get(v as usize).copied().ok_or_else(|| bad_tag(what, v))
+}
+
+fn bin_from(v: u8) -> Result<BinOp, CodecError> {
     use BinOp::*;
     const ALL: [BinOp; 17] = [
         Add, Sub, Mul, UDiv, SDiv, URem, SRem, And, Or, Xor, Shl, LShr, AShr, FAdd, FSub, FMul,
         FDiv,
     ];
-    ALL.get(v as usize)
-        .copied()
-        .ok_or(DecodeError::BadTag("binop", v))
+    enum_from(&ALL, "binop", v)
 }
 
-fn pred_from(v: u8) -> Result<IPred, DecodeError> {
+fn pred_from(v: u8) -> Result<IPred, CodecError> {
     use IPred::*;
     const ALL: [IPred; 10] = [Eq, Ne, ULt, ULe, UGt, UGe, SLt, SLe, SGt, SGe];
-    ALL.get(v as usize)
-        .copied()
-        .ok_or(DecodeError::BadTag("pred", v))
+    enum_from(&ALL, "pred", v)
 }
 
-fn cast_from(v: u8) -> Result<CastOp, DecodeError> {
+fn cast_from(v: u8) -> Result<CastOp, CodecError> {
     use CastOp::*;
     const ALL: [CastOp; 8] = [
         Bitcast, Trunc, ZExt, SExt, PtrToInt, IntToPtr, SiToFp, FpToSi,
     ];
-    ALL.get(v as usize)
-        .copied()
-        .ok_or(DecodeError::BadTag("cast", v))
+    enum_from(&ALL, "cast", v)
 }
 
-fn atomic_from(v: u8) -> Result<AtomicOp, DecodeError> {
+fn atomic_from(v: u8) -> Result<AtomicOp, CodecError> {
     use AtomicOp::*;
-    const ALL: [AtomicOp; 3] = [Add, Sub, Xchg];
-    ALL.get(v as usize)
-        .copied()
-        .ok_or(DecodeError::BadTag("atomic", v))
+    enum_from(&[Add, Sub, Xchg], "atomic", v)
 }
 
-fn dec_inst(d: &mut Dec) -> Result<Inst, DecodeError> {
+fn dec_inst(d: &mut BytecodeReader) -> Result<Inst, CodecError> {
     Ok(match d.u8()? {
         0 => Inst::Bin {
             op: bin_from(d.u8()?)?,
@@ -451,29 +349,23 @@ fn dec_inst(d: &mut Dec) -> Result<Inst, DecodeError> {
                 0 => Callee::Direct(FuncId(d.u32()?)),
                 1 => Callee::External(ExternId(d.u32()?)),
                 2 => Callee::Indirect(dec_operand(d)?),
-                3 => {
-                    let name = d.str()?;
-                    Callee::Intrinsic(
-                        Intrinsic::from_name(&name).ok_or(DecodeError::BadTag("intrinsic", 0))?,
-                    )
-                }
-                t => return Err(DecodeError::BadTag("callee", t)),
+                3 => Callee::Intrinsic(
+                    Intrinsic::from_name(d.str()?).ok_or_else(|| bad_tag("intrinsic", 0))?,
+                ),
+                t => return Err(bad_tag("callee", t)),
             };
             Inst::Call {
                 callee,
                 args: dec_operands(d)?,
             }
         }
-        9 => {
-            let ty = TypeId(d.u32()?);
-            let n = d.count()?;
-            let mut incomings = Vec::with_capacity(n);
-            for _ in 0..n {
+        9 => Inst::Phi {
+            ty: TypeId(d.u32()?),
+            incomings: d.vec(4 + OPERAND_MIN, |d| {
                 let b = BlockId(d.u32()?);
-                incomings.push((b, dec_operand(d)?));
-            }
-            Inst::Phi { incomings, ty }
-        }
+                Ok((b, dec_operand(d)?))
+            })?,
+        },
         10 => Inst::AtomicRmw {
             op: atomic_from(d.u8()?)?,
             ptr: dec_operand(d)?,
@@ -493,33 +385,20 @@ fn dec_inst(d: &mut Dec) -> Result<Inst, DecodeError> {
             then_bb: BlockId(d.u32()?),
             else_bb: BlockId(d.u32()?),
         },
-        15 => {
-            let val = dec_operand(d)?;
-            let default = BlockId(d.u32()?);
-            let n = d.count()?;
-            let mut cases = Vec::with_capacity(n);
-            for _ in 0..n {
-                let c = d.i64()?;
-                cases.push((c, BlockId(d.u32()?)));
-            }
-            Inst::Switch {
-                val,
-                default,
-                cases,
-            }
-        }
+        15 => Inst::Switch {
+            val: dec_operand(d)?,
+            default: BlockId(d.u32()?),
+            cases: d.vec(12, |d| Ok((d.i64()?, BlockId(d.u32()?))))?,
+        },
         16 => Inst::Ret {
-            val: match d.u8()? {
-                0 => None,
-                _ => Some(dec_operand(d)?),
-            },
+            val: d.opt(dec_operand)?,
         },
         17 => Inst::Unreachable,
-        t => return Err(DecodeError::BadTag("inst", t)),
+        t => return Err(bad_tag("inst", t)),
     })
 }
 
-fn enc_type(e: &mut Enc, t: &Type) {
+fn enc_type(e: &mut BytecodeWriter, t: &Type) {
     match t {
         Type::Void => e.u8(0),
         Type::Int(w) => {
@@ -547,16 +426,13 @@ fn enc_type(e: &mut Enc, t: &Type) {
         } => {
             e.u8(6);
             e.u32(ret.0);
-            e.u32(params.len() as u32);
-            for p in params {
-                e.u32(p.0);
-            }
-            e.u8(*vararg as u8);
+            e.seq(params, |e, p| e.u32(p.0));
+            e.bool(*vararg);
         }
     }
 }
 
-fn dec_type(d: &mut Dec) -> Result<Type, DecodeError> {
+fn dec_type(d: &mut BytecodeReader) -> Result<Type, CodecError> {
     Ok(match d.u8()? {
         0 => Type::Void,
         1 => Type::Int(d.u8()?),
@@ -567,50 +443,50 @@ fn dec_type(d: &mut Dec) -> Result<Type, DecodeError> {
             Type::Array(el, d.u64()?)
         }
         5 => Type::Struct(d.u32()?),
-        6 => {
-            let ret = TypeId(d.u32()?);
-            let n = d.count()?;
-            let mut params = Vec::with_capacity(n);
-            for _ in 0..n {
-                params.push(TypeId(d.u32()?));
-            }
-            Type::Func {
-                ret,
-                params,
-                vararg: d.u8()? != 0,
-            }
-        }
-        t => return Err(DecodeError::BadTag("type", t)),
+        6 => Type::Func {
+            ret: TypeId(d.u32()?),
+            params: dec_ids(d, TypeId)?,
+            vararg: d.bool()?,
+        },
+        t => return Err(bad_tag("type", t)),
     })
+}
+
+/// A counted list of `u32` ids.
+fn dec_ids<T>(d: &mut BytecodeReader, id: impl Fn(u32) -> T) -> Result<Vec<T>, CodecError> {
+    d.vec(4, |d| d.u32().map(&id))
+}
+
+fn enc_opt_str(e: &mut BytecodeWriter, s: &Option<String>) {
+    e.opt(s.as_deref(), BytecodeWriter::str);
+}
+
+fn dec_opt_str(d: &mut BytecodeReader) -> Result<Option<String>, CodecError> {
+    d.opt(|d| d.str().map(str::to_owned))
 }
 
 /// Encodes a module into its binary bytecode form.
 pub fn encode_module(m: &Module) -> Vec<u8> {
-    let mut e = Enc { buf: Vec::new() };
-    e.buf.extend_from_slice(MAGIC);
+    let mut e = BytecodeWriter::new();
+    e.raw(MAGIC);
     e.str(&m.name);
 
     // Types: the table is reconstructed positionally, so we re-intern in
     // declaration order on decode.
-    e.u32(m.types.structs.len() as u32);
-    for s in &m.types.structs {
+    e.seq(&m.types.structs, |e, s| {
         e.str(&s.name);
-        e.u8(s.opaque as u8);
-        e.u32(s.fields.len() as u32);
-        for f in &s.fields {
-            e.u32(f.0);
-        }
-    }
-    e.u32(m.types.len() as u32);
+        e.bool(s.opaque);
+        e.seq(&s.fields, |e, f| e.u32(f.0));
+    });
+    e.prefix(m.types.len());
     for i in 0..m.types.len() {
         enc_type(&mut e, m.types.get(TypeId(i as u32)));
     }
 
-    e.u32(m.globals.len() as u32);
-    for g in &m.globals {
+    e.seq(&m.globals, |e, g| {
         e.str(&g.name);
         e.u32(g.ty.0);
-        e.u8(g.is_const as u8);
+        e.bool(g.is_const);
         match &g.init {
             GlobalInit::Zero => e.u8(0),
             GlobalInit::Bytes(b) => {
@@ -620,42 +496,32 @@ pub fn encode_module(m: &Module) -> Vec<u8> {
             GlobalInit::Relocated { bytes, relocs } => {
                 e.u8(2);
                 e.bytes(bytes);
-                e.u32(relocs.len() as u32);
-                for (off, t) in relocs {
+                e.seq(relocs, |e, (off, t)| {
                     e.u64(*off);
-                    match t {
-                        RelocTarget::Func(n) => {
-                            e.u8(0);
-                            e.str(n);
-                        }
-                        RelocTarget::Extern(n) => {
-                            e.u8(1);
-                            e.str(n);
-                        }
-                        RelocTarget::Global(n) => {
-                            e.u8(2);
-                            e.str(n);
-                        }
-                    }
-                }
+                    let (tag, name) = match t {
+                        RelocTarget::Func(n) => (0, n),
+                        RelocTarget::Extern(n) => (1, n),
+                        RelocTarget::Global(n) => (2, n),
+                    };
+                    e.u8(tag);
+                    e.str(name);
+                });
             }
         }
-    }
+    });
 
-    e.u32(m.externs.len() as u32);
-    for x in &m.externs {
+    e.seq(&m.externs, |e, x| {
         e.str(&x.name);
         e.u32(x.ty.0);
-    }
+    });
 
-    e.u32(m.allocators.len() as u32);
-    for a in &m.allocators {
+    e.seq(&m.allocators, |e, a| {
         e.str(&a.name);
-        e.u8(matches!(a.kind, AllocKind::Pool) as u8);
+        e.bool(matches!(a.kind, AllocKind::Pool));
         e.str(&a.alloc_fn);
-        e.opt_str(&a.dealloc_fn);
-        e.opt_str(&a.pool_create_fn);
-        e.opt_str(&a.pool_destroy_fn);
+        enc_opt_str(e, &a.dealloc_fn);
+        enc_opt_str(e, &a.pool_create_fn);
+        enc_opt_str(e, &a.pool_destroy_fn);
         match a.size {
             SizeSpec::Arg(n) => {
                 e.u8(0);
@@ -667,200 +533,152 @@ pub fn encode_module(m: &Module) -> Vec<u8> {
                 e.u64(c);
             }
         }
-        e.opt_str(&a.size_fn);
-        e.opt_u32(a.pool_arg.map(|p| p as u32));
-        e.opt_str(&a.backed_by);
-    }
+        enc_opt_str(e, &a.size_fn);
+        e.opt(a.pool_arg, |e, p| e.u32(p as u32));
+        enc_opt_str(e, &a.backed_by);
+    });
 
-    e.u32(m.funcs.len() as u32);
-    for f in &m.funcs {
+    e.seq(&m.funcs, |e, f| {
         e.str(&f.name);
         e.u32(f.ty.0);
-        e.u8(matches!(f.linkage, Linkage::Public) as u8);
-        e.u32(f.value_types.len() as u32);
+        e.bool(matches!(f.linkage, Linkage::Public));
+        e.prefix(f.value_types.len());
         for (i, vt) in f.value_types.iter().enumerate() {
             e.u32(vt.0);
-            match f.value_defs[i] {
-                ValueDef::Param(p) => {
-                    e.u8(0);
-                    e.u32(p);
-                }
-                ValueDef::Inst(ii) => {
-                    e.u8(1);
-                    e.u32(ii.0);
-                }
-            }
-            e.opt_str(&f.value_names[i]);
+            let (tag, x) = match f.value_defs[i] {
+                ValueDef::Param(p) => (0, p),
+                ValueDef::Inst(ii) => (1, ii.0),
+            };
+            e.u8(tag);
+            e.u32(x);
+            enc_opt_str(e, &f.value_names[i]);
         }
-        e.u32(f.insts.len() as u32);
+        e.prefix(f.insts.len());
         for (i, inst) in f.insts.iter().enumerate() {
-            enc_inst(&mut e, inst);
-            e.opt_u32(f.inst_results[i].map(|v| v.0));
+            enc_inst(e, inst);
+            e.opt(f.inst_results[i], |e, v| e.u32(v.0));
         }
-        e.u32(f.blocks.len() as u32);
-        for b in &f.blocks {
+        e.seq(&f.blocks, |e, b| {
             e.str(&b.name);
-            e.u32(b.insts.len() as u32);
-            for i in &b.insts {
-                e.u32(i.0);
-            }
-        }
-        e.u32(f.sig_asserted_calls.len() as u32);
-        for i in &f.sig_asserted_calls {
-            e.u32(i.0);
-        }
-    }
+            e.seq(&b.insts, |e, i| e.u32(i.0));
+        });
+        e.seq(&f.sig_asserted_calls, |e, i| e.u32(i.0));
+    });
 
-    e.opt_u32(m.entry.map(|f| f.0));
+    e.opt(m.entry, |e, f| e.u32(f.0));
 
-    match &m.pool_annotations {
-        None => e.u8(0),
-        Some(pa) => {
-            e.u8(1);
-            e.u32(pa.metapools.len() as u32);
-            for mp in &pa.metapools {
-                e.str(&mp.name);
-                e.u8(mp.type_homogeneous as u8);
-                e.u8(mp.complete as u8);
-                e.opt_u32(mp.elem_type.map(|t| t.0));
-                e.u32(mp.points_to.len() as u32);
-                for (c, t) in &mp.points_to {
-                    e.u32(*c);
-                    e.u32(*t);
-                }
-                e.u8(mp.fields_collapsed as u8);
-                e.u8(mp.userspace as u8);
-            }
-            e.u32(pa.value_pools.len() as u32);
-            for vp in &pa.value_pools {
-                e.u32(vp.len() as u32);
-                for p in vp {
-                    e.opt_u32(*p);
-                }
-            }
-            e.u32(pa.value_cells.len() as u32);
-            for vc in &pa.value_cells {
-                e.u32(vc.len() as u32);
-                for c in vc {
-                    e.u32(*c);
-                }
-            }
-            e.u32(pa.global_pools.len() as u32);
-            for p in &pa.global_pools {
-                e.opt_u32(*p);
-            }
-            e.u32(pa.func_sets.len() as u32);
-            for set in &pa.func_sets {
-                e.u32(set.len() as u32);
-                for n in set {
-                    e.str(n);
-                }
-            }
-            e.u32(pa.call_sets.len() as u32);
-            for (f, i, s) in &pa.call_sets {
-                e.u32(*f);
-                e.u32(*i);
-                e.u32(*s);
-            }
-        }
-    }
+    e.opt(m.pool_annotations.as_ref(), |e, pa| {
+        e.seq(&pa.metapools, |e, mp| {
+            e.str(&mp.name);
+            e.bool(mp.type_homogeneous);
+            e.bool(mp.complete);
+            e.opt(mp.elem_type, |e, t| e.u32(t.0));
+            e.seq(&mp.points_to, |e, &(c, t)| {
+                e.u32(c);
+                e.u32(t);
+            });
+            e.bool(mp.fields_collapsed);
+            e.bool(mp.userspace);
+        });
+        e.seq(&pa.value_pools, |e, vp| {
+            e.seq(vp, |e, &p| e.opt(p, BytecodeWriter::u32))
+        });
+        e.seq(&pa.value_cells, |e, vc| e.seq(vc, |e, &c| e.u32(c)));
+        e.seq(&pa.global_pools, |e, &p| e.opt(p, BytecodeWriter::u32));
+        e.seq(&pa.func_sets, |e, set| e.seq(set, |e, n| e.str(n)));
+        e.seq(&pa.call_sets, |e, &(f, i, s)| {
+            e.u32(f);
+            e.u32(i);
+            e.u32(s);
+        });
+    });
 
-    e.buf
+    e.into_bytes()
 }
 
 /// Decodes a module from its binary bytecode form.
 pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
-    let mut d = Dec { buf: data, pos: 0 };
+    let mut d = BytecodeReader::new(data);
     if d.take(MAGIC.len())? != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let name = d.str()?;
-    let mut m = Module::new(&name);
+    decode_body(&mut d).map_err(DecodeError::from)
+}
 
-    let nstructs = d.count()?;
-    let mut struct_defs = Vec::with_capacity(nstructs);
-    for _ in 0..nstructs {
-        let name = d.str()?;
-        let opaque = d.u8()? != 0;
-        let n = d.count()?;
-        let mut fields = Vec::with_capacity(n);
-        for _ in 0..n {
-            fields.push(TypeId(d.u32()?));
-        }
-        struct_defs.push(StructDef {
-            name,
-            fields,
-            opaque,
-        });
-    }
-    let ntypes = d.count()?;
+fn decode_body(d: &mut BytecodeReader) -> Result<Module, CodecError> {
+    let mut m = Module::new(d.str()?);
+
     let mut table = TypeTable::new();
-    table.structs = struct_defs;
+    table.structs = d.vec(2 * STR_MIN + 1, |d| {
+        Ok(StructDef {
+            name: d.str()?.to_owned(),
+            opaque: d.bool()?,
+            fields: dec_ids(d, TypeId)?,
+        })
+    })?;
+    let ntypes = d.prefix(1)?;
     for i in 0..ntypes {
-        let t = dec_type(&mut d)?;
+        let t = dec_type(d)?;
         let id = table.raw_push(t);
         debug_assert_eq!(id.0 as usize, i);
     }
     table.rebuild_struct_index();
     m.types = table;
 
-    let nglobals = d.count()?;
+    let nglobals = d.prefix(STR_MIN + 6)?;
     for _ in 0..nglobals {
         let name = d.str()?;
         let ty = TypeId(d.u32()?);
-        let is_const = d.u8()? != 0;
+        let is_const = d.bool()?;
         let init = match d.u8()? {
             0 => GlobalInit::Zero,
-            1 => GlobalInit::Bytes(d.bytes()?),
-            2 => {
-                let bytes = d.bytes()?;
-                let n = d.count()?;
-                let mut relocs = Vec::with_capacity(n);
-                for _ in 0..n {
+            1 => GlobalInit::Bytes(d.bytes()?.to_vec()),
+            2 => GlobalInit::Relocated {
+                bytes: d.bytes()?.to_vec(),
+                relocs: d.vec(9 + STR_MIN, |d| {
                     let off = d.u64()?;
                     let t = match d.u8()? {
-                        0 => RelocTarget::Func(d.str()?),
-                        1 => RelocTarget::Extern(d.str()?),
-                        2 => RelocTarget::Global(d.str()?),
-                        t => return Err(DecodeError::BadTag("reloc", t)),
+                        0 => RelocTarget::Func(d.str()?.to_owned()),
+                        1 => RelocTarget::Extern(d.str()?.to_owned()),
+                        2 => RelocTarget::Global(d.str()?.to_owned()),
+                        t => return Err(bad_tag("reloc", t)),
                     };
-                    relocs.push((off, t));
-                }
-                GlobalInit::Relocated { bytes, relocs }
-            }
-            t => return Err(DecodeError::BadTag("init", t)),
+                    Ok((off, t))
+                })?,
+            },
+            t => return Err(bad_tag("init", t)),
         };
-        m.add_global(&name, ty, init, is_const);
+        m.add_global(name, ty, init, is_const);
     }
 
-    let nexterns = d.count()?;
+    let nexterns = d.prefix(STR_MIN + 4)?;
     for _ in 0..nexterns {
         let name = d.str()?;
         let ty = TypeId(d.u32()?);
-        m.add_extern(&name, ty);
+        m.add_extern(name, ty);
     }
 
-    let nallocs = d.count()?;
+    let nallocs = d.prefix(2 * STR_MIN + 8)?;
     for _ in 0..nallocs {
-        let name = d.str()?;
-        let kind = if d.u8()? != 0 {
+        let name = d.str()?.to_owned();
+        let kind = if d.bool()? {
             AllocKind::Pool
         } else {
             AllocKind::Ordinary
         };
-        let alloc_fn = d.str()?;
-        let dealloc_fn = d.opt_str()?;
-        let pool_create_fn = d.opt_str()?;
-        let pool_destroy_fn = d.opt_str()?;
+        let alloc_fn = d.str()?.to_owned();
+        let dealloc_fn = dec_opt_str(d)?;
+        let pool_create_fn = dec_opt_str(d)?;
+        let pool_destroy_fn = dec_opt_str(d)?;
         let size = match d.u8()? {
             0 => SizeSpec::Arg(d.u32()? as usize),
             1 => SizeSpec::PoolObjectSize,
             2 => SizeSpec::Const(d.u64()?),
-            t => return Err(DecodeError::BadTag("sizespec", t)),
+            t => return Err(bad_tag("sizespec", t)),
         };
-        let size_fn = d.opt_str()?;
-        let pool_arg = d.opt_u32()?.map(|p| p as usize);
-        let backed_by = d.opt_str()?;
+        let size_fn = dec_opt_str(d)?;
+        let pool_arg = d.opt(|d| d.u32())?.map(|p| p as usize);
+        let backed_by = dec_opt_str(d)?;
         m.declare_allocator(AllocatorDecl {
             name,
             kind,
@@ -875,122 +693,68 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
         });
     }
 
-    let nfuncs = d.count()?;
+    let nfuncs = d.prefix(STR_MIN + 21)?;
     for _ in 0..nfuncs {
         let fname = d.str()?;
         let fty = TypeId(d.u32()?);
-        let linkage = if d.u8()? != 0 {
+        let linkage = if d.bool()? {
             Linkage::Public
         } else {
             Linkage::Internal
         };
-        let mut f = Function::new(&fname, fty, linkage);
-        let nvals = d.count()?;
+        let mut f = Function::new(fname, fty, linkage);
+        let nvals = d.prefix(10)?;
         for _ in 0..nvals {
             let vt = TypeId(d.u32()?);
             let def = match d.u8()? {
                 0 => ValueDef::Param(d.u32()?),
                 1 => ValueDef::Inst(InstId(d.u32()?)),
-                t => return Err(DecodeError::BadTag("valuedef", t)),
+                t => return Err(bad_tag("valuedef", t)),
             };
             let v = f.new_value(vt, def);
-            f.value_names[v.0 as usize] = d.opt_str()?;
+            f.value_names[v.0 as usize] = dec_opt_str(d)?;
             if let ValueDef::Param(_) = def {
                 f.params.push(v);
             }
         }
-        let ninsts = d.count()?;
+        let ninsts = d.prefix(2)?;
         for _ in 0..ninsts {
-            let inst = dec_inst(&mut d)?;
+            let inst = dec_inst(d)?;
             f.insts.push(inst);
-            f.inst_results.push(d.opt_u32()?.map(ValueId));
+            f.inst_results.push(d.opt(|d| d.u32())?.map(ValueId));
         }
-        let nblocks = d.count()?;
-        for _ in 0..nblocks {
-            let bname = d.str()?;
-            let n = d.count()?;
-            let mut insts = Vec::with_capacity(n);
-            for _ in 0..n {
-                insts.push(InstId(d.u32()?));
-            }
-            f.blocks.push(Block { name: bname, insts });
-        }
-        let nsig = d.count()?;
-        for _ in 0..nsig {
-            f.sig_asserted_calls.push(InstId(d.u32()?));
-        }
+        f.blocks = d.vec(2 * STR_MIN, |d| {
+            Ok(Block {
+                name: d.str()?.to_owned(),
+                insts: dec_ids(d, InstId)?,
+            })
+        })?;
+        f.sig_asserted_calls = dec_ids(d, InstId)?;
         m.push_decoded_function(f);
     }
 
-    m.entry = d.opt_u32()?.map(FuncId);
+    m.entry = d.opt(|d| d.u32())?.map(FuncId);
 
-    if d.u8()? != 0 {
-        let nmp = d.count()?;
-        let mut pa = PoolAnnotations::default();
-        for _ in 0..nmp {
-            let name = d.str()?;
-            let th = d.u8()? != 0;
-            let complete = d.u8()? != 0;
-            let elem_type = d.opt_u32()?.map(TypeId);
-            let np = d.count()?;
-            let mut points_to = Vec::with_capacity(np);
-            for _ in 0..np {
-                let c = d.u32()?;
-                let t = d.u32()?;
-                points_to.push((c, t));
-            }
-            let fields_collapsed = d.u8()? != 0;
-            let userspace = d.u8()? != 0;
-            pa.metapools.push(MetaPoolDesc {
-                name,
-                type_homogeneous: th,
-                complete,
-                elem_type,
-                points_to,
-                fields_collapsed,
-                userspace,
-            });
-        }
-        let nf = d.count()?;
-        for _ in 0..nf {
-            let nv = d.count()?;
-            let mut vp = Vec::with_capacity(nv);
-            for _ in 0..nv {
-                vp.push(d.opt_u32()?);
-            }
-            pa.value_pools.push(vp);
-        }
-        let nfc = d.count()?;
-        for _ in 0..nfc {
-            let nv = d.count()?;
-            let mut vc = Vec::with_capacity(nv);
-            for _ in 0..nv {
-                vc.push(d.u32()?);
-            }
-            pa.value_cells.push(vc);
-        }
-        let ng = d.count()?;
-        for _ in 0..ng {
-            pa.global_pools.push(d.opt_u32()?);
-        }
-        let ns = d.count()?;
-        for _ in 0..ns {
-            let n = d.count()?;
-            let mut set = Vec::with_capacity(n);
-            for _ in 0..n {
-                set.push(d.str()?);
-            }
-            pa.func_sets.push(set);
-        }
-        let nc = d.count()?;
-        for _ in 0..nc {
-            let f = d.u32()?;
-            let i = d.u32()?;
-            let s = d.u32()?;
-            pa.call_sets.push((f, i, s));
-        }
-        m.pool_annotations = Some(pa);
-    }
+    m.pool_annotations = d.opt(|d| {
+        Ok(PoolAnnotations {
+            metapools: d.vec(STR_MIN + 9, |d| {
+                Ok(MetaPoolDesc {
+                    name: d.str()?.to_owned(),
+                    type_homogeneous: d.bool()?,
+                    complete: d.bool()?,
+                    elem_type: d.opt(|d| d.u32())?.map(TypeId),
+                    points_to: d.vec(8, |d| Ok((d.u32()?, d.u32()?)))?,
+                    fields_collapsed: d.bool()?,
+                    userspace: d.bool()?,
+                })
+            })?,
+            value_pools: d.vec(4, |d| d.vec(1, |d| d.opt(|d| d.u32())))?,
+            value_cells: d.vec(4, |d| dec_ids(d, |c| c))?,
+            global_pools: d.vec(1, |d| d.opt(|d| d.u32()))?,
+            func_sets: d.vec(4, |d| d.vec(STR_MIN, |d| d.str().map(str::to_owned)))?,
+            call_sets: d.vec(12, |d| Ok((d.u32()?, d.u32()?, d.u32()?)))?,
+        })
+    })?;
 
     Ok(m)
 }

@@ -19,6 +19,8 @@
 //! * [`build::FunctionBuilder`] — an ergonomic way to emit IR,
 //! * [`parse::parse_module`] / [`print::print_module`] — the textual assembly format,
 //! * [`bytecode`] — the on-disk "bytecode" encoding with digital signing,
+//! * [`codec`] — the bounded reader, writer and container header every
+//!   wire format (bytecode here, machine images in `sva-vm`) is built on,
 //! * [`verify::verify_module`] — the structural and type verifier.
 //!
 //! Nothing in this crate depends on the pointer analysis or the run-time
@@ -26,6 +28,7 @@
 
 pub mod build;
 pub mod bytecode;
+pub mod codec;
 pub mod inst;
 pub mod module;
 pub mod parse;

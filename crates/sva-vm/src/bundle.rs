@@ -30,19 +30,26 @@
 //!   snapshot image bytes
 //! ```
 //!
-//! Parsing is fail-closed in the snapshot.rs tradition: truncation, bad
-//! magic, a version from the future, checksum mismatch and malformed
+//! The header is the shared container frame of `sva_ir::codec` and the
+//! payload is read by one decoder, `decode_bundle`, for every bundle
+//! version: [`CrashBundle::from_bytes`] accepts exactly
+//! [`BUNDLE_VERSION`], `migrate_bundle` any supported one. Truncation,
+//! bad magic, a version from the future, checksum mismatch and malformed
 //! payloads are distinct [`BundleError`]s, and a bundle that does not
 //! parse *in full* yields nothing.
 
 use std::path::{Path, PathBuf};
 
+use sva_ir::codec::{frame, unframe, CodecError};
 use sva_rt::PoolSummary;
 use sva_trace::{TimedEvent, Tracer};
 
 use crate::mem::Mode;
 use crate::resume::ResumeCode;
-use crate::snapshot::{fingerprint_words, fnv64, SnapshotError, FP_FIELDS, R, W};
+use crate::snapshot::{
+    fingerprint_words, stats_from_words, stats_words, ImageReader, ImageWriter, SnapshotError,
+    FP_FIELDS,
+};
 use crate::vm::{KernelKind, Vm, VmConfig, VmStats};
 
 /// Bundle magic.
@@ -51,8 +58,6 @@ pub const BUNDLE_MAGIC: [u8; 4] = *b"SVAB";
 /// v3: records the faulting vCPU id and carries the widened (10-word,
 /// `vcpus`-bearing) config fingerprint of snapshot v3.
 pub const BUNDLE_VERSION: u32 = 3;
-/// Header size in bytes.
-const HEADER_LEN: usize = 24;
 
 /// What killed (or nearly killed) the machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,12 +179,18 @@ impl From<SnapshotError> for BundleError {
     }
 }
 
-/// Maps a reader error hit while parsing *bundle* payload bytes (the
-/// reader speaks `SnapshotError`) onto the bundle taxonomy.
-fn perr(e: SnapshotError) -> BundleError {
-    match e {
-        SnapshotError::Truncated { need, have } => BundleError::Truncated { need, have },
-        other => BundleError::Malformed(other.to_string()),
+impl From<CodecError> for BundleError {
+    fn from(e: CodecError) -> BundleError {
+        match e {
+            CodecError::Truncated { need, have } => BundleError::Truncated { need, have },
+            CodecError::BadMagic(m) => BundleError::BadMagic(m),
+            CodecError::BadVersion { found, newest } => BundleError::BadVersion {
+                found,
+                expected: newest,
+            },
+            CodecError::Corrupt { stored, computed } => BundleError::Corrupt { stored, computed },
+            e => BundleError::Malformed(e.to_string()),
+        }
     }
 }
 
@@ -277,7 +288,7 @@ impl CrashBundle {
 
     /// Serializes the bundle (header + checksummed payload).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = W::default();
+        let mut w = ImageWriter::new();
         w.u8(self.reason.to_code());
         w.u64(self.halt_code);
         w.u64(self.resume_code_raw);
@@ -287,21 +298,16 @@ impl CrashBundle {
             w.u64(word);
         }
         w.u64(self.code_id);
-        for word in crate::snapshot::stats_words(&self.stats) {
+        for word in stats_words(&self.stats) {
             w.u64(word);
         }
         w.bytes(&self.console);
-        w.u64(self.domains.len() as u64);
-        for d in &self.domains {
+        w.seq(&self.domains, |w, d| {
             w.u64(d.subsys);
             w.u64(d.fuel);
-            w.u64(d.quarantined_pools.len() as u64);
-            for &p in &d.quarantined_pools {
-                w.u32(p);
-            }
-        }
-        w.u64(self.pools.len() as u64);
-        for p in &self.pools {
+            w.seq(&d.quarantined_pools, |w, &p| w.u32(p));
+        });
+        w.seq(&self.pools, |w, p| {
             w.u32(p.id);
             w.str(&p.name);
             w.bool(p.complete);
@@ -311,161 +317,115 @@ impl CrashBundle {
             w.bool(p.quarantined);
             w.bool(p.poisoned);
             w.u32(p.repairs);
-        }
-        w.u64(self.health.len() as u64);
-        for &(i, v) in &self.health {
+        });
+        w.seq(&self.health, |w, &(i, v)| {
             w.u64(i);
             w.u64(v);
-        }
+        });
         let jsonl = self
             .flight
             .iter()
             .map(|e| e.to_json())
             .collect::<Vec<_>>()
             .join("\n");
-        w.bytes(jsonl.as_bytes());
+        w.str(&jsonl);
         w.bytes(&self.snapshot);
-
-        let payload = w.buf;
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&BUNDLE_MAGIC);
-        out.extend_from_slice(&BUNDLE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        frame(BUNDLE_MAGIC, BUNDLE_VERSION, &[], w.as_bytes())
     }
 
     /// Parses a serialized bundle, fail-closed: any truncation,
     /// checksum mismatch or malformed section rejects the whole bundle.
+    /// Only [`BUNDLE_VERSION`] is accepted; `migrate_bundle` rewrites
+    /// older bundles.
     pub fn from_bytes(bytes: &[u8]) -> Result<CrashBundle, BundleError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(BundleError::Truncated {
-                need: HEADER_LEN,
-                have: bytes.len(),
-            });
-        }
-        let magic: [u8; 4] = bytes[0..4].try_into().unwrap();
-        if magic != BUNDLE_MAGIC {
-            return Err(BundleError::BadMagic(magic));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != BUNDLE_VERSION {
-            return Err(BundleError::BadVersion {
-                found: version,
-                expected: BUNDLE_VERSION,
-            });
-        }
-        let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        if bytes.len() < HEADER_LEN + payload_len {
-            return Err(BundleError::Truncated {
-                need: HEADER_LEN + payload_len,
-                have: bytes.len(),
-            });
-        }
-        if bytes.len() > HEADER_LEN + payload_len {
-            return Err(BundleError::Malformed(format!(
-                "{} trailing bytes after the payload",
-                bytes.len() - HEADER_LEN - payload_len
-            )));
-        }
-        let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
-        let computed = fnv64(payload);
-        if computed != checksum {
-            return Err(BundleError::Corrupt {
-                stored: checksum,
-                computed,
-            });
-        }
-        let mut r = R::new(payload);
-        let reason_code = r.u8().map_err(perr)?;
-        let reason = CrashReason::from_code(reason_code)
-            .ok_or_else(|| BundleError::Malformed(format!("bad reason byte {reason_code}")))?;
-        let halt_code = r.u64().map_err(perr)?;
-        let resume_code_raw = r.u64().map_err(perr)?;
-        let detail = r.str().map_err(perr)?;
-        let cpu = r.u32().map_err(perr)?;
-        let mut config_words = [0u64; FP_FIELDS.len()];
-        for w in &mut config_words {
-            *w = r.u64().map_err(perr)?;
-        }
-        let code_id = r.u64().map_err(perr)?;
-        let mut stat_words = [0u64; 22];
-        for w in &mut stat_words {
-            *w = r.u64().map_err(perr)?;
-        }
-        let stats = crate::snapshot::stats_from_words(stat_words);
-        let console = r.bytes().map_err(perr)?;
-        let ndomains = r.len("domains").map_err(perr)?;
-        let mut domains = Vec::with_capacity(ndomains);
-        for _ in 0..ndomains {
-            let subsys = r.u64().map_err(perr)?;
-            let fuel = r.u64().map_err(perr)?;
-            let npools = r.len("domain quarantined pools").map_err(perr)?;
-            let mut quarantined_pools = Vec::with_capacity(npools);
-            for _ in 0..npools {
-                quarantined_pools.push(r.u32().map_err(perr)?);
-            }
-            domains.push(DomainDump {
-                subsys,
-                fuel,
-                quarantined_pools,
-            });
-        }
-        let npools = r.len("pool summaries").map_err(perr)?;
-        let mut pools = Vec::with_capacity(npools);
-        for _ in 0..npools {
-            pools.push(PoolSummary {
-                id: r.u32().map_err(perr)?,
-                name: r.str().map_err(perr)?,
-                complete: r.bool().map_err(perr)?,
-                live_objects: r.u64().map_err(perr)?,
-                checks: r.u64().map_err(perr)?,
-                violations: r.u32().map_err(perr)?,
-                quarantined: r.bool().map_err(perr)?,
-                poisoned: r.bool().map_err(perr)?,
-                repairs: r.u32().map_err(perr)?,
-            });
-        }
-        let nhealth = r.len("health entries").map_err(perr)?;
-        let mut health = Vec::with_capacity(nhealth);
-        for _ in 0..nhealth {
-            health.push((r.u64().map_err(perr)?, r.u64().map_err(perr)?));
-        }
-        let jsonl = r.bytes().map_err(perr)?;
-        let jsonl = String::from_utf8(jsonl)
-            .map_err(|_| BundleError::Malformed("non-UTF-8 flight tail".into()))?;
-        let mut flight = Vec::new();
-        for line in jsonl.lines().filter(|l| !l.trim().is_empty()) {
-            flight.push(TimedEvent::from_json(line).ok_or_else(|| {
-                BundleError::Malformed(format!("unparseable flight event: {line}"))
-            })?);
-        }
-        let snapshot = r.bytes().map_err(perr)?;
-        if r.pos != payload.len() {
-            return Err(BundleError::Malformed(format!(
-                "{} trailing payload bytes",
-                payload.len() - r.pos
-            )));
-        }
-        Ok(CrashBundle {
-            reason,
-            halt_code,
-            resume_code_raw,
-            detail,
-            cpu,
-            config_words,
-            code_id,
-            stats,
-            console,
-            domains,
-            pools,
-            health,
-            flight,
-            snapshot,
-        })
+        let f = unframe(bytes, BUNDLE_MAGIC, BUNDLE_VERSION..=BUNDLE_VERSION, 0)?;
+        decode_bundle(f.payload, f.version).map_err(BundleError::from)
     }
+}
+
+/// Decodes an `SVAB` payload written at `version`, the one bundle
+/// decoder. Fields a legacy layout lacks take the defaults the snapshot
+/// upcasters use: vCPU 0 and `vcpus = 1` before v3, zero pool `repairs`
+/// and zero self-healing stats words (17–21) before v2.
+pub(crate) fn decode_bundle(payload: &[u8], version: u32) -> Result<CrashBundle, CodecError> {
+    let r = &mut ImageReader::new(payload);
+    let reason_code = r.u8()?;
+    let reason = CrashReason::from_code(reason_code).ok_or(CodecError::Invalid {
+        what: "crash reason",
+        value: reason_code as u64,
+    })?;
+    let halt_code = r.u64()?;
+    let resume_code_raw = r.u64()?;
+    let detail = r.str()?.to_owned();
+    let cpu = if version >= 3 { r.u32()? } else { 0 };
+    let mut config_words = [0u64; FP_FIELDS.len()];
+    config_words[9] = 1;
+    for w in config_words
+        .iter_mut()
+        .take(if version >= 3 { 10 } else { 9 })
+    {
+        *w = r.u64()?;
+    }
+    let code_id = r.u64()?;
+    let mut stat_words = [0u64; 22];
+    for w in stat_words
+        .iter_mut()
+        .take(if version >= 2 { 22 } else { 17 })
+    {
+        *w = r.u64()?;
+    }
+    let console = r.bytes()?.to_vec();
+    let domains = r.vec(24, |r| {
+        Ok(DomainDump {
+            subsys: r.u64()?,
+            fuel: r.u64()?,
+            quarantined_pools: r.vec(4, |r| r.u32())?,
+        })
+    })?;
+    let pools = r.vec(4 + 8 + 1 + 8 + 8 + 4 + 2, |r| {
+        Ok(PoolSummary {
+            id: r.u32()?,
+            name: r.str()?.to_owned(),
+            complete: r.bool()?,
+            live_objects: r.u64()?,
+            checks: r.u64()?,
+            violations: r.u32()?,
+            quarantined: r.bool()?,
+            poisoned: r.bool()?,
+            repairs: if version >= 2 { r.u32()? } else { 0 },
+        })
+    })?;
+    let health = r.vec(16, |r| Ok((r.u64()?, r.u64()?)))?;
+    let flight = r
+        .str()?
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .enumerate()
+        .map(|(i, line)| {
+            TimedEvent::from_json(line).ok_or(CodecError::Invalid {
+                what: "flight event",
+                value: i as u64,
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    let snapshot = r.bytes()?.to_vec();
+    r.finish()?;
+    Ok(CrashBundle {
+        reason,
+        halt_code,
+        resume_code_raw,
+        detail,
+        cpu,
+        config_words,
+        code_id,
+        stats: stats_from_words(stat_words),
+        console,
+        domains,
+        pools,
+        health,
+        flight,
+        snapshot,
+    })
 }
 
 /// Host-side crash-capture state on a [`Vm`]. Never serialized into

@@ -29,30 +29,37 @@
 //!   snapshot is migrated along the way, so `svadbg --replay` works on
 //!   bundles from older builds.
 //!
-//! Decoding is structural and fail-closed in the snapshot.rs tradition
-//! (the mutation proptests in `tests/fuzz.rs` drive bit-flipped and
-//! truncated images through [`migrate`]); sections whose wire layout
-//! never changed across versions are carried verbatim as byte spans, so
-//! migration cost is dominated by one pass over the image.
+//! Decoding is structural and fail-closed: the same `sva_ir::codec`
+//! frame, section readers and bundle decoder as [`Vm::restore`] and
+//! `CrashBundle::from_bytes`, with every version-dependent field read at
+//! the image's version (the mutation proptests in `tests/fuzz.rs` drive
+//! bit-flipped and truncated images through [`migrate`]). Sections whose
+//! wire layout never changed across versions are carried verbatim as
+//! byte spans, so migration cost is dominated by one pass over the
+//! image.
 
 use std::collections::BTreeSet;
+use std::ops::RangeInclusive;
 
-use sva_rt::{CheckStats, PoolImage, PoolSummary};
+use sva_ir::codec::{unframe, CodecError};
+use sva_rt::{CheckStats, PoolImage};
 use sva_trace::Tracer;
 
-use crate::bundle::{CrashBundle, CrashReason, DomainDump, BUNDLE_MAGIC, BUNDLE_VERSION};
+use crate::bundle::{decode_bundle, CrashBundle, BUNDLE_MAGIC, BUNDLE_VERSION};
 use crate::snapshot::{
-    fingerprint_words, fnv64, read_frames, read_icontext, read_manifest, read_origin,
-    read_pool_image, read_recovery, read_saved_state, surface_fp_of, write_manifest,
-    write_pool_image, CodeManifest, SnapshotError, FP_FIELDS, HEADER_LEN as SNAP_HEADER,
-    ORIGIN_CHECKPOINT, R, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, W,
+    fingerprint_words, frame_image, read_frames, read_icontext, read_manifest, read_memory,
+    read_origin, read_pool_images, read_recovery, read_saved_state, surface_fp_of, unframe_image,
+    write_manifest, write_pool_image, CodeManifest, ImageReader, ImageWriter, SnapshotError,
+    FP_FIELDS, ICONTEXT_MIN, ORIGIN_CHECKPOINT, RECOVERY_MIN, SAVED_STATE_MIN, SNAPSHOT_VERSION,
 };
-use crate::vm::{Frame, Vm, VmStats};
+use crate::vm::{Frame, Vm};
 
 /// The oldest snapshot format [`migrate`] can still read.
 pub const OLDEST_SUPPORTED: u32 = 1;
 /// The oldest bundle format [`migrate_bundle`] can still read.
 pub const OLDEST_BUNDLE_SUPPORTED: u32 = 1;
+/// The snapshot versions migration reads.
+const SUPPORTED: RangeInclusive<u32> = OLDEST_SUPPORTED..=SNAPSHOT_VERSION;
 
 /// Why an image could not be migrated. Migration never partially
 /// applies and never invents state: any step that cannot carry a field
@@ -109,6 +116,17 @@ impl std::error::Error for MigrateError {}
 impl From<SnapshotError> for MigrateError {
     fn from(e: SnapshotError) -> MigrateError {
         MigrateError::Image(e)
+    }
+}
+
+impl From<CodecError> for MigrateError {
+    fn from(e: CodecError) -> MigrateError {
+        match e {
+            CodecError::BadVersion { found, newest } => {
+                MigrateError::UnsupportedVersion { found, newest }
+            }
+            e => MigrateError::Image(e.into()),
+        }
     }
 }
 
@@ -234,205 +252,70 @@ fn note_frames(live: &mut BTreeSet<u32>, frames: &[Frame]) {
     }
 }
 
-/// Reads a v1 pool image (no `poisoned_by`/`repairs` on the wire) into
-/// the current struct with zero defaults.
-fn read_pool_image_v1(r: &mut R<'_>) -> Result<PoolImage, SnapshotError> {
-    let name = r.str()?;
-    let n = r.len("pool ranges")?;
-    let mut ranges = Vec::with_capacity(n);
-    for _ in 0..n {
-        ranges.push((r.u64()?, r.u64()?));
-    }
-    let mut stats = [0u64; CheckStats::WORDS];
-    for word in &mut stats {
-        *word = r.u64()?;
-    }
-    let fast_path = r.bool()?;
-    let singleton_path = r.bool()?;
-    let mut mru = [None; 2];
-    for slot in &mut mru {
-        if r.bool()? {
-            *slot = Some((r.u64()?, r.u64()?));
-        }
-    }
-    Ok(PoolImage {
-        name,
-        ranges,
-        stats,
-        fast_path,
-        singleton_path,
-        mru,
-        quiet_lookups: r.u32()?,
-        last_layer: r.u8()?,
-        quarantined: r.bool()?,
-        poisoned: r.bool()?,
-        violations: r.u32()?,
-        scope_violations: r.u32()?,
-        forced_reg_failures: r.u32()?,
-        poisoned_by: 0,
-        repairs: 0,
-    })
-}
-
-/// Parses any supported header, returning `(version, code_id, payload)`.
-fn split_image(image: &[u8]) -> Result<(u32, u64, &[u8]), MigrateError> {
-    if image.len() < SNAP_HEADER {
-        return Err(SnapshotError::Truncated {
-            need: SNAP_HEADER,
-            have: image.len(),
-        }
-        .into());
-    }
-    let magic: [u8; 4] = image[0..4].try_into().unwrap();
-    if magic != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic(magic).into());
-    }
-    let version = u32::from_le_bytes(image[4..8].try_into().unwrap());
-    if !(OLDEST_SUPPORTED..=SNAPSHOT_VERSION).contains(&version) {
-        return Err(MigrateError::UnsupportedVersion {
-            found: version,
-            newest: SNAPSHOT_VERSION,
-        });
-    }
-    let code_id = u64::from_le_bytes(image[16..24].try_into().unwrap());
-    let payload_len = u64::from_le_bytes(image[24..32].try_into().unwrap()) as usize;
-    let checksum = u64::from_le_bytes(image[32..40].try_into().unwrap());
-    if image.len() < SNAP_HEADER + payload_len {
-        return Err(SnapshotError::Truncated {
-            need: SNAP_HEADER + payload_len,
-            have: image.len(),
-        }
-        .into());
-    }
-    let payload = &image[SNAP_HEADER..SNAP_HEADER + payload_len];
-    let computed = fnv64(payload);
-    if computed != checksum {
-        return Err(SnapshotError::Corrupt {
-            stored: checksum,
-            computed,
-        }
-        .into());
-    }
-    Ok((version, code_id, payload))
-}
-
 fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
-    let (version, code_id, payload) = split_image(image)?;
+    let (version, code_id, payload) = unframe_image(image, SUPPORTED)?;
     let mut live_funcs = BTreeSet::new();
-    let r = &mut R::new(payload);
+    let r = &mut ImageReader::new(payload);
     let nfp = if version >= 3 { 10 } else { 9 };
-    let mut fp = Vec::with_capacity(nfp);
-    for _ in 0..nfp {
-        fp.push(r.u64()?);
-    }
+    let fp = (0..nfp).map(|_| r.u64()).collect::<Result<_, _>>()?;
     // Memory through the interrupt table: walk structurally (to validate
     // and harvest live frame functions), carry verbatim.
-    let mid_start = r.pos;
-    r.sparse()?; // kernel
-    let nspaces = r.len("address spaces")?;
-    for _ in 0..nspaces {
-        r.bool()?;
-        r.sparse()?;
-    }
+    let mid_start = r.pos();
+    read_memory(r)?;
     r.u32()?; // current_asid
     note_frames(&mut live_funcs, &read_frames(r)?); // thread frames
     r.u32()?; // thread.asid
-    r.opt_u32()?; // thread.icid
-    r.u64()?; // ksp
-    r.u64()?; // usp
+    r.opt(|r| r.u32())?; // thread.icid
+    r.take(8 + 8)?; // ksp, usp
     r.bool()?; // fp_dirty
-    let nic = r.len("interrupt contexts")?;
-    for _ in 0..nic {
+    for _ in 0..r.prefix(ICONTEXT_MIN)? {
         note_frames(&mut live_funcs, &read_icontext(r)?.frames);
     }
-    let n = r.len("saved integer states")?;
-    for _ in 0..n {
+    for _ in 0..r.prefix(8 + SAVED_STATE_MIN)? {
         r.u64()?;
         note_frames(&mut live_funcs, &read_saved_state(r)?.frames);
     }
-    let n = r.len("saved user states")?;
-    for _ in 0..n {
+    for _ in 0..r.prefix(8 + ICONTEXT_MIN)? {
         r.u64()?;
         note_frames(&mut live_funcs, &read_icontext(r)?.frames);
     }
-    let n = r.len("syscall table")?;
-    for _ in 0..n {
-        r.i64()?;
-        r.u32()?;
+    for _ in 0..2 {
+        // The syscall and interrupt tables: (i64, u32) entries.
+        let n = r.prefix(12)?;
+        r.take(12 * n)?;
     }
-    let n = r.len("interrupt table")?;
-    for _ in 0..n {
-        r.i64()?;
-        r.u32()?;
-    }
-    let mid = &payload[mid_start..r.pos];
+    let mid = &payload[mid_start..r.pos()];
     // Pools: version-variant.
-    let n = r.len("pool images")?;
-    let mut pools = Vec::with_capacity(n);
-    for _ in 0..n {
-        pools.push(if version >= 2 {
-            read_pool_image(r)?
-        } else {
-            read_pool_image_v1(r)?
-        });
-    }
+    let pools = read_pool_images(r, version)?;
     // Function stats + console: invariant.
-    let fc_start = r.pos;
-    for _ in 0..CheckStats::WORDS {
-        r.u64()?;
-    }
+    let fc_start = r.pos();
+    r.take(8 * CheckStats::WORDS)?;
     r.bytes()?; // console
-    let func_console = &payload[fc_start..r.pos];
+    let func_console = &payload[fc_start..r.pos()];
     // Stats: 17 (v1) or 22 words.
     let nstats = if version >= 2 { 22 } else { 17 };
-    let mut stats = Vec::with_capacity(nstats);
-    for _ in 0..nstats {
-        stats.push(r.u64()?);
-    }
+    let stats = (0..nstats).map(|_| r.u64()).collect::<Result<_, _>>()?;
     // Fuel through trap_count: walk structurally, carry verbatim.
-    let tail_start = r.pos;
+    let tail_start = r.pos();
     r.u64()?; // fuel
-    if r.bool()? {
-        r.u64()?; // halted code
-    }
-    let n = r.len("pending irqs")?;
-    for _ in 0..n {
-        r.i64()?;
-    }
-    let n = r.len("recovery stack")?;
-    for _ in 0..n {
+    r.opt(|r| r.u64())?; // halted code
+    let n = r.prefix(8)?; // pending irqs
+    r.take(8 * n)?;
+    for _ in 0..r.prefix(RECOVERY_MIN)? {
         note_frames(&mut live_funcs, &read_recovery(r)?.frames);
     }
-    if r.bool()? {
-        r.u32()?;
-        r.i64()?;
-    } // gep_skew
-    if r.bool()? {
-        r.u64()?;
-        r.u32()?;
-        r.u64()?;
-    } // pending_probe
-    if r.bool()? {
-        r.u64()?;
-        r.u32()?;
-        r.i64()?;
-    } // pending_skew
-    r.u64()?; // call_floor
-    r.u64()?; // trap_count
-    let tail = &payload[tail_start..r.pos];
+    r.opt(|r| r.take(4 + 8))?; // gep_skew
+    r.opt(|r| r.take(8 + 4 + 8))?; // pending_probe
+    r.opt(|r| r.take(8 + 4 + 8))?; // pending_skew
+    r.take(8 + 8)?; // call_floor, trap_count
+    let tail = &payload[tail_start..r.pos()];
     let cpu_id = if version >= 3 { Some(r.u32()?) } else { None };
     let (origin, manifest) = if version >= 4 {
         (Some(read_origin(r)?), Some(read_manifest(r)?))
     } else {
         (None, None)
     };
-    if r.pos != payload.len() {
-        return Err(SnapshotError::Malformed(format!(
-            "{} trailing payload bytes",
-            payload.len() - r.pos
-        ))
-        .into());
-    }
+    r.finish()?;
     Ok(MigImage {
         version,
         code_id,
@@ -452,24 +335,17 @@ fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
 /// Re-encodes a decoded image at format version `to`. The caller has
 /// already stepped the in-memory fields to that version's shape.
 fn encode_at(img: &MigImage<'_>, to: u32) -> Vec<u8> {
-    let mut w = W::default();
+    let mut w = ImageWriter::new();
     for &word in &img.fp {
         w.u64(word);
     }
-    w.buf.extend_from_slice(img.mid);
-    w.u64(img.pools.len() as u64);
-    for p in &img.pools {
-        if to >= 2 {
-            write_pool_image(&mut w, p);
-        } else {
-            write_pool_image_v1(&mut w, p);
-        }
-    }
-    w.buf.extend_from_slice(img.func_console);
+    w.raw(img.mid);
+    w.seq(&img.pools, |w, p| write_pool_image(w, p, to));
+    w.raw(img.func_console);
     for &word in &img.stats {
         w.u64(word);
     }
-    w.buf.extend_from_slice(img.tail);
+    w.raw(img.tail);
     if let Some(cpu) = img.cpu_id {
         w.u32(cpu);
     }
@@ -480,48 +356,7 @@ fn encode_at(img: &MigImage<'_>, to: u32) -> Vec<u8> {
             img.manifest.as_ref().expect("v4 image has a manifest"),
         );
     }
-    let payload = w.buf;
-    let mut out = Vec::with_capacity(SNAP_HEADER + payload.len());
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&to.to_le_bytes());
-    let fp_bytes: Vec<u8> = img.fp.iter().flat_map(|w| w.to_le_bytes()).collect();
-    out.extend_from_slice(&fnv64(&fp_bytes).to_le_bytes());
-    out.extend_from_slice(&img.code_id.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-fn write_pool_image_v1(w: &mut W, img: &PoolImage) {
-    w.str(&img.name);
-    w.u64(img.ranges.len() as u64);
-    for &(s, e) in &img.ranges {
-        w.u64(s);
-        w.u64(e);
-    }
-    for &word in &img.stats {
-        w.u64(word);
-    }
-    w.bool(img.fast_path);
-    w.bool(img.singleton_path);
-    for slot in img.mru {
-        match slot {
-            Some((s, e)) => {
-                w.bool(true);
-                w.u64(s);
-                w.u64(e);
-            }
-            None => w.bool(false),
-        }
-    }
-    w.u32(img.quiet_lookups);
-    w.u8(img.last_layer);
-    w.bool(img.quarantined);
-    w.bool(img.poisoned);
-    w.u32(img.violations);
-    w.u32(img.scope_violations);
-    w.u32(img.forced_reg_failures);
+    frame_image(to, img.fp.len(), img.code_id, w.as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -834,7 +669,7 @@ pub fn migrate<T: Tracer>(
 /// handles every other edge and fails closed (naming the field) on
 /// state an older format cannot express.
 pub fn reencode_at(image: &[u8], to: u32) -> Result<Vec<u8>, MigrateError> {
-    if !(OLDEST_SUPPORTED..=SNAPSHOT_VERSION).contains(&to) {
+    if !SUPPORTED.contains(&to) {
         return Err(MigrateError::UnsupportedVersion {
             found: to,
             newest: SNAPSHOT_VERSION,
@@ -870,9 +705,9 @@ pub fn reencode_at(image: &[u8], to: u32) -> Result<Vec<u8>, MigrateError> {
 /// for bundles, decodes the payload far enough to reach the embedded
 /// snapshot's version.
 pub fn plan(bytes: &[u8]) -> Result<MigrationPlan, MigrateError> {
-    if bytes.len() >= 4 && bytes[0..4] == BUNDLE_MAGIC {
+    if bytes.starts_with(&BUNDLE_MAGIC) {
         let (bversion, bundle) = decode_bundle_any(bytes)?;
-        let (sversion, code_id, _) = split_image(&bundle.snapshot)?;
+        let (sversion, code_id, _) = unframe_image(&bundle.snapshot, SUPPORTED)?;
         return Ok(MigrationPlan {
             kind: "bundle",
             version: bversion,
@@ -891,7 +726,7 @@ pub fn plan(bytes: &[u8]) -> Result<MigrationPlan, MigrateError> {
             }),
         });
     }
-    let (version, code_id, _) = split_image(bytes)?;
+    let (version, code_id, _) = unframe_image(bytes, SUPPORTED)?;
     Ok(MigrationPlan {
         kind: "snapshot",
         version,
@@ -911,144 +746,15 @@ pub fn plan(bytes: &[u8]) -> Result<MigrationPlan, MigrateError> {
 // ---------------------------------------------------------------------------
 
 /// Decodes an `SVAB` bundle of any supported version into the current
-/// in-memory form (legacy fields defaulted exactly like the snapshot
-/// upcasters do), returning the wire version alongside.
+/// in-memory form, returning the wire version alongside.
 fn decode_bundle_any(bytes: &[u8]) -> Result<(u32, CrashBundle), MigrateError> {
-    const BUNDLE_HEADER: usize = 24;
-    let err = |e: SnapshotError| MigrateError::Image(e);
-    if bytes.len() < BUNDLE_HEADER {
-        return Err(err(SnapshotError::Truncated {
-            need: BUNDLE_HEADER,
-            have: bytes.len(),
-        }));
-    }
-    let magic: [u8; 4] = bytes[0..4].try_into().unwrap();
-    if magic != BUNDLE_MAGIC {
-        return Err(err(SnapshotError::BadMagic(magic)));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if !(OLDEST_BUNDLE_SUPPORTED..=BUNDLE_VERSION).contains(&version) {
-        return Err(MigrateError::UnsupportedVersion {
-            found: version,
-            newest: BUNDLE_VERSION,
-        });
-    }
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    if bytes.len() < BUNDLE_HEADER + payload_len {
-        return Err(err(SnapshotError::Truncated {
-            need: BUNDLE_HEADER + payload_len,
-            have: bytes.len(),
-        }));
-    }
-    let payload = &bytes[BUNDLE_HEADER..BUNDLE_HEADER + payload_len];
-    let computed = fnv64(payload);
-    if computed != checksum {
-        return Err(err(SnapshotError::Corrupt {
-            stored: checksum,
-            computed,
-        }));
-    }
-    let r = &mut R::new(payload);
-    let reason_code = r.u8()?;
-    let reason = CrashReason::from_code(reason_code).ok_or_else(|| {
-        err(SnapshotError::Malformed(format!(
-            "bad reason byte {reason_code}"
-        )))
-    })?;
-    let halt_code = r.u64()?;
-    let resume_code_raw = r.u64()?;
-    let detail = r.str()?;
-    let cpu = if version >= 3 { r.u32()? } else { 0 };
-    let nfp = if version >= 3 { 10 } else { 9 };
-    let mut config_words = [0u64; FP_FIELDS.len()];
-    for w in config_words.iter_mut().take(nfp) {
-        *w = r.u64()?;
-    }
-    if version < 3 {
-        config_words[9] = 1; // pre-SMP bundles are single-vCPU machines
-    }
-    let code_id = r.u64()?;
-    let nstats = if version >= 2 { 22 } else { 17 };
-    let mut stat_words = [0u64; 22];
-    for w in stat_words.iter_mut().take(nstats) {
-        *w = r.u64()?;
-    }
-    let stats: VmStats = crate::snapshot::stats_from_words(stat_words);
-    let console = r.bytes()?;
-    let ndomains = r.len("domains")?;
-    let mut domains = Vec::with_capacity(ndomains);
-    for _ in 0..ndomains {
-        let subsys = r.u64()?;
-        let fuel = r.u64()?;
-        let npools = r.len("domain quarantined pools")?;
-        let mut quarantined_pools = Vec::with_capacity(npools);
-        for _ in 0..npools {
-            quarantined_pools.push(r.u32()?);
-        }
-        domains.push(DomainDump {
-            subsys,
-            fuel,
-            quarantined_pools,
-        });
-    }
-    let npools = r.len("pool summaries")?;
-    let mut pools = Vec::with_capacity(npools);
-    for _ in 0..npools {
-        pools.push(PoolSummary {
-            id: r.u32()?,
-            name: r.str()?,
-            complete: r.bool()?,
-            live_objects: r.u64()?,
-            checks: r.u64()?,
-            violations: r.u32()?,
-            quarantined: r.bool()?,
-            poisoned: r.bool()?,
-            repairs: if version >= 2 { r.u32()? } else { 0 },
-        });
-    }
-    let nhealth = r.len("health entries")?;
-    let mut health = Vec::with_capacity(nhealth);
-    for _ in 0..nhealth {
-        health.push((r.u64()?, r.u64()?));
-    }
-    let jsonl = r.bytes()?;
-    let jsonl = String::from_utf8(jsonl)
-        .map_err(|_| err(SnapshotError::Malformed("non-UTF-8 flight tail".into())))?;
-    let mut flight = Vec::new();
-    for line in jsonl.lines().filter(|l| !l.trim().is_empty()) {
-        flight.push(sva_trace::TimedEvent::from_json(line).ok_or_else(|| {
-            err(SnapshotError::Malformed(format!(
-                "unparseable flight event: {line}"
-            )))
-        })?);
-    }
-    let snapshot = r.bytes()?;
-    if r.pos != payload.len() {
-        return Err(err(SnapshotError::Malformed(format!(
-            "{} trailing payload bytes",
-            payload.len() - r.pos
-        ))));
-    }
-    Ok((
-        version,
-        CrashBundle {
-            reason,
-            halt_code,
-            resume_code_raw,
-            detail,
-            cpu,
-            config_words,
-            code_id,
-            stats,
-            console,
-            domains,
-            pools,
-            health,
-            flight,
-            snapshot,
-        },
-    ))
+    let f = unframe(
+        bytes,
+        BUNDLE_MAGIC,
+        OLDEST_BUNDLE_SUPPORTED..=BUNDLE_VERSION,
+        0,
+    )?;
+    Ok((f.version, decode_bundle(f.payload, f.version)?))
 }
 
 /// Rewrites an `SVAB` crash bundle of any supported version into the

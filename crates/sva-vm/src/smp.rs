@@ -50,11 +50,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use sva_ir::codec::{frame, unframe};
 use sva_rt::{CheckStats, SharedMetaPlane};
 
 use crate::mem::ForkPlan;
 use crate::migrate::MigrateError;
-use crate::snapshot::{fnv64, SnapshotError};
+use crate::snapshot::{ImageReader, ImageWriter, SnapshotError};
 use crate::vm::{IrqAffinity, Vm, VmError, VmExit, VmStats};
 
 /// A per-job setup hook (see [`SmpJob::setup`]).
@@ -746,8 +747,6 @@ pub const QUIESCE_MAGIC: [u8; 4] = *b"SVAQ";
 /// this only versions the container framing.
 pub const QUIESCE_VERSION: u32 = 1;
 
-const QUIESCE_HEADER: usize = 28;
-
 /// What [`SmpMachine::quiesce`] produced.
 pub struct QuiesceOutcome {
     /// The coordinated `SVAQ` image (feed to
@@ -761,87 +760,28 @@ pub struct QuiesceOutcome {
     pub park_spread: Duration,
 }
 
-/// Frames member snapshots into an `SVAQ` container:
-/// `magic | version u32 | members u32 | payload_len u64 | checksum u64`
-/// then per member `len u64 | bytes`.
+/// Frames member snapshots into an `SVAQ` container: the shared header
+/// with the member count (`u32`) as its extra field, then per member
+/// `len u64 | bytes`.
 pub fn encode_quiesce(members: &[Vec<u8>]) -> Vec<u8> {
-    let mut payload = Vec::new();
+    let mut w = ImageWriter::new();
     for m in members {
-        payload.extend_from_slice(&(m.len() as u64).to_le_bytes());
-        payload.extend_from_slice(m);
+        w.bytes(m);
     }
-    let mut out = Vec::with_capacity(QUIESCE_HEADER + payload.len());
-    out.extend_from_slice(&QUIESCE_MAGIC);
-    out.extend_from_slice(&QUIESCE_VERSION.to_le_bytes());
-    out.extend_from_slice(&(members.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    let count = (members.len() as u32).to_le_bytes();
+    frame(QUIESCE_MAGIC, QUIESCE_VERSION, &count, w.as_bytes())
 }
 
 /// Splits an `SVAQ` container back into its member snapshots,
 /// fail-closed (magic, version, member count, length, checksum).
 pub fn decode_quiesce(bytes: &[u8]) -> Result<Vec<Vec<u8>>, SnapshotError> {
-    if bytes.len() < QUIESCE_HEADER {
-        return Err(SnapshotError::Truncated {
-            need: QUIESCE_HEADER,
-            have: bytes.len(),
-        });
-    }
-    let magic: [u8; 4] = bytes[0..4].try_into().unwrap();
-    if magic != QUIESCE_MAGIC {
-        return Err(SnapshotError::BadMagic(magic));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != QUIESCE_VERSION {
-        return Err(SnapshotError::BadVersion {
-            found: version,
-            expected: QUIESCE_VERSION,
-        });
-    }
-    let nmembers = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-    let checksum = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-    if bytes.len() < QUIESCE_HEADER + payload_len {
-        return Err(SnapshotError::Truncated {
-            need: QUIESCE_HEADER + payload_len,
-            have: bytes.len(),
-        });
-    }
-    let payload = &bytes[QUIESCE_HEADER..QUIESCE_HEADER + payload_len];
-    let computed = fnv64(payload);
-    if computed != checksum {
-        return Err(SnapshotError::Corrupt {
-            stored: checksum,
-            computed,
-        });
-    }
-    let mut members = Vec::with_capacity(nmembers.min(64));
-    let mut pos = 0usize;
-    for i in 0..nmembers {
-        if payload.len() - pos < 8 {
-            return Err(SnapshotError::Malformed(format!(
-                "member {i} length truncated"
-            )));
-        }
-        let len = u64::from_le_bytes(payload[pos..pos + 8].try_into().unwrap()) as usize;
-        pos += 8;
-        if payload.len() - pos < len {
-            return Err(SnapshotError::Malformed(format!(
-                "member {i} body truncated ({len} bytes declared, {} left)",
-                payload.len() - pos
-            )));
-        }
-        members.push(payload[pos..pos + len].to_vec());
-        pos += len;
-    }
-    if pos != payload.len() {
-        return Err(SnapshotError::Malformed(format!(
-            "{} trailing container bytes",
-            payload.len() - pos
-        )));
-    }
+    let f = unframe(bytes, QUIESCE_MAGIC, QUIESCE_VERSION..=QUIESCE_VERSION, 4)?;
+    let n = ImageReader::new(f.extra).u32()?;
+    let r = &mut ImageReader::new(f.payload);
+    let members = (0..r.count(n as u64, 8)?)
+        .map(|_| r.bytes().map(<[u8]>::to_vec))
+        .collect::<Result<_, _>>()?;
+    r.finish()?;
     Ok(members)
 }
 

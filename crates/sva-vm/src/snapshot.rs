@@ -13,7 +13,7 @@
 //! ## Image layout
 //!
 //! ```text
-//! header (40 bytes):
+//! header (40 bytes, sva_ir::codec::frame):
 //!   magic       4  b"SVA1"
 //!   version     4  u32 LE, SNAPSHOT_VERSION
 //!   config_fp   8  FNV-1a over the fingerprint block
@@ -51,11 +51,14 @@
 //! a *state* capture, not a code capture.
 
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::ops::RangeInclusive;
 
+use sva_ir::codec::{fnv64, frame, unframe, CodecError, Reader, Writer};
 use sva_rt::{CheckStats, PoolImage};
 use sva_trace::Tracer;
 
-use crate::mem::{nonzero_pages, sparse_fill, Mode, UserSpace, PAGE_SIZE};
+use crate::mem::{nonzero_pages, sparse_fill, Mode, UserSpace, KERN_SIZE, PAGE_SIZE, USER_SIZE};
 use crate::vm::{
     Frame, IContext, KernelKind, RecoveryCtx, SavedState, Thread, Vm, VmConfig, VmStats,
 };
@@ -80,8 +83,11 @@ pub const ORIGIN_CHECKPOINT: u8 = 0;
 /// boundary while the machine was running ([`Vm::request_snapshot`],
 /// [`Vm::snapshot_midflight`], `SmpMachine::quiesce`).
 pub const ORIGIN_MIDFLIGHT: u8 = 1;
-/// Header size in bytes.
-pub(crate) const HEADER_LEN: usize = 40;
+
+/// Machine images (`SVA1`, and the `SVAB` and `SVAQ` containers around
+/// them) write their length prefixes and counts as `u64`.
+pub(crate) type ImageWriter = Writer<8>;
+pub(crate) type ImageReader<'a> = Reader<'a, 8>;
 
 /// Why an image could not be restored. Restore never partially applies:
 /// on any error the machine is untouched.
@@ -166,14 +172,19 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a 64-bit (the repo's standing content-hash; no dependencies).
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> SnapshotError {
+        match e {
+            CodecError::Truncated { need, have } => SnapshotError::Truncated { need, have },
+            CodecError::BadMagic(m) => SnapshotError::BadMagic(m),
+            CodecError::BadVersion { found, newest } => SnapshotError::BadVersion {
+                found,
+                expected: newest,
+            },
+            CodecError::Corrupt { stored, computed } => SnapshotError::Corrupt { stored, computed },
+            e => SnapshotError::Malformed(e.to_string()),
+        }
     }
-    h
 }
 
 pub(crate) fn kind_code(k: KernelKind) -> u64 {
@@ -220,164 +231,102 @@ pub(crate) fn fingerprint_words(cfg: &VmConfig, fused_sites: u32) -> [u64; FP_FI
     ]
 }
 
+/// Frames an `SVA1` payload. The header's two extra words are
+/// `config_fp`, the FNV-1a of the payload's leading fingerprint block of
+/// `fp_words` words, and `code_id`.
+pub(crate) fn frame_image(version: u32, fp_words: usize, code_id: u64, payload: &[u8]) -> Vec<u8> {
+    let mut extra = ImageWriter::new();
+    extra.u64(fnv64(&payload[..8 * fp_words]));
+    extra.u64(code_id);
+    frame(SNAPSHOT_MAGIC, version, extra.as_bytes(), payload)
+}
+
+/// Checks an `SVA1` header whose version lies in `versions`; returns the
+/// version, the code identity and the payload.
+pub(crate) fn unframe_image(
+    image: &[u8],
+    versions: RangeInclusive<u32>,
+) -> Result<(u32, u64, &[u8]), CodecError> {
+    let f = unframe(image, SNAPSHOT_MAGIC, versions, 16)?;
+    let code_id = ImageReader::new(&f.extra[8..]).u64()?;
+    Ok((f.version, code_id, f.payload))
+}
+
 // ---------------------------------------------------------------------------
-// Little-endian writer / reader.
+// Memory regions.
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-pub(crate) struct W {
-    pub(crate) buf: Vec<u8>,
+/// Writes a zero-dominated region as its length and its nonzero pages:
+/// `len u64 | count u64 | (page index u64, page bytes)*`. `pages` lists
+/// the region's nonzero pages in ascending order; the kernel region's
+/// come from its written-page set rather than a scan. The 32 MiB kernel
+/// region is mostly zeros; post-boot images shrink ~50× under this
+/// encoding.
+pub(crate) fn write_sparse(w: &mut ImageWriter, data: &[u8], pages: &[usize]) {
+    let page = PAGE_SIZE as usize;
+    w.u64(data.len() as u64);
+    w.seq(pages, |w, &i| {
+        w.u64(i as u64);
+        w.raw(&data[i * page..((i + 1) * page).min(data.len())]);
+    });
 }
 
-impl W {
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+/// Reads a region written by [`write_sparse`] that must be exactly `len`
+/// bytes long; any other length is invalid, named by `what`.
+pub(crate) fn read_sparse<'a>(
+    r: &mut ImageReader<'a>,
+    what: &'static str,
+    len: u64,
+) -> Result<SparseRegion<'a>, CodecError> {
+    let found = r.u64()?;
+    if found != len {
+        return Err(CodecError::Invalid { what, value: found });
     }
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
+    let (total, page) = (len as usize, PAGE_SIZE as usize);
+    // Regions are whole pages, so each listed page is an index and a
+    // full page.
+    let n = r.prefix(8 + page)?;
+    if n > total / page {
+        return Err(CodecError::Invalid {
+            what: "sparse page count",
+            value: n as u64,
+        });
     }
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn bytes(&mut self, b: &[u8]) {
-        self.u64(b.len() as u64);
-        self.buf.extend_from_slice(b);
-    }
-    pub(crate) fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-    pub(crate) fn opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u32(x);
-            }
-            None => self.bool(false),
-        }
-    }
-    /// Zero-dominated byte region as a page-granular nonzero-page list.
-    /// The kernel region is 32 MiB and mostly zeros; post-boot images
-    /// shrink ~50× under this encoding. `pages` lists the region's
-    /// nonzero pages in ascending order; the kernel region's come from
-    /// its written-page set rather than a scan.
-    pub(crate) fn sparse(&mut self, data: &[u8], pages: &[usize]) {
-        self.u64(data.len() as u64);
-        let page = PAGE_SIZE as usize;
-        self.u64(pages.len() as u64);
-        for &i in pages {
-            self.u64(i as u64);
-            let start = i * page;
-            let end = (start + page).min(data.len());
-            self.buf.extend_from_slice(&data[start..end]);
-        }
-    }
-}
-
-pub(crate) struct R<'a> {
-    b: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-pub(crate) type RResult<T> = Result<T, SnapshotError>;
-
-impl<'a> R<'a> {
-    pub(crate) fn new(b: &'a [u8]) -> Self {
-        R { b, pos: 0 }
-    }
-    pub(crate) fn take(&mut self, n: usize) -> RResult<&'a [u8]> {
-        if self.pos + n > self.b.len() {
-            return Err(SnapshotError::Truncated {
-                need: self.pos + n,
-                have: self.b.len(),
-            });
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    pub(crate) fn u8(&mut self) -> RResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    pub(crate) fn bool(&mut self) -> RResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(SnapshotError::Malformed(format!("bad bool byte {v}"))),
-        }
-    }
-    pub(crate) fn u32(&mut self) -> RResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    pub(crate) fn u64(&mut self) -> RResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn i64(&mut self) -> RResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn len(&mut self, what: &str) -> RResult<usize> {
-        let n = self.u64()?;
-        // Guard against absurd counts before any allocation: every
-        // element encodes to at least one byte, so a count can never
-        // exceed the remaining payload.
-        let remaining = (self.b.len() - self.pos) as u64;
-        if n > remaining {
-            return Err(SnapshotError::Malformed(format!(
-                "{what} count {n} exceeds {remaining} remaining bytes"
-            )));
-        }
-        Ok(n as usize)
-    }
-    pub(crate) fn bytes(&mut self) -> RResult<Vec<u8>> {
-        let n = self.len("byte section")?;
-        Ok(self.take(n)?.to_vec())
-    }
-    pub(crate) fn str(&mut self) -> RResult<String> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| SnapshotError::Malformed("non-UTF-8 string".into()))
-    }
-    pub(crate) fn opt_u32(&mut self) -> RResult<Option<u32>> {
-        Ok(if self.bool()? {
-            Some(self.u32()?)
-        } else {
-            None
-        })
-    }
-    pub(crate) fn sparse(&mut self) -> RResult<SparseRegion<'a>> {
-        // The decoded region may legitimately exceed the (compressed)
-        // payload size, so `len`'s remaining-bytes guard does not apply;
-        // cap it at well above the largest real region (32 MiB kernel).
-        const MAX_REGION: u64 = 1 << 28;
-        let total = self.u64()?;
-        if total > MAX_REGION {
-            return Err(SnapshotError::Malformed(format!(
-                "sparse region of {total} bytes"
-            )));
-        }
-        let total = total as usize;
-        let page = PAGE_SIZE as usize;
-        let npages = self.u64()?;
-        if npages as usize > total / page + 1 {
-            return Err(SnapshotError::Malformed(format!(
-                "{npages} sparse pages in a {total}-byte region"
-            )));
-        }
-        let mut pages = Vec::with_capacity(npages as usize);
-        for _ in 0..npages {
-            let i = self.u64()? as usize;
-            let start = i.checked_mul(page).filter(|&s| s < total).ok_or_else(|| {
-                SnapshotError::Malformed(format!("sparse page {i} outside region"))
+    let mut pages = Vec::with_capacity(n);
+    for _ in 0..n {
+        let i = r.u64()?;
+        let start = usize::try_from(i)
+            .ok()
+            .and_then(|i| i.checked_mul(page))
+            .filter(|&s| s < total)
+            .ok_or(CodecError::Invalid {
+                what: "sparse page",
+                value: i,
             })?;
-            let end = (start + page).min(total);
-            pages.push((start, self.take(end - start)?));
-        }
-        Ok(SparseRegion { total, pages })
+        pages.push((start, r.take(page.min(total - start))?));
     }
+    Ok(SparseRegion { total, pages })
+}
+
+/// Reads the memory section: the kernel region, then every address
+/// space behind its liveness tag. The required lengths are the region
+/// rule: [`KERN_SIZE`] for the kernel, [`USER_SIZE`] for a live space and
+/// 0 for a freed one, whose bytes `Memory::free_space` dropped.
+pub(crate) fn read_memory<'a>(r: &mut ImageReader<'a>) -> Result<MemoryImage<'a>, CodecError> {
+    Ok(MemoryImage {
+        kernel: read_sparse(r, "kernel region length", KERN_SIZE)?,
+        spaces: r.vec(17, |r| {
+            let live = r.bool()?;
+            let len = if live { USER_SIZE } else { 0 };
+            Ok((live, read_sparse(r, "address space length", len)?))
+        })?,
+    })
+}
+
+/// The decoded memory section, borrowed from the image.
+pub(crate) struct MemoryImage<'a> {
+    kernel: SparseRegion<'a>,
+    spaces: Vec<(bool, SparseRegion<'a>)>,
 }
 
 /// A decoded sparse region: nonzero pages borrowed straight from the
@@ -401,8 +350,21 @@ impl SparseRegion<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Section codecs.
+// Section codecs. Minimum encoded sizes (the `count` rule's
+// `min_elem_bytes`) are given per element kind.
 // ---------------------------------------------------------------------------
+
+/// Five `u32`s, three prefixes, a tag and a mode byte.
+pub(crate) const FRAME_MIN: usize = 5 * 4 + 3 * 8 + 2;
+/// The frame-stack prefix, `usp`, `asid`, `result_frame` and four tags.
+pub(crate) const ICONTEXT_MIN: usize = 8 + 8 + 4 + 8 + 4;
+/// The frame-stack prefix, `asid`, `ksp`, the `kstack` prefix and two tags.
+pub(crate) const SAVED_STATE_MIN: usize = 8 + 4 + 8 + 8 + 2;
+/// Frames, `asid`, `ksp`, `usp`, `kstack`, `subsys`, `fuel`, the pool
+/// list and two tags.
+pub(crate) const RECOVERY_MIN: usize = 8 + 4 + 5 * 8 + 8 + 2;
+/// A pool name prefix, range count and stats block.
+const POOL_IMAGE_MIN: usize = 8 + 8 + 8 * CheckStats::WORDS;
 
 fn mode_code(m: Mode) -> u8 {
     match m {
@@ -411,205 +373,150 @@ fn mode_code(m: Mode) -> u8 {
     }
 }
 
-fn mode_from(c: u8) -> RResult<Mode> {
+fn mode_from(c: u8) -> Result<Mode, CodecError> {
     match c {
         0 => Ok(Mode::Kernel),
         1 => Ok(Mode::User),
-        v => Err(SnapshotError::Malformed(format!("bad mode byte {v}"))),
+        v => Err(CodecError::Invalid {
+            what: "mode",
+            value: v as u64,
+        }),
     }
 }
 
-pub(crate) fn write_frame(w: &mut W, fr: &Frame) {
+pub(crate) fn write_frame(w: &mut ImageWriter, fr: &Frame) {
     w.u32(fr.func);
     w.u32(fr.pc);
     w.u32(fr.block);
     w.u32(fr.idx);
     w.u32(fr.prev_block);
-    w.u64(fr.regs.len() as u64);
-    for &r in &fr.regs {
-        w.u64(r);
-    }
-    w.opt_u32(fr.ret_dst);
+    w.seq(&fr.regs, |w, &r| w.u64(r));
+    w.opt(fr.ret_dst, ImageWriter::u32);
     w.u8(mode_code(fr.mode));
     w.u64(fr.sp_saved);
-    w.u64(fr.stack_regs.len() as u64);
-    for &(mp, addr, len) in &fr.stack_regs {
+    w.seq(&fr.stack_regs, |w, &(mp, addr, len)| {
         w.u32(mp);
         w.u64(addr);
         w.u64(len);
-    }
+    });
 }
 
-pub(crate) fn read_frame(r: &mut R<'_>) -> RResult<Frame> {
-    let func = r.u32()?;
-    let pc = r.u32()?;
-    let block = r.u32()?;
-    let idx = r.u32()?;
-    let prev_block = r.u32()?;
-    let nregs = r.len("frame regs")?;
-    let mut regs = Vec::with_capacity(nregs);
-    for _ in 0..nregs {
-        regs.push(r.u64()?);
-    }
-    let ret_dst = r.opt_u32()?;
-    let mode = mode_from(r.u8()?)?;
-    let sp_saved = r.u64()?;
-    let nstack = r.len("stack regs")?;
-    let mut stack_regs = Vec::with_capacity(nstack);
-    for _ in 0..nstack {
-        stack_regs.push((r.u32()?, r.u64()?, r.u64()?));
-    }
+pub(crate) fn read_frame(r: &mut ImageReader<'_>) -> Result<Frame, CodecError> {
     Ok(Frame {
-        func,
-        pc,
-        block,
-        idx,
-        prev_block,
-        regs,
-        ret_dst,
-        mode,
-        sp_saved,
-        stack_regs,
+        func: r.u32()?,
+        pc: r.u32()?,
+        block: r.u32()?,
+        idx: r.u32()?,
+        prev_block: r.u32()?,
+        regs: r.vec(8, |r| r.u64())?,
+        ret_dst: r.opt(|r| r.u32())?,
+        mode: mode_from(r.u8()?)?,
+        sp_saved: r.u64()?,
+        stack_regs: r.vec(20, |r| Ok((r.u32()?, r.u64()?, r.u64()?)))?,
     })
 }
 
-pub(crate) fn write_frames(w: &mut W, frames: &[Frame]) {
-    w.u64(frames.len() as u64);
-    for fr in frames {
-        write_frame(w, fr);
-    }
+pub(crate) fn write_frames(w: &mut ImageWriter, frames: &[Frame]) {
+    w.seq(frames, write_frame);
 }
 
-pub(crate) fn read_frames(r: &mut R<'_>) -> RResult<Vec<Frame>> {
-    let n = r.len("frame stack")?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(read_frame(r)?);
-    }
-    Ok(v)
+pub(crate) fn read_frames(r: &mut ImageReader<'_>) -> Result<Vec<Frame>, CodecError> {
+    r.vec(FRAME_MIN, read_frame)
 }
 
-pub(crate) fn write_icontext(w: &mut W, ic: &IContext) {
+pub(crate) fn write_icontext(w: &mut ImageWriter, ic: &IContext) {
     write_frames(w, &ic.frames);
     w.u64(ic.usp);
     w.u32(ic.asid);
     w.bool(ic.privileged);
-    w.opt_u32(ic.result_dst);
+    w.opt(ic.result_dst, ImageWriter::u32);
     w.u64(ic.result_frame as u64);
     w.bool(ic.live);
-    match ic.trace_sys {
-        Some((nr, at)) => {
-            w.bool(true);
-            w.i64(nr);
-            w.u64(at);
-        }
-        None => w.bool(false),
-    }
+    w.opt(ic.trace_sys, |w, (nr, at)| {
+        w.i64(nr);
+        w.u64(at);
+    });
 }
 
-pub(crate) fn read_icontext(r: &mut R<'_>) -> RResult<IContext> {
+pub(crate) fn read_icontext(r: &mut ImageReader<'_>) -> Result<IContext, CodecError> {
     Ok(IContext {
         frames: read_frames(r)?,
         usp: r.u64()?,
         asid: r.u32()?,
         privileged: r.bool()?,
-        result_dst: r.opt_u32()?,
+        result_dst: r.opt(|r| r.u32())?,
         result_frame: r.u64()? as usize,
         live: r.bool()?,
-        trace_sys: if r.bool()? {
-            Some((r.i64()?, r.u64()?))
-        } else {
-            None
-        },
+        trace_sys: r.opt(|r| Ok((r.i64()?, r.u64()?)))?,
     })
 }
 
-pub(crate) fn write_saved_state(w: &mut W, s: &SavedState) {
+pub(crate) fn write_saved_state(w: &mut ImageWriter, s: &SavedState) {
     write_frames(w, &s.frames);
-    w.opt_u32(s.icid);
+    w.opt(s.icid, ImageWriter::u32);
     w.u32(s.asid);
     w.u64(s.ksp);
     w.bytes(&s.kstack);
-    w.opt_u32(s.save_dst);
+    w.opt(s.save_dst, ImageWriter::u32);
 }
 
-pub(crate) fn read_saved_state(r: &mut R<'_>) -> RResult<SavedState> {
+pub(crate) fn read_saved_state(r: &mut ImageReader<'_>) -> Result<SavedState, CodecError> {
     Ok(SavedState {
         frames: read_frames(r)?,
-        icid: r.opt_u32()?,
+        icid: r.opt(|r| r.u32())?,
         asid: r.u32()?,
         ksp: r.u64()?,
-        kstack: r.bytes()?,
-        save_dst: r.opt_u32()?,
+        kstack: r.bytes()?.to_vec(),
+        save_dst: r.opt(|r| r.u32())?,
     })
 }
 
-pub(crate) fn write_recovery(w: &mut W, rc: &RecoveryCtx) {
+pub(crate) fn write_recovery(w: &mut ImageWriter, rc: &RecoveryCtx) {
     write_frames(w, &rc.frames);
-    w.opt_u32(rc.icid);
+    w.opt(rc.icid, ImageWriter::u32);
     w.u32(rc.asid);
     w.u64(rc.ksp);
     w.u64(rc.usp);
     w.bytes(&rc.kstack);
-    w.opt_u32(rc.dst);
+    w.opt(rc.dst, ImageWriter::u32);
     w.u64(rc.subsys);
     w.u64(rc.fuel);
-    w.u64(rc.quarantined_pools.len() as u64);
-    for &p in &rc.quarantined_pools {
-        w.u32(p);
-    }
+    w.seq(&rc.quarantined_pools, |w, &p| w.u32(p));
 }
 
-pub(crate) fn read_recovery(r: &mut R<'_>) -> RResult<RecoveryCtx> {
-    let frames = read_frames(r)?;
-    let icid = r.opt_u32()?;
-    let asid = r.u32()?;
-    let ksp = r.u64()?;
-    let usp = r.u64()?;
-    let kstack = r.bytes()?;
-    let dst = r.opt_u32()?;
-    let subsys = r.u64()?;
-    let fuel = r.u64()?;
-    let n = r.len("quarantined pools")?;
-    let mut quarantined_pools = Vec::with_capacity(n);
-    for _ in 0..n {
-        quarantined_pools.push(r.u32()?);
-    }
+pub(crate) fn read_recovery(r: &mut ImageReader<'_>) -> Result<RecoveryCtx, CodecError> {
     Ok(RecoveryCtx {
-        frames,
-        icid,
-        asid,
-        ksp,
-        usp,
-        kstack,
-        dst,
-        subsys,
-        fuel,
-        quarantined_pools,
+        frames: read_frames(r)?,
+        icid: r.opt(|r| r.u32())?,
+        asid: r.u32()?,
+        ksp: r.u64()?,
+        usp: r.u64()?,
+        kstack: r.bytes()?.to_vec(),
+        dst: r.opt(|r| r.u32())?,
+        subsys: r.u64()?,
+        fuel: r.u64()?,
+        quarantined_pools: r.vec(4, |r| r.u32())?,
     })
 }
 
-pub(crate) fn write_pool_image(w: &mut W, img: &PoolImage) {
+/// A pool image as format `version` lays it out: v1 has no
+/// `poisoned_by`/`repairs`, which read back as zero.
+pub(crate) fn write_pool_image(w: &mut ImageWriter, img: &PoolImage, version: u32) {
     w.str(&img.name);
-    w.u64(img.ranges.len() as u64);
-    for &(s, e) in &img.ranges {
+    w.seq(&img.ranges, |w, &(s, e)| {
         w.u64(s);
         w.u64(e);
-    }
+    });
     for &word in &img.stats {
         w.u64(word);
     }
     w.bool(img.fast_path);
     w.bool(img.singleton_path);
     for slot in img.mru {
-        match slot {
-            Some((s, e)) => {
-                w.bool(true);
-                w.u64(s);
-                w.u64(e);
-            }
-            None => w.bool(false),
-        }
+        w.opt(slot, |w, (s, e)| {
+            w.u64(s);
+            w.u64(e);
+        });
     }
     w.u32(img.quiet_lookups);
     w.u8(img.last_layer);
@@ -618,28 +525,24 @@ pub(crate) fn write_pool_image(w: &mut W, img: &PoolImage) {
     w.u32(img.violations);
     w.u32(img.scope_violations);
     w.u32(img.forced_reg_failures);
-    w.u64(img.poisoned_by);
-    w.u32(img.repairs);
+    if version >= 2 {
+        w.u64(img.poisoned_by);
+        w.u32(img.repairs);
+    }
 }
 
-pub(crate) fn read_pool_image(r: &mut R<'_>) -> RResult<PoolImage> {
-    let name = r.str()?;
-    let n = r.len("pool ranges")?;
-    let mut ranges = Vec::with_capacity(n);
-    for _ in 0..n {
-        ranges.push((r.u64()?, r.u64()?));
-    }
-    let mut stats = [0u64; CheckStats::WORDS];
-    for word in &mut stats {
-        *word = r.u64()?;
-    }
+pub(crate) fn read_pool_image(
+    r: &mut ImageReader<'_>,
+    version: u32,
+) -> Result<PoolImage, CodecError> {
+    let name = r.str()?.to_owned();
+    let ranges = r.vec(16, |r| Ok((r.u64()?, r.u64()?)))?;
+    let stats = r.u64s()?;
     let fast_path = r.bool()?;
     let singleton_path = r.bool()?;
     let mut mru = [None; 2];
     for slot in &mut mru {
-        if r.bool()? {
-            *slot = Some((r.u64()?, r.u64()?));
-        }
+        *slot = r.opt(|r| Ok((r.u64()?, r.u64()?)))?;
     }
     Ok(PoolImage {
         name,
@@ -655,9 +558,17 @@ pub(crate) fn read_pool_image(r: &mut R<'_>) -> RResult<PoolImage> {
         violations: r.u32()?,
         scope_violations: r.u32()?,
         forced_reg_failures: r.u32()?,
-        poisoned_by: r.u64()?,
-        repairs: r.u32()?,
+        poisoned_by: if version >= 2 { r.u64()? } else { 0 },
+        repairs: if version >= 2 { r.u32()? } else { 0 },
     })
+}
+
+/// Reads a pool-image list of format `version`.
+pub(crate) fn read_pool_images(
+    r: &mut ImageReader<'_>,
+    version: u32,
+) -> Result<Vec<PoolImage>, CodecError> {
+    r.vec(POOL_IMAGE_MIN, |r| read_pool_image(r, version))
 }
 
 pub(crate) fn stats_words(s: &VmStats) -> [u64; 22] {
@@ -712,6 +623,34 @@ pub(crate) fn stats_from_words(w: [u64; 22]) -> VmStats {
         probation_failed: w[20],
         subsys_retired: w[21],
     }
+}
+
+/// Reads a map written by [`write_sorted`], `entry` reading one entry of
+/// at least `min_entry_bytes` bytes.
+fn read_map<K: Eq + Hash, V>(
+    r: &mut ImageReader<'_>,
+    min_entry_bytes: usize,
+    mut entry: impl FnMut(&mut ImageReader<'_>) -> Result<(K, V), CodecError>,
+) -> Result<HashMap<K, V>, CodecError> {
+    let n = r.prefix(min_entry_bytes)?;
+    let mut map = HashMap::with_capacity(n);
+    for _ in 0..n {
+        let (k, v) = entry(r)?;
+        map.insert(k, v);
+    }
+    Ok(map)
+}
+
+/// Writes `map` as a count and its entries in ascending key order, so
+/// equal machines write equal images.
+fn write_sorted<K: Copy + Ord + Hash, V>(
+    w: &mut ImageWriter,
+    map: &HashMap<K, V>,
+    mut entry: impl FnMut(&mut ImageWriter, K, &V),
+) {
+    let mut keys: Vec<K> = map.keys().copied().collect();
+    keys.sort_unstable();
+    w.seq(&keys, |w, k| entry(w, *k, &map[k]));
 }
 
 // ---------------------------------------------------------------------------
@@ -785,40 +724,37 @@ pub(crate) fn surface_fp_of(globals_fp: u64, funcs: &[ManifestFunc]) -> u64 {
     fnv64(&bytes)
 }
 
-pub(crate) fn write_manifest(w: &mut W, m: &CodeManifest) {
+pub(crate) fn write_manifest(w: &mut ImageWriter, m: &CodeManifest) {
     w.u64(m.surface_fp);
     w.u64(m.globals_fp);
-    w.u64(m.funcs.len() as u64);
-    for f in &m.funcs {
+    w.seq(&m.funcs, |w, f| {
         w.str(&f.name);
         w.u64(f.sig_fp);
         w.u64(f.body_hash);
-    }
+    });
 }
 
-pub(crate) fn read_manifest(r: &mut R<'_>) -> RResult<CodeManifest> {
-    let surface_fp = r.u64()?;
-    let globals_fp = r.u64()?;
-    let n = r.len("manifest functions")?;
-    let mut funcs = Vec::with_capacity(n);
-    for _ in 0..n {
-        funcs.push(ManifestFunc {
-            name: r.str()?,
-            sig_fp: r.u64()?,
-            body_hash: r.u64()?,
-        });
-    }
+pub(crate) fn read_manifest(r: &mut ImageReader<'_>) -> Result<CodeManifest, CodecError> {
     Ok(CodeManifest {
-        surface_fp,
-        globals_fp,
-        funcs,
+        surface_fp: r.u64()?,
+        globals_fp: r.u64()?,
+        funcs: r.vec(24, |r| {
+            Ok(ManifestFunc {
+                name: r.str()?.to_owned(),
+                sig_fp: r.u64()?,
+                body_hash: r.u64()?,
+            })
+        })?,
     })
 }
 
-pub(crate) fn read_origin(r: &mut R<'_>) -> RResult<u8> {
+pub(crate) fn read_origin(r: &mut ImageReader<'_>) -> Result<u8, CodecError> {
     match r.u8()? {
         o @ (ORIGIN_CHECKPOINT | ORIGIN_MIDFLIGHT) => Ok(o),
-        v => Err(SnapshotError::Malformed(format!("bad origin byte {v}"))),
+        v => Err(CodecError::Invalid {
+            what: "origin",
+            value: v as u64,
+        }),
     }
 }
 
@@ -826,8 +762,7 @@ pub(crate) fn read_origin(r: &mut R<'_>) -> RResult<u8> {
 /// committed to the machine (restore is atomic: error ⇒ untouched).
 /// Memory regions stay borrowed from the image until commit.
 struct Parsed<'a> {
-    kernel: SparseRegion<'a>,
-    spaces: Vec<(bool, SparseRegion<'a>)>,
+    memory: MemoryImage<'a>,
     current_asid: u32,
     thread: Thread,
     icontexts: Vec<IContext>,
@@ -849,6 +784,63 @@ struct Parsed<'a> {
     call_floor: usize,
     trap_count: u64,
     cpu_id: u32,
+}
+
+/// Parses the payload after the fingerprint block, through its last
+/// byte.
+fn parse_payload<'a>(r: &mut ImageReader<'a>) -> Result<Parsed<'a>, CodecError> {
+    let table = |r: &mut ImageReader<'_>| read_map(r, 12, |r| Ok((r.i64()?, r.u32()?)));
+    let memory = read_memory(r)?;
+    let current_asid = r.u32()?;
+    let thread = Thread {
+        frames: read_frames(r)?,
+        asid: r.u32()?,
+        icid: r.opt(|r| r.u32())?,
+        ksp: r.u64()?,
+        usp: r.u64()?,
+        fp_dirty: r.bool()?,
+    };
+    let icontexts = r.vec(ICONTEXT_MIN, read_icontext)?;
+    let int_state = read_map(r, 8 + SAVED_STATE_MIN, |r| {
+        Ok((r.u64()?, read_saved_state(r)?))
+    })?;
+    let user_state = read_map(r, 8 + ICONTEXT_MIN, |r| Ok((r.u64()?, read_icontext(r)?)))?;
+    let syscalls = table(r)?;
+    let interrupts = table(r)?;
+    let pool_images = read_pool_images(r, SNAPSHOT_VERSION)?;
+    let func_stats = r.u64s()?;
+    let console = r.bytes()?.to_vec();
+    let words = r.u64s()?;
+    let parsed = Parsed {
+        memory,
+        current_asid,
+        thread,
+        icontexts,
+        int_state,
+        user_state,
+        syscalls,
+        interrupts,
+        pool_images,
+        func_stats,
+        console,
+        stats: stats_from_words(words),
+        fuel: r.u64()?,
+        halted: r.opt(|r| r.u64())?,
+        pending_irq: r.vec(8, |r| r.i64())?,
+        recovery: r.vec(RECOVERY_MIN, read_recovery)?,
+        gep_skew: r.opt(|r| Ok((r.u32()?, r.i64()?)))?,
+        pending_probe: r.opt(|r| Ok((r.u64()?, r.u32()?, r.u64()?)))?,
+        pending_skew: r.opt(|r| Ok((r.u64()?, r.u32()?, r.i64()?)))?,
+        call_floor: r.u64()? as usize,
+        trap_count: r.u64()?,
+        cpu_id: r.u32()?,
+    };
+    // Origin and manifest are advisory (see `encode_image`); decode them
+    // for structural validity, then drop them.
+    read_origin(r)?;
+    read_manifest(r)?;
+    r.finish()?;
+    Ok(parsed)
 }
 
 impl<T: Tracer> Vm<T> {
@@ -883,69 +875,48 @@ impl<T: Tracer> Vm<T> {
     /// The image of this machine with the kernel region's nonzero pages
     /// given as `kernel_pages` (ascending page indices).
     pub(crate) fn encode_image(&self, origin: u8, kernel_pages: &[usize]) -> Vec<u8> {
-        let mut w = W::default();
+        let mut w = ImageWriter::new();
         // Fingerprint block: one word per config field so restore can
         // name the exact mismatching field.
         for word in fingerprint_words(&self.cfg, self.fused_sites()) {
             w.u64(word);
         }
         // Memory.
-        w.sparse(self.mem.kernel_bytes(), kernel_pages);
-        let spaces = self.mem.all_spaces();
-        w.u64(spaces.len() as u64);
-        for s in spaces {
+        write_sparse(&mut w, self.mem.kernel_bytes(), kernel_pages);
+        w.seq(self.mem.all_spaces(), |w, s| {
             w.bool(s.live);
-            w.sparse(&s.data, &nonzero_pages(&s.data));
-        }
+            write_sparse(w, &s.data, &nonzero_pages(&s.data));
+        });
         w.u32(self.mem.current_asid);
         // Thread.
         write_frames(&mut w, &self.thread.frames);
         w.u32(self.thread.asid);
-        w.opt_u32(self.thread.icid);
+        w.opt(self.thread.icid, ImageWriter::u32);
         w.u64(self.thread.ksp);
         w.u64(self.thread.usp);
         w.bool(self.thread.fp_dirty);
-        // Interrupt contexts.
-        w.u64(self.icontexts.len() as u64);
-        for ic in &self.icontexts {
-            write_icontext(&mut w, ic);
-        }
-        // Saved processor state, sorted for a canonical image.
-        let mut keys: Vec<u64> = self.int_state.keys().copied().collect();
-        keys.sort_unstable();
-        w.u64(keys.len() as u64);
-        for k in keys {
+        // Interrupt contexts and saved processor state.
+        w.seq(&self.icontexts, write_icontext);
+        write_sorted(&mut w, &self.int_state, |w, k, s| {
             w.u64(k);
-            write_saved_state(&mut w, &self.int_state[&k]);
-        }
-        let mut keys: Vec<u64> = self.user_state.keys().copied().collect();
-        keys.sort_unstable();
-        w.u64(keys.len() as u64);
-        for k in keys {
+            write_saved_state(w, s);
+        });
+        write_sorted(&mut w, &self.user_state, |w, k, ic| {
             w.u64(k);
-            write_icontext(&mut w, &self.user_state[&k]);
-        }
+            write_icontext(w, ic);
+        });
         // Dispatch tables.
-        let mut keys: Vec<i64> = self.syscalls.keys().copied().collect();
-        keys.sort_unstable();
-        w.u64(keys.len() as u64);
-        for k in keys {
-            w.i64(k);
-            w.u32(self.syscalls[&k]);
-        }
-        let mut keys: Vec<i64> = self.interrupts.keys().copied().collect();
-        keys.sort_unstable();
-        w.u64(keys.len() as u64);
-        for k in keys {
-            w.i64(k);
-            w.u32(self.interrupts[&k]);
+        for table in [&self.syscalls, &self.interrupts] {
+            write_sorted(&mut w, table, |w, k, &f| {
+                w.i64(k);
+                w.u32(f);
+            });
         }
         // Metapools.
         let (pool_images, func_stats) = self.pools.export_images();
-        w.u64(pool_images.len() as u64);
-        for img in &pool_images {
-            write_pool_image(&mut w, img);
-        }
+        w.seq(&pool_images, |w, img| {
+            write_pool_image(w, img, SNAPSHOT_VERSION)
+        });
         for word in func_stats {
             w.u64(word);
         }
@@ -956,47 +927,26 @@ impl<T: Tracer> Vm<T> {
         }
         // Run-control and fault-injection state.
         w.u64(self.fuel);
-        match self.halted {
-            Some(c) => {
-                w.bool(true);
-                w.u64(c);
-            }
-            None => w.bool(false),
-        }
-        w.u64(self.pending_irq.len() as u64);
+        w.opt(self.halted, ImageWriter::u64);
+        w.prefix(self.pending_irq.len());
         for &v in &self.pending_irq {
             w.i64(v);
         }
-        w.u64(self.recovery.len() as u64);
-        for rc in &self.recovery {
-            write_recovery(&mut w, rc);
-        }
-        match self.gep_skew {
-            Some((count, delta)) => {
-                w.bool(true);
-                w.u32(count);
-                w.i64(delta);
-            }
-            None => w.bool(false),
-        }
-        match self.pending_probe {
-            Some((cnt, pool, addr)) => {
-                w.bool(true);
-                w.u64(cnt);
-                w.u32(pool);
-                w.u64(addr);
-            }
-            None => w.bool(false),
-        }
-        match self.pending_skew {
-            Some((cnt, count, delta)) => {
-                w.bool(true);
-                w.u64(cnt);
-                w.u32(count);
-                w.i64(delta);
-            }
-            None => w.bool(false),
-        }
+        w.seq(&self.recovery, write_recovery);
+        w.opt(self.gep_skew, |w, (count, delta)| {
+            w.u32(count);
+            w.i64(delta);
+        });
+        w.opt(self.pending_probe, |w, (cnt, pool, addr)| {
+            w.u64(cnt);
+            w.u32(pool);
+            w.u64(addr);
+        });
+        w.opt(self.pending_skew, |w, (cnt, count, delta)| {
+            w.u64(cnt);
+            w.u32(count);
+            w.i64(delta);
+        });
         w.u64(self.call_floor as u64);
         w.u64(self.trap_count);
         w.u32(self.cpu_id);
@@ -1006,23 +956,12 @@ impl<T: Tracer> Vm<T> {
         // tooling can tell a boot-pause checkpoint from a mid-flight cut.
         w.u8(origin);
         write_manifest(&mut w, self.code.manifest());
-
-        let payload = w.buf;
-        let mut image = Vec::with_capacity(HEADER_LEN + payload.len());
-        image.extend_from_slice(&SNAPSHOT_MAGIC);
-        image.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        let fp = fnv64(
-            &fingerprint_words(&self.cfg, self.fused_sites())
-                .iter()
-                .flat_map(|w| w.to_le_bytes())
-                .collect::<Vec<u8>>(),
-        );
-        image.extend_from_slice(&fp.to_le_bytes());
-        image.extend_from_slice(&self.code_identity().to_le_bytes());
-        image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        image.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        image.extend_from_slice(&payload);
-        image
+        frame_image(
+            SNAPSHOT_VERSION,
+            FP_FIELDS.len(),
+            self.code_identity(),
+            w.as_bytes(),
+        )
     }
 
     /// Replaces this machine's state with the image's. The machine must
@@ -1032,50 +971,17 @@ impl<T: Tracer> Vm<T> {
     /// On any error the machine is untouched — the payload is parsed in
     /// full before the first field is committed.
     pub fn restore(&mut self, image: &[u8]) -> Result<(), SnapshotError> {
-        if image.len() < HEADER_LEN {
-            return Err(SnapshotError::Truncated {
-                need: HEADER_LEN,
-                have: image.len(),
-            });
-        }
-        let magic: [u8; 4] = image[0..4].try_into().unwrap();
-        if magic != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic(magic));
-        }
-        let version = u32::from_le_bytes(image[4..8].try_into().unwrap());
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::BadVersion {
-                found: version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
-        let code_id = u64::from_le_bytes(image[16..24].try_into().unwrap());
-        let payload_len = u64::from_le_bytes(image[24..32].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(image[32..40].try_into().unwrap());
-        if image.len() < HEADER_LEN + payload_len {
-            return Err(SnapshotError::Truncated {
-                need: HEADER_LEN + payload_len,
-                have: image.len(),
-            });
-        }
-        let payload = &image[HEADER_LEN..HEADER_LEN + payload_len];
-        let computed = fnv64(payload);
-        if computed != checksum {
-            return Err(SnapshotError::Corrupt {
-                stored: checksum,
-                computed,
-            });
-        }
-        let mut r = R::new(payload);
+        let (_, code_id, payload) = unframe_image(image, SNAPSHOT_VERSION..=SNAPSHOT_VERSION)?;
+        let mut r = ImageReader::new(payload);
         // Fingerprint block first: field-level mismatch beats the opaque
         // header-hash comparison in every error message.
         let machine_fp = fingerprint_words(&self.cfg, self.fused_sites());
+        let image_fp: [u64; FP_FIELDS.len()] = r.u64s()?;
         for (i, field) in FP_FIELDS.iter().enumerate() {
-            let image_word = r.u64()?;
-            if image_word != machine_fp[i] {
+            if image_fp[i] != machine_fp[i] {
                 return Err(SnapshotError::ConfigMismatch {
                     field,
-                    image: image_word,
+                    image: image_fp[i],
                     machine: machine_fp[i],
                 });
             }
@@ -1087,152 +993,17 @@ impl<T: Tracer> Vm<T> {
                 machine: machine_code,
             });
         }
-        let parsed = Self::parse_payload(&mut r)?;
-        if r.pos != payload.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "{} trailing payload bytes",
-                payload.len() - r.pos
-            )));
-        }
+        let parsed = parse_payload(&mut r)?;
         self.commit(parsed)
     }
 
-    fn parse_payload<'a>(r: &mut R<'a>) -> Result<Parsed<'a>, SnapshotError> {
-        let kernel = r.sparse()?;
-        let nspaces = r.len("address spaces")?;
-        let mut spaces = Vec::with_capacity(nspaces);
-        for _ in 0..nspaces {
-            let live = r.bool()?;
-            let data = r.sparse()?;
-            spaces.push((live, data));
-        }
-        let current_asid = r.u32()?;
-        let thread = Thread {
-            frames: read_frames(r)?,
-            asid: r.u32()?,
-            icid: r.opt_u32()?,
-            ksp: r.u64()?,
-            usp: r.u64()?,
-            fp_dirty: r.bool()?,
-        };
-        let nic = r.len("interrupt contexts")?;
-        let mut icontexts = Vec::with_capacity(nic);
-        for _ in 0..nic {
-            icontexts.push(read_icontext(r)?);
-        }
-        let n = r.len("saved integer states")?;
-        let mut int_state = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.u64()?;
-            int_state.insert(k, read_saved_state(r)?);
-        }
-        let n = r.len("saved user states")?;
-        let mut user_state = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.u64()?;
-            user_state.insert(k, read_icontext(r)?);
-        }
-        let n = r.len("syscall table")?;
-        let mut syscalls = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.i64()?;
-            syscalls.insert(k, r.u32()?);
-        }
-        let n = r.len("interrupt table")?;
-        let mut interrupts = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.i64()?;
-            interrupts.insert(k, r.u32()?);
-        }
-        let n = r.len("pool images")?;
-        let mut pool_images = Vec::with_capacity(n);
-        for _ in 0..n {
-            pool_images.push(read_pool_image(r)?);
-        }
-        let mut func_stats = [0u64; CheckStats::WORDS];
-        for word in &mut func_stats {
-            *word = r.u64()?;
-        }
-        let console = r.bytes()?;
-        let mut words = [0u64; 22];
-        for word in &mut words {
-            *word = r.u64()?;
-        }
-        let stats = stats_from_words(words);
-        let fuel = r.u64()?;
-        let halted = if r.bool()? { Some(r.u64()?) } else { None };
-        let n = r.len("pending irqs")?;
-        let mut pending_irq = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending_irq.push(r.i64()?);
-        }
-        let n = r.len("recovery stack")?;
-        let mut recovery = Vec::with_capacity(n);
-        for _ in 0..n {
-            recovery.push(read_recovery(r)?);
-        }
-        let gep_skew = if r.bool()? {
-            Some((r.u32()?, r.i64()?))
-        } else {
-            None
-        };
-        let pending_probe = if r.bool()? {
-            Some((r.u64()?, r.u32()?, r.u64()?))
-        } else {
-            None
-        };
-        let pending_skew = if r.bool()? {
-            Some((r.u64()?, r.u32()?, r.i64()?))
-        } else {
-            None
-        };
-        let call_floor = r.u64()? as usize;
-        let trap_count = r.u64()?;
-        let cpu_id = r.u32()?;
-        // Origin and manifest are advisory (see `snapshot_with_origin`);
-        // decode them for structural validity, then drop them.
-        let _origin = read_origin(r)?;
-        let _manifest = read_manifest(r)?;
-        Ok(Parsed {
-            kernel,
-            spaces,
-            current_asid,
-            thread,
-            icontexts,
-            int_state,
-            user_state,
-            syscalls,
-            interrupts,
-            pool_images,
-            func_stats,
-            console,
-            stats,
-            fuel,
-            halted,
-            pending_irq,
-            recovery,
-            gep_skew,
-            pending_probe,
-            pending_skew,
-            call_floor,
-            trap_count,
-            cpu_id,
-        })
-    }
-
     fn commit(&mut self, p: Parsed<'_>) -> Result<(), SnapshotError> {
-        if p.kernel.total != self.mem.kernel_bytes().len() {
-            return Err(SnapshotError::Malformed(format!(
-                "kernel region is {} bytes, image has {}",
-                self.mem.kernel_bytes().len(),
-                p.kernel.total
-            )));
-        }
-        if p.spaces.is_empty() || p.current_asid as usize >= p.spaces.len() {
+        let spaces = p.memory.spaces;
+        if spaces.is_empty() || p.current_asid as usize >= spaces.len() {
             return Err(SnapshotError::Malformed(format!(
                 "current asid {} with {} spaces",
                 p.current_asid,
-                p.spaces.len()
+                spaces.len()
             )));
         }
         // Metapool restore validates range lists and pool names; it runs
@@ -1244,9 +1015,9 @@ impl<T: Tracer> Vm<T> {
             .restore_images(&p.pool_images, p.func_stats)
             .map_err(SnapshotError::Malformed)?;
         self.pools = pools;
-        self.mem.set_kernel(&p.kernel.pages);
+        self.mem.set_kernel(&p.memory.kernel.pages);
         self.mem.set_spaces(
-            p.spaces
+            spaces
                 .into_iter()
                 .map(|(live, data)| UserSpace {
                     data: data.materialize(),
@@ -1450,6 +1221,99 @@ out:
             assert!(target.mem.kernel_bytes() == &bytes[..]);
             assert_eq!(target.mem.written_pages(), written);
         }
+    }
+
+    /// `@peek` loads the word at a guest address.
+    const PEEK: &str = r#"
+module "m"
+func public @peek(%a: i64) : i64 {
+entry:
+  %p:i64* = cast inttoptr %a to i64*
+  %v:i64 = load %p
+  ret %v
+}
+"#;
+
+    #[test]
+    fn restore_rejects_regions_of_the_wrong_size() {
+        use crate::mem::{KERN_SIZE, USER_BASE};
+        let peek = || Vm::new(parse_module(PEEK).unwrap(), cfg()).unwrap();
+        // A checksummed image of a machine whose user space is 4 KiB.
+        let mut small = peek();
+        small.mem.set_spaces(vec![UserSpace {
+            data: vec![0; 4096],
+            live: true,
+        }]);
+        let short_space = small.snapshot();
+        // A valid image whose kernel region claims half its size.
+        let valid = peek().snapshot();
+        let (_, code_id, payload) =
+            unframe_image(&valid, SNAPSHOT_VERSION..=SNAPSHOT_VERSION).unwrap();
+        let fp_len = 8 * FP_FIELDS.len();
+        let mut w = ImageWriter::new();
+        w.raw(&payload[..fp_len]);
+        w.u64(KERN_SIZE / 2);
+        w.raw(&payload[fp_len + 8..]);
+        let short_kernel = frame_image(SNAPSHOT_VERSION, FP_FIELDS.len(), code_id, w.as_bytes());
+
+        let mut target = peek();
+        for img in [&short_space, &short_kernel] {
+            assert!(matches!(
+                target.restore(img),
+                Err(SnapshotError::Malformed(_))
+            ));
+            assert!(target.restore_migrated(img).is_err());
+        }
+        // The machine runs exactly as an untouched one does, including a
+        // load past the end of the rejected 4 KiB space.
+        let mut untouched = peek();
+        let addr = USER_BASE + 0x8000;
+        assert_eq!(
+            target.call("peek", &[addr]).unwrap(),
+            untouched.call("peek", &[addr]).unwrap()
+        );
+        assert_eq!(target.stats(), untouched.stats());
+
+        // A freed space keeps no bytes, and 0 is its required length.
+        let mut freed = peek();
+        let asid = freed.mem.new_space();
+        freed.mem.free_space(asid).unwrap();
+        peek().restore(&freed.snapshot()).unwrap();
+    }
+
+    #[test]
+    fn sparse_page_counts_the_image_cannot_hold_are_rejected() {
+        use crate::mem::KERN_SIZE;
+        // 17 bytes: a region length, a claim of 65,537 pages, one byte.
+        let header = |len: u64| {
+            let mut w = ImageWriter::new();
+            w.u64(len);
+            w.u64(65_537);
+            w.u8(0);
+            w.into_bytes()
+        };
+        let read = |bytes: &[u8]| {
+            read_sparse(
+                &mut ImageReader::new(bytes),
+                "kernel region length",
+                KERN_SIZE,
+            )
+            .err()
+        };
+        assert_eq!(header(KERN_SIZE).len(), 17);
+        // At the required length the count rule refuses the claim before
+        // anything is sized by it; at any other length the length does.
+        assert_eq!(
+            read(&header(KERN_SIZE)),
+            Some(CodecError::Count {
+                n: 65_537,
+                remaining: 1
+            })
+        );
+        assert!(matches!(
+            read(&header(1 << 28)),
+            Some(CodecError::Invalid { value, .. }) if value == 1 << 28
+        ));
     }
 
     #[test]

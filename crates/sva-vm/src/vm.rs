@@ -620,7 +620,7 @@ impl CodeImage {
     pub(crate) fn code_identity(&self) -> u64 {
         *self
             .code_id
-            .get_or_init(|| crate::snapshot::fnv64(&sva_ir::bytecode::encode_module(&self.module)))
+            .get_or_init(|| sva_ir::codec::fnv64(&sva_ir::bytecode::encode_module(&self.module)))
     }
 }
 

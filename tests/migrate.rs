@@ -21,18 +21,27 @@
 //!   attribution, and an unknown future version are each refused with
 //!   the named field, never a panic or a silent drop;
 //! * **bundles** — a crash bundle embedding a previous-format snapshot
-//!   migrates as a unit and the migrated bundle is a fixed point.
+//!   migrates as a unit and the migrated bundle is a fixed point, and the
+//!   legacy v2 and v1 bundle layouts migrate to the current one.
+//!
+//! Every wire format is also pinned byte for byte.
 
 use proptest::prelude::*;
 
+use sva::ir::bytecode::encode_module;
+use sva::ir::codec::{fnv64, frame, Writer};
 use sva::ir::parse::parse_module;
 use sva::kernel::harness::{
-    boot_user, make_vm, make_vm_cfg, make_vm_nested, make_vm_nested_patched, pack_arg,
+    boot_user, boot_user_paused, make_vm, make_vm_cfg, make_vm_nested, make_vm_nested_patched,
+    make_vm_recovering, make_vm_recovering_traced, pack_arg, safe_kernel_module, USER_HEAP_BASE,
 };
+use sva::kernel::AS_TESTED_EXCLUSIONS;
 use sva::rt::MetaPoolId;
+use sva::trace::FlightRecorder;
 use sva::vm::{
-    migrate, migrate_bundle, plan, reencode_at, CrashBundle, CrashReason, KernelKind, MigrateError,
-    SnapshotError, Vm, VmConfig, VmError, UPCASTERS,
+    encode_quiesce, migrate, migrate_bundle, plan, reencode_at, BundleError, CrashBundle,
+    CrashReason, KernelKind, MigrateError, SnapshotError, Vm, VmConfig, VmError, VmExit,
+    BUNDLE_MAGIC, UPCASTERS,
 };
 
 // --- toy machines ---------------------------------------------------------
@@ -417,4 +426,212 @@ fn bundle_with_legacy_snapshot_migrates_and_is_fixed_point() {
     let (again, report) = migrate_bundle(&target, &migrated).unwrap();
     assert_eq!(again, migrated);
     assert!(report.steps.is_empty() && !report.code_migrated);
+}
+
+/// The poisoned-pool abort(41) death of `tests/bundle.rs`, captured into
+/// a bundle.
+fn halt_bundle(opt_level: u8) -> CrashBundle {
+    let mut vm = make_vm_recovering_traced(
+        VmConfig {
+            violation_budget: 1,
+            opt_level,
+            ..Default::default()
+        },
+        FlightRecorder::default(),
+    );
+    vm.enable_crash_capture(None, "test");
+    boot_user(&mut vm, "user_hello", 0).expect("clean boot");
+    for i in 0..vm.pools.len() as u32 {
+        vm.pools.pool_mut(MetaPoolId(i)).note_violation(1);
+    }
+    let r = vm.call("sys_getrusage", &[USER_HEAP_BASE]).unwrap();
+    assert_eq!(r, VmExit::Halted(41), "poisoned pool must halt");
+    vm.take_crash_bundle().expect("halt must capture a bundle")
+}
+
+/// `b` in the v2 or v1 `SVAB` layout: no vCPU id and a 9-word config
+/// fingerprint, and for v1 17 stats words and no pool `repairs`.
+fn legacy_bundle(b: &CrashBundle, version: u32) -> Vec<u8> {
+    let mut w = Writer::<8>::new();
+    w.u8(b.reason.to_code());
+    w.u64(b.halt_code);
+    w.u64(b.resume_code_raw);
+    w.str(&b.detail);
+    for &word in &b.config_words[..9] {
+        w.u64(word);
+    }
+    w.u64(b.code_id);
+    let s = &b.stats;
+    let stats = [
+        s.instructions,
+        s.cycles,
+        s.traps,
+        s.range_checks,
+        s.context_switches,
+        s.interrupts,
+        s.cache_hits,
+        s.page_hits,
+        s.tree_walks,
+        s.singleton_hits,
+        s.violations_recovered,
+        s.pools_quarantined,
+        s.pools_poisoned,
+        s.domains_pushed,
+        s.domains_popped,
+        s.watchdog_unwinds,
+        s.fused_execs,
+        s.repairs,
+        s.pools_repaired,
+        s.probation_passed,
+        s.probation_failed,
+        s.subsys_retired,
+    ];
+    for &word in &stats[..if version >= 2 { 22 } else { 17 }] {
+        w.u64(word);
+    }
+    w.bytes(&b.console);
+    w.seq(&b.domains, |w, d| {
+        w.u64(d.subsys);
+        w.u64(d.fuel);
+        w.seq(&d.quarantined_pools, |w, &p| w.u32(p));
+    });
+    w.seq(&b.pools, |w, p| {
+        w.u32(p.id);
+        w.str(&p.name);
+        w.bool(p.complete);
+        w.u64(p.live_objects);
+        w.u64(p.checks);
+        w.u32(p.violations);
+        w.bool(p.quarantined);
+        w.bool(p.poisoned);
+        if version >= 2 {
+            w.u32(p.repairs);
+        }
+    });
+    w.seq(&b.health, |w, &(i, v)| {
+        w.u64(i);
+        w.u64(v);
+    });
+    let flight: Vec<String> = b.flight.iter().map(|e| e.to_json()).collect();
+    w.str(&flight.join("\n"));
+    w.bytes(&b.snapshot);
+    frame(BUNDLE_MAGIC, version, &[], w.as_bytes())
+}
+
+/// Bundles in the v2 and v1 layouts: the strict decoder refuses them by
+/// version, `plan` names the bundle step, and `migrate_bundle` rewrites
+/// them into the current layout holding the original's fields, with the
+/// defaults the legacy layout implies for the fields it lacks.
+#[test]
+fn legacy_bundle_layouts_migrate_to_the_current_one() {
+    let original = halt_bundle(0);
+    let target = make_vm_recovering(VmConfig {
+        violation_budget: 1,
+        ..Default::default()
+    });
+    for version in [2u32, 1] {
+        let legacy = legacy_bundle(&original, version);
+        match CrashBundle::from_bytes(&legacy) {
+            Err(BundleError::BadVersion { found, .. }) => assert_eq!(found, version),
+            r => panic!(
+                "v{version}: expected BadVersion, got {:?}",
+                r.map(|b| b.reason)
+            ),
+        }
+        let p = plan(&legacy).unwrap();
+        assert_eq!((p.kind, p.version), ("bundle", version));
+        assert!(
+            p.bundle_step.is_some(),
+            "v{version}: no bundle step planned"
+        );
+        assert!(p.steps.is_empty(), "the embedded snapshot is current");
+
+        let (migrated, report) = migrate_bundle(&target, &legacy).unwrap();
+        assert_eq!(report.from_version, version);
+        let mut want = original.clone();
+        want.cpu = 0;
+        want.config_words[9] = 1;
+        if version < 2 {
+            for p in &mut want.pools {
+                p.repairs = 0;
+            }
+            let s = &mut want.stats;
+            s.repairs = 0;
+            s.pools_repaired = 0;
+            s.probation_passed = 0;
+            s.probation_failed = 0;
+            s.subsys_retired = 0;
+        }
+        let back = CrashBundle::from_bytes(&migrated).unwrap();
+        assert!(back == want, "v{version}: migrated bundle differs");
+    }
+}
+
+// --- wire-format pins -----------------------------------------------------
+
+/// Every wire format, pinned byte for byte as `(length, FNV-1a)`: the
+/// bytecode of the safe kernel, `SVA1` images of a paused boot and of a
+/// mid-flight cut, that cut re-encoded at v3, v2 and v1, an `SVAQ`
+/// container of both images and an `SVAB` crash bundle. A change that
+/// alters a format or the kernel build on purpose updates these pins
+/// and says so.
+#[test]
+fn wire_formats_are_pinned() {
+    let bytecode = encode_module(&safe_kernel_module(AS_TESTED_EXCLUSIONS));
+    let mut vm = make_vm(KernelKind::SvaSafe);
+    let paused = boot_user_paused(&mut vm, "user_getpid_loop", pack_arg(60, 0, 0));
+    assert_eq!(paused.unwrap(), None);
+    let boot = vm.snapshot();
+    let mut vm = make_vm(KernelKind::SvaSafe);
+    let paused = boot_user_paused(&mut vm, "user_pipe_loop", pack_arg(20, 128, 0));
+    assert_eq!(paused.unwrap(), None);
+    vm.run_steps(5000).unwrap();
+    let mid = vm.snapshot_midflight();
+    let pins: [(&str, Vec<u8>, usize, u64); 8] = [
+        (
+            "bytecode, safe kernel",
+            bytecode,
+            162_116,
+            0x9fc5_0cac_6eaa_509f,
+        ),
+        ("SVA1 v4 boot", boot.clone(), 35_557, 0xb691_e59c_613c_fe40),
+        ("SVA1 v4 mid", mid.clone(), 69_121, 0x2c6f_f1d4_dcae_6ef7),
+        (
+            "SVA1 v3 mid",
+            reencode_at(&mid, 3).unwrap(),
+            64_219,
+            0x1240_c12e_2be9_4a3d,
+        ),
+        (
+            "SVA1 v2 mid",
+            reencode_at(&mid, 2).unwrap(),
+            64_207,
+            0xb4da_3c6d_5428_bb79,
+        ),
+        (
+            "SVA1 v1 mid",
+            reencode_at(&mid, 1).unwrap(),
+            62_175,
+            0x603f_f470_0e2b_a71b,
+        ),
+        (
+            "SVAQ [boot, mid]",
+            encode_quiesce(&[boot, mid]),
+            104_722,
+            0x74fd_20be_b258_6644,
+        ),
+        (
+            "SVAB halt bundle",
+            halt_bundle(0).to_bytes(),
+            52_765,
+            0x9528_07ae_66e2_1262,
+        ),
+    ];
+    for (what, bytes, len, hash) in pins {
+        assert_eq!(
+            (bytes.len(), fnv64(&bytes)),
+            (len, hash),
+            "{what}: the wire bytes changed"
+        );
+    }
 }
