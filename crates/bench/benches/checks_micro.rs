@@ -78,7 +78,7 @@ fn pool_with_objects(n: u64, fast_path: bool) -> MetaPool {
 /// The fast path vs. the splay-only baseline (set_fast_path(false)) on the
 /// two workload shapes that matter: repeated access to the same few hot
 /// objects (the paper's locality argument — served by the MRU cache) and a
-/// pseudo-random spread over many objects (served by the page index).
+/// pseudo-random spread over many objects (served by the range index).
 fn fastpath(c: &mut Criterion) {
     let mut g = c.benchmark_group("rt/fastpath");
     for (label, fast) in [("repeat_fast", true), ("repeat_baseline", false)] {
@@ -107,7 +107,7 @@ fn fastpath(c: &mut Criterion) {
     g.finish();
 
     // One-shot layer breakdown on a mixed workload, so the bench output
-    // documents where lookups resolve (cache / page index / tree).
+    // documents where lookups resolve (cache / range index / tree).
     let mut p = pool_with_objects(1024, true);
     let mut x = 0u64;
     for i in 0..100_000u64 {
@@ -133,25 +133,20 @@ fn fastpath(c: &mut Criterion) {
     );
 }
 
-/// The singleton-pool elision (DESIGN.md §4.4): a pool holding exactly one
-/// live object answers every lookup with a two-compare bounds test, ahead
-/// of the MRU cache. `repeat_singleton` vs `repeat_mru` isolates what the
-/// elision saves over the PR 1 fast path on the same one-object pool; the
-/// nightly gate watches both repeat-hit medians.
+/// The singleton test (DESIGN.md §4.1): a pool holding exactly one live
+/// object answers every lookup with two compares, ahead of the MRU. The
+/// nightly gate watches this repeat-hit median next to `repeat_fast`.
 fn singleton(c: &mut Criterion) {
     let mut g = c.benchmark_group("rt/singleton");
-    for (label, on) in [("repeat_singleton", true), ("repeat_mru", false)] {
-        g.bench_function(label, |b| {
-            let mut p = pool_with_objects(1, true);
-            p.set_singleton_path(on);
-            let mut i = 0u64;
-            b.iter(|| {
-                // Walk offsets inside the lone 64-byte object.
-                i = i.wrapping_add(1);
-                p.ls_check(0x1_0000 + (i & 0x38))
-            });
+    g.bench_function("repeat_singleton", |b| {
+        let mut p = pool_with_objects(1, true);
+        let mut i = 0u64;
+        b.iter(|| {
+            // Walk offsets inside the lone 64-byte object.
+            i = i.wrapping_add(1);
+            p.ls_check(0x1_0000 + (i & 0x38))
         });
-    }
+    });
     g.finish();
 }
 

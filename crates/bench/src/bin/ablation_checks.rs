@@ -6,11 +6,11 @@
 //!    metapool precision with and without them;
 //! 3. the §6.2 `kmalloc`-backing exposure — metapool merging with and
 //!    without the `backed_by` declaration;
-//! 4. the layered lookup fast path (MRU cache + page index in front of
-//!    the splay tree) — wall time and lookup-layer breakdown with and
-//!    without it. Virtual cycles are identical by construction: the fast
-//!    path changes how a lookup is answered, not what it costs in the
-//!    machine model.
+//! 4. the lookup fast path (the singleton test, the MRU cache and a sorted
+//!    range index instead of the splay tree) — wall time and lookup-layer
+//!    breakdown with and without it. Virtual cycles are identical by
+//!    construction: the fast path changes how a lookup is answered, not
+//!    what it costs in the machine model.
 
 use bench::run_workload_traced;
 use sva_analysis::AnalysisConfig;
@@ -112,14 +112,10 @@ fn main() {
         );
     }
 
-    println!("\n== Ablation 4: lookup fast path (MRU cache + page index + singleton) ==");
-    // The singleton elision (DESIGN.md §4.4) answers ahead of every layer,
-    // so the first two rows switch it off to ablate the *layered* path in
-    // isolation; the third row is the shipping default with it on.
-    for (label, fast, singleton) in [
-        ("fast path, no singleton", true, false),
-        ("splay-only baseline", false, false),
-        ("singleton on (default)", true, true),
+    println!("\n== Ablation 4: lookup fast path (singleton test + MRU + range index) ==");
+    for (label, fast) in [
+        ("fast path (default)", true),
+        ("splay-only baseline", false),
     ] {
         let m = raw_kernel();
         let compiled = compile(m, &cfg, &CompileOptions::default());
@@ -130,7 +126,6 @@ fn main() {
             VmConfig {
                 kind: KernelKind::SvaSafe,
                 fast_path: fast,
-                singleton_path: singleton,
                 ..Default::default()
             },
         )

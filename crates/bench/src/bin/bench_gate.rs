@@ -43,11 +43,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// Benchmark ids allowed to fail the gate: the repeat-hit medians.
-const GATED: [&str; 3] = [
-    "rt/fastpath/repeat_fast",
-    "rt/singleton/repeat_singleton",
-    "rt/singleton/repeat_mru",
-];
+const GATED: [&str; 2] = ["rt/fastpath/repeat_fast", "rt/singleton/repeat_singleton"];
 
 /// Same-run paired gates: `(id, reference, max % over reference)`. The
 /// always-on flight recorder (DESIGN.md §4.7) may cost at most 5% over

@@ -79,11 +79,10 @@ fn print_postmortem(bundle: &CrashBundle) {
     println!("code id:     {:#018x}", bundle.code_id);
     match bundle.vm_config() {
         Ok(cfg) => println!(
-            "config:      {:?} opt={} fast_path={} singleton={} budget={} domain_fuel={} vcpus={}",
+            "config:      {:?} opt={} fast_path={} budget={} domain_fuel={} vcpus={}",
             cfg.kind,
             cfg.opt_level,
             cfg.fast_path,
-            cfg.singleton_path,
             cfg.violation_budget,
             cfg.domain_fuel,
             cfg.vcpus,

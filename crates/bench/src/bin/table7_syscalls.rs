@@ -151,7 +151,7 @@ fn main() {
     println!("run-time checks dominate compute-heavy ones (open/close, pipe, fork).");
 
     print_check_breakdown(
-        "sva-safe lookup-layer breakdown (singleton / MRU cache / page index / splay tree)",
+        "sva-safe lookup-layer breakdown (singleton / MRU cache / range index / splay tree)",
         &[
             ("getpid", "user_getpid_loop", arg(2000, 0, 0)),
             ("open/close", "user_openclose_loop", arg(500, 0, 0)),

@@ -29,7 +29,7 @@ pub struct Sample {
     pub exit: u64,
     /// Metapool lookups served by the MRU cache (sva-safe only).
     pub cache_hits: u64,
-    /// Metapool lookups served by the page index (sva-safe only).
+    /// Metapool lookups served by the range index (sva-safe only).
     pub page_hits: u64,
     /// Metapool lookups that walked the splay tree (sva-safe only).
     pub tree_walks: u64,
@@ -563,8 +563,9 @@ pub fn smp_metrics(vcpus: u32) -> sva_trace::MetricsRegistry {
 }
 
 /// Prints, for each workload, where the sva-safe configuration's metapool
-/// lookups resolved: MRU cache, page index, or splay tree. Each row is one
-/// `(label, prog, arg)` workload booted once under [`KernelKind::SvaSafe`].
+/// lookups resolved: singleton test, MRU cache, range index, or splay tree.
+/// Each row is one `(label, prog, arg)` workload booted once under
+/// [`KernelKind::SvaSafe`].
 pub fn print_check_breakdown(title: &str, rows: &[(&str, &str, u64)]) {
     println!("\n== {title} ==");
     println!(

@@ -82,18 +82,17 @@ pub struct CheckStats {
     /// Checks skipped because the partition is incomplete ("reduced
     /// checks", the source of false negatives).
     pub reduced_skips: u64,
-    /// Object lookups answered by the singleton fast path: the pool held
-    /// exactly one live object, so two compares gave the full splay answer
-    /// (hit or definitive miss) without touching any other layer.
+    /// Object lookups answered by the singleton test: the pool held
+    /// exactly one live object, so two compares gave the full answer (hit
+    /// or definitive miss) without touching any other layer.
     pub singleton_hits: u64,
-    /// Object lookups answered by the per-pool MRU last-hit cache
-    /// (fast-path layer 1).
+    /// Object lookups answered by the per-pool MRU last-hit cache.
     pub cache_hits: u64,
-    /// Object lookups resolved by the page-granular interval index,
-    /// including definitive misses it can prove (fast-path layer 2).
+    /// Object lookups answered by a binary search of the range index, hit
+    /// or definitive miss (the name predates the index).
     pub page_hits: u64,
-    /// Object lookups that fell through to the splay tree (layer 3, the
-    /// only layer that existed before the fast path).
+    /// Object lookups of the splay baseline (`fast_path` off), every one
+    /// a splay walk.
     pub tree_walks: u64,
     /// Checks rejected immediately because the pool was quarantined
     /// after a violation (no lookup is performed for these).

@@ -2,9 +2,11 @@
 //!
 //! This crate is the run-time half of the SVA safety strategy (paper
 //! §4.3–§4.5 and Table 3). Each *metapool* — the run-time representation of
-//! one points-to-graph partition — maintains a **splay tree** recording the
-//! ranges of all registered objects. The checks the Secure Virtual Machine
-//! performs against those trees are:
+//! one points-to-graph partition — records the ranges of all registered
+//! objects in one registry: a sorted range index answered by a singleton
+//! test, a two-line MRU and a binary search, or, as the ablation baseline,
+//! the paper's **splay tree**. The checks the Secure Virtual Machine
+//! performs against that registry are:
 //!
 //! * **bounds check** (`boundscheck`): an indexing result must stay inside
 //!   the object containing the source pointer;
@@ -25,10 +27,11 @@
 pub mod check;
 pub mod metapool;
 pub mod pool;
+mod ranges;
 pub mod shared;
 pub mod splay;
 
 pub use check::{CheckError, CheckKind, CheckStats};
 pub use metapool::{MetaPool, MetaPoolId, MetaPoolTable, PoolImage, PoolSummary};
-pub use shared::{PlaneLayer, PlaneReader, SharedMetaPlane};
+pub use shared::{PlaneReader, SharedMetaPlane};
 pub use splay::SplayTree;

@@ -2,35 +2,40 @@
 //!
 //! A metapool (paper §4.3) is "a set of data objects that map to the same
 //! points-to node and so must be treated as one logical pool by the safety
-//! checking algorithm". At run time it owns a splay tree of registered
-//! object ranges and implements the checks of §4.5, honouring the
-//! completeness-based "reduced checks" rule.
-
-use std::collections::HashMap;
+//! checking algorithm". At run time it owns a registry of registered
+//! object ranges — a sorted range index, or the paper's splay tree as the
+//! ablation baseline, or a shared-plane slot on SMP machines — and
+//! implements the checks of §4.5, honouring the completeness-based
+//! "reduced checks" rule.
 
 use sva_trace::LookupLayer;
 
 use crate::check::{CheckError, CheckKind, CheckStats};
-use crate::shared::{PlaneLayer, SharedMetaPlane, SlotReader};
+use crate::ranges::RangeIndex;
+use crate::shared::{SharedMetaPlane, SlotReader};
 use crate::splay::SplayTree;
 
 /// Identifier of a metapool within a [`MetaPoolTable`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct MetaPoolId(pub u32);
 
-/// Page granularity of the interval index (4 KiB, matching the VM).
-const PAGE_SHIFT: u64 = 12;
+/// An empty MRU line: no address lies in `[0, 0)`.
+const NO_LINE: (u64, u64, u64) = (0, 0, 0);
 
-/// Ranges spanning more than this many pages stay out of the page index
-/// (a huge object would otherwise fill thousands of buckets); they are
-/// tracked in an `unindexed` count instead, which disables the index's
-/// ability to prove definitive misses while any such object is live.
-const MAX_INDEXED_PAGES: u64 = 64;
-
-/// After this many consecutive lookups with no intervening registration
-/// or drop, the pool is considered read-mostly and splay lookups stop
-/// restructuring the tree (they use [`SplayTree::find`] instead).
-const READ_MOSTLY_THRESHOLD: u32 = 32;
+/// Where a metapool's registered objects live.
+#[derive(Clone, Debug)]
+enum Registry {
+    /// The sorted range index (the default).
+    Index(RangeIndex),
+    /// The paper's splay tree: the ablation baseline, where every lookup
+    /// is a splay walk (`fast_path` off).
+    Splay(SplayTree),
+    /// One slot of a shared metadata plane (SMP machines; DESIGN.md
+    /// §4.9), read through the snapshot this vCPU pinned. Registrations
+    /// and drops publish the slot; check semantics, counters and
+    /// quarantine state remain per-vCPU.
+    Shared(SlotReader),
+}
 
 /// One metapool with its object registry.
 #[derive(Clone, Debug)]
@@ -44,30 +49,19 @@ pub struct MetaPool {
     pub complete: bool,
     /// Element size for TH pools (alignment constraint, paper §4.4).
     pub elem_size: Option<u64>,
-    objects: SplayTree,
+    registry: Registry,
     stats: CheckStats,
-    /// Fast-path toggle (ablation). When off, every lookup is a splay walk
-    /// — the pre-cache baseline.
+    /// The ablation switch this pool runs under: on, the registry is a
+    /// range index; off, the splay baseline. A pool bound to a plane
+    /// ignores it but keeps it for its image.
     fast_path: bool,
-    /// Layer 0: when the registry holds exactly one live object, its range.
-    /// Two compares then answer any lookup — hit *and* definitive miss —
-    /// because no other range exists. Maintained on every mutation
-    /// (registration, drop, clear, injected corruption) regardless of the
-    /// toggles, so flipping `singleton_path` never needs a rebuild.
-    singleton: Option<(u64, u64)>,
-    /// Singleton fast-path toggle (ablation), independent of `fast_path`.
-    singleton_path: bool,
-    /// Layer 1: MRU last-hit cache, most recent first. Entries are live
-    /// `(start, end)` ranges and must be invalidated on drop/clear.
-    mru: [Option<(u64, u64)>; 2],
-    /// Layer 2: page number (`addr >> 12`) → live ranges touching that
-    /// page. Only ranges spanning ≤ [`MAX_INDEXED_PAGES`] pages appear.
-    page_index: HashMap<u64, Vec<(u64, u64)>>,
-    /// Live ranges too large for the page index. While nonzero, a page
-    /// miss is not a definitive miss and must fall through to the tree.
-    unindexed: usize,
-    /// Consecutive lookups since the last mutation (read-mostly detector).
-    quiet_lookups: u32,
+    /// MRU last-hit cache, most recent first: `(tag, start, end)` lines.
+    /// A private pool tags its lines 0 and purges a line when its range
+    /// is dropped. A plane-bound pool tags each line with the generation
+    /// it was filled under, so a line dies the moment its slot publishes
+    /// again — a drop on any vCPU kills it everywhere, with no
+    /// cross-CPU invalidation traffic.
+    mru: [(u64, u64, u64); 2],
     /// Which layer answered the most recent lookup. A single byte store on
     /// the lookup path; read by tracing instrumentation, never by checks.
     last_layer: LookupLayer,
@@ -100,28 +94,6 @@ pub struct MetaPool {
     /// by `sva.recover.repair` — the pool's repair history, surfaced in
     /// crash bundles.
     repairs: u32,
-    /// SMP: attachment to one slot of a shared metadata plane (DESIGN.md
-    /// §4.9). When set, the object registry lives in the plane slot and
-    /// `objects`/`page_index`/`singleton` stay empty: registrations and
-    /// drops publish the slot, lookups answer from its snapshot through
-    /// the generation-tagged MRU below. Check semantics, counters and
-    /// quarantine state remain per-vCPU.
-    shared: Option<SharedBinding>,
-}
-
-/// One vCPU's attachment of a pool to a [`SharedMetaPlane`] slot.
-#[derive(Clone, Debug)]
-pub struct SharedBinding {
-    /// The pool's own plane slot with its pinned snapshot (steady state:
-    /// one `Acquire` load of the slot generation).
-    reader: SlotReader,
-    /// Generation-tagged MRU, most recent first: `(generation, start,
-    /// end)`. An entry is live only while the slot generation still
-    /// equals its tag, so a drop on this slot (which publishes a new
-    /// generation) kills every cached line on all vCPUs at once — no
-    /// cross-CPU invalidation traffic, no stale use-after-free window —
-    /// while publishes on other slots leave it alive.
-    mru: [Option<(u64, u64, u64)>; 2],
 }
 
 impl MetaPool {
@@ -132,15 +104,10 @@ impl MetaPool {
             type_homogeneous,
             complete,
             elem_size,
-            objects: SplayTree::new(),
+            registry: Registry::Index(RangeIndex::new()),
             stats: CheckStats::default(),
             fast_path: true,
-            singleton: None,
-            singleton_path: true,
-            mru: [None; 2],
-            page_index: HashMap::new(),
-            unindexed: 0,
-            quiet_lookups: 0,
+            mru: [NO_LINE; 2],
             last_layer: LookupLayer::None,
             quarantined: false,
             poisoned: false,
@@ -149,14 +116,13 @@ impl MetaPool {
             forced_reg_failures: 0,
             poisoned_by: 0,
             repairs: 0,
-            shared: None,
         }
     }
 
     /// Attaches this pool to slot `idx` of a shared metadata plane
     /// (SMP machines; DESIGN.md §4.9). The plane slot must already hold
     /// this pool's live ranges (see [`MetaPoolTable::publish_to_plane`]);
-    /// the private registry and its caches are dropped — every
+    /// the private registry and its MRU lines are dropped — every
     /// registration, drop and lookup now goes through the plane slot.
     ///
     /// # Panics
@@ -166,266 +132,118 @@ impl MetaPool {
         let slot = plane
             .slot(idx)
             .unwrap_or_else(|| panic!("bind_shared: plane has no slot {idx}"));
-        self.objects.clear();
-        self.singleton = None;
-        self.mru = [None; 2];
-        self.page_index.clear();
-        self.unindexed = 0;
-        self.quiet_lookups = 0;
-        self.shared = Some(SharedBinding {
-            reader: SlotReader::new(slot),
-            mru: [None; 2],
-        });
+        self.registry = Registry::Shared(SlotReader::new(slot));
+        self.mru = [NO_LINE; 2];
     }
 
     /// Whether this pool is bound to a shared metadata plane.
     pub fn is_shared(&self) -> bool {
-        self.shared.is_some()
+        matches!(self.registry, Registry::Shared(_))
     }
 
-    /// The shared-plane lookup: generation-tagged MRU, then the slot's
-    /// published snapshot (page index or interval walk). Counter
-    /// discipline matches the private path — exactly one of `cache_hits`
-    /// / `page_hits` / `tree_walks` per call; the singleton layer does
-    /// not exist here (a shared pool's membership can change under any
-    /// vCPU's feet).
-    #[inline]
-    fn shared_lookup(&mut self, addr: u64) -> Option<(u64, u64)> {
-        let MetaPool {
-            shared,
-            stats,
-            last_layer,
-            ..
-        } = self;
-        let b = shared.as_mut().expect("shared_lookup on unbound pool");
-        // One Acquire load validates the MRU: a tag from any older
-        // generation is dead because some register/drop on this slot
-        // published since it was filled — exactly the window where a
-        // cached range could be stale.
-        let cur = b.reader.slot().generation();
-        for i in 0..b.mru.len() {
-            if let Some((gen, start, end)) = b.mru[i] {
-                if gen == cur && start <= addr && addr < end {
-                    stats.cache_hits += 1;
-                    *last_layer = LookupLayer::Cache;
-                    if i != 0 {
-                        b.mru.swap(0, 1);
-                    }
-                    return Some((start, end));
-                }
-            }
-        }
-        self.shared_miss(addr)
-    }
-
-    /// [`Self::shared_lookup`] past an MRU miss: the slot's published
-    /// snapshot answers, and a hit refills the MRU.
-    fn shared_miss(&mut self, addr: u64) -> Option<(u64, u64)> {
-        let MetaPool {
-            shared,
-            stats,
-            last_layer,
-            ..
-        } = self;
-        let b = shared.as_mut().expect("shared_lookup on unbound pool");
-        let (hit, layer) = b.reader.lookup(addr);
-        match layer {
-            PlaneLayer::Page => {
-                stats.page_hits += 1;
-                *last_layer = LookupLayer::Page;
-            }
-            PlaneLayer::Walk => {
-                stats.tree_walks += 1;
-                *last_layer = LookupLayer::Tree;
-            }
-        }
-        if let Some((start, end)) = hit {
-            let tagged = (b.reader.pinned(), start, end);
-            if b.mru[0] != Some(tagged) {
-                b.mru[1] = b.mru[0];
-                b.mru[0] = Some(tagged);
-            }
-        }
-        hit
-    }
-
-    /// Whether the layered fast path is active.
+    /// Whether the pool runs the range index rather than the splay
+    /// baseline.
     pub fn fast_path(&self) -> bool {
         self.fast_path
     }
 
-    /// Enables or disables the lookup fast path (the benchmark ablation
-    /// flag). Disabling drops the caches so every lookup becomes a splay
-    /// walk; re-enabling rebuilds the page index from the live tree.
+    /// Switches between the range index and the splay baseline (the
+    /// benchmark ablation flag), moving the live ranges across. A pool
+    /// bound to a plane only records the switch.
     pub fn set_fast_path(&mut self, enabled: bool) {
         if self.fast_path == enabled {
             return;
         }
         self.fast_path = enabled;
-        self.mru = [None; 2];
-        self.page_index.clear();
-        self.unindexed = 0;
-        self.quiet_lookups = 0;
-        if enabled {
-            for (start, end) in self.objects.iter_ranges() {
-                self.index_insert(start, end);
+        self.mru = [NO_LINE; 2];
+        if !self.is_shared() {
+            let ranges = self.live_ranges();
+            self.registry = Self::private_registry(enabled, &ranges)
+                .expect("live registry ranges are disjoint");
+        }
+    }
+
+    /// A private registry holding `ranges`, as a range index or as the
+    /// splay baseline. Refuses empty or overlapping ranges.
+    fn private_registry(fast_path: bool, ranges: &[(u64, u64)]) -> Result<Registry, String> {
+        let mut index = RangeIndex::new();
+        let mut tree = SplayTree::new();
+        for &(start, end) in ranges {
+            let len = end.saturating_sub(start);
+            let ok = if fast_path {
+                index.insert(start, len).is_ok()
+            } else {
+                len > 0 && tree.insert(start, len)
+            };
+            if !ok {
+                return Err(format!("bad range [{start:#x}, {end:#x})"));
             }
         }
+        Ok(if fast_path {
+            Registry::Index(index)
+        } else {
+            Registry::Splay(tree)
+        })
     }
 
-    /// Whether the singleton fast path is active.
-    pub fn singleton_path(&self) -> bool {
-        self.singleton_path
-    }
-
-    /// Enables or disables the singleton fast path (ablation flag). The
-    /// cached range is maintained either way, so this is a pure toggle.
-    pub fn set_singleton_path(&mut self, enabled: bool) {
-        self.singleton_path = enabled;
-    }
-
-    /// Re-derives the singleton range from the registry. Called after every
-    /// mutation; `only_range` is O(1) so this never walks the tree.
-    fn update_singleton(&mut self) {
-        self.singleton = self.objects.only_range();
-    }
-
-    fn span_pages(start: u64, end: u64) -> u64 {
-        ((end - 1) >> PAGE_SHIFT) - (start >> PAGE_SHIFT) + 1
-    }
-
-    fn index_insert(&mut self, start: u64, end: u64) {
-        if Self::span_pages(start, end) > MAX_INDEXED_PAGES {
-            self.unindexed += 1;
-            return;
-        }
-        for page in (start >> PAGE_SHIFT)..=((end - 1) >> PAGE_SHIFT) {
-            self.page_index.entry(page).or_default().push((start, end));
-        }
-    }
-
-    fn index_remove(&mut self, start: u64, end: u64) {
-        if Self::span_pages(start, end) > MAX_INDEXED_PAGES {
-            self.unindexed -= 1;
-            return;
-        }
-        for page in (start >> PAGE_SHIFT)..=((end - 1) >> PAGE_SHIFT) {
-            if let Some(v) = self.page_index.get_mut(&page) {
-                v.retain(|&r| r != (start, end));
-                if v.is_empty() {
-                    self.page_index.remove(&page);
-                }
-            }
-        }
-    }
-
-    /// Records a mutation: invalidates read-mostly mode and, when `hit` is
-    /// a dropped range, purges it from the MRU cache.
-    fn note_mutation(&mut self, dropped: Option<(u64, u64)>) {
-        self.quiet_lookups = 0;
-        if let Some(range) = dropped {
-            for slot in &mut self.mru {
-                if *slot == Some(range) {
-                    *slot = None;
-                }
-            }
-        }
-    }
-
-    /// Remembers `range` as the most recent hit (layer-1 cache fill).
-    fn remember(&mut self, range: (u64, u64)) {
-        if self.mru[0] != Some(range) {
-            self.mru[1] = self.mru[0];
-            self.mru[0] = Some(range);
-        }
-    }
-
-    /// The layered object lookup behind every check: singleton test, then
-    /// MRU cache, then page index, then splay tree, or for a pool bound to
-    /// a shared plane [`Self::shared_lookup`]. Exactly one of
-    /// `singleton_hits` / `cache_hits` / `page_hits` / `tree_walks` is
-    /// incremented per call. The singleton test and the shared MRU are
-    /// inlined into the checks, and through them into an interpreter that
-    /// runs checks inline; the deeper layers stay one call away.
+    /// The object lookup behind every check. On the splay baseline it is
+    /// one splay walk. Otherwise — private pool or plane-bound, the
+    /// latter on the snapshot it pins first — it is the singleton test
+    /// (one live range: two compares answer hit and definitive miss),
+    /// then the MRU, then a binary search of the range index. Exactly one
+    /// of `singleton_hits` / `cache_hits` / `page_hits` / `tree_walks` is
+    /// incremented per call. Inlined into the checks, and through them
+    /// into an interpreter that runs checks inline.
     #[inline]
     fn lookup_obj(&mut self, addr: u64) -> Option<(u64, u64)> {
-        if self.shared.is_some() {
-            return self.shared_lookup(addr);
+        let (index, tag) = match &mut self.registry {
+            Registry::Index(index) => (&*index, 0),
+            Registry::Shared(reader) => {
+                reader.pin();
+                (reader.ranges(), reader.pinned())
+            }
+            Registry::Splay(tree) => {
+                self.stats.tree_walks += 1;
+                self.last_layer = LookupLayer::Tree;
+                return tree.lookup(addr);
+            }
+        };
+        if let Some((start, end)) = index.only() {
+            self.stats.singleton_hits += 1;
+            self.last_layer = LookupLayer::Singleton;
+            return (start <= addr && addr < end).then_some((start, end));
         }
-        // Layer 0: singleton pool. With exactly one live range, two
-        // compares answer both outcomes — containment is a hit, and a miss
-        // is *definitive* because no other object can contain `addr`.
-        if self.singleton_path {
-            if let Some((start, end)) = self.singleton {
-                self.stats.singleton_hits += 1;
-                self.last_layer = LookupLayer::Singleton;
-                self.quiet_lookups = self.quiet_lookups.saturating_add(1);
-                return if start <= addr && addr < end {
-                    Some((start, end))
-                } else {
-                    None
-                };
+        for i in 0..self.mru.len() {
+            let (t, start, end) = self.mru[i];
+            if t == tag && start <= addr && addr < end {
+                self.stats.cache_hits += 1;
+                self.last_layer = LookupLayer::Cache;
+                if i != 0 {
+                    self.mru.swap(0, 1);
+                }
+                return Some((start, end));
             }
         }
-        self.lookup_layers(addr)
+        // The range index answers hits and definitive misses alike.
+        self.stats.page_hits += 1;
+        self.last_layer = LookupLayer::Page;
+        let hit = index.find(addr);
+        if let Some((start, end)) = hit {
+            if self.mru[0] != (tag, start, end) {
+                self.mru[1] = self.mru[0];
+                self.mru[0] = (tag, start, end);
+            }
+        }
+        hit
     }
 
-    /// Layers 1–3 of [`Self::lookup_obj`] for a private pool.
-    fn lookup_layers(&mut self, addr: u64) -> Option<(u64, u64)> {
-        if !self.fast_path {
-            self.stats.tree_walks += 1;
-            self.last_layer = LookupLayer::Tree;
-            return self.objects.lookup(addr);
-        }
-        // Layer 1: MRU last-hit cache.
-        for i in 0..self.mru.len() {
-            if let Some((start, end)) = self.mru[i] {
-                if start <= addr && addr < end {
-                    self.stats.cache_hits += 1;
-                    self.last_layer = LookupLayer::Cache;
-                    if i != 0 {
-                        self.mru.swap(0, 1);
-                    }
-                    self.quiet_lookups = self.quiet_lookups.saturating_add(1);
-                    return Some((start, end));
-                }
+    /// Empties every MRU line holding `range` (it was just dropped).
+    fn purge_line(&mut self, range: (u64, u64)) {
+        for line in &mut self.mru {
+            if (line.1, line.2) == range {
+                *line = NO_LINE;
             }
         }
-        // Layer 2: page-granular interval index.
-        let page = addr >> PAGE_SHIFT;
-        let mut hit = None;
-        if let Some(candidates) = self.page_index.get(&page) {
-            hit = candidates
-                .iter()
-                .copied()
-                .find(|&(start, end)| start <= addr && addr < end);
-        }
-        let definitive = hit.is_some() || self.unindexed == 0;
-        if definitive {
-            // Either the index produced the object, or every live range is
-            // indexed and none on this page contains `addr` — a definitive
-            // miss, also answered without touching the tree.
-            self.stats.page_hits += 1;
-            self.last_layer = LookupLayer::Page;
-            self.quiet_lookups = self.quiet_lookups.saturating_add(1);
-            if let Some(range) = hit {
-                self.remember(range);
-            }
-            return hit;
-        }
-        // Layer 3: splay tree (only unindexed huge objects remain).
-        self.stats.tree_walks += 1;
-        self.last_layer = LookupLayer::Tree;
-        let found = if self.quiet_lookups >= READ_MOSTLY_THRESHOLD {
-            self.objects.find(addr)
-        } else {
-            self.objects.lookup(addr)
-        };
-        self.quiet_lookups = self.quiet_lookups.saturating_add(1);
-        if let Some(range) = found {
-            self.remember(range);
-        }
-        found
     }
 
     /// Which lookup layer answered the most recent object lookup
@@ -438,9 +256,10 @@ impl MetaPool {
     /// Number of live registered objects. For a shared-bound pool this
     /// reads the slot's current snapshot (cold path).
     pub fn live_objects(&self) -> usize {
-        match &self.shared {
-            Some(b) => b.reader.slot().live_objects(),
-            None => self.objects.len(),
+        match &self.registry {
+            Registry::Index(index) => index.len(),
+            Registry::Splay(tree) => tree.len(),
+            Registry::Shared(reader) => reader.slot().live_objects(),
         }
     }
 
@@ -546,22 +365,8 @@ impl MetaPool {
         self.scope_violations = 0;
         self.poisoned_by = 0;
         self.repairs = self.repairs.saturating_add(1);
-        // Reinitialize the lookup layers from the registry (same rebuild
-        // as the fast-path toggle): caches drop, index and singleton are
-        // re-derived from live ranges.
-        if let Some(b) = &mut self.shared {
-            b.mru = [None; 2];
-        }
-        self.mru = [None; 2];
-        self.page_index.clear();
-        self.unindexed = 0;
-        self.quiet_lookups = 0;
-        if self.fast_path {
-            for (start, end) in self.objects.iter_ranges() {
-                self.index_insert(start, end);
-            }
-        }
-        self.update_singleton();
+        // The registry is the live set itself; only the MRU lines drop.
+        self.mru = [NO_LINE; 2];
         true
     }
 
@@ -583,30 +388,31 @@ impl MetaPool {
 
     /// Fault injection: corrupts the pool metadata by deregistering one
     /// live object (chosen by `seed`) and re-registering only its first
-    /// half — pointers into the tail become wild. All cache layers are
-    /// invalidated like a real drop so the corruption is coherent.
-    /// Returns `false` if the pool had no live objects to corrupt.
+    /// half — pointers into the tail become wild. The MRU is purged like
+    /// on a real drop so the corruption is coherent. Returns `false` if
+    /// the pool had no live objects to corrupt.
     pub fn inject_corrupt_metadata(&mut self, seed: u64) -> bool {
-        if let Some(b) = &mut self.shared {
-            b.mru = [None; 2];
-            return b.reader.slot().corrupt(seed);
-        }
-        let ranges = self.objects.iter_ranges();
+        let ranges = self.live_ranges();
         if ranges.is_empty() {
             return false;
         }
         let (start, end) = ranges[(seed as usize) % ranges.len()];
-        self.objects.remove(start);
-        if self.fast_path {
-            self.note_mutation(Some((start, end)));
-            self.index_remove(start, end);
+        self.purge_line((start, end));
+        let head = (end - start) / 2;
+        match &mut self.registry {
+            Registry::Index(index) => {
+                index.remove(start);
+                // The head of the range just removed is free, so this
+                // only refuses an empty head (a one-byte object vanishes).
+                let _ = index.insert(start, head);
+            }
+            Registry::Splay(tree) => {
+                tree.remove(start);
+                tree.insert(start, head);
+            }
+            // The plane picks the same range under its slot lock.
+            Registry::Shared(reader) => return reader.slot().corrupt(seed),
         }
-        let len = end - start;
-        if len > 1 && self.objects.insert(start, len / 2) && self.fast_path {
-            self.note_mutation(None);
-            self.index_insert(start, start + len / 2);
-        }
-        self.update_singleton();
         true
     }
 
@@ -648,25 +454,19 @@ impl MetaPool {
         // Zero-sized allocations register a 1-byte placeholder so that the
         // pointer identity stays checkable.
         let len = len.max(1);
-        if let Some(b) = &self.shared {
-            return match b.reader.slot().register(addr, len) {
-                Ok(()) => Ok(()),
-                Err(e) => Err(self.err(e.kind, e.addr, e.detail)),
-            };
+        let refused = match &mut self.registry {
+            Registry::Index(index) => index.insert(addr, len).err(),
+            Registry::Splay(tree) => match RangeIndex::end_of(addr, len) {
+                Err(detail) => Some(detail),
+                Ok(_) => (!tree.insert(addr, len))
+                    .then(|| format!("overlapping registration of {len} bytes")),
+            },
+            Registry::Shared(reader) => reader.slot().register(addr, len).err().map(|e| e.detail),
+        };
+        match refused {
+            None => Ok(()),
+            Some(detail) => Err(self.err(CheckKind::BadRegistration, addr, detail)),
         }
-        if !self.objects.insert(addr, len) {
-            return Err(self.err(
-                CheckKind::BadRegistration,
-                addr,
-                format!("overlapping registration of {len} bytes"),
-            ));
-        }
-        if self.fast_path {
-            self.note_mutation(None);
-            self.index_insert(addr, addr + len);
-        }
-        self.update_singleton();
-        Ok(())
     }
 
     /// `pchk.drop.obj`: deregisters the object starting at `addr`.
@@ -675,34 +475,18 @@ impl MetaPool {
     /// object is an illegal free (guarantee T5).
     pub fn drop_obj(&mut self, addr: u64) -> Result<(), CheckError> {
         self.stats.drops += 1;
-        if let Some(b) = &self.shared {
-            return match b.reader.slot().drop_obj(addr) {
-                Ok((start, end)) => {
-                    // The generation bump already killed every vCPU's MRU
-                    // tags for this slot; purging our own lines just keeps
-                    // them tidy.
-                    if let Some(b) = &mut self.shared {
-                        for line in &mut b.mru {
-                            if matches!(line, Some((_, s, e)) if *s == start && *e == end) {
-                                *line = None;
-                            }
-                        }
-                    }
-                    Ok(())
-                }
-                Err(e) => Err(self.err(e.kind, e.addr, e.detail)),
-            };
-        }
-        match self.objects.remove(addr) {
-            Some((start, end)) => {
-                if self.fast_path {
-                    // A freed object must never be served from the caches:
-                    // that would reintroduce exactly the use-after-free class
-                    // the checks exist to catch.
-                    self.note_mutation(Some((start, end)));
-                    self.index_remove(start, end);
-                }
-                self.update_singleton();
+        let dropped = match &mut self.registry {
+            Registry::Index(index) => index.remove(addr),
+            Registry::Splay(tree) => tree.remove(addr),
+            Registry::Shared(reader) => reader.slot().drop_obj(addr).ok(),
+        };
+        match dropped {
+            Some(range) => {
+                // A freed object must never be served from the MRU: that
+                // would reintroduce exactly the use-after-free class the
+                // checks exist to catch. (On a plane the generation bump
+                // already killed the line on every vCPU.)
+                self.purge_line(range);
                 Ok(())
             }
             None => Err(self.err(
@@ -812,44 +596,43 @@ impl MetaPool {
     /// remaining objects that are in a kernel pool when a pool is
     /// destroyed", paper §4.3).
     pub fn clear(&mut self) {
-        if let Some(b) = &mut self.shared {
-            b.mru = [None; 2];
-            b.reader.slot().clear();
-            return;
+        self.mru = [NO_LINE; 2];
+        match &mut self.registry {
+            Registry::Index(index) => index.clear(),
+            Registry::Splay(tree) => tree.clear(),
+            Registry::Shared(reader) => reader.slot().clear(),
         }
-        self.objects.clear();
-        self.singleton = None;
-        self.mru = [None; 2];
-        self.page_index.clear();
-        self.unindexed = 0;
-        self.quiet_lookups = 0;
     }
 
     /// All live ranges, ascending (diagnostics). For a shared-bound pool
     /// this reads the slot's current snapshot (cold path: takes the slot
     /// lock).
     pub fn live_ranges(&self) -> Vec<(u64, u64)> {
-        match &self.shared {
-            Some(b) => b.reader.slot().ranges(),
-            None => self.objects.iter_ranges(),
+        match &self.registry {
+            Registry::Index(index) => index.as_slice().to_vec(),
+            Registry::Splay(tree) => tree.iter_ranges(),
+            Registry::Shared(reader) => reader.slot().ranges(),
         }
     }
 
     /// Exports the pool's mutable state as a plain-data image for a
     /// machine snapshot. Live ranges are exported sorted; the splay tree's
-    /// shape and the page-index bucket order are *not* captured — they are
-    /// rebuilt deterministically on restore, which is observationally
-    /// equivalent because ranges are disjoint (every lookup answer and
-    /// every counter increment is independent of tree shape).
+    /// shape is *not* captured — it is rebuilt deterministically on
+    /// restore, which is observationally equivalent because ranges are
+    /// disjoint (every lookup answer and every counter increment is
+    /// independent of tree shape). A plane-bound pool exports no MRU
+    /// lines: their generation tags mean nothing outside the plane.
     pub fn export_image(&self) -> PoolImage {
+        let mru = match self.registry {
+            Registry::Shared(_) => [NO_LINE; 2],
+            _ => self.mru,
+        };
         PoolImage {
             name: self.name.clone(),
             ranges: self.live_ranges(),
             stats: self.stats.to_words(),
             fast_path: self.fast_path,
-            singleton_path: self.singleton_path,
-            mru: self.mru,
-            quiet_lookups: self.quiet_lookups,
+            mru: mru.map(|(_, start, end)| (start < end).then_some((start, end))),
             last_layer: self.last_layer.to_code(),
             quarantined: self.quarantined,
             poisoned: self.poisoned,
@@ -862,12 +645,14 @@ impl MetaPool {
     }
 
     /// Restores the pool's mutable state from [`MetaPool::export_image`]
-    /// output, rebuilding the derived lookup structures (splay tree, page
-    /// index, singleton cache) from the sorted range list. The pool's
-    /// identity fields (name, homogeneity, completeness) are *not* taken
-    /// from the image — they come from the bytecode annotations, which the
-    /// caller has already matched; a name mismatch is rejected as a
-    /// cross-wired image.
+    /// output into a private registry (a range index, or the splay
+    /// baseline if the image was taken with the fast path off), built
+    /// from the range list. The pool's identity fields (name,
+    /// homogeneity, completeness) are *not* taken from the image — they
+    /// come from the bytecode annotations, which the caller has already
+    /// matched; a name mismatch is rejected as a cross-wired image. So is
+    /// an MRU line that is not one of the image's live ranges: it would
+    /// vouch for an object that was never registered.
     pub fn restore_image(&mut self, img: &PoolImage) -> Result<(), String> {
         if img.name != self.name {
             return Err(format!(
@@ -881,25 +666,24 @@ impl MetaPool {
                 self.name, img.last_layer
             )
         })?;
-        self.objects.clear();
-        self.page_index.clear();
-        self.unindexed = 0;
-        self.fast_path = img.fast_path;
-        self.singleton_path = img.singleton_path;
-        for &(start, end) in &img.ranges {
-            if end <= start || !self.objects.insert(start, end - start) {
-                return Err(format!(
-                    "pool {}: bad range [{start:#x}, {end:#x}) in image",
-                    self.name
-                ));
-            }
-            if self.fast_path {
-                self.index_insert(start, end);
-            }
+        let registry = Self::private_registry(img.fast_path, &img.ranges)
+            .map_err(|e| format!("pool {}: {e} in image", self.name))?;
+        if let Some((start, end)) = img
+            .mru
+            .into_iter()
+            .flatten()
+            .find(|r| !img.ranges.contains(r))
+        {
+            return Err(format!(
+                "pool {}: MRU line [{start:#x}, {end:#x}) is not a live range of the image",
+                self.name
+            ));
         }
-        self.update_singleton();
-        self.mru = img.mru;
-        self.quiet_lookups = img.quiet_lookups;
+        self.registry = registry;
+        self.fast_path = img.fast_path;
+        self.mru = img
+            .mru
+            .map(|line| line.map_or(NO_LINE, |(start, end)| (0, start, end)));
         self.last_layer = last_layer;
         self.quarantined = img.quarantined;
         self.poisoned = img.poisoned;
@@ -914,10 +698,9 @@ impl MetaPool {
 }
 
 /// Plain-data image of one metapool's mutable state (machine snapshots,
-/// DESIGN.md §4.6). Holds exactly what cannot be rebuilt from the sorted
-/// range list: the MRU cache contents, the read-mostly counter, the
-/// violation/quarantine state and the check counters. `last_layer` is a
-/// [`LookupLayer::to_code`] byte.
+/// DESIGN.md §4.6): the sorted range list, the lookup switch, the MRU
+/// contents, the violation/quarantine state and the check counters.
+/// `last_layer` is a [`LookupLayer::to_code`] byte.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PoolImage {
     /// Pool name, checked against the restore target.
@@ -926,14 +709,11 @@ pub struct PoolImage {
     pub ranges: Vec<(u64, u64)>,
     /// [`CheckStats::to_words`] of the pool counters.
     pub stats: [u64; CheckStats::WORDS],
-    /// Layered fast-path toggle.
+    /// Whether the pool runs the range index (else the splay baseline).
     pub fast_path: bool,
-    /// Singleton fast-path toggle.
-    pub singleton_path: bool,
-    /// MRU last-hit cache, most recent first.
+    /// MRU last-hit cache, most recent first. Each line must be one of
+    /// `ranges`; a plane-bound pool exports none.
     pub mru: [Option<(u64, u64)>; 2],
-    /// Consecutive lookups since the last mutation.
-    pub quiet_lookups: u32,
     /// [`LookupLayer::to_code`] of the most recent lookup's layer.
     pub last_layer: u8,
     /// Whether checks currently fail fast.
@@ -1150,13 +930,6 @@ impl MetaPoolTable {
     pub fn set_fast_path(&mut self, enabled: bool) {
         for p in &mut self.pools {
             p.set_fast_path(enabled);
-        }
-    }
-
-    /// Toggles the singleton fast path on every pool (benchmark ablation).
-    pub fn set_singleton_path(&mut self, enabled: bool) {
-        for p in &mut self.pools {
-            p.set_singleton_path(enabled);
         }
     }
 
@@ -1379,10 +1152,10 @@ mod tests {
     #[test]
     fn mru_cache_serves_repeated_hits() {
         let mut p = th_pool();
-        p.set_singleton_path(false); // this test targets the MRU layer
         p.reg_obj(0x1000, 64).unwrap();
-        // First lookup fills the cache (resolved by the page index), the
-        // rest are MRU hits.
+        p.reg_obj(0x3000, 64).unwrap(); // two objects: past the singleton test
+                                        // First lookup fills the cache (resolved by the range index), the
+                                        // rest are MRU hits.
         for _ in 0..10 {
             p.bounds_check(0x1000, 0x1020).unwrap();
         }
@@ -1412,9 +1185,12 @@ mod tests {
     #[test]
     fn dropped_object_never_served_from_caches() {
         let mut p = th_pool();
-        p.set_singleton_path(false); // this test targets the MRU layer
-        p.reg_obj(0x1000, 64).unwrap();
-        // Pull the object into the MRU cache and the page index.
+        // Three objects, so two are left after the drop and lookups still
+        // reach the MRU.
+        for addr in [0x1000, 0x3000, 0x5000] {
+            p.reg_obj(addr, 64).unwrap();
+        }
+        // Pull the object into the MRU cache.
         p.ls_check(0x1010).unwrap();
         p.ls_check(0x1010).unwrap();
         assert_eq!(p.stats().cache_hits, 1);
@@ -1441,37 +1217,14 @@ mod tests {
     }
 
     #[test]
-    fn page_index_proves_definitive_misses() {
+    fn range_index_answers_definitive_misses() {
         let mut p = MetaPool::new("MPc", false, true, None);
-        p.set_singleton_path(false); // this test targets the page index
         p.reg_obj(0x1000, 64).unwrap();
-        // Miss on a page with no candidates: answered by the index (all
-        // live ranges are indexed), no tree walk.
+        p.reg_obj(0x3000, 64).unwrap(); // two objects: past the singleton test
+                                        // A miss is answered by the range index, no tree walk.
         assert!(p.ls_check(0x9000).is_err());
         assert_eq!(p.stats().page_hits, 1);
         assert_eq!(p.stats().tree_walks, 0);
-    }
-
-    #[test]
-    fn huge_objects_fall_back_to_the_tree() {
-        let mut p = MetaPool::new("MPc", false, true, None);
-        // Singleton off: a lone huge object would otherwise be a singleton.
-        p.set_singleton_path(false);
-        // 1 MiB object: spans 256 pages > MAX_INDEXED_PAGES, so it is not
-        // page-indexed and lookups must reach the splay tree.
-        p.reg_obj(0x10_0000, 0x10_0000).unwrap();
-        p.ls_check(0x18_0000).unwrap();
-        assert_eq!(p.stats().tree_walks, 1);
-        // Second hit comes from the MRU cache even for huge objects.
-        p.ls_check(0x18_0008).unwrap();
-        assert_eq!(p.stats().cache_hits, 1);
-        // Misses cannot be proven by the index while the huge object lives…
-        assert!(p.ls_check(0x50_0000).is_err());
-        assert_eq!(p.stats().tree_walks, 2);
-        // …but become definitive again once it is dropped.
-        p.drop_obj(0x10_0000).unwrap();
-        assert!(p.ls_check(0x50_0000).is_err());
-        assert_eq!(p.stats().tree_walks, 2);
     }
 
     #[test]
@@ -1488,7 +1241,7 @@ mod tests {
         assert_eq!(p.stats().cache_hits, 0);
         assert_eq!(p.stats().page_hits, 0);
         assert_eq!(p.stats().tree_walks, 4);
-        // Re-enabling rebuilds the page index from the live tree.
+        // Re-enabling rebuilds the range index from the live tree.
         p.set_fast_path(true);
         p.bounds_check(0x3000, 0x3010).unwrap();
         assert_eq!(p.stats().page_hits, 1);
@@ -1709,29 +1462,11 @@ mod tests {
     }
 
     #[test]
-    fn singleton_toggle_falls_back_to_layered_lookup() {
-        let mut p = th_pool();
-        p.set_singleton_path(false);
-        p.reg_obj(0x1000, 64).unwrap();
-        p.ls_check(0x1010).unwrap();
-        p.ls_check(0x1010).unwrap();
-        // Layered path: page-index fill then MRU hit, no singleton traffic.
-        assert_eq!(p.stats().singleton_hits, 0);
-        assert_eq!(p.stats().page_hits, 1);
-        assert_eq!(p.stats().cache_hits, 1);
-        // Re-enabling needs no rebuild: the range is maintained either way.
-        p.set_singleton_path(true);
-        p.ls_check(0x1010).unwrap();
-        assert_eq!(p.stats().singleton_hits, 1);
-    }
-
-    #[test]
     fn singleton_agrees_with_baseline_on_every_probe() {
         // The two-compare answer must equal the splay-only answer for any
         // address, including boundaries.
         let mut fast = th_pool();
         let mut base = th_pool();
-        base.set_singleton_path(false);
         base.set_fast_path(false);
         for p in [&mut fast, &mut base] {
             p.reg_obj(0x1000, 64).unwrap();
@@ -1751,12 +1486,12 @@ mod tests {
     #[test]
     fn pool_image_round_trip_is_observationally_identical() {
         // Build a pool with non-trivial state in every layer: warm caches,
-        // a huge unindexed object, violations, injected failures.
+        // a huge object, violations, injected failures.
         let mut p = MetaPool::new("MPc", false, true, None);
         for i in 0..8u64 {
             p.reg_obj(0x1000 + i * 0x100, 0x80).unwrap();
         }
-        p.reg_obj(0x10_0000, 0x10_0000).unwrap(); // huge → unindexed
+        p.reg_obj(0x10_0000, 0x10_0000).unwrap();
         for addr in [0x1010u64, 0x1210, 0x18_0000, 0x1010] {
             let _ = p.ls_check(addr);
         }
@@ -1836,17 +1571,17 @@ mod tests {
     #[test]
     fn shared_lookup_counters_partition_and_mru_is_epoch_tagged() {
         let (_plane, mut cpu0, mut cpu1) = shared_pair();
-        // First probe fills the MRU from the page index, repeats hit it.
+        // One live object: the singleton test on the pinned snapshot.
+        cpu0.ls_check(0x1010).unwrap();
+        assert_eq!(cpu0.stats().singleton_hits, 1);
+        // A second object, registered by the other vCPU, ends that: the
+        // first probe fills the MRU from the range index, repeats hit it.
+        cpu1.reg_obj(0x2000, 64).unwrap();
         for _ in 0..5 {
             cpu0.ls_check(0x1010).unwrap();
         }
         assert_eq!(cpu0.stats().page_hits, 1);
         assert_eq!(cpu0.stats().cache_hits, 4);
-        assert_eq!(
-            cpu0.stats().singleton_hits,
-            0,
-            "no singleton layer when shared"
-        );
         // Any publish on this pool's slot — even of an unrelated object,
         // even by this vCPU — invalidates the tag; the next probe
         // re-reads the snapshot.
@@ -1854,7 +1589,10 @@ mod tests {
         cpu0.ls_check(0x1010).unwrap();
         assert_eq!(cpu0.stats().page_hits, 2);
         let s = *cpu0.stats();
-        assert_eq!(s.lookups(), s.cache_hits + s.page_hits + s.tree_walks);
+        assert_eq!(s.tree_walks, 0);
+        assert_eq!(s.lookups(), 7);
+        // The filled lines carry generation tags: an image exports none.
+        assert_eq!(cpu0.export_image().mru, [None, None]);
     }
 
     #[test]
@@ -1863,8 +1601,12 @@ mod tests {
         let mut t = MetaPoolTable::new();
         let a = t.add_pool(MetaPool::new("MPa", false, true, None));
         let b = t.add_pool(MetaPool::new("MPb", false, true, None));
-        t.pool_mut(a).reg_obj(0x1000, 64).unwrap();
-        t.pool_mut(b).reg_obj(0x1000, 64).unwrap();
+        // Enough objects that every probe below gets past the singleton
+        // test to the MRU.
+        for addr in [0x1000, 0x3000, 0x5000] {
+            t.pool_mut(a).reg_obj(addr, 64).unwrap();
+            t.pool_mut(b).reg_obj(addr, 64).unwrap();
+        }
         let plane = Arc::new(SharedMetaPlane::new());
         let base = t.publish_to_plane(&plane);
         let mut sibling = t.clone();
@@ -1950,5 +1692,51 @@ mod tests {
         let s = *p.stats();
         assert_eq!(s.lookups(), lookups);
         assert_eq!(s.cache_hits + s.page_hits + s.tree_walks, lookups);
+    }
+
+    #[test]
+    fn restored_mru_line_must_be_a_live_range() {
+        let mut p = MetaPool::new("MPc", false, true, None);
+        p.reg_obj(0x1000, 0x40).unwrap();
+        p.reg_obj(0x2000, 0x40).unwrap();
+        p.ls_check(0x1010).unwrap();
+        let good = p.export_image();
+        assert_eq!(good.mru, [Some((0x1000, 0x1040)), None]);
+        // A line for an object that was never registered, and one that
+        // only overlaps a live range, are both refused.
+        for line in [(0x5000, 0x6000), (0x1000, 0x1080)] {
+            let forged = PoolImage {
+                mru: [Some(line), None],
+                ..good.clone()
+            };
+            let mut q = MetaPool::new("MPc", false, true, None);
+            let e = q.restore_image(&forged).unwrap_err();
+            assert!(e.contains("MRU line"), "{e}");
+            // The rejected restore left the pool as it was: empty.
+            assert_eq!(q.live_objects(), 0);
+            assert!(q.ls_check(0x5010).is_err());
+            assert_eq!(q.get_bounds(0x5010), None);
+        }
+        let mut q = MetaPool::new("MPc", false, true, None);
+        q.restore_image(&good).unwrap();
+        q.ls_check(0x1010).unwrap();
+        assert_eq!(q.stats().cache_hits, p.stats().cache_hits + 1);
+    }
+
+    #[test]
+    fn a_registration_that_wraps_is_refused_on_every_registry() {
+        let (_plane, mut shared, _) = shared_pair();
+        let mut private = MetaPool::new("MPc", false, true, None);
+        private.reg_obj(0x1000, 64).unwrap();
+        let mut splay = private.clone();
+        splay.set_fast_path(false);
+        for p in [&mut private, &mut splay, &mut shared] {
+            let e = p.reg_obj(u64::MAX - 8, 32).unwrap_err();
+            assert_eq!(e.kind, CheckKind::BadRegistration);
+            assert_eq!(e.pool, "MPc");
+            assert!(e.detail.contains("wraps"), "{}", e.detail);
+            assert_eq!(p.live_ranges(), vec![(0x1000, 0x1040)]);
+            assert_eq!(p.get_bounds(8), None, "no inverted range was stored");
+        }
     }
 }

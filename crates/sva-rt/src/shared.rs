@@ -2,15 +2,14 @@
 //!
 //! A multi-vCPU machine shares pool-level object metadata across vCPUs.
 //! The write side (object registration and drop) is rare compared to the
-//! read side (every checked load), so the lookup structures are split the
-//! RCU way, one plane *slot* (one pool of one vCPU's kernel) at a time:
+//! read side (every checked load), so the registry is split the RCU way,
+//! one plane *slot* (one pool of one vCPU's kernel) at a time:
 //!
-//! * Each slot keeps its **authoritative interval set** behind its own
-//!   mutex, touched only by registrations and drops on that slot.
-//! * Every mutation **publishes** a fresh, immutable snapshot of that one
-//!   slot — a sorted interval list plus a page-granular index — and then
-//!   stores the slot's new generation with `Release` ordering. A publish
-//!   costs what the slot holds, never what the plane holds.
+//! * Each slot **publishes** an immutable snapshot of its live ranges, a
+//!   `RangeIndex`, and then stores the slot's new generation with
+//!   `Release` ordering. A mutation copies the published ranges, edits
+//!   the copy under the slot's mutex and publishes it, so a publish costs
+//!   what the slot holds, never what the plane holds.
 //! * Readers never take the lock on the steady state: one `Acquire` load
 //!   of the slot generation validates their cached `Arc` of the slot's
 //!   snapshot; only when it moved do they briefly lock that slot to swap
@@ -28,104 +27,29 @@
 //! from metadata that a concurrent drop already retired (a missed
 //! use-after-free). Two mechanisms close it — the slot generation
 //! validates the snapshot before every answer, and the per-vCPU MRU
-//! entries in [`crate::metapool::MetaPool`] are tagged with the
-//! generation they were filled under, so a line is dead the moment its
-//! slot publishes again. A publish on any *other* slot leaves it alive.
+//! lines in [`crate::metapool::MetaPool`] are tagged with the generation
+//! they were filled under, so a line is dead the moment its slot
+//! publishes again. A publish on any *other* slot leaves it alive.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
 
 use crate::check::{CheckError, CheckKind};
+use crate::ranges::RangeIndex;
 
-/// Page granularity of the snapshot index (4 KiB, matching the VM).
-const PAGE_SHIFT: u64 = 12;
-
-/// Ranges spanning more than this many pages stay out of the page index;
-/// while any such range is live in a pool, a page miss is not definitive
-/// and falls through to the interval walk.
-const MAX_INDEXED_PAGES: u64 = 64;
-
-/// Which layer of a snapshot answered a lookup.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PlaneLayer {
-    /// The page-granular index answered (hit, or definitive miss).
-    Page,
-    /// The sorted interval list was searched (the splay-snapshot walk).
-    Walk,
-}
-
-/// Immutable published view of one slot's live intervals.
+/// Immutable published view of one slot's live ranges.
 #[derive(Debug)]
 struct PoolSnap {
     /// The slot generation this snapshot was published at.
     gen: u64,
-    /// Live ranges `(start, end)`, ascending by start, disjoint.
-    ranges: Vec<(u64, u64)>,
-    /// Page number → indices into `ranges` of ranges touching that page.
-    page_index: HashMap<u64, Vec<u32>>,
-    /// Ranges too large for the page index; while nonzero a page miss
-    /// must fall through to the interval walk.
-    unindexed: u32,
-}
-
-impl PoolSnap {
-    fn build(gen: u64, intervals: &BTreeMap<u64, u64>) -> PoolSnap {
-        let ranges: Vec<(u64, u64)> = intervals.iter().map(|(&s, &e)| (s, e)).collect();
-        let mut page_index: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut unindexed = 0u32;
-        for (i, &(start, end)) in ranges.iter().enumerate() {
-            let pages = ((end - 1) >> PAGE_SHIFT) - (start >> PAGE_SHIFT) + 1;
-            if pages > MAX_INDEXED_PAGES {
-                unindexed += 1;
-                continue;
-            }
-            for page in (start >> PAGE_SHIFT)..=((end - 1) >> PAGE_SHIFT) {
-                page_index.entry(page).or_default().push(i as u32);
-            }
-        }
-        PoolSnap {
-            gen,
-            ranges,
-            page_index,
-            unindexed,
-        }
-    }
-
-    /// Lookup against the immutable snapshot: page index first, interval
-    /// binary search only when the index cannot prove the answer.
-    fn lookup(&self, addr: u64) -> (Option<(u64, u64)>, PlaneLayer) {
-        let page = addr >> PAGE_SHIFT;
-        let mut hit = None;
-        if let Some(candidates) = self.page_index.get(&page) {
-            hit = candidates
-                .iter()
-                .map(|&i| self.ranges[i as usize])
-                .find(|&(start, end)| start <= addr && addr < end);
-        }
-        if hit.is_some() || self.unindexed == 0 {
-            return (hit, PlaneLayer::Page);
-        }
-        // Interval walk over the sorted list (the non-restructuring
-        // "splay snapshot": binary search by start, then a containment
-        // test — immutable, so safe to share without locks).
-        let found = match self.ranges.partition_point(|&(s, _)| s <= addr) {
-            0 => None,
-            i => {
-                let (start, end) = self.ranges[i - 1];
-                (start <= addr && addr < end).then_some((start, end))
-            }
-        };
-        (found, PlaneLayer::Walk)
-    }
+    /// Live ranges, ascending and disjoint.
+    ranges: RangeIndex,
 }
 
 /// Publisher-side state of one slot, only touched under its mutex.
 #[derive(Debug)]
 struct SlotState {
-    /// Start → end of every live interval (the authoritative set).
-    intervals: BTreeMap<u64, u64>,
-    /// The currently published snapshot of `intervals`.
+    /// The currently published snapshot: the slot's authoritative set.
     snap: Arc<PoolSnap>,
     /// Superseded snapshots some reader still held when they were
     /// replaced, kept as weak refs so deferred reclamation is observable
@@ -133,8 +57,8 @@ struct SlotState {
     retired: Vec<Weak<PoolSnap>>,
 }
 
-/// One plane slot: a pool's authoritative intervals, its published
-/// snapshot and the generation that validates it.
+/// One plane slot: a pool's published ranges and the generation that
+/// validates them.
 #[derive(Debug)]
 pub(crate) struct Slot {
     /// Plane slot index (error attribution).
@@ -157,8 +81,10 @@ impl Slot {
             epoch,
             gen: AtomicU64::new(gen),
             state: Mutex::new(SlotState {
-                intervals: BTreeMap::new(),
-                snap: Arc::new(PoolSnap::build(gen, &BTreeMap::new())),
+                snap: Arc::new(PoolSnap {
+                    gen,
+                    ranges: RangeIndex::new(),
+                }),
                 retired: Vec::new(),
             }),
         }
@@ -166,17 +92,17 @@ impl Slot {
 
     fn locked(&self) -> MutexGuard<'_, SlotState> {
         // A poisoned mutex means another vCPU thread panicked mid-publish;
-        // the authoritative set is only mutated *before* the snapshot
-        // swap, so the data is coherent — recover it.
+        // the published snapshot is only ever replaced whole, so the data
+        // is coherent — recover it.
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Publishes the authoritative set as a new immutable snapshot at a
-    /// fresh plane epoch, then stores it as the slot generation
-    /// (`Release`). Caller holds the slot lock.
-    fn publish(&self, st: &mut SlotState) {
+    /// Publishes `ranges` as the slot's new immutable snapshot at a fresh
+    /// plane epoch, then stores it as the slot generation (`Release`).
+    /// Caller holds the slot lock.
+    fn publish(&self, st: &mut SlotState, ranges: RangeIndex) {
         let gen = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        let old = std::mem::replace(&mut st.snap, Arc::new(PoolSnap::build(gen, &st.intervals)));
+        let old = std::mem::replace(&mut st.snap, Arc::new(PoolSnap { gen, ranges }));
         st.retired.retain(|w| w.strong_count() > 0);
         if Arc::strong_count(&old) > 1 {
             st.retired.push(Arc::downgrade(&old));
@@ -198,7 +124,7 @@ impl Slot {
 
     /// Live ranges of the published snapshot, ascending.
     pub(crate) fn ranges(&self) -> Vec<(u64, u64)> {
-        self.current().ranges.clone()
+        self.current().ranges.as_slice().to_vec()
     }
 
     /// Live objects in the published snapshot.
@@ -206,37 +132,46 @@ impl Slot {
         self.current().ranges.len()
     }
 
+    /// Applies `edit` to a copy of the published ranges and publishes the
+    /// copy; a refused edit publishes nothing.
+    fn mutate<R>(
+        &self,
+        edit: impl FnOnce(&mut RangeIndex) -> Result<R, CheckError>,
+    ) -> Result<R, CheckError> {
+        let mut st = self.locked();
+        let mut next = st.snap.ranges.clone();
+        let out = edit(&mut next)?;
+        self.publish(&mut st, next);
+        Ok(out)
+    }
+
     /// Registers `[addr, addr+len)` and publishes.
     pub(crate) fn register(&self, addr: u64, len: u64) -> Result<(), CheckError> {
-        let mut st = self.locked();
-        insert_checked(&mut st.intervals, self.idx, addr, len.max(1))?;
-        self.publish(&mut st);
-        Ok(())
+        self.mutate(|ix| {
+            ix.insert(addr, len.max(1))
+                .map_err(|detail| plane_err(self.idx, CheckKind::BadRegistration, addr, detail))
+        })
     }
 
     /// Drops the object starting at `addr` and publishes.
     pub(crate) fn drop_obj(&self, addr: u64) -> Result<(u64, u64), CheckError> {
-        let mut st = self.locked();
-        match st.intervals.remove(&addr) {
-            Some(end) => {
-                self.publish(&mut st);
-                Ok((addr, end))
-            }
-            None => Err(plane_err(
-                self.idx,
-                CheckKind::IllegalFree,
-                addr,
-                "object not live at this address",
-            )),
-        }
+        self.mutate(|ix| {
+            ix.remove(addr).ok_or_else(|| {
+                plane_err(
+                    self.idx,
+                    CheckKind::IllegalFree,
+                    addr,
+                    "object not live at this address",
+                )
+            })
+        })
     }
 
     /// Removes every object; publishes only if the slot was nonempty.
     pub(crate) fn clear(&self) {
         let mut st = self.locked();
-        if !st.intervals.is_empty() {
-            st.intervals.clear();
-            self.publish(&mut st);
+        if !st.snap.ranges.is_empty() {
+            self.publish(&mut st, RangeIndex::new());
         }
     }
 
@@ -244,53 +179,34 @@ impl Slot {
     /// checked against the live set and against the others before any
     /// is inserted, so a rejected adopt leaves the slot untouched.
     fn adopt(&self, ranges: &[(u64, u64)]) -> Result<(), CheckError> {
-        let mut st = self.locked();
-        let mut next = st.intervals.clone();
-        for &(start, end) in ranges {
-            insert_checked(&mut next, self.idx, start, end.saturating_sub(start).max(1))?;
-        }
-        st.intervals = next;
-        self.publish(&mut st);
-        Ok(())
+        self.mutate(|ix| insert_all(ix, self.idx, ranges))
     }
 
-    /// Replaces the live set with `ranges` (already validated ascending
-    /// and disjoint), publishing only if it differs. Returns whether it
-    /// published.
-    fn reset(&self, ranges: &[(u64, u64)]) -> bool {
+    /// Replaces the live set with `ranges`, publishing only if it
+    /// differs. Returns whether it published.
+    fn reset(&self, ranges: &RangeIndex) -> bool {
         let mut st = self.locked();
-        let same = st.intervals.len() == ranges.len()
-            && st
-                .intervals
-                .iter()
-                .zip(ranges)
-                .all(|((&s, &e), &r)| (s, e) == normalized(r));
-        if same {
+        if st.snap.ranges == *ranges {
             return false;
         }
-        st.intervals = ranges.iter().map(|&r| normalized(r)).collect();
-        self.publish(&mut st);
+        self.publish(&mut st, ranges.clone());
         true
     }
 
     /// See [`SharedMetaPlane::corrupt`].
     pub(crate) fn corrupt(&self, seed: u64) -> bool {
         let mut st = self.locked();
-        if st.intervals.is_empty() {
+        let live = st.snap.ranges.as_slice();
+        if live.is_empty() {
             return false;
         }
-        let n = st.intervals.len();
-        let start = *st
-            .intervals
-            .keys()
-            .nth((seed as usize) % n)
-            .expect("index below len");
-        let end = st.intervals.remove(&start).unwrap_or(start);
-        let len = end.saturating_sub(start);
-        if len > 1 {
-            st.intervals.insert(start, start + len / 2);
-        }
-        self.publish(&mut st);
+        let (start, end) = live[(seed as usize) % live.len()];
+        let mut next = st.snap.ranges.clone();
+        next.remove(start);
+        // The head of the range just removed is free, so this only
+        // refuses an empty head (a one-byte object vanishes).
+        let _ = next.insert(start, (end - start) / 2);
+        self.publish(&mut st, next);
         true
     }
 
@@ -301,44 +217,14 @@ impl Slot {
     }
 }
 
-/// `(start, end)` with an empty range widened to one byte, the way every
-/// registration path treats zero-sized objects.
-fn normalized((start, end): (u64, u64)) -> (u64, u64) {
-    (start, end.max(start.saturating_add(1)))
-}
-
-/// Inserts `[addr, addr+len)` into `pool` unless it overlaps a live
-/// interval.
-fn insert_checked(
-    pool: &mut BTreeMap<u64, u64>,
-    idx: u32,
-    addr: u64,
-    len: u64,
-) -> Result<(), CheckError> {
-    let end = addr + len;
-    // Overlap: the nearest interval starting at or below `addr` must
-    // end by `addr`, and the next interval must start at or past `end`.
-    if let Some((&ps, &pe)) = pool.range(..=addr).next_back() {
-        if pe > addr {
-            return Err(plane_err(
-                idx,
-                CheckKind::BadRegistration,
-                addr,
-                format!("overlaps live object [{ps:#x}, {pe:#x})"),
-            ));
-        }
+/// Inserts every `(start, end)` of `ranges` into `ix`, an empty range
+/// widened to one byte the way every registration path treats zero-sized
+/// objects.
+fn insert_all(ix: &mut RangeIndex, idx: u32, ranges: &[(u64, u64)]) -> Result<(), CheckError> {
+    for &(start, end) in ranges {
+        ix.insert(start, end.saturating_sub(start).max(1))
+            .map_err(|detail| plane_err(idx, CheckKind::BadRegistration, start, detail))?;
     }
-    if let Some((&ns, _)) = pool.range(addr..).next() {
-        if ns < end {
-            return Err(plane_err(
-                idx,
-                CheckKind::BadRegistration,
-                addr,
-                format!("overlaps live object starting at {ns:#x}"),
-            ));
-        }
-    }
-    pool.insert(addr, end);
     Ok(())
 }
 
@@ -396,7 +282,7 @@ impl SharedMetaPlane {
     }
 
     /// Resets the slot range starting at `base` to `baseline` (one range
-    /// list per slot, each ascending and disjoint, as
+    /// list per slot, each disjoint, as
     /// [`crate::MetaPoolTable::live_ranges_by_pool`] returns them). Only
     /// slots whose live set differs are republished. All or nothing: every
     /// slot and range is validated before any slot changes. Returns how
@@ -413,28 +299,16 @@ impl SharedMetaPlane {
             let slot = slots.get(idx as usize).ok_or_else(|| {
                 plane_err(idx, CheckKind::BadRegistration, 0, "unknown pool slot")
             })?;
-            for w in ranges.windows(2) {
-                let (prev, next) = (normalized(w[0]), w[1]);
-                if prev.1 > next.0 {
-                    return Err(plane_err(
-                        idx,
-                        CheckKind::BadRegistration,
-                        next.0,
-                        format!(
-                            "reset range not ascending and disjoint after [{:#x}, {:#x})",
-                            prev.0, prev.1
-                        ),
-                    ));
-                }
-            }
-            targets.push((slot, ranges));
+            let mut ix = RangeIndex::new();
+            insert_all(&mut ix, idx, ranges)?;
+            targets.push((slot, ix));
         }
-        Ok(targets.into_iter().filter(|(s, r)| s.reset(r)).count())
+        Ok(targets.into_iter().filter(|(s, ix)| s.reset(ix)).count())
     }
 
     /// Registers `[addr, addr+len)` in pool `idx` and publishes that
-    /// slot. Overlap with a live object is a bad registration, exactly
-    /// as on the private path.
+    /// slot. Overlap with a live object, or an end past 2^64, is a bad
+    /// registration, exactly as on the private path.
     pub fn register(&self, idx: u32, addr: u64, len: u64) -> Result<(), CheckError> {
         self.slot_or(idx, CheckKind::BadRegistration, addr)?
             .register(addr, len)
@@ -511,29 +385,36 @@ impl SlotReader {
     }
 
     /// The generation of the pinned snapshot.
+    #[inline]
     pub(crate) fn pinned(&self) -> u64 {
         self.snap.gen
+    }
+
+    /// The live ranges of the pinned snapshot.
+    #[inline]
+    pub(crate) fn ranges(&self) -> &RangeIndex {
+        &self.snap.ranges
     }
 
     /// Validates the pinned snapshot against the slot generation,
     /// refreshing if it moved. Returns whether it refreshed. Steady state
     /// is one `Acquire` load and a compare; the lock is taken only on
-    /// change.
+    /// change. After it returns, an answer from the pinned snapshot is at
+    /// least as new as any publish on this slot that happened-before the
+    /// call — a drop that published generation G can never be answered
+    /// from an older one.
+    #[inline]
     pub(crate) fn pin(&mut self) -> bool {
         if self.slot.generation() == self.snap.gen {
             return false;
         }
-        self.snap = self.slot.current();
+        self.refresh();
         true
     }
 
-    /// Generation-validated lookup: pins, then answers from the immutable
-    /// snapshot. The answer comes from a snapshot at least as new as any
-    /// publish on this slot that happened-before the call — a drop that
-    /// published generation G can never be answered from an older one.
-    pub(crate) fn lookup(&mut self, addr: u64) -> (Option<(u64, u64)>, PlaneLayer) {
-        self.pin();
-        self.snap.lookup(addr)
+    #[cold]
+    fn refresh(&mut self) {
+        self.snap = self.slot.current();
     }
 }
 
@@ -590,18 +471,17 @@ impl PlaneReader {
         self.pinned_snap(idx).map_or(0, |s| s.gen)
     }
 
-    /// Generation-validated lookup of `addr` in pool `idx`: returns the
-    /// containing range (if any) and which snapshot layer answered.
-    pub fn lookup(&mut self, idx: u32, addr: u64) -> (Option<(u64, u64)>, PlaneLayer) {
-        self.pinned_snap(idx)
-            .map_or((None, PlaneLayer::Page), |s| s.lookup(addr))
+    /// Generation-validated lookup of `addr` in pool `idx`: the
+    /// containing range, if any.
+    pub fn lookup(&mut self, idx: u32, addr: u64) -> Option<(u64, u64)> {
+        self.pinned_snap(idx)?.ranges.find(addr)
     }
 
     /// Live ranges of pool `idx` at its pinned generation (refreshes
     /// first).
     pub fn ranges(&mut self, idx: u32) -> Vec<(u64, u64)> {
         self.pinned_snap(idx)
-            .map(|s| s.ranges.clone())
+            .map(|s| s.ranges.as_slice().to_vec())
             .unwrap_or_default()
     }
 
@@ -627,23 +507,23 @@ mod tests {
         assert_eq!(plane.epoch(), 3);
         assert_eq!(plane.generation(mp), 3);
         let mut r = PlaneReader::new(plane.clone());
-        assert_eq!(r.lookup(mp, 0x1020).0, Some((0x1000, 0x1040)));
-        assert_eq!(r.lookup(mp, 0x2000).0, None);
+        assert_eq!(r.lookup(mp, 0x1020), Some((0x1000, 0x1040)));
+        assert_eq!(r.lookup(mp, 0x2000), None);
         // A publish on another slot moves the epoch but not this slot's
         // generation: the reader keeps its pin.
         plane.register(other, 0x1000, 64).unwrap();
         assert_eq!(plane.generation(mp), 3);
-        assert_eq!(r.lookup(mp, 0x1020).0, Some((0x1000, 0x1040)));
+        assert_eq!(r.lookup(mp, 0x1020), Some((0x1000, 0x1040)));
         assert_eq!(r.refreshes, 0);
         plane.drop_obj(mp, 0x1000).unwrap();
         assert_eq!(plane.epoch(), 5);
         assert_eq!(plane.generation(mp), 5);
         // The reader's next lookup revalidates the generation and must
         // miss.
-        assert_eq!(r.lookup(mp, 0x1020).0, None);
+        assert_eq!(r.lookup(mp, 0x1020), None);
         assert_eq!(r.refreshes, 1);
         // The other slot's object is untouched by the drop.
-        assert_eq!(r.lookup(other, 0x1020).0, Some((0x1000, 0x1040)));
+        assert_eq!(r.lookup(other, 0x1020), Some((0x1000, 0x1040)));
     }
 
     #[test]
@@ -675,24 +555,18 @@ mod tests {
     }
 
     #[test]
-    fn unindexed_huge_objects_fall_through_to_the_walk() {
+    fn a_registration_that_wraps_is_refused_and_publishes_nothing() {
         let plane = Arc::new(SharedMetaPlane::new());
         let mp = plane.add_pool();
-        plane.register(mp, 0x10_0000, 0x10_0000).unwrap(); // 256 pages
         plane.register(mp, 0x1000, 64).unwrap();
+        let epoch = plane.epoch();
+        let e = plane.register(mp, u64::MAX - 8, 32).unwrap_err();
+        assert_eq!(e.kind, CheckKind::BadRegistration);
+        assert!(e.detail.contains("wraps"), "{}", e.detail);
+        assert_eq!(plane.epoch(), epoch);
         let mut r = PlaneReader::new(plane.clone());
-        let (hit, layer) = r.lookup(mp, 0x18_0000);
-        assert_eq!(hit, Some((0x10_0000, 0x20_0000)));
-        assert_eq!(layer, PlaneLayer::Walk);
-        // Small object still answered by the page index.
-        let (hit, layer) = r.lookup(mp, 0x1010);
-        assert_eq!(hit, Some((0x1000, 0x1040)));
-        assert_eq!(layer, PlaneLayer::Page);
-        // A miss cannot be proven by the index while the huge object
-        // lives, so it walks — and still misses.
-        let (hit, layer) = r.lookup(mp, 0x50_0000);
-        assert_eq!(hit, None);
-        assert_eq!(layer, PlaneLayer::Walk);
+        assert_eq!(r.ranges(mp), vec![(0x1000, 0x1040)]);
+        assert_eq!(r.lookup(mp, 8), None, "no inverted range was published");
     }
 
     #[test]
@@ -757,14 +631,13 @@ mod tests {
                         // object may or may not be, but an answer from an
                         // old generation is impossible per the assert
                         // above.
-                        let (hit, _) = r.lookup(mp, 0x1010);
-                        assert_eq!(hit, Some((0x1000, 0x1040)));
+                        assert_eq!(r.lookup(mp, 0x1010), Some((0x1000, 0x1040)));
                     }
                     // Writers quiesced: the churn object was dropped last,
                     // so it must now be invisible — a stale hit here
                     // would be a missed use-after-free.
-                    assert_eq!(r.lookup(mp, 0x8010).0, None);
-                    assert_eq!(r.lookup(sib, 0x8010).0, None);
+                    assert_eq!(r.lookup(mp, 0x8010), None);
+                    assert_eq!(r.lookup(sib, 0x8010), None);
                 });
             }
             for w in writers {
@@ -785,7 +658,7 @@ mod tests {
         assert_eq!(e.kind, CheckKind::BadRegistration);
         assert_eq!(plane.epoch(), epoch, "a rejected adopt publishes nothing");
         let mut r = PlaneReader::new(plane.clone());
-        let visible = r.lookup(mp, 0x1000).0.is_some();
+        let visible = r.lookup(mp, 0x1000).is_some();
         let registered = plane.register(mp, 0x1000, 8);
         assert_eq!(
             visible,
@@ -831,18 +704,15 @@ mod tests {
         assert!(plane.reset_slots(base + 1, &baseline).is_err());
     }
 
-    /// The publish invariant: a slot's published snapshot holds exactly
-    /// its authoritative set, at exactly its generation.
-    fn published_matches_authoritative(plane: &SharedMetaPlane, slots: u32) -> Result<(), String> {
+    /// The publish invariant: a slot's published snapshot holds ascending,
+    /// disjoint, non-empty ranges, at exactly the slot's generation.
+    fn published_is_well_formed(plane: &SharedMetaPlane, slots: u32) -> Result<(), String> {
         for idx in 0..slots {
             let slot = plane.slot(idx).expect("slot exists");
             let st = slot.locked();
-            let auth: Vec<(u64, u64)> = st.intervals.iter().map(|(&s, &e)| (s, e)).collect();
-            if st.snap.ranges != auth {
-                return Err(format!(
-                    "slot {idx}: published {:?} != authoritative {auth:?}",
-                    st.snap.ranges
-                ));
+            let ranges = st.snap.ranges.as_slice();
+            if ranges.iter().any(|&(s, e)| s >= e) || ranges.windows(2).any(|w| w[0].1 > w[1].0) {
+                return Err(format!("slot {idx}: published {ranges:?}"));
             }
             if st.snap.gen != slot.generation() {
                 return Err(format!(
@@ -902,8 +772,10 @@ mod tests {
                         match plane.reset_slots(base, &baseline) {
                             Ok(_) => {
                                 for j in 0..2u32 {
-                                    let want: Vec<(u64, u64)> =
-                                        baseline[j as usize].iter().map(|&r| normalized(r)).collect();
+                                    let want: Vec<(u64, u64)> = baseline[j as usize]
+                                        .iter()
+                                        .map(|&(s, e)| (s, e.max(s + 1)))
+                                        .collect();
                                     prop_assert_eq!(plane.slot(base + j).unwrap().ranges(), want);
                                 }
                             }
@@ -922,18 +794,18 @@ mod tests {
                         plane.corrupt(slot, seed);
                     }
                 }
-                published_matches_authoritative(&plane, SLOTS)?;
+                published_is_well_formed(&plane, SLOTS)?;
                 for i in 0..SLOTS {
                     let now = plane.generation(i);
                     prop_assert!(now >= before[i as usize], "slot {} generation went backwards", i);
                     prop_assert!(now <= plane.epoch());
-                    // A standalone reader agrees with the authoritative
-                    // set at every probe address of every slot.
+                    // A standalone reader agrees with the published set
+                    // at every probe address of every slot.
                     let auth = plane.slot(i).unwrap().ranges();
                     for probe in 0..20u64 {
                         let a = addr(probe) + 0x10;
                         let want = auth.iter().copied().find(|&(s, e)| s <= a && a < e);
-                        prop_assert_eq!(reader.lookup(i, a).0, want, "slot {} addr {:#x}", i, a);
+                        prop_assert_eq!(reader.lookup(i, a), want, "slot {} addr {:#x}", i, a);
                     }
                 }
             }

@@ -6,7 +6,9 @@
 //! recently checked objects to the root, so the common pattern — many checks
 //! against the same few objects — costs near-constant amortized time. That
 //! locality is a load-bearing property of the paper's performance results,
-//! which is why this is a real splay tree and not a `BTreeMap`.
+//! which is why this is a real splay tree and not a `BTreeMap`. Metapools
+//! keep it as that baseline (`VmConfig::fast_path = false`); by default
+//! they register objects in a sorted range index instead.
 //!
 //! Nodes live in an index-based arena with a free list; no recursion, no
 //! `Box` chains, no unsafe code.
@@ -264,41 +266,6 @@ impl SplayTree {
         }
     }
 
-    /// Finds the range containing `addr` *without* restructuring the tree.
-    ///
-    /// A plain BST descent: because stored ranges are disjoint, a node with
-    /// `start <= addr < end` is the unique candidate, and when
-    /// `addr >= end` no left-subtree range can contain `addr` (it would
-    /// have to overlap this node). Read-mostly pools use this instead of
-    /// [`SplayTree::lookup`] so hot checks stop paying for rotations; the
-    /// trade-off is that the accessed node is not promoted, so the caller
-    /// should only prefer it once the tree shape has stabilised.
-    pub fn find(&self, addr: u64) -> Option<(u64, u64)> {
-        let mut cur = self.root;
-        while cur != NIL {
-            let n = self.nodes[cur as usize];
-            if addr < n.start {
-                cur = n.left;
-            } else if addr < n.end {
-                return Some((n.start, n.end));
-            } else {
-                cur = n.right;
-            }
-        }
-        None
-    }
-
-    /// The single stored range, if the tree holds exactly one. Constant
-    /// time: with `len == 1` the root is the only node. Metapools use this
-    /// to maintain their singleton fast path across mutations.
-    pub fn only_range(&self) -> Option<(u64, u64)> {
-        if self.len != 1 {
-            return None;
-        }
-        let n = self.nodes[self.root as usize];
-        Some((n.start, n.end))
-    }
-
     /// Removes the range starting exactly at `start`. Returns the removed
     /// `(start, end)` or `None`.
     pub fn remove(&mut self, start: u64) -> Option<(u64, u64)> {
@@ -519,38 +486,6 @@ mod tests {
             }
             assert_eq!(t.len(), model.len());
         }
-    }
-
-    #[test]
-    fn find_agrees_with_lookup_and_preserves_shape() {
-        let mut t = SplayTree::new();
-        for i in 0..512u64 {
-            assert!(t.insert(i * 32, 16));
-        }
-        // `find` must agree with `lookup` on hits, misses between ranges,
-        // and misses outside the keyspace — without mutating the tree.
-        let ranges = t.iter_ranges();
-        let root_before = t.root;
-        for addr in [0u64, 8, 15, 16, 31, 4000, 4008, 4016, 511 * 32 + 15, 16384] {
-            let expect = ranges.iter().copied().find(|&(s, e)| s <= addr && addr < e);
-            assert_eq!(t.find(addr), expect, "addr {addr}");
-        }
-        assert_eq!(t.root, root_before, "find restructured the tree");
-        assert_eq!(t.iter_ranges(), ranges);
-    }
-
-    #[test]
-    fn only_range_tracks_singleton_state() {
-        let mut t = SplayTree::new();
-        assert_eq!(t.only_range(), None);
-        assert!(t.insert(0x1000, 64));
-        assert_eq!(t.only_range(), Some((0x1000, 0x1040)));
-        assert!(t.insert(0x2000, 64));
-        assert_eq!(t.only_range(), None);
-        assert_eq!(t.remove(0x1000), Some((0x1000, 0x1040)));
-        assert_eq!(t.only_range(), Some((0x2000, 0x2040)));
-        t.clear();
-        assert_eq!(t.only_range(), None);
     }
 
     #[test]

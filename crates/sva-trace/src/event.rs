@@ -17,15 +17,17 @@ pub enum LookupLayer {
     /// No object lookup was involved (e.g. `funccheck`, static ranges).
     #[default]
     None,
-    /// Layer 0: the singleton fast path — the pool held exactly one live
-    /// object, so a two-compare test answered hit and definitive miss
-    /// alike (DESIGN.md §4.4).
+    /// Layer 0: the singleton test — the pool held exactly one live
+    /// object, so two compares answered hit and definitive miss alike
+    /// (DESIGN.md §4.1).
     Singleton,
     /// Layer 1: the 2-entry MRU last-hit cache.
     Cache,
-    /// Layer 2: the page-granular interval index (hit or definitive miss).
+    /// Layer 2: a binary search of the range index (hit or definitive
+    /// miss; the name predates the index).
     Page,
-    /// Layer 3: a splay-tree walk.
+    /// A splay-tree walk: every lookup of the `fast_path = false`
+    /// baseline.
     Tree,
 }
 

@@ -103,7 +103,7 @@ pub struct PoolProfile {
     pub singleton_hits: u64,
     /// Checks resolved by the MRU cache.
     pub cache_hits: u64,
-    /// Checks resolved by the page index.
+    /// Checks resolved by the range index.
     pub page_hits: u64,
     /// Checks that walked the splay tree.
     pub tree_walks: u64,

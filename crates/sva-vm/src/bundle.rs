@@ -273,12 +273,17 @@ impl CrashBundle {
                 "bundle was captured under a hot profile; replay cannot reconstruct it".into(),
             ));
         }
+        if w[3] != w[4] {
+            return Err(BundleError::Malformed(
+                "bundle was captured under mixed lookup switches; replay cannot reconstruct it"
+                    .into(),
+            ));
+        }
         Ok(VmConfig {
             kind,
             sign_key: w[1],
             opt_level: w[2] as u8,
             fast_path: w[3] != 0,
-            singleton_path: w[4] != 0,
             violation_budget: w[5] as u32,
             domain_fuel: w[6],
             vcpus: (w[9] as u32).max(1),

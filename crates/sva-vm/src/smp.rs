@@ -8,13 +8,14 @@
 //! * **Shared, published per slot**: metapool object metadata lives in
 //!   one [`SharedMetaPlane`]. Each vCPU owns a contiguous slot range
 //!   inside the plane (its kernel instance's object namespace), and every
-//!   slot publishes on its own: a registration or drop rebuilds only its
-//!   slot's snapshot and bumps only that slot's generation, which kills
-//!   the MRU lines tagged with the old generation at the cost of a single
-//!   `Acquire` load on their next lookup — cross-CPU invalidation with
-//!   zero traffic — and leaves every other slot's lines alive.
+//!   slot publishes on its own: a registration or drop republishes only
+//!   its slot's sorted ranges and bumps only that slot's generation,
+//!   which kills the MRU lines tagged with the old generation at the
+//!   cost of a single `Acquire` load on their next lookup — cross-CPU
+//!   invalidation with zero traffic — and leaves every other slot's
+//!   lines alive.
 //! * **Private**: memory image, thread state, recovery-domain stack,
-//!   per-vCPU MRU/singleton caches, `CheckStats`, `VmStats`, console and
+//!   per-vCPU MRU lines, `CheckStats`, `VmStats`, console and
 //!   trace sinks. Each job runs on a fresh fork of the never-run
 //!   template; the fork copies only the template's nonzero kernel pages,
 //!   recorded once at construction, and the kernel-stack window is carved

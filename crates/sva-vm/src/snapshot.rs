@@ -34,10 +34,11 @@
 //!
 //! * the translated-function cache — deterministic from the module and
 //!   config, which the header's `code_id`/`config_fp` pin;
-//! * the metapool splay trees and page indexes — rebuilt from the sorted
-//!   live-range lists ([`sva_rt::PoolImage`]); tree shape and bucket
-//!   order are observationally irrelevant because ranges are disjoint
-//!   (the round-trip gates in `tests/snapshot.rs` prove it);
+//! * the metapool registries (range indexes, or splay trees on the
+//!   baseline) — rebuilt from the sorted live-range lists
+//!   ([`sva_rt::PoolImage`]); tree shape is observationally irrelevant
+//!   because ranges are disjoint (the round-trip gates in
+//!   `tests/snapshot.rs` prove it);
 //! * the fault hook — a host-side `Arc<dyn FaultHook>` that cannot be
 //!   serialized; the image carries its schedule cursor (`trap_count`),
 //!   so reattaching an identical plan resumes the identical schedule.
@@ -197,7 +198,10 @@ pub(crate) fn kind_code(k: KernelKind) -> u64 {
 }
 
 /// The config fields a snapshot is only valid under, each widened to u64.
-/// Order is part of the format.
+/// Order is part of the format. Word 4 records whether the singleton test
+/// runs, which is now `fast_path` itself: an image whose words 3 and 4
+/// differ came from an older build under mixed lookup switches and fails
+/// as a `singleton_path` mismatch.
 pub(crate) const FP_FIELDS: [&str; 10] = [
     "kind",
     "sign_key",
@@ -222,7 +226,7 @@ pub(crate) fn fingerprint_words(cfg: &VmConfig, fused_sites: u32) -> [u64; FP_FI
         cfg.sign_key,
         cfg.opt_level as u64,
         cfg.fast_path as u64,
-        cfg.singleton_path as u64,
+        cfg.fast_path as u64,
         cfg.violation_budget as u64,
         cfg.domain_fuel,
         fused_sites as u64,
@@ -500,7 +504,10 @@ pub(crate) fn read_recovery(r: &mut ImageReader<'_>) -> Result<RecoveryCtx, Code
 }
 
 /// A pool image as format `version` lays it out: v1 has no
-/// `poisoned_by`/`repairs`, which read back as zero.
+/// `poisoned_by`/`repairs`, which read back as zero. The lookup switch is
+/// written twice, its second byte the old singleton switch (which is
+/// `fast_path` now), and the old read-mostly counter is a reserved u32,
+/// written as 0 and ignored on read.
 pub(crate) fn write_pool_image(w: &mut ImageWriter, img: &PoolImage, version: u32) {
     w.str(&img.name);
     w.seq(&img.ranges, |w, &(s, e)| {
@@ -511,14 +518,14 @@ pub(crate) fn write_pool_image(w: &mut ImageWriter, img: &PoolImage, version: u3
         w.u64(word);
     }
     w.bool(img.fast_path);
-    w.bool(img.singleton_path);
+    w.bool(img.fast_path);
     for slot in img.mru {
         w.opt(slot, |w, (s, e)| {
             w.u64(s);
             w.u64(e);
         });
     }
-    w.u32(img.quiet_lookups);
+    w.u32(0);
     w.u8(img.last_layer);
     w.bool(img.quarantined);
     w.bool(img.poisoned);
@@ -539,19 +546,25 @@ pub(crate) fn read_pool_image(
     let ranges = r.vec(16, |r| Ok((r.u64()?, r.u64()?)))?;
     let stats = r.u64s()?;
     let fast_path = r.bool()?;
-    let singleton_path = r.bool()?;
+    // The singleton switch is `fast_path` now; a different byte is an
+    // image from an older build under mixed switches.
+    if r.bool()? != fast_path {
+        return Err(CodecError::Invalid {
+            what: "pool singleton switch",
+            value: u64::from(!fast_path),
+        });
+    }
     let mut mru = [None; 2];
     for slot in &mut mru {
         *slot = r.opt(|r| Ok((r.u64()?, r.u64()?)))?;
     }
+    r.u32()?; // reserved
     Ok(PoolImage {
         name,
         ranges,
         stats,
         fast_path,
-        singleton_path,
         mru,
-        quiet_lookups: r.u32()?,
         last_layer: r.u8()?,
         quarantined: r.bool()?,
         poisoned: r.bool()?,
@@ -1221,6 +1234,126 @@ out:
             assert!(target.mem.kernel_bytes() == &bytes[..]);
             assert_eq!(target.mem.written_pages(), written);
         }
+    }
+
+    /// Re-frames `valid` with `edit` applied to its payload, so the
+    /// forged image passes every checksum.
+    fn reframed(valid: &[u8], edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+        let (_, code_id, payload) =
+            unframe_image(valid, SNAPSHOT_VERSION..=SNAPSHOT_VERSION).unwrap();
+        frame_image(SNAPSHOT_VERSION, FP_FIELDS.len(), code_id, &edit(payload))
+    }
+
+    #[test]
+    fn restore_rejects_an_mru_line_that_is_not_a_live_range() {
+        use crate::migrate::MigrateError;
+        use sva_rt::{MetaPool, MetaPoolId};
+        // A machine with one complete pool holding two live objects.
+        let id = MetaPoolId(0);
+        let with_pool = || {
+            let mut vm = mk(cfg());
+            vm.pools.add_pool(MetaPool::new("MPf", false, true, None));
+            vm.pools.pool_mut(id).reg_obj(0x1000, 0x40).unwrap();
+            vm.pools.pool_mut(id).reg_obj(0x2000, 0x40).unwrap();
+            vm
+        };
+        let source = with_pool();
+        let valid = source.snapshot();
+        // The same image, its pool carrying an MRU line for an object
+        // that was never registered.
+        let img = source.pools.pool(id).export_image();
+        let forged_img = PoolImage {
+            mru: [Some((0x5000, 0x6000)), None],
+            ..img.clone()
+        };
+        let encode = |img: &PoolImage| {
+            let mut w = ImageWriter::new();
+            write_pool_image(&mut w, img, SNAPSHOT_VERSION);
+            w.into_bytes()
+        };
+        let forged = reframed(&valid, |payload| {
+            let old = encode(&img);
+            let at = payload
+                .windows(old.len())
+                .position(|w| w == old)
+                .expect("pool image in payload");
+            let mut w = ImageWriter::new();
+            w.raw(&payload[..at]);
+            w.raw(&encode(&forged_img));
+            w.raw(&payload[at + old.len()..]);
+            w.into_bytes()
+        });
+
+        let mut target = with_pool();
+        assert!(matches!(
+            target.restore(&forged),
+            Err(SnapshotError::Malformed(_))
+        ));
+        assert!(matches!(
+            target.restore_migrated(&forged),
+            Err(MigrateError::Image(SnapshotError::Malformed(_)))
+        ));
+        // The machine runs exactly as an untouched one does, and the
+        // forged object stays unknown to its checks.
+        let mut untouched = with_pool();
+        for vm in [&mut target, &mut untouched] {
+            let pool = vm.pools.pool_mut(id);
+            assert!(pool.ls_check(0x5010).is_err());
+            assert_eq!(pool.get_bounds(0x5010), None);
+        }
+        assert_eq!(
+            target.call("work", &[7]).unwrap(),
+            untouched.call("work", &[7]).unwrap()
+        );
+        assert_eq!(target.stats(), untouched.stats());
+        assert_eq!(target.pools.total_stats(), untouched.pools.total_stats());
+        assert_eq!(target.pools.pool(id).live_ranges(), img.ranges);
+        target.restore(&valid).unwrap();
+    }
+
+    #[test]
+    fn images_under_mixed_lookup_switches_fail_closed() {
+        use crate::migrate::MigrateError;
+        // Fingerprint word 4 (the singleton test) off under word 3 (the
+        // fast path) on: what an older build wrote for mixed switches.
+        let valid = mk(cfg()).snapshot();
+        let mixed = reframed(&valid, |payload| {
+            let mut w = ImageWriter::new();
+            w.raw(&payload[..8 * 4]);
+            w.u64(0);
+            w.raw(&payload[8 * 5..]);
+            w.into_bytes()
+        });
+        let mut target = mk(cfg());
+        let want = SnapshotError::ConfigMismatch {
+            field: "singleton_path",
+            image: 0,
+            machine: 1,
+        };
+        assert_eq!(target.restore(&mixed), Err(want.clone()));
+        assert!(matches!(
+            target.restore_migrated(&mixed),
+            Err(MigrateError::Image(e)) if e == want
+        ));
+        // A pool image whose two switch bytes differ is refused too.
+        let img = sva_rt::MetaPool::new("MPf", false, true, None).export_image();
+        let mut w = ImageWriter::new();
+        write_pool_image(&mut w, &img, SNAPSHOT_VERSION);
+        let mut bytes = w.into_bytes();
+        let mut head = ImageWriter::new();
+        head.str(&img.name);
+        head.u64(0); // no ranges
+        for &word in &img.stats {
+            head.u64(word);
+        }
+        let at = head.as_bytes().len();
+        assert_eq!(&bytes[at..at + 2], [1, 1]);
+        bytes[at + 1] = 0;
+        assert!(matches!(
+            read_pool_image(&mut ImageReader::new(&bytes), SNAPSHOT_VERSION),
+            Err(CodecError::Invalid { .. })
+        ));
+        target.restore(&valid).unwrap();
     }
 
     /// `@peek` loads the word at a guest address.

@@ -645,11 +645,10 @@ fn safe_kernel_in_bounds_access_passes() {
 
 #[test]
 fn safe_kernel_lookup_breakdown_and_ablation_agree() {
-    // With the fast path on, the repeated checks of `overflow` are served
-    // by the cache layers; with it off the same run is all tree walks.
-    // Outcome, cycle count and check volume must be identical either way.
-    // The singleton elision is disabled on both sides: it would answer
-    // ahead of every layer under test (it has its own ablation tests).
+    // With the fast path on, the checks of `overflow` are answered by the
+    // singleton test, the MRU and the range index; with it off the same
+    // run is all tree walks. Outcome, cycle count and check volume must
+    // be identical either way.
     let run = |fast_path: bool| {
         let m = safe_module(SAFE_KERNEL);
         let mut vm = Vm::new(
@@ -657,7 +656,6 @@ fn safe_kernel_lookup_breakdown_and_ablation_agree() {
             VmConfig {
                 kind: KernelKind::SvaSafe,
                 fast_path,
-                singleton_path: false,
                 ..Default::default()
             },
         )
@@ -670,12 +668,17 @@ fn safe_kernel_lookup_breakdown_and_ablation_agree() {
     assert_eq!(r_fast, r_base);
     assert_eq!(s_fast.cycles, s_base.cycles, "fast path altered cycle cost");
     assert_eq!(p_fast.total_checks(), p_base.total_checks());
-    // The baseline run never touches the cache layers.
-    assert_eq!(s_base.cache_hits + s_base.page_hits, 0);
-    assert_eq!(s_base.tree_walks, p_base.lookups());
-    // Both runs account for every lookup, whatever layer answered it.
+    assert_eq!(p_fast.lookups(), p_base.lookups());
+    // The baseline run never touches the fast layers.
     assert_eq!(
-        s_fast.cache_hits + s_fast.page_hits + s_fast.tree_walks,
+        s_base.singleton_hits + s_base.cache_hits + s_base.page_hits,
+        0
+    );
+    assert_eq!(s_base.tree_walks, p_base.lookups());
+    // The fast run never walks a tree and accounts for every lookup.
+    assert_eq!(s_fast.tree_walks, 0);
+    assert_eq!(
+        s_fast.singleton_hits + s_fast.cache_hits + s_fast.page_hits,
         p_fast.lookups()
     );
 }
@@ -1075,7 +1078,7 @@ entry:
 }
 
 // ---------------------------------------------------------------------------
-// Optimizing tier (DESIGN.md §4.4): fusion + singleton elision.
+// Optimizing tier (DESIGN.md §4.4): fusion.
 // ---------------------------------------------------------------------------
 
 const SAFE_LOOP_KERNEL: &str = r#"
@@ -1243,38 +1246,4 @@ fn profile_gates_fusion_to_hot_functions() {
     )
     .unwrap();
     assert!(vm.fused_sites() > 0);
-}
-
-#[test]
-fn singleton_elision_preserves_safe_kernel_behavior() {
-    // Same workload with the singleton path on and off: identical
-    // everything (the elision answers the same lookups, just cheaper in
-    // host work — the virtual cycle model charges checks identically).
-    let run = |singleton_path: bool| {
-        let m = safe_module(SAFE_KERNEL);
-        let mut vm = Vm::new(
-            m,
-            VmConfig {
-                kind: KernelKind::SvaSafe,
-                singleton_path,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let r = vm.call("overflow", &[10]).unwrap();
-        (r, vm.stats(), vm.pools.total_stats())
-    };
-    let (r_on, s_on, p_on) = run(true);
-    let (r_off, s_off, p_off) = run(false);
-    assert_eq!(r_on, r_off);
-    assert_eq!(s_on.cycles, s_off.cycles);
-    assert_eq!(p_on.total_checks(), p_off.total_checks());
-    assert_eq!(p_on.lookups(), p_off.lookups());
-    // The elided run attributes lookups to the singleton layer; the other
-    // run never does.
-    assert_eq!(s_off.singleton_hits, 0);
-    assert_eq!(
-        s_on.singleton_hits + s_on.cache_hits + s_on.page_hits + s_on.tree_walks,
-        p_on.lookups()
-    );
 }

@@ -176,9 +176,11 @@ pub struct VmConfig {
     /// Instruction budget (guards against runaway guests); `u64::MAX` for
     /// unlimited.
     pub fuel: u64,
-    /// Layered lookup fast path in the metapool runtime (MRU cache + page
-    /// index in front of the splay tree). On by default; benchmarks disable
-    /// it to measure the splay-only baseline.
+    /// The metapool lookup switch (DESIGN.md §4.1): on (the default),
+    /// every pool's registry is a sorted range index answered by the
+    /// singleton test, the MRU and a binary search; off, it is the
+    /// paper's splay tree and every lookup is a splay walk — the baseline
+    /// benchmarks measure against.
     pub fast_path: bool,
     /// Safety violations a metapool may absorb *within one recovery-domain
     /// scope* before it is permanently poisoned (DESIGN.md §4.3/§4.5).
@@ -201,11 +203,6 @@ pub struct VmConfig {
     /// Profile-guided function selection for the optimizing tier, exported
     /// by `svaprof --profile-out` from a previous traced run.
     pub hot_profile: Option<Arc<HotProfile>>,
-    /// Singleton-pool check elision in the metapool runtime: pools holding
-    /// exactly one live object answer lookups with a two-compare bounds
-    /// test instead of the layered MRU/page/splay path. On by default;
-    /// benchmarks disable it to isolate the layered path.
-    pub singleton_path: bool,
     /// Virtual CPUs of the machine (DESIGN.md §4.9). `1` (the default) is
     /// the classic single-threaded machine, bit-identical to the pre-SMP
     /// VM. At 2+ the [`crate::smp::SmpMachine`] runner forks one full VM
@@ -243,7 +240,6 @@ impl std::fmt::Debug for VmConfig {
             .field("fault_hook", &self.fault_hook.is_some())
             .field("opt_level", &self.opt_level)
             .field("hot_profile", &self.hot_profile.is_some())
-            .field("singleton_path", &self.singleton_path)
             .field("vcpus", &self.vcpus)
             .field("irq_affinity", &self.irq_affinity)
             .finish()
@@ -262,7 +258,6 @@ impl Default for VmConfig {
             fault_hook: None,
             opt_level: 0,
             hot_profile: None,
-            singleton_path: true,
             vcpus: 1,
             irq_affinity: IrqAffinity::default(),
         }
@@ -750,7 +745,8 @@ pub struct VmStats {
     pub interrupts: u64,
     /// Metapool lookups answered by the MRU last-hit cache.
     pub cache_hits: u64,
-    /// Metapool lookups resolved by the page-granular index.
+    /// Metapool lookups resolved by the range index's binary search (a
+    /// hit or a definitive miss; the name predates the index).
     pub page_hits: u64,
     /// Metapool lookups that walked the splay tree.
     pub tree_walks: u64,
@@ -1069,9 +1065,6 @@ impl<T: Tracer> Vm<T> {
         }
         if !cfg.fast_path {
             pools.set_fast_path(false);
-        }
-        if !cfg.singleton_path {
-            pools.set_singleton_path(false);
         }
 
         // Translation to the flat "native" form.

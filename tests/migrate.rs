@@ -595,30 +595,30 @@ fn wire_formats_are_pinned() {
             0x9fc5_0cac_6eaa_509f,
         ),
         ("SVA1 v4 boot", boot.clone(), 35_557, 0xb691_e59c_613c_fe40),
-        ("SVA1 v4 mid", mid.clone(), 69_121, 0x2c6f_f1d4_dcae_6ef7),
+        ("SVA1 v4 mid", mid.clone(), 69_121, 0x4992_d291_328e_7333),
         (
             "SVA1 v3 mid",
             reencode_at(&mid, 3).unwrap(),
             64_219,
-            0x1240_c12e_2be9_4a3d,
+            0x6fdf_d84e_2976_29e4,
         ),
         (
             "SVA1 v2 mid",
             reencode_at(&mid, 2).unwrap(),
             64_207,
-            0xb4da_3c6d_5428_bb79,
+            0xaf32_9b31_0b92_c49a,
         ),
         (
             "SVA1 v1 mid",
             reencode_at(&mid, 1).unwrap(),
             62_175,
-            0x603f_f470_0e2b_a71b,
+            0x251e_744c_4843_9fc9,
         ),
         (
             "SVAQ [boot, mid]",
             encode_quiesce(&[boot, mid]),
             104_722,
-            0x74fd_20be_b258_6644,
+            0xb0fc_e6a1_fedb_71a0,
         ),
         (
             "SVAB halt bundle",

@@ -1,5 +1,5 @@
 //! End-to-end equivalence gates for the optimizing translation tier
-//! (DESIGN.md §4.4) and the singleton-pool check elision.
+//! (DESIGN.md §4.4) and the metapool lookup switch (DESIGN.md §4.1).
 //!
 //! The contract under test: turning the optimizations on must be
 //! *observationally invisible* — same results, same instruction counts,
@@ -10,7 +10,7 @@
 //!   counted loops (the shapes the fusion pass targets) run at
 //!   `opt_level` 0 vs 2 on both flat-translating kernel kinds;
 //! * **the real kernel** — a syscall workload on the safety-checked
-//!   kernel, opt 0 vs 2 and singleton on vs off;
+//!   kernel, opt 0 vs 2 and range index vs splay baseline;
 //! * **fault-injection replays** — the faultcamp seed grid re-run at both
 //!   opt levels must produce byte-identical outcomes and stats, so fusion
 //!   cannot perturb violation recovery.
@@ -208,29 +208,38 @@ fn kernel_gep_chk_load_triples_fuse_and_agree() {
     }
 }
 
-/// The singleton elision answers some lookups at a different *layer*, so
-/// the layer split moves — but the total lookup count, every check
-/// outcome, the cycle count and the exit must be identical.
+/// The lookup switch: the range index behind its singleton test and MRU
+/// against the paper's splay baseline. The layer split moves — every
+/// baseline lookup is a tree walk — but the total lookup count, the
+/// cycle count, the instruction count and the exit must be identical.
 #[test]
-fn kernel_workloads_agree_across_singleton_toggle() {
-    let run = |singleton_path: bool| {
+fn kernel_workloads_agree_across_lookup_switch() {
+    let run = |fast_path: bool| {
         let mut vm = make_vm_cfg(VmConfig {
             kind: KernelKind::SvaSafe,
-            singleton_path,
+            fast_path,
             ..Default::default()
         });
         let exit = boot_user(&mut vm, "user_openclose_loop", pack_arg(30, 0, 0)).unwrap();
-        (exit, vm.stats())
+        let s = vm.stats();
+        let lookups = s.singleton_hits + s.cache_hits + s.page_hits + s.tree_walks;
+        (exit, s, lookups)
     };
-    let (r_on, s_on) = run(true);
-    let (r_off, s_off) = run(false);
-    assert_eq!(r_on, r_off);
-    assert_eq!(s_on.cycles, s_off.cycles);
-    assert_eq!(s_on.instructions, s_off.instructions);
-    assert_eq!(s_off.singleton_hits, 0);
-    let total_on = s_on.singleton_hits + s_on.cache_hits + s_on.page_hits + s_on.tree_walks;
-    let total_off = s_off.cache_hits + s_off.page_hits + s_off.tree_walks;
-    assert_eq!(total_on, total_off, "elision changed the lookup count");
+    let (r_fast, s_fast, lookups_fast) = run(true);
+    let (r_base, s_base, lookups_base) = run(false);
+    assert_eq!(r_fast, r_base);
+    assert_eq!(s_fast.cycles, s_base.cycles);
+    assert_eq!(s_fast.instructions, s_base.instructions);
+    assert_eq!(
+        lookups_fast, lookups_base,
+        "the switch changed the lookup count"
+    );
+    assert!(lookups_base > 0);
+    assert_eq!(
+        s_base.tree_walks, lookups_base,
+        "a baseline lookup skipped the tree"
+    );
+    assert_eq!(s_fast.tree_walks, 0);
 }
 
 /// Metapool ids with complete points-to info in the recovery kernel (the

@@ -7,20 +7,23 @@
 //!   encoding/decoding are lossless for generated modules;
 //! * **splay tree vs model** — the range tree agrees with a naive model
 //!   under arbitrary operation sequences;
-//! * **fast-path equivalence** — a metapool with the layered lookup cache
-//!   (MRU + page index) answers every check exactly like the splay-only
-//!   baseline under arbitrary register/check/drop sequences;
+//! * **fast-path equivalence** — a metapool on the range index (singleton
+//!   test, MRU, binary search), one on the splay-only baseline and one
+//!   bound to a shared plane answer every check alike under arbitrary
+//!   register/check/drop sequences;
 //! * **signature integrity** — any single-bit flip in signed bytecode is
 //!   rejected.
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
 use sva::ir::build::FunctionBuilder;
 use sva::ir::bytecode::{decode_module, encode_module, sign, verify_signature};
 use sva::ir::parse::parse_module;
 use sva::ir::print::print_module;
 use sva::ir::{BinOp, Linkage, Module, Operand};
-use sva::rt::{MetaPool, SplayTree};
+
+use sva::rt::{MetaPool, MetaPoolId, MetaPoolTable, SharedMetaPlane, SplayTree};
 use sva::vm::{KernelKind, Vm, VmConfig, VmExit};
 
 /// One generated operation: opcode, operand sources, immediate, width.
@@ -316,100 +319,59 @@ proptest! {
     fn fastpath_agrees_with_splay_baseline(
         ops in prop::collection::vec((0u8..5, 0u64..512, 1u64..48, 0u64..64), 1..200),
         complete in any::<bool>(),
+        narrow in any::<bool>(),
         toggle_at in 0usize..200,
     ) {
-        // The same operation sequence runs against a fast-path pool and a
-        // splay-only pool; every observable result (check outcomes, bounds,
-        // live counts) must be identical, including after toggling the
-        // fast path mid-sequence (which forces an index rebuild).
+        // The same operation sequence runs against a range-index pool, a
+        // splay-only pool and a pool bound to a one-slot shared plane;
+        // every observable result (check outcomes, bounds, live counts)
+        // must be identical, including after toggling the fast path
+        // mid-sequence (which moves the live ranges between registries).
+        // `narrow` packs the objects into 64 positions, so the pools move
+        // in and out of the one-object regime of the singleton test.
         let mut fast = MetaPool::new("MPf", false, complete, None);
         let mut base = MetaPool::new("MPb", false, complete, None);
         base.set_fast_path(false);
-        // This test pins down the *layered* fast path, so the singleton
-        // elision (which answers ahead of every layer while the pool holds
-        // one object) is disabled on both sides; it has its own test below.
-        fast.set_singleton_path(false);
-        base.set_singleton_path(false);
+        let plane = Arc::new(SharedMetaPlane::new());
+        let mut table = MetaPoolTable::new();
+        table.add_pool(MetaPool::new("MPs", false, complete, None));
+        table.publish_to_plane(&plane);
+        table.bind_shared(&plane);
+        let shared = table.pool_mut(MetaPoolId(0));
         for (i, (op, pos, len, off)) in ops.into_iter().enumerate() {
             if i == toggle_at {
-                fast.set_fast_path(false);
-                fast.set_fast_path(true);
+                for p in [&mut fast, &mut *shared] {
+                    p.set_fast_path(false);
+                    p.set_fast_path(true);
+                }
             }
-            let start = pos * 8;
+            let start = if narrow { pos % 64 } else { pos } * 8;
             let addr = start + off;
-            match op {
-                0 => prop_assert_eq!(
-                    fast.reg_obj(start, len).is_ok(),
-                    base.reg_obj(start, len).is_ok()
-                ),
-                1 => prop_assert_eq!(
-                    fast.drop_obj(start).is_ok(),
-                    base.drop_obj(start).is_ok()
-                ),
-                2 => prop_assert_eq!(fast.get_bounds(addr), base.get_bounds(addr)),
-                3 => prop_assert_eq!(
-                    fast.ls_check(addr).is_ok(),
-                    base.ls_check(addr).is_ok()
-                ),
-                _ => prop_assert_eq!(
-                    fast.bounds_check(addr, addr + len).is_ok(),
-                    base.bounds_check(addr, addr + len).is_ok()
-                ),
-            }
+            let outcomes: Vec<String> = [&mut fast, &mut base, &mut *shared]
+                .into_iter()
+                .map(|p| match op {
+                    0 => format!("{:?}", p.reg_obj(start, len).is_ok()),
+                    1 => format!("{:?}", p.drop_obj(start).is_ok()),
+                    2 => format!("{:?}", p.get_bounds(addr)),
+                    3 => format!("{:?}", p.ls_check(addr).is_ok()),
+                    _ => format!("{:?}", p.bounds_check(addr, addr + len).is_ok()),
+                })
+                .collect();
+            prop_assert_eq!(&outcomes[0], &outcomes[1], "op {} {}", i, op);
+            prop_assert_eq!(&outcomes[0], &outcomes[2], "op {} {}", i, op);
             prop_assert_eq!(fast.live_objects(), base.live_objects());
+            prop_assert_eq!(fast.live_objects(), shared.live_objects());
         }
         prop_assert_eq!(fast.live_ranges(), base.live_ranges());
-        // Layer accounting: the two pools saw the same lookups, and the
-        // baseline answered all of its own from the tree.
+        prop_assert_eq!(fast.live_ranges(), shared.live_ranges());
+        // Layer accounting: the three pools saw the same lookups, the
+        // baseline answered all of its own from the tree, and the other
+        // two never walked one.
         prop_assert_eq!(fast.stats().lookups(), base.stats().lookups());
+        prop_assert_eq!(fast.stats().lookups(), shared.stats().lookups());
         prop_assert_eq!(base.stats().tree_walks, base.stats().lookups());
         prop_assert_eq!(base.stats().cache_hits, 0);
-    }
-
-    #[test]
-    fn singleton_elision_agrees_with_layered_lookup(
-        ops in prop::collection::vec((0u8..5, 0u64..64, 1u64..48, 0u64..64), 1..200),
-        complete in any::<bool>(),
-    ) {
-        // The singleton two-compare test must be observationally identical
-        // to the full layered lookup, across registrations and drops that
-        // move the pool in and out of the one-object regime.
-        let mut on = MetaPool::new("MPs", false, complete, None);
-        let mut off = MetaPool::new("MPl", false, complete, None);
-        off.set_singleton_path(false);
-        for (op, pos, len, off_b) in ops.into_iter() {
-            let start = pos * 8;
-            let addr = start + off_b;
-            match op {
-                0 => prop_assert_eq!(
-                    on.reg_obj(start, len).is_ok(),
-                    off.reg_obj(start, len).is_ok()
-                ),
-                1 => prop_assert_eq!(
-                    on.drop_obj(start).is_ok(),
-                    off.drop_obj(start).is_ok()
-                ),
-                2 => prop_assert_eq!(on.get_bounds(addr), off.get_bounds(addr)),
-                3 => prop_assert_eq!(
-                    on.ls_check(addr).is_ok(),
-                    off.ls_check(addr).is_ok()
-                ),
-                _ => prop_assert_eq!(
-                    on.bounds_check(addr, addr + len).is_ok(),
-                    off.bounds_check(addr, addr + len).is_ok()
-                ),
-            }
-            prop_assert_eq!(on.live_objects(), off.live_objects());
-        }
-        prop_assert_eq!(on.live_ranges(), off.live_ranges());
-        // Both sides saw the same lookups; the elided side just answered
-        // some of them at the singleton layer instead.
-        prop_assert_eq!(on.stats().lookups(), off.stats().lookups());
-        prop_assert_eq!(off.stats().singleton_hits, 0);
-        let s = on.stats();
-        prop_assert_eq!(
-            s.singleton_hits + s.cache_hits + s.page_hits + s.tree_walks,
-            s.lookups()
-        );
+        prop_assert_eq!(fast.stats().tree_walks, 0);
+        prop_assert_eq!(shared.stats().tree_walks, 0);
     }
 }
