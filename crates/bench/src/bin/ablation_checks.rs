@@ -152,6 +152,6 @@ fn main() {
             RingConfig::default(),
         );
         println!("\n-- traced drill-down: sva-safe pipe x100, per-pool layers --");
-        println!("{}", top_report(&tracer, sample.cycles, 5));
+        println!("{}", top_report(&tracer, sample.stats.cycles, 5));
     }
 }

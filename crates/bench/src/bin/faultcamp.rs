@@ -728,13 +728,9 @@ struct RepairTally {
     repaired_subsystems: u64,
     probes_total: u64,
     probes_serviced: u64,
-    repairs: u64,
-    pools_repaired: u64,
-    probation_passed: u64,
-    probation_failed: u64,
-    /// Subsystems permanently retired during the availability cells —
-    /// must be zero under default budgets.
-    retired: u64,
+    /// Summed machine stats of the cells. Its `subsys_retired` must stay
+    /// zero under default budgets.
+    stats: VmStats,
     deaths: u64,
 }
 
@@ -785,11 +781,7 @@ fn run_repair_cell(t: &mut RepairTally, handler: &str, args: &[u64], pool: u32) 
         }
     }
     let s = vm.stats();
-    t.repairs += s.repairs;
-    t.pools_repaired += s.pools_repaired;
-    t.probation_passed += s.probation_passed;
-    t.probation_failed += s.probation_failed;
-    t.retired += s.subsys_retired;
+    t.stats.fold(&s);
     if s.repairs > 0 && subsys_state(&mut vm, subsys) == H_LIVE as u64 {
         t.repaired_subsystems += 1;
     }
@@ -1760,9 +1752,9 @@ fn main() {
         repair.cells,
         repair.repaired_subsystems,
         repair.availability(),
-        repair.retired,
-        repair.probation_passed,
-        repair.probation_failed,
+        repair.stats.subsys_retired,
+        repair.stats.probation_passed,
+        repair.stats.probation_failed,
     );
     println!(
         "nested  retire-drill      trips {:3}  retired {}  post-retire -ENOSYS {}  machine alive {}",
@@ -1855,11 +1847,11 @@ fn main() {
         repair.availability(),
         repair.probes_total,
         repair.probes_serviced,
-        repair.repairs,
-        repair.pools_repaired,
-        repair.probation_passed,
-        repair.probation_failed,
-        repair.retired,
+        repair.stats.repairs,
+        repair.stats.pools_repaired,
+        repair.stats.probation_passed,
+        repair.stats.probation_failed,
+        repair.stats.subsys_retired,
         repair.deaths,
         drill.retired,
         drill.stats_retired,
@@ -1958,7 +1950,7 @@ fn main() {
         "repair-arm availability below 0.99",
     );
     fail(
-        repair.retired > 0,
+        repair.stats.subsys_retired > 0,
         "repair arm permanently retired a subsystem under default budgets",
     );
     fail(repair.deaths > 0, "a repair-arm cell killed the machine");

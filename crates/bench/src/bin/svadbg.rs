@@ -28,7 +28,7 @@ use std::process::ExitCode;
 
 use sva_kernel::postmortem::{check_reproduction, migrate_bundle_any, replay};
 use sva_kernel::{health_state, health_state_name, health_strikes, subsys_name};
-use sva_vm::{CrashBundle, ResumeCode};
+use sva_vm::{CrashBundle, ResumeCode, VmStats};
 
 /// Prints the upcaster chain an artifact would take to reach the
 /// current format (`svadbg --migrate`).
@@ -90,20 +90,10 @@ fn print_postmortem(bundle: &CrashBundle) {
         Err(e) => println!("config:      unreplayable ({e})"),
     }
 
-    let s = &bundle.stats;
-    println!(
-        "stats:       {} insts, {} cycles, {} traps, {} interrupts, {} ctx switches",
-        s.instructions, s.cycles, s.traps, s.interrupts, s.context_switches
-    );
-    println!(
-        "recovery:    {} violations recovered, {} pools quarantined, {} poisoned, {} watchdog unwinds, domains {}/{} pushed/popped",
-        s.violations_recovered,
-        s.pools_quarantined,
-        s.pools_poisoned,
-        s.watchdog_unwinds,
-        s.domains_pushed,
-        s.domains_popped,
-    );
+    println!("-- stats");
+    for (name, v) in VmStats::NAMES.iter().zip(bundle.stats.to_words()) {
+        println!("  {name:<30} {v}");
+    }
 
     println!(
         "-- recovery domains ({}, innermost last)",

@@ -457,7 +457,7 @@ fn replay_mode(path: &PathBuf, capacity: usize, top: usize, shrink: bool) -> Exi
 }
 
 /// `--vcpus N`: run the SMP scaling corpus on an N-vCPU machine and
-/// export per-vCPU metrics — every `check.*`/`recovery.*`/`sched.*`
+/// export per-vCPU metrics — every `vm.*`/`check.*`/`recovery.*`/`sched.*`
 /// counter appears under `cpu<id>.` plus the machine total — to
 /// `smp<N>.prom`, which the nightly `--prom-diff`s against the previous
 /// night alongside the single-CPU export (DESIGN.md §4.9).
@@ -595,14 +595,14 @@ fn main() -> ExitCode {
         opts.kind.label(),
         opts.prog,
         opts.arg,
-        sample.instructions,
-        sample.cycles,
+        sample.stats.instructions,
+        sample.stats.cycles,
         sample.wall,
     );
     println!("chrome trace: {}", chrome_path.display());
     println!("event stream: {}", jsonl_path.display());
     println!();
-    println!("{}", top_report(&tracer, sample.cycles, opts.top));
+    println!("{}", top_report(&tracer, sample.stats.cycles, opts.top));
 
     if opts.prom {
         let prom_path = dir.join(format!("{stem}.prom"));
@@ -638,7 +638,7 @@ fn main() -> ExitCode {
             ranked.len()
         );
     }
-    let coverage = profile.coverage(sample.cycles);
+    let coverage = profile.coverage(sample.stats.cycles);
     if coverage < 0.95 {
         eprintln!(
             "svaprof: profile attributes only {:.1}% of cycles",

@@ -58,9 +58,10 @@ fn opt_compare(rows: &[(&str, &str, u64)]) -> String {
             opt_level: opt,
             ..Default::default()
         };
-        let s0 = run_workload_cfg(cfg(0), prog, *a);
-        let s2 = run_workload_cfg(cfg(2), prog, *a);
-        assert_eq!(s0.exit, s2.exit, "{label}: fusion changed the result");
+        let r0 = run_workload_cfg(cfg(0), prog, *a);
+        let r2 = run_workload_cfg(cfg(2), prog, *a);
+        let (s0, s2) = (r0.stats, r2.stats);
+        assert_eq!(r0.exit, r2.exit, "{label}: fusion changed the result");
         assert_eq!(
             s0.instructions, s2.instructions,
             "{label}: fusion changed the instruction count"
@@ -190,6 +191,6 @@ fn main() {
             RingConfig::default(),
         );
         println!("\n-- traced drill-down: sva-safe getpid x2000 --");
-        println!("{}", top_report(&tracer, sample.cycles, 5));
+        println!("{}", top_report(&tracer, sample.stats.cycles, 5));
     }
 }

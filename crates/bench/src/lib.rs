@@ -21,23 +21,10 @@ pub mod prof;
 pub struct Sample {
     /// Wall-clock duration of the booted workload.
     pub wall: Duration,
-    /// Virtual cycles consumed.
-    pub cycles: u64,
-    /// Instructions executed.
-    pub instructions: u64,
     /// Exit code.
     pub exit: u64,
-    /// Metapool lookups served by the MRU cache (sva-safe only).
-    pub cache_hits: u64,
-    /// Metapool lookups served by the range index (sva-safe only).
-    pub page_hits: u64,
-    /// Metapool lookups that walked the splay tree (sva-safe only).
-    pub tree_walks: u64,
-    /// Metapool lookups answered by the singleton two-compare test
-    /// (sva-safe only).
-    pub singleton_hits: u64,
-    /// Superinstructions dispatched by the optimizing tier (opt runs only).
-    pub fused_execs: u64,
+    /// The machine's execution statistics at exit.
+    pub stats: VmStats,
 }
 
 /// Boots `prog(arg)` on a `kind` kernel and measures it.
@@ -74,34 +61,18 @@ pub fn run_workload_cfg(cfg: VmConfig, prog: &str, arg: u64) -> Sample {
         VmExit::Halted(c) | VmExit::Returned(c) => c,
     };
     assert_eq!(code, 0, "{kind:?} {prog}: nonzero exit {code}");
-    let VmStats {
-        instructions,
-        cycles,
-        cache_hits,
-        page_hits,
-        tree_walks,
-        singleton_hits,
-        fused_execs,
-        ..
-    } = vm.stats();
     Sample {
         wall,
-        cycles,
-        instructions,
         exit: code,
-        cache_hits,
-        page_hits,
-        tree_walks,
-        singleton_hits,
-        fused_execs,
+        stats: vm.stats(),
     }
 }
 
 /// Like [`run_workload`] but with a [`RingTracer`] attached, returning the
-/// tracer alongside the sample. The VM's cumulative check counters are
+/// tracer alongside the sample. The VM's `VmStats` and `CheckStats` are
 /// folded into the tracer's metrics registry before it is handed back, so
 /// exporters see both the event-derived profile and the authoritative
-/// `CheckStats` totals.
+/// counter totals.
 ///
 /// # Panics
 ///
@@ -121,38 +92,15 @@ pub fn run_workload_traced(
         VmExit::Halted(c) | VmExit::Returned(c) => c,
     };
     assert_eq!(code, 0, "{kind:?} {prog}: nonzero exit {code}");
-    let VmStats {
-        instructions,
-        cycles,
-        cache_hits,
-        page_hits,
-        tree_walks,
-        singleton_hits,
-        fused_execs,
-        ..
-    } = vm.stats();
-    let pool_stats = vm.pools.total_stats();
-    pool_stats.fold_into(vm.tracer_mut().metrics_mut());
-    // The self-healing counters (DESIGN.md §4.8) ride the same registry so
-    // the nightly `svaprof --prom-diff` tracks repair/probation drift.
-    let s = vm.stats();
-    let m = vm.tracer_mut().metrics_mut();
-    m.set_counter("recovery.repairs", s.repairs);
-    m.set_counter("recovery.pools_repaired", s.pools_repaired);
-    m.set_counter("recovery.probation_passed", s.probation_passed);
-    m.set_counter("recovery.probation_failed", s.probation_failed);
-    m.set_counter("recovery.subsys_retired", s.subsys_retired);
     let sample = Sample {
         wall,
-        cycles,
-        instructions,
         exit: code,
-        cache_hits,
-        page_hits,
-        tree_walks,
-        singleton_hits,
-        fused_execs,
+        stats: vm.stats(),
     };
+    let checks = vm.pools.total_stats();
+    let m = vm.tracer_mut().metrics_mut();
+    sample.stats.fold_into(m);
+    checks.fold_into(m);
     (sample, vm.into_tracer())
 }
 
@@ -212,7 +160,7 @@ pub fn latency_row(label: &str, prog: &str, arg: u64, iters: u64) -> LatencyRow 
     let mut cyc_over = [0.0; 3];
     for (i, (_, s)) in samples.iter().skip(1).enumerate() {
         over[i] = pct_over(native.wall.as_secs_f64(), s.wall.as_secs_f64());
-        cyc_over[i] = pct_over(native.cycles as f64, s.cycles as f64);
+        cyc_over[i] = pct_over(native.stats.cycles as f64, s.stats.cycles as f64);
     }
     LatencyRow {
         label: label.to_string(),
@@ -261,11 +209,11 @@ pub struct BandwidthRow {
 pub fn bandwidth_row(label: &str, prog: &str, arg: u64, bytes: u64) -> BandwidthRow {
     let samples = KernelKind::ALL.map(|k| (k, run_workload_min(k, prog, arg)));
     let native_mbs = (bytes as f64 / 1e6) / samples[0].1.wall.as_secs_f64();
-    let ncyc = samples[0].1.cycles as f64;
+    let ncyc = samples[0].1.stats.cycles as f64;
     let mut reduction = [0.0; 3];
     for (i, (_, s)) in samples.iter().skip(1).enumerate() {
         // Bandwidth ∝ 1/time: reduction = 1 − native_cycles/other_cycles.
-        reduction[i] = 100.0 * (1.0 - ncyc / s.cycles as f64);
+        reduction[i] = 100.0 * (1.0 - ncyc / s.stats.cycles as f64);
     }
     BandwidthRow {
         label: label.to_string(),
@@ -531,11 +479,11 @@ pub fn print_scaling_table(points: &[ScalingPoint]) {
 
 /// Runs the scaling corpus on an `vcpus`-wide [`SmpMachine`] and folds
 /// every vCPU's counters into one registry via
-/// [`MetricsRegistry::fold_cpu`]: each check/recovery/scheduler counter
-/// appears both under `cpu<id>.<name>` and summed into the unprefixed
-/// machine total. `svaprof --vcpus N --prom` serializes the result so the
-/// nightly `--prom-diff` tracks per-vCPU `recovery.*` and `check.*` drift
-/// night over night (DESIGN.md §4.9).
+/// [`MetricsRegistry::fold_cpu`]: each machine/check/recovery/scheduler
+/// counter appears both under `cpu<id>.<name>` and summed into the
+/// unprefixed machine total. `svaprof --vcpus N --prom` serializes the
+/// result so the nightly `--prom-diff` tracks per-vCPU `vm.*`,
+/// `recovery.*` and `check.*` drift night over night (DESIGN.md §4.9).
 ///
 /// # Panics
 ///
@@ -547,12 +495,8 @@ pub fn smp_metrics(vcpus: u32) -> sva_trace::MetricsRegistry {
     let mut m = MetricsRegistry::new();
     for c in &r.cpus {
         let mut per_cpu = MetricsRegistry::new();
+        c.stats.fold_into(&mut per_cpu);
         c.checks.fold_into(&mut per_cpu);
-        per_cpu.set_counter("recovery.repairs", c.stats.repairs);
-        per_cpu.set_counter("recovery.pools_repaired", c.stats.pools_repaired);
-        per_cpu.set_counter("recovery.probation_passed", c.stats.probation_passed);
-        per_cpu.set_counter("recovery.probation_failed", c.stats.probation_failed);
-        per_cpu.set_counter("recovery.subsys_retired", c.stats.subsys_retired);
         per_cpu.set_counter("sched.jobs", c.jobs as u64);
         per_cpu.set_counter("sched.steals", c.steals);
         per_cpu.set_counter("sched.parks", c.parks);
@@ -573,7 +517,7 @@ pub fn print_check_breakdown(title: &str, rows: &[(&str, &str, u64)]) {
         "Test", "singleton", "cache hits", "page hits", "tree walks", "tree %"
     );
     for (label, prog, a) in rows {
-        let s = run_workload(KernelKind::SvaSafe, prog, *a);
+        let s = run_workload(KernelKind::SvaSafe, prog, *a).stats;
         let total = s.singleton_hits + s.cache_hits + s.page_hits + s.tree_walks;
         let pct = if total == 0 {
             0.0

@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use crate::event::{json_escape, TraceEvent};
+use crate::event::{json_escape, EventClass, TraceEvent};
 use crate::tracer::RingTracer;
 
 /// Serializes the buffered event stream as JSONL, one event per line.
@@ -31,6 +31,10 @@ pub fn to_jsonl(tracer: &RingTracer) -> String {
 /// pool traffic, interrupts and violations become `i` instant events.
 /// Virtual cycles are reported as microseconds — the unit is fictional
 /// either way, and 1 cycle = 1 µs keeps the timeline readable.
+///
+/// The format's `otherData` metadata states what the ring lost: events
+/// recorded and held, unpinned drops per [`EventClass`] (`dropped_<class>`)
+/// and pinned overflow, so a wrapped trace never passes for the whole run.
 pub fn to_chrome_trace(tracer: &RingTracer) -> String {
     let mut events: Vec<String> = Vec::new();
     let common = "\"pid\":1,\"tid\":1";
@@ -185,8 +189,19 @@ pub fn to_chrome_trace(tracer: &RingTracer) -> String {
             }
         }
     }
+    let ring = tracer.ring();
+    let mut other = format!(
+        "\"recorded\":{},\"held\":{},\"pinned_overflow\":{}",
+        ring.total_recorded(),
+        ring.len(),
+        ring.pinned_overflow()
+    );
+    for class in EventClass::ALL {
+        let name = format!("{class:?}").to_lowercase();
+        let _ = write!(other, ",\"dropped_{name}\":{}", ring.dropped_of(class));
+    }
     format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
+        "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{{other}}},\"traceEvents\":[\n{}\n]}}\n",
         events.join(",\n")
     )
 }
@@ -475,6 +490,67 @@ mod tests {
         // The whole thing must be loadable JSON at least at the line level:
         // every event line we emitted parses as a flat-ish object start.
         assert!(chrome.matches("{\"name\"").count() >= t.ring().len());
+    }
+
+    #[test]
+    fn chrome_trace_states_what_the_ring_dropped() {
+        let mut t = RingTracer::new(crate::RingConfig {
+            capacity: 4,
+            pinned: vec![EventClass::Violation],
+            pinned_capacity: 1,
+        });
+        // Ten events of three classes through four slots: of the six
+        // evicted, the instructions and syscalls are dropped, the first
+        // violation is promoted and the second overflows the side buffer.
+        for i in 0..10 {
+            let ev = match i % 3 {
+                0 => TraceEvent::Inst {
+                    func: 0,
+                    opcode: "add",
+                    cost: 1,
+                },
+                1 => TraceEvent::SyscallEnter { num: 4 },
+                _ => TraceEvent::Violation {
+                    check: "pchk.bounds".into(),
+                    pool: "MP".into(),
+                    addr: i,
+                    detail: String::new(),
+                },
+            };
+            t.record(i, ev);
+        }
+        let chrome = to_chrome_trace(&t);
+        let other = chrome
+            .split_once("\"otherData\":{")
+            .and_then(|(_, rest)| rest.split_once('}'))
+            .expect("otherData object")
+            .0;
+        let field = |key: &str| -> u64 {
+            let (_, rest) = other
+                .split_once(&format!("\"{key}\":"))
+                .unwrap_or_else(|| panic!("{key} missing from {other}"));
+            rest.split(',').next().unwrap().parse().unwrap()
+        };
+        let ring = t.ring();
+        assert_eq!(field("recorded"), ring.total_recorded());
+        assert_eq!(field("held"), ring.len() as u64);
+        assert_eq!(field("pinned_overflow"), ring.pinned_overflow());
+        let mut per_class = 0;
+        for class in EventClass::ALL {
+            let n = field(&format!("dropped_{}", format!("{class:?}").to_lowercase()));
+            assert_eq!(n, ring.dropped_of(class), "{class:?}");
+            per_class += n;
+        }
+        assert_eq!(per_class, ring.dropped());
+        assert_eq!(
+            (ring.dropped(), ring.pinned_overflow()),
+            (4, 1),
+            "the mix must exercise both losses"
+        );
+        assert_eq!(
+            ring.total_recorded(),
+            ring.len() as u64 + ring.dropped() + ring.pinned_overflow()
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Counters and log2-bucketed histograms.
 //!
 //! The registry is the "metrics" face of the tracing layer: cheap scalar
-//! counters (folded in from `CheckStats`/`VmStats` at the end of a run)
+//! counters (folded in from the [`counter_table!`](crate::counter_table)
+//! blocks, `CheckStats` and `VmStats`, at the end of a run)
 //! plus latency histograms with power-of-two buckets, the standard shape
 //! for virtual-cycle latencies that span several orders of magnitude
 //! (a cache-served check vs a fork syscall).
@@ -232,6 +233,70 @@ impl MetricsRegistry {
             self.histograms.entry(k.to_string()).or_default().merge(h);
         }
     }
+}
+
+/// Declares a block of `u64` counters once (DESIGN.md §4.13). From the
+/// list it generates the struct, one plain `pub u64` field per entry
+/// with `Clone, Copy, Default, Debug, PartialEq, Eq`, and:
+///
+/// * `NAMES`, each counter's registry name, and `WORDS`, their number;
+/// * `to_words` / `from_words`, the positional array snapshots and
+///   bundles carry — declaration order is wire order;
+/// * the field-wise sum, under the name given after `fn`;
+/// * `fold_into`, which sets every counter in a [`MetricsRegistry`]
+///   under its registry name.
+///
+/// The caller writes the struct's doc comment, its name, the summing
+/// method's doc comment and name, and one `field => "registry.name"`
+/// entry per counter with its doc comment.
+#[macro_export]
+macro_rules! counter_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(#[$sum_meta:meta])*
+            fn $sum:ident;
+            $( $(#[$field_meta:meta])* $field:ident => $reg:literal, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+        pub struct $name {
+            $( $(#[$field_meta])* pub $field: u64, )+
+        }
+
+        impl $name {
+            /// Number of counters: the width of `to_words`.
+            pub const WORDS: usize = [$(stringify!($field)),+].len();
+
+            /// Each counter's registry name, in declaration (wire) order.
+            pub const NAMES: [&'static str; Self::WORDS] = [$($reg),+];
+
+            /// The counters as a word array in declaration order, the
+            /// form snapshots and bundles carry.
+            pub fn to_words(&self) -> [u64; Self::WORDS] {
+                [$(self.$field),+]
+            }
+
+            /// Rebuilds a block from `to_words` output.
+            pub fn from_words(words: [u64; Self::WORDS]) -> Self {
+                let [$($field),+] = words;
+                $name { $($field),+ }
+            }
+
+            $(#[$sum_meta])*
+            pub fn $sum(&mut self, other: &Self) {
+                $(self.$field += other.$field;)+
+            }
+
+            /// Sets every counter in `metrics` under its registry name.
+            /// Set, not add: the block is already a running total, and
+            /// adding would double-count across exports.
+            pub fn fold_into(&self, metrics: &mut $crate::MetricsRegistry) {
+                $(metrics.set_counter($reg, self.$field);)+
+            }
+        }
+    };
 }
 
 #[cfg(test)]

@@ -41,7 +41,8 @@ pub struct EventRing {
     pinned_mask: u16,
     pinned: Vec<TimedEvent>,
     pinned_capacity: usize,
-    dropped: u64,
+    /// Unpinned events lost to wraparound, by [`EventClass`] index.
+    dropped: [u64; EventClass::ALL.len()],
     pinned_overflow: u64,
     total: u64,
 }
@@ -60,7 +61,7 @@ impl EventRing {
             pinned_mask,
             pinned: Vec::new(),
             pinned_capacity: cfg.pinned_capacity,
-            dropped: 0,
+            dropped: [0; EventClass::ALL.len()],
             pinned_overflow: 0,
             total: 0,
         }
@@ -77,14 +78,15 @@ impl EventRing {
         if self.buf.len() == self.capacity {
             // Eviction: pinned classes are promoted, the rest are lost.
             let old = self.buf.pop_front().expect("capacity >= 1");
-            if self.is_pinned(old.event.class()) {
+            let class = old.event.class();
+            if self.is_pinned(class) {
                 if self.pinned.len() < self.pinned_capacity {
                     self.pinned.push(old);
                 } else {
                     self.pinned_overflow += 1;
                 }
             } else {
-                self.dropped += 1;
+                self.dropped[class as usize] += 1;
             }
         }
         self.buf.push_back(TimedEvent { ts, event });
@@ -114,7 +116,12 @@ impl EventRing {
 
     /// Unpinned events lost to wraparound.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.dropped.iter().sum()
+    }
+
+    /// Unpinned events of `class` lost to wraparound.
+    pub(crate) fn dropped_of(&self, class: EventClass) -> u64 {
+        self.dropped[class as usize]
     }
 
     /// Pinned events lost because the side buffer itself filled up.
@@ -135,7 +142,9 @@ impl EventRing {
         let total = dst.total + self.total;
         dst.buf.clear();
         dst.pinned.clear();
-        dst.dropped += self.dropped;
+        for (d, s) in dst.dropped.iter_mut().zip(self.dropped) {
+            *d += s;
+        }
         dst.pinned_overflow += self.pinned_overflow;
         for e in all {
             dst.push(e.ts, e.event);

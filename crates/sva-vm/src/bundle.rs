@@ -47,8 +47,7 @@ use sva_trace::{TimedEvent, Tracer};
 use crate::mem::Mode;
 use crate::resume::ResumeCode;
 use crate::snapshot::{
-    fingerprint_words, stats_from_words, stats_words, ImageReader, ImageWriter, SnapshotError,
-    FP_FIELDS,
+    fingerprint_words, ImageReader, ImageWriter, SnapshotError, FP_FIELDS, V1_STATS_WORDS,
 };
 use crate::vm::{KernelKind, Vm, VmConfig, VmStats};
 
@@ -303,7 +302,7 @@ impl CrashBundle {
             w.u64(word);
         }
         w.u64(self.code_id);
-        for word in stats_words(&self.stats) {
+        for word in self.stats.to_words() {
             w.u64(word);
         }
         w.bytes(&self.console);
@@ -351,7 +350,7 @@ impl CrashBundle {
 /// Decodes an `SVAB` payload written at `version`, the one bundle
 /// decoder. Fields a legacy layout lacks take the defaults the snapshot
 /// upcasters use: vCPU 0 and `vcpus = 1` before v3, zero pool `repairs`
-/// and zero self-healing stats words (17–21) before v2.
+/// and zero self-healing stats words before v2.
 pub(crate) fn decode_bundle(payload: &[u8], version: u32) -> Result<CrashBundle, CodecError> {
     let r = &mut ImageReader::new(payload);
     let reason_code = r.u8()?;
@@ -372,11 +371,12 @@ pub(crate) fn decode_bundle(payload: &[u8], version: u32) -> Result<CrashBundle,
         *w = r.u64()?;
     }
     let code_id = r.u64()?;
-    let mut stat_words = [0u64; 22];
-    for w in stat_words
-        .iter_mut()
-        .take(if version >= 2 { 22 } else { 17 })
-    {
+    let mut stat_words = [0u64; VmStats::WORDS];
+    for w in stat_words.iter_mut().take(if version >= 2 {
+        VmStats::WORDS
+    } else {
+        V1_STATS_WORDS
+    }) {
         *w = r.u64()?;
     }
     let console = r.bytes()?.to_vec();
@@ -423,7 +423,7 @@ pub(crate) fn decode_bundle(payload: &[u8], version: u32) -> Result<CrashBundle,
         cpu,
         config_words,
         code_id,
-        stats: stats_from_words(stat_words),
+        stats: VmStats::from_words(stat_words),
         console,
         domains,
         pools,

@@ -51,8 +51,9 @@ use crate::snapshot::{
     read_origin, read_pool_images, read_recovery, read_saved_state, surface_fp_of, unframe_image,
     write_manifest, write_pool_image, CodeManifest, ImageReader, ImageWriter, SnapshotError,
     FP_FIELDS, ICONTEXT_MIN, ORIGIN_CHECKPOINT, RECOVERY_MIN, SAVED_STATE_MIN, SNAPSHOT_VERSION,
+    V1_STATS_WORDS,
 };
-use crate::vm::{Frame, Vm};
+use crate::vm::{Frame, Vm, VmStats};
 
 /// The oldest snapshot format [`migrate`] can still read.
 pub const OLDEST_SUPPORTED: u32 = 1;
@@ -213,16 +214,6 @@ pub struct MigrationReport {
 // carried as verbatim byte spans.
 // ---------------------------------------------------------------------------
 
-/// Stats-word field names appended after v1, for fail-closed downgrade
-/// messages. Index 0 is stats word 17.
-const STATS_V2_FIELDS: [&str; 5] = [
-    "repairs",
-    "pools_repaired",
-    "probation_passed",
-    "probation_failed",
-    "subsys_retired",
-];
-
 struct MigImage<'a> {
     version: u32,
     code_id: u64,
@@ -234,7 +225,7 @@ struct MigImage<'a> {
     pools: Vec<PoolImage>,
     /// Function check-stats words + console — invariant, verbatim.
     func_console: &'a [u8],
-    /// 17 (v1) or 22 (v2+) stats words.
+    /// [`V1_STATS_WORDS`] (v1) or [`VmStats::WORDS`] (v2+) stats words.
     stats: Vec<u64>,
     /// Fuel through `trap_count` — invariant, verbatim.
     tail: &'a [u8],
@@ -292,8 +283,11 @@ fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
     r.take(8 * CheckStats::WORDS)?;
     r.bytes()?; // console
     let func_console = &payload[fc_start..r.pos()];
-    // Stats: 17 (v1) or 22 words.
-    let nstats = if version >= 2 { 22 } else { 17 };
+    let nstats = if version >= 2 {
+        VmStats::WORDS
+    } else {
+        V1_STATS_WORDS
+    };
     let stats = (0..nstats).map(|_| r.u64()).collect::<Result<_, _>>()?;
     // Fuel through trap_count: walk structurally, carry verbatim.
     let tail_start = r.pos();
@@ -393,7 +387,7 @@ fn upcast(
                     ),
                 });
             }
-            img.stats.extend_from_slice(&[0; 5]);
+            img.stats.resize(VmStats::WORDS, 0);
         }
         (2, 3) => {
             // Pre-SMP images are single-vCPU machines by construction.
@@ -468,15 +462,16 @@ fn downcast(img: &mut MigImage<'_>, from: u32) -> Result<(), MigrateError> {
             img.cpu_id = None;
         }
         2 => {
-            for (i, name) in STATS_V2_FIELDS.iter().enumerate() {
-                if img.stats[17 + i] != 0 {
+            for i in V1_STATS_WORDS..VmStats::WORDS {
+                if img.stats[i] != 0 {
+                    let field = VmStats::NAMES[i];
                     return Err(MigrateError::Incompatible {
                         from,
                         to,
-                        field: name,
+                        field,
                         detail: format!(
-                            "v1 images have no `{name}` stats word; this machine counted {}",
-                            img.stats[17 + i]
+                            "v1 images have no `{field}` stats word; this machine counted {}",
+                            img.stats[i]
                         ),
                     });
                 }
@@ -501,7 +496,7 @@ fn downcast(img: &mut MigImage<'_>, from: u32) -> Result<(), MigrateError> {
                     ),
                 });
             }
-            img.stats.truncate(17);
+            img.stats.truncate(V1_STATS_WORDS);
         }
         _ => unreachable!("no downcast from v{from}"),
     }
@@ -778,4 +773,40 @@ pub fn migrate_bundle<T: Tracer>(
     }
     report.from_version = version.min(report.from_version);
     Ok((bundle.to_bytes(), report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::vm::{KernelKind, VmConfig};
+    use sva_ir::parse::parse_module;
+
+    #[test]
+    fn v1_downcast_refuses_each_self_healing_stats_word_by_name() {
+        let m = parse_module("module \"m\"\nfunc public @f() : i64 {\nentry:\n  ret 0:i64\n}\n")
+            .expect("parse");
+        let cfg = VmConfig {
+            kind: KernelKind::SvaLlvm,
+            ..Default::default()
+        };
+        let image = Vm::new(m, cfg).expect("load").snapshot();
+        let at_v2 = || {
+            let mut img = decode(&image).expect("decode");
+            for from in [4, 3] {
+                downcast(&mut img, from).expect("single-vCPU image reaches v2");
+            }
+            img
+        };
+        assert!(downcast(&mut at_v2(), 2).is_ok(), "zero words downcast");
+        for i in V1_STATS_WORDS..VmStats::WORDS {
+            let mut img = at_v2();
+            img.stats[i] = 1;
+            match downcast(&mut img, 2) {
+                Err(MigrateError::Incompatible { field, .. }) => {
+                    assert_eq!(field, VmStats::NAMES[i])
+                }
+                r => panic!("word {i}: expected a refusal, got {r:?}"),
+            }
+        }
+    }
 }

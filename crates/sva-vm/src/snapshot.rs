@@ -77,6 +77,9 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SVA1";
 /// (DESIGN.md §4.10). Older versions are upcast by `migrate`, never
 /// guessed at by [`Vm::restore`].
 pub const SNAPSHOT_VERSION: u32 = 4;
+/// Stats words in a v1 image or bundle: the [`VmStats`] table before v2
+/// appended its five self-healing counters (DESIGN.md §4.13).
+pub(crate) const V1_STATS_WORDS: usize = 17;
 /// Capture origin: a deliberate checkpoint ([`Vm::snapshot`]), e.g. at
 /// the boot pause point.
 pub const ORIGIN_CHECKPOINT: u8 = 0;
@@ -584,60 +587,6 @@ pub(crate) fn read_pool_images(
     r.vec(POOL_IMAGE_MIN, |r| read_pool_image(r, version))
 }
 
-pub(crate) fn stats_words(s: &VmStats) -> [u64; 22] {
-    [
-        s.instructions,
-        s.cycles,
-        s.traps,
-        s.range_checks,
-        s.context_switches,
-        s.interrupts,
-        s.cache_hits,
-        s.page_hits,
-        s.tree_walks,
-        s.singleton_hits,
-        s.violations_recovered,
-        s.pools_quarantined,
-        s.pools_poisoned,
-        s.domains_pushed,
-        s.domains_popped,
-        s.watchdog_unwinds,
-        s.fused_execs,
-        s.repairs,
-        s.pools_repaired,
-        s.probation_passed,
-        s.probation_failed,
-        s.subsys_retired,
-    ]
-}
-
-pub(crate) fn stats_from_words(w: [u64; 22]) -> VmStats {
-    VmStats {
-        instructions: w[0],
-        cycles: w[1],
-        traps: w[2],
-        range_checks: w[3],
-        context_switches: w[4],
-        interrupts: w[5],
-        cache_hits: w[6],
-        page_hits: w[7],
-        tree_walks: w[8],
-        singleton_hits: w[9],
-        violations_recovered: w[10],
-        pools_quarantined: w[11],
-        pools_poisoned: w[12],
-        domains_pushed: w[13],
-        domains_popped: w[14],
-        watchdog_unwinds: w[15],
-        fused_execs: w[16],
-        repairs: w[17],
-        pools_repaired: w[18],
-        probation_passed: w[19],
-        probation_failed: w[20],
-        subsys_retired: w[21],
-    }
-}
-
 /// Reads a map written by [`write_sorted`], `entry` reading one entry of
 /// at least `min_entry_bytes` bytes.
 fn read_map<K: Eq + Hash, V>(
@@ -823,7 +772,7 @@ fn parse_payload<'a>(r: &mut ImageReader<'a>) -> Result<Parsed<'a>, CodecError> 
     let pool_images = read_pool_images(r, SNAPSHOT_VERSION)?;
     let func_stats = r.u64s()?;
     let console = r.bytes()?.to_vec();
-    let words = r.u64s()?;
+    let stats = VmStats::from_words(r.u64s()?);
     let parsed = Parsed {
         memory,
         current_asid,
@@ -836,7 +785,7 @@ fn parse_payload<'a>(r: &mut ImageReader<'a>) -> Result<Parsed<'a>, CodecError> 
         pool_images,
         func_stats,
         console,
-        stats: stats_from_words(words),
+        stats,
         fuel: r.u64()?,
         halted: r.opt(|r| r.u64())?,
         pending_irq: r.vec(8, |r| r.i64())?,
@@ -935,7 +884,7 @@ impl<T: Tracer> Vm<T> {
         }
         // Console and counters.
         w.bytes(&self.console);
-        for word in stats_words(&self.stats) {
+        for word in self.stats.to_words() {
             w.u64(word);
         }
         // Run-control and fault-injection state.

@@ -7,8 +7,11 @@ use sva_core::verifier::verify_and_insert_checks;
 use sva_ir::parse::parse_module;
 use sva_ir::Module;
 
+use sva_rt::CheckStats;
+use sva_trace::MetricsRegistry;
+
 use crate::mem::Mode;
-use crate::vm::{KernelKind, Vm, VmConfig, VmError, VmExit};
+use crate::vm::{KernelKind, Vm, VmConfig, VmError, VmExit, VmStats};
 
 fn vm_for(src: &str, kind: KernelKind) -> Vm {
     let m = parse_module(src).expect("parse");
@@ -1246,4 +1249,71 @@ fn profile_gates_fusion_to_hot_functions() {
     )
     .unwrap();
     assert!(vm.fused_sites() > 0);
+}
+
+/// One counter table's derived items agree (DESIGN.md §4.13): `words`
+/// are `to_words` of `from_words(1..=WORDS)`, `debug` is that block's
+/// `Debug` output and `m` the registry its `fold_into` filled.
+fn assert_counter_table(names: &[&str], words: &[u64], debug: &str, m: &MetricsRegistry) {
+    let want: Vec<u64> = (1..=names.len() as u64).collect();
+    assert_eq!(words, want, "from_words/to_words round trip");
+    // The i-th field `Debug` prints is the i-th name's field and holds
+    // word i: wire order and the `sim_digest` text agree.
+    let body = debug.split_once(" { ").expect("struct body").1;
+    let fields: Vec<&str> = body.trim_end_matches(" }").split(", ").collect();
+    assert_eq!(fields.len(), names.len());
+    for (i, f) in fields.iter().enumerate() {
+        let (field, value) = f.split_once(": ").expect("field: value");
+        assert!(
+            names[i].ends_with(&format!(".{field}")),
+            "{} vs {field}",
+            names[i]
+        );
+        assert_eq!(value, (i + 1).to_string(), "{field}");
+    }
+    assert_eq!(m.counters().count(), names.len(), "one series per word");
+    for (i, name) in names.iter().enumerate() {
+        assert_eq!(m.counter(name), i as u64 + 1, "{name}");
+    }
+}
+
+#[test]
+fn counter_tables_round_trip_and_name_fields_in_wire_order() {
+    let s = VmStats::from_words(std::array::from_fn(|i| i as u64 + 1));
+    let mut m = MetricsRegistry::new();
+    s.fold_into(&mut m);
+    assert_counter_table(&VmStats::NAMES, &s.to_words(), &format!("{s:?}"), &m);
+
+    let c = CheckStats::from_words(std::array::from_fn(|i| i as u64 + 1));
+    let mut m = MetricsRegistry::new();
+    c.fold_into(&mut m);
+    assert_counter_table(&CheckStats::NAMES, &c.to_words(), &format!("{c:?}"), &m);
+}
+
+#[test]
+fn every_series_exported_before_the_table_still_is() {
+    let mut m = MetricsRegistry::new();
+    VmStats::default().fold_into(&mut m);
+    CheckStats::default().fold_into(&mut m);
+    for name in [
+        "check.bounds_checks",
+        "check.ls_checks",
+        "check.get_bounds",
+        "check.func_checks",
+        "check.registrations",
+        "check.drops",
+        "check.reduced_skips",
+        "check.lookup.singleton_hits",
+        "check.lookup.cache_hits",
+        "check.lookup.page_hits",
+        "check.lookup.tree_walks",
+        "check.quarantine_rejects",
+        "recovery.repairs",
+        "recovery.pools_repaired",
+        "recovery.probation_passed",
+        "recovery.probation_failed",
+        "recovery.subsys_retired",
+    ] {
+        assert!(m.counters().any(|(n, _)| n == name), "{name} not exported");
+    }
 }

@@ -725,63 +725,68 @@ impl Thread {
 /// User stack size within each address space.
 pub const USTACK_SIZE: u64 = 0x0001_0000; // 64 KiB
 
-/// Execution statistics.
-///
-/// `PartialEq`/`Eq` exist so the tracer-equivalence tests can assert the
-/// whole block byte-identical with tracing on and off.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct VmStats {
-    /// Instructions executed.
-    pub instructions: u64,
-    /// Virtual cycles (instructions plus SVA-OS ceremony costs).
-    pub cycles: u64,
-    /// Traps taken (syscalls from user mode).
-    pub traps: u64,
-    /// Known-bounds range checks executed (no splay lookup).
-    pub range_checks: u64,
-    /// Context switches (`llva.load.integer`).
-    pub context_switches: u64,
-    /// Hardware interrupts delivered.
-    pub interrupts: u64,
-    /// Metapool lookups answered by the MRU last-hit cache.
-    pub cache_hits: u64,
-    /// Metapool lookups resolved by the range index's binary search (a
-    /// hit or a definitive miss; the name predates the index).
-    pub page_hits: u64,
-    /// Metapool lookups that walked the splay tree.
-    pub tree_walks: u64,
-    /// Metapool lookups answered by the singleton-pool two-compare test.
-    pub singleton_hits: u64,
-    /// Kernel-mode safety violations absorbed by a recovery context.
-    pub violations_recovered: u64,
-    /// Metapools placed under quarantine after a violation.
-    pub pools_quarantined: u64,
-    /// Metapools permanently poisoned after exhausting their budget.
-    pub pools_poisoned: u64,
-    /// Recovery domains pushed (`sva.recover.register`).
-    pub domains_pushed: u64,
-    /// Recovery domains popped (no-argument `sva.recover.release` or a
-    /// watchdog force-pop).
-    pub domains_popped: u64,
-    /// Wedged domains force-unwound by the fuel watchdog
-    /// ([`VmConfig::domain_fuel`]).
-    pub watchdog_unwinds: u64,
-    /// Superinstructions dispatched by the optimizing tier. Each fused
-    /// dispatch retires *two* instructions (so `instructions` is invariant
-    /// under fusion) but charges one dispatch cycle instead of two.
-    pub fused_execs: u64,
-    /// `sva.recover.repair` invocations that repaired at least one pool.
-    pub repairs: u64,
-    /// Metapools unpoisoned and reinitialized across all repairs.
-    pub pools_repaired: u64,
-    /// Probation verdicts: subsystem passed probation (back to live).
-    pub probation_passed: u64,
-    /// Probation verdicts: subsystem re-poisoned during probation
-    /// (re-degraded with doubled backoff).
-    pub probation_failed: u64,
-    /// Probation verdicts: strike budget exhausted, subsystem permanently
-    /// retired.
-    pub subsys_retired: u64,
+sva_trace::counter_table! {
+    /// Execution statistics.
+    ///
+    /// `PartialEq`/`Eq` exist so the tracer-equivalence tests can assert the
+    /// whole block byte-identical with tracing on and off. The four lookup
+    /// counters are the pool totals [`Vm::stats`] copies in from the
+    /// metapools, so they share the `check.lookup.*` series.
+    pub struct VmStats {
+        /// Adds another stats block into this one (SMP per-vCPU merge).
+        fn fold;
+        /// Instructions executed.
+        instructions => "vm.instructions",
+        /// Virtual cycles (instructions plus SVA-OS ceremony costs).
+        cycles => "vm.cycles",
+        /// Traps taken (syscalls from user mode).
+        traps => "vm.traps",
+        /// Known-bounds range checks executed (no splay lookup).
+        range_checks => "check.range_checks",
+        /// Context switches (`llva.load.integer`).
+        context_switches => "vm.context_switches",
+        /// Hardware interrupts delivered.
+        interrupts => "vm.interrupts",
+        /// Metapool lookups answered by the MRU last-hit cache.
+        cache_hits => "check.lookup.cache_hits",
+        /// Metapool lookups resolved by the range index's binary search (a
+        /// hit or a definitive miss; the name predates the index).
+        page_hits => "check.lookup.page_hits",
+        /// Metapool lookups that walked the splay tree.
+        tree_walks => "check.lookup.tree_walks",
+        /// Metapool lookups answered by the singleton-pool two-compare test.
+        singleton_hits => "check.lookup.singleton_hits",
+        /// Kernel-mode safety violations absorbed by a recovery context.
+        violations_recovered => "recovery.violations_recovered",
+        /// Metapools placed under quarantine after a violation.
+        pools_quarantined => "recovery.pools_quarantined",
+        /// Metapools permanently poisoned after exhausting their budget.
+        pools_poisoned => "recovery.pools_poisoned",
+        /// Recovery domains pushed (`sva.recover.register`).
+        domains_pushed => "recovery.domains_pushed",
+        /// Recovery domains popped (no-argument `sva.recover.release` or a
+        /// watchdog force-pop).
+        domains_popped => "recovery.domains_popped",
+        /// Wedged domains force-unwound by the fuel watchdog
+        /// ([`VmConfig::domain_fuel`]).
+        watchdog_unwinds => "recovery.watchdog_unwinds",
+        /// Superinstructions dispatched by the optimizing tier. Each fused
+        /// dispatch retires *two* instructions (so `instructions` is invariant
+        /// under fusion) but charges one dispatch cycle instead of two.
+        fused_execs => "vm.fused_execs",
+        /// `sva.recover.repair` invocations that repaired at least one pool.
+        repairs => "recovery.repairs",
+        /// Metapools unpoisoned and reinitialized across all repairs.
+        pools_repaired => "recovery.pools_repaired",
+        /// Probation verdicts: subsystem passed probation (back to live).
+        probation_passed => "recovery.probation_passed",
+        /// Probation verdicts: subsystem re-poisoned during probation
+        /// (re-degraded with doubled backoff).
+        probation_failed => "recovery.probation_failed",
+        /// Probation verdicts: strike budget exhausted, subsystem permanently
+        /// retired.
+        subsys_retired => "recovery.subsys_retired",
+    }
 }
 
 impl VmStats {
@@ -795,58 +800,6 @@ impl VmStats {
         self.cycles = 0;
         self.fused_execs = 0;
         self
-    }
-
-    /// Adds another stats block into this one (SMP per-vCPU merge). The
-    /// exhaustive destructure makes adding a `VmStats` field without
-    /// deciding its merge a compile error.
-    pub fn fold(&mut self, o: &VmStats) {
-        let VmStats {
-            instructions,
-            cycles,
-            traps,
-            range_checks,
-            context_switches,
-            interrupts,
-            cache_hits,
-            page_hits,
-            tree_walks,
-            singleton_hits,
-            violations_recovered,
-            pools_quarantined,
-            pools_poisoned,
-            domains_pushed,
-            domains_popped,
-            watchdog_unwinds,
-            fused_execs,
-            repairs,
-            pools_repaired,
-            probation_passed,
-            probation_failed,
-            subsys_retired,
-        } = *o;
-        self.instructions += instructions;
-        self.cycles += cycles;
-        self.traps += traps;
-        self.range_checks += range_checks;
-        self.context_switches += context_switches;
-        self.interrupts += interrupts;
-        self.cache_hits += cache_hits;
-        self.page_hits += page_hits;
-        self.tree_walks += tree_walks;
-        self.singleton_hits += singleton_hits;
-        self.violations_recovered += violations_recovered;
-        self.pools_quarantined += pools_quarantined;
-        self.pools_poisoned += pools_poisoned;
-        self.domains_pushed += domains_pushed;
-        self.domains_popped += domains_popped;
-        self.watchdog_unwinds += watchdog_unwinds;
-        self.fused_execs += fused_execs;
-        self.repairs += repairs;
-        self.pools_repaired += pools_repaired;
-        self.probation_passed += probation_passed;
-        self.probation_failed += probation_failed;
-        self.subsys_retired += subsys_retired;
     }
 }
 
