@@ -28,7 +28,7 @@
 //! use-after-free candidates a re-booted machine would), then
 //! [`Vm::run`]. A fork-vs-reboot cross-check cell per arm gates that the
 //! shortcut is byte-identical; `--verify-reboot` extends the check to
-//! every cell and `--reboot` runs the legacy full-reboot campaign.
+//! every cell.
 //!
 //! **Crash forensics.** Every campaign machine runs with an always-on
 //! [`FlightRecorder`] and per-cell crash capture: any machine death
@@ -148,27 +148,6 @@ impl Arm {
         match self {
             Arm::Flat => "flat",
             Arm::Nested => "nested",
-        }
-    }
-}
-
-/// How each campaign cell obtains its post-boot machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BootMode {
-    /// Boot once per (arm, workload, budget), fork cells from the image.
-    Fork,
-    /// Legacy behavior: boot the kernel freshly for every cell.
-    Reboot,
-    /// Run every cell both ways and gate on byte-identical results.
-    VerifyReboot,
-}
-
-impl BootMode {
-    fn name(self) -> &'static str {
-        match self {
-            BootMode::Fork => "fork",
-            BootMode::Reboot => "reboot",
-            BootMode::VerifyReboot => "verify_reboot",
         }
     }
 }
@@ -356,7 +335,8 @@ fn finish_run(
     }
 }
 
-/// Legacy cell: boot the kernel freshly under the armed plan.
+/// Reference cell for the fork/reboot cross-check: boot the kernel
+/// freshly under the armed plan.
 #[allow(clippy::too_many_arguments)]
 fn run_one_reboot(
     arm: Arm,
@@ -432,7 +412,7 @@ fn scratch_vm(arm: Arm, budget: u32) -> CampVm {
 }
 
 /// Everything one arm's grid needs: probe targets, per-workload stranded
-/// baselines and (outside `--reboot`) the shared post-boot images.
+/// baselines and the shared post-boot images.
 struct ArmCtx {
     arm: Arm,
     targets: Vec<u32>,
@@ -442,16 +422,12 @@ struct ArmCtx {
 }
 
 impl ArmCtx {
-    fn build(arm: Arm, mode: BootMode) -> ArmCtx {
+    fn build(arm: Arm) -> ArmCtx {
         let targets = complete_pools(arm);
         let baselines = std::array::from_fn(|i| clean_baseline(arm, WORKLOADS[i]));
-        let images = if mode == BootMode::Reboot {
-            Vec::new()
-        } else {
-            (0..WORKLOADS.len())
-                .map(|wi| (wi, boot_image(arm, WORKLOADS[wi], BUDGET)))
-                .collect()
-        };
+        let images = (0..WORKLOADS.len())
+            .map(|wi| (wi, boot_image(arm, WORKLOADS[wi], BUDGET)))
+            .collect();
         ArmCtx {
             arm,
             targets,
@@ -469,10 +445,6 @@ fn image_for(images: &[(usize, BootImage)], wi: usize) -> &BootImage {
         .expect("boot image for workload")
 }
 
-/// Runs one grid cell under the selected boot mode. In `VerifyReboot`
-/// mode the cell runs both ways; a divergence bumps `mismatches` (gated
-/// nonzero-exit in `main`). `scratch` is the column's reusable forked
-/// machine (must match `budget`); `None` only in `Reboot` mode.
 /// Deterministic grid-cell identity, used as the crash-bundle filename
 /// stem so every dying cell leaves a stable, replayable artifact.
 fn cell_tag(arm: Arm, class: FaultClass, seed: u64, wi: usize, budget: u32) -> String {
@@ -486,11 +458,15 @@ fn cell_tag(arm: Arm, class: FaultClass, seed: u64, wi: usize, budget: u32) -> S
     )
 }
 
+/// Runs one grid cell, forked from the column's boot image into
+/// `scratch`, the column's reusable machine (must match `budget`). With
+/// `verify_reboot` the cell also runs on a freshly booted machine; a
+/// divergence bumps `mismatches` (gated nonzero-exit in `main`).
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
-    mode: BootMode,
+    verify_reboot: bool,
     ctx: &ArmCtx,
-    scratch: Option<&mut CampVm>,
+    scratch: &mut CampVm,
     class: FaultClass,
     seed: u64,
     wi: usize,
@@ -501,8 +477,18 @@ fn run_cell(
 ) -> Option<RunResult> {
     let baseline = ctx.baselines[wi];
     let tag = cell_tag(ctx.arm, class, seed, wi, budget);
-    let result = match mode {
-        BootMode::Reboot => run_one_reboot(
+    let result = run_one_forked(
+        scratch,
+        ctx.arm,
+        class,
+        seed,
+        baseline,
+        &ctx.targets,
+        image_for(images, wi),
+        &tag,
+    );
+    if verify_reboot {
+        let r = run_one_reboot(
             ctx.arm,
             class,
             seed,
@@ -511,51 +497,18 @@ fn run_cell(
             baseline,
             &ctx.targets,
             &tag,
-        ),
-        BootMode::Fork => run_one_forked(
-            scratch.expect("fork mode needs a scratch machine"),
-            ctx.arm,
-            class,
-            seed,
-            baseline,
-            &ctx.targets,
-            image_for(images, wi),
-            &tag,
-        ),
-        BootMode::VerifyReboot => {
-            let f = run_one_forked(
-                scratch.expect("verify mode needs a scratch machine"),
-                ctx.arm,
-                class,
+        );
+        if result != r {
+            *mismatches += 1;
+            eprintln!(
+                "FORK/REBOOT MISMATCH ({} {} seed {} workload {}):\n  fork:   {result:?}\n  reboot: {r:?}",
+                ctx.arm.name(),
+                class.name(),
                 seed,
-                baseline,
-                &ctx.targets,
-                image_for(images, wi),
-                &tag,
+                WORKLOADS[wi].0,
             );
-            let r = run_one_reboot(
-                ctx.arm,
-                class,
-                seed,
-                WORKLOADS[wi],
-                budget,
-                baseline,
-                &ctx.targets,
-                &tag,
-            );
-            if f != r {
-                *mismatches += 1;
-                eprintln!(
-                    "FORK/REBOOT MISMATCH ({} {} seed {} workload {}):\n  fork:   {f:?}\n  reboot: {r:?}",
-                    ctx.arm.name(),
-                    class.name(),
-                    seed,
-                    WORKLOADS[wi].0,
-                );
-            }
-            f
         }
-    };
+    }
     if let Some(rr) = &result {
         if matches!(rr.outcome, Outcome::HaltedPoisoned | Outcome::HaltedClean) {
             deaths.insert(tag);
@@ -1496,12 +1449,12 @@ fn bundle_dir() -> std::path::PathBuf {
 }
 
 fn run_arm(
-    mode: BootMode,
+    verify_reboot: bool,
     ctx: &ArmCtx,
     mismatches: &mut u64,
     deaths: &mut BTreeSet<String>,
 ) -> (Tally, Vec<(FaultClass, Tally)>) {
-    let mut scratch = (mode != BootMode::Reboot).then(|| scratch_vm(ctx.arm, BUDGET));
+    let mut scratch = scratch_vm(ctx.arm, BUDGET);
     let mut total = Tally::default();
     let mut per_class = Vec::new();
     for class in FaultClass::ALL {
@@ -1509,9 +1462,9 @@ fn run_arm(
         for seed in SEEDS {
             for wi in 0..WORKLOADS.len() {
                 let r = run_cell(
-                    mode,
+                    verify_reboot,
                     ctx,
-                    scratch.as_mut(),
+                    &mut scratch,
                     class,
                     seed,
                     wi,
@@ -1542,7 +1495,7 @@ fn run_arm(
 }
 
 fn main() {
-    let mut mode = BootMode::Fork;
+    let mut verify_reboot = false;
     let mut smp_vcpus: u32 = 4;
     let mut upgrade = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -1553,8 +1506,7 @@ fn main() {
             std::process::exit(2);
         };
         match args[i].as_str() {
-            "--reboot" => mode = BootMode::Reboot,
-            "--verify-reboot" => mode = BootMode::VerifyReboot,
+            "--verify-reboot" => verify_reboot = true,
             "--upgrade" => upgrade = true,
             "--vcpus" => {
                 i += 1;
@@ -1567,7 +1519,7 @@ fn main() {
                 }
                 None => {
                     eprintln!(
-                        "faultcamp: unknown flag {other} (expected --reboot, --verify-reboot, --upgrade or --vcpus N)"
+                        "faultcamp: unknown flag {other} (expected --verify-reboot, --upgrade or --vcpus N)"
                     );
                     std::process::exit(2);
                 }
@@ -1578,29 +1530,32 @@ fn main() {
     if upgrade {
         run_upgrade_campaign(smp_vcpus);
     }
+    let mode = if verify_reboot {
+        "verify_reboot"
+    } else {
+        "fork"
+    };
     let t_total = Instant::now();
 
     // Boot/imaging phase: probe targets, clean stranded baselines (the
     // sanity gate for the proc_table geometry — a clean run must strand
     // nothing beyond its own baseline), and the shared post-boot images.
     let t_boot = Instant::now();
-    let flat_ctx = ArmCtx::build(Arm::Flat, mode);
-    let nested_ctx = ArmCtx::build(Arm::Nested, mode);
+    let flat_ctx = ArmCtx::build(Arm::Flat);
+    let nested_ctx = ArmCtx::build(Arm::Nested);
     let mut boot_wall = t_boot.elapsed();
-    if mode != BootMode::Reboot {
-        let (n, bytes) = [&flat_ctx, &nested_ctx]
-            .iter()
-            .flat_map(|c| &c.images)
-            .fold((0u64, 0u64), |(n, b), (_, img)| {
-                (n + 1, b + img.bytes.len() as u64)
-            });
-        println!(
-            "boot images: {} columns, {} KiB total ({} ms)",
-            n,
-            bytes / 1024,
-            boot_wall.as_millis(),
-        );
-    }
+    let (n, bytes) = [&flat_ctx, &nested_ctx]
+        .iter()
+        .flat_map(|c| &c.images)
+        .fold((0u64, 0u64), |(n, b), (_, img)| {
+            (n + 1, b + img.bytes.len() as u64)
+        });
+    println!(
+        "boot images: {} columns, {} KiB total ({} ms)",
+        n,
+        bytes / 1024,
+        boot_wall.as_millis(),
+    );
 
     // Determinism gate on both arms: the same plan on the same workload
     // must replay bit-identically — stats, injections and blast radius.
@@ -1608,12 +1563,12 @@ fn main() {
     let mut mismatches = 0u64;
     let mut deaths = BTreeSet::new();
     for ctx in [&flat_ctx, &nested_ctx] {
-        let mut scratch = (mode != BootMode::Reboot).then(|| scratch_vm(ctx.arm, BUDGET));
-        let mut cell = |scratch: Option<&mut CampVm>, deaths: &mut BTreeSet<String>| {
+        let mut scratch = scratch_vm(ctx.arm, BUDGET);
+        let mut cell = |deaths: &mut BTreeSet<String>| {
             run_cell(
-                mode,
+                verify_reboot,
                 ctx,
-                scratch,
+                &mut scratch,
                 FaultClass::WildPtr,
                 SEEDS[0],
                 0,
@@ -1623,8 +1578,8 @@ fn main() {
                 deaths,
             )
         };
-        let d0 = cell(scratch.as_mut(), &mut deaths);
-        let d1 = cell(scratch.as_mut(), &mut deaths);
+        let d0 = cell(&mut deaths);
+        let d1 = cell(&mut deaths);
         if d0 != d1 || d0.is_none() {
             deterministic = false;
             eprintln!(
@@ -1634,11 +1589,11 @@ fn main() {
         }
     }
 
-    // Fork/reboot cross-check: in the default fork mode one cell per arm
-    // also runs the legacy re-boot path and must match byte-identically —
-    // a standing canary that forking is an optimization, not a semantic
-    // change. (`--verify-reboot` extends this to every cell.)
-    if mode == BootMode::Fork {
+    // Fork/reboot cross-check: by default one cell per arm also runs on a
+    // freshly booted machine and must match byte-identically — a standing
+    // canary that forking is an optimization, not a semantic change.
+    // (`--verify-reboot` extends this to every cell.)
+    if !verify_reboot {
         for ctx in [&flat_ctx, &nested_ctx] {
             let mut scratch = scratch_vm(ctx.arm, BUDGET);
             let tag = cell_tag(ctx.arm, FaultClass::WildPtr, SEEDS[0], 0, BUDGET);
@@ -1673,8 +1628,10 @@ fn main() {
     }
 
     let t_grid = Instant::now();
-    let (flat_total, flat_classes) = run_arm(mode, &flat_ctx, &mut mismatches, &mut deaths);
-    let (nested_total, nested_classes) = run_arm(mode, &nested_ctx, &mut mismatches, &mut deaths);
+    let (flat_total, flat_classes) =
+        run_arm(verify_reboot, &flat_ctx, &mut mismatches, &mut deaths);
+    let (nested_total, nested_classes) =
+        run_arm(verify_reboot, &nested_ctx, &mut mismatches, &mut deaths);
     let grid_wall = t_grid.elapsed();
 
     // Degradation sub-run: budget 1, so a single violation poisons its
@@ -1682,26 +1639,21 @@ fn main() {
     // the machine keeps answering. The violation budget is part of the
     // snapshot config fingerprint, so this sub-run forks from its own
     // budget-1 images.
-    let degr_images: Vec<(usize, BootImage)> = if mode == BootMode::Reboot {
-        Vec::new()
-    } else {
-        let t = Instant::now();
-        let imgs = [1usize, 3]
-            .into_iter()
-            .map(|wi| (wi, boot_image(Arm::Nested, WORKLOADS[wi], 1)))
-            .collect();
-        boot_wall += t.elapsed();
-        imgs
-    };
-    let mut degr_scratch = (mode != BootMode::Reboot).then(|| scratch_vm(Arm::Nested, 1));
+    let t = Instant::now();
+    let degr_images: Vec<(usize, BootImage)> = [1usize, 3]
+        .into_iter()
+        .map(|wi| (wi, boot_image(Arm::Nested, WORKLOADS[wi], 1)))
+        .collect();
+    boot_wall += t.elapsed();
+    let mut degr_scratch = scratch_vm(Arm::Nested, 1);
     let mut degr = Tally::default();
     let mut degraded_runs = 0u64;
     for seed in [1, 2, 3] {
         for wi in [1usize, 3] {
             let r = run_cell(
-                mode,
+                verify_reboot,
                 &nested_ctx,
-                degr_scratch.as_mut(),
+                &mut degr_scratch,
                 FaultClass::WildPtr,
                 seed,
                 wi,
@@ -1833,7 +1785,7 @@ fn main() {
             "\"crash_bundle_cells\":{},\"bundle_replay_failures\":{},",
             "\"smp_machine_deaths\":{},\"smp_escapes\":{}}}}}\n"
         ),
-        mode.name(),
+        mode,
         deterministic,
         ms(boot_wall),
         ms(grid_wall),
@@ -1901,7 +1853,7 @@ fn main() {
     );
     println!(
         "mode {}: boot/imaging {} ms, grid {} ms, total {} ms",
-        mode.name(),
+        mode,
         ms(boot_wall),
         ms(grid_wall),
         ms(total_wall),

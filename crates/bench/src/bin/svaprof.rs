@@ -10,12 +10,7 @@
 //! - a "top checks / top pools / top opcodes" text report on stdout with
 //!   the fraction of virtual cycles the profile attributes;
 //! - with `--prom`, the counters and latency histograms in Prometheus
-//!   text exposition format (`<stem>.prom` in the trace directory);
-//! - with `--profile-out PATH`, a hot-function profile (the top
-//!   `--profile-keep` fraction of functions by attributed cycles) in the
-//!   `sva-hot-profile` text format consumed by `VmConfig::hot_profile` /
-//!   `Vm::with_profile` — the feedback file of the profile-guided
-//!   optimizing tier (DESIGN.md §4.4).
+//!   text exposition format (`<stem>.prom` in the trace directory).
 //!
 //! Two snapshot modes exercise the machine checkpoint format
 //! (DESIGN.md §4.6):
@@ -58,7 +53,6 @@
 //! Usage: `cargo run --release -p bench --bin svaprof --
 //!     [--prog NAME] [--arg N] [--kind sva-safe|native|sva-gcc|sva-llvm]
 //!     [--top N] [--capacity N] [--prom]
-//!     [--profile-out PATH] [--profile-keep FRAC]
 //!     [--snapshot-out PATH] [--snapshot-mid PATH [--cut N]] [--resume PATH]
 //!     [--replay PATH [--shrink]] [--prom-diff OLD NEW]`
 //!
@@ -74,7 +68,7 @@ use sva_kernel::harness::{boot_user, boot_user_paused, make_vm};
 use sva_trace::{
     metrics_to_prometheus, to_chrome_trace, to_jsonl, to_prometheus, top_report, RingConfig,
 };
-use sva_vm::{HotProfile, KernelKind, Vm};
+use sva_vm::{KernelKind, Vm};
 
 /// Workload the boot-kernel example runs; the default subject here too.
 const DEFAULT_PROG: &str = "user_hello";
@@ -108,8 +102,6 @@ struct Options {
     top: usize,
     capacity: usize,
     prom: bool,
-    profile_out: Option<PathBuf>,
-    profile_keep: f64,
     snapshot_out: Option<PathBuf>,
     snapshot_mid: Option<PathBuf>,
     cut: u64,
@@ -128,8 +120,6 @@ fn parse_args() -> Result<Options, String> {
         top: 10,
         capacity: RingConfig::default().capacity,
         prom: false,
-        profile_out: None,
-        profile_keep: 0.25,
         snapshot_out: None,
         snapshot_mid: None,
         cut: 1000,
@@ -160,17 +150,6 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--capacity: {e}"))?;
             }
             "--prom" => opts.prom = true,
-            "--profile-out" => {
-                opts.profile_out = Some(PathBuf::from(val("--profile-out")?));
-            }
-            "--profile-keep" => {
-                opts.profile_keep = val("--profile-keep")?
-                    .parse()
-                    .map_err(|e| format!("--profile-keep: {e}"))?;
-                if !(0.0..=1.0).contains(&opts.profile_keep) {
-                    return Err("--profile-keep must be in 0..=1".to_string());
-                }
-            }
             "--snapshot-out" => {
                 opts.snapshot_out = Some(PathBuf::from(val("--snapshot-out")?));
             }
@@ -619,25 +598,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    if let Some(out) = &opts.profile_out {
-        let mut ranked: Vec<(String, u64)> = profile
-            .per_func
-            .iter()
-            .map(|(&id, cc)| (tracer.func_name(id), cc.cycles))
-            .collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let hot = HotProfile::from_cycle_ranking(&ranked, opts.profile_keep);
-        if let Err(e) = std::fs::write(out, hot.to_text()) {
-            eprintln!("svaprof: cannot write {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "hot profile:  {} ({} of {} functions)",
-            out.display(),
-            hot.len(),
-            ranked.len()
-        );
-    }
     let coverage = profile.coverage(sample.stats.cycles);
     if coverage < 0.95 {
         eprintln!(

@@ -500,7 +500,6 @@ pub fn smp_metrics(vcpus: u32) -> sva_trace::MetricsRegistry {
         per_cpu.set_counter("sched.jobs", c.jobs as u64);
         per_cpu.set_counter("sched.steals", c.steals);
         per_cpu.set_counter("sched.parks", c.parks);
-        per_cpu.set_counter("sched.irqs_routed", c.irqs_routed);
         m.fold_cpu(c.cpu, &per_cpu);
     }
     m

@@ -98,9 +98,9 @@ pub fn make_vm_with(kind: KernelKind, exclusions: &[&str]) -> Vm {
     .expect("kernel loads")
 }
 
-/// Like [`make_vm`] with a full [`VmConfig`] — opt level, hot profile,
-/// fast-path/singleton toggles. The kernel image is chosen by `cfg.kind`
-/// with the paper's "as tested" exclusions.
+/// Like [`make_vm`] with a full [`VmConfig`] — opt level, lookup switch,
+/// vCPUs. The kernel image is chosen by `cfg.kind` with the paper's "as
+/// tested" exclusions.
 pub fn make_vm_cfg(cfg: VmConfig) -> Vm {
     let module = if cfg.kind.checks() {
         safe_kernel_module(AS_TESTED_EXCLUSIONS)

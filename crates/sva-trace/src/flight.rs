@@ -15,19 +15,14 @@
 //! captured, because the VM emits a distinct `Violation` event when a
 //! check fires.
 //!
-//! On top of the tail it keeps coarse sampled cycle attribution: 1 in
-//! [`FlightConfig::sample_period`] syscall exits contributes its latency
-//! to a per-syscall-number accumulator, and IRQ delivery is watched for
-//! storms (longest burst of back-to-back deliveries with no intervening
-//! syscall progress). That is deliberately crude — enough for a postmortem
-//! to say "syscall 7 was where the cycles went and the timer was storming",
-//! at a cost that never shows up on the hot path.
-
-use std::collections::HashMap;
+//! The tail is all it keeps: crash bundles, `svadbg` and the fault
+//! campaign read it, and `VmStats` already counts every recovery event.
+//! A snapshot restore empties the tail and keeps the configured
+//! capacities.
 
 use crate::event::{EventClass, TimedEvent, TraceEvent};
 use crate::ring::{EventRing, RingConfig};
-use crate::tracer::{CycleCount, Tracer};
+use crate::tracer::Tracer;
 
 /// Flight-recorder construction options.
 #[derive(Clone, Debug)]
@@ -38,10 +33,6 @@ pub struct FlightConfig {
     /// Side-buffer capacity for pinned (violation/recovery) records
     /// promoted on wraparound.
     pub pinned_capacity: usize,
-    /// Sampling decimation for cycle attribution: 1 in `sample_period`
-    /// syscall exits is attributed. 1 = attribute everything, 0 is
-    /// treated as 1.
-    pub sample_period: u64,
 }
 
 impl Default for FlightConfig {
@@ -49,7 +40,6 @@ impl Default for FlightConfig {
         FlightConfig {
             capacity: 256,
             pinned_capacity: 128,
-            sample_period: 8,
         }
     }
 }
@@ -57,29 +47,8 @@ impl Default for FlightConfig {
 /// The always-on tail recorder. See the module docs for what it keeps.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
+    cfg: FlightConfig,
     tail: EventRing,
-    sample_period: u64,
-    /// Sampled per-syscall-number latency attribution.
-    sampled_syscalls: HashMap<i64, CycleCount>,
-    /// Totals (cheap integer bumps; never decimated).
-    syscalls: u64,
-    irqs: u64,
-    violations: u64,
-    unwinds: u64,
-    quarantines: u64,
-    pools_poisoned: u64,
-    forced_pops: u64,
-    domain_pushes: u64,
-    domain_pops: u64,
-    restores: u64,
-    /// IRQ-storm tracking: current and longest run of IRQ deliveries with
-    /// no syscall completing in between.
-    irq_burst: u64,
-    irq_burst_max: u64,
-    /// Self-healing traffic (DESIGN.md §4.8).
-    repairs: u64,
-    probations: u64,
-    retirements: u64,
 }
 
 impl Default for FlightRecorder {
@@ -101,107 +70,8 @@ impl FlightRecorder {
                 ],
                 pinned_capacity: cfg.pinned_capacity,
             }),
-            sample_period: cfg.sample_period.max(1),
-            sampled_syscalls: HashMap::new(),
-            syscalls: 0,
-            irqs: 0,
-            violations: 0,
-            unwinds: 0,
-            quarantines: 0,
-            pools_poisoned: 0,
-            forced_pops: 0,
-            domain_pushes: 0,
-            domain_pops: 0,
-            restores: 0,
-            irq_burst: 0,
-            irq_burst_max: 0,
-            repairs: 0,
-            probations: 0,
-            retirements: 0,
+            cfg,
         }
-    }
-
-    /// The tail buffer (oldest first via [`EventRing::iter`]).
-    pub fn tail(&self) -> &EventRing {
-        &self.tail
-    }
-
-    /// Sampled per-syscall cycle attribution (1 in
-    /// [`FlightConfig::sample_period`] exits).
-    pub fn sampled_syscalls(&self) -> &HashMap<i64, CycleCount> {
-        &self.sampled_syscalls
-    }
-
-    /// Syscalls completed.
-    pub fn syscalls(&self) -> u64 {
-        self.syscalls
-    }
-
-    /// IRQs delivered.
-    pub fn irqs(&self) -> u64 {
-        self.irqs
-    }
-
-    /// Safety violations observed.
-    pub fn violations(&self) -> u64 {
-        self.violations
-    }
-
-    /// Recovery unwinds observed.
-    pub fn unwinds(&self) -> u64 {
-        self.unwinds
-    }
-
-    /// Pool quarantine transitions observed.
-    pub fn quarantines(&self) -> u64 {
-        self.quarantines
-    }
-
-    /// Quarantine transitions that poisoned the pool permanently.
-    pub fn pools_poisoned(&self) -> u64 {
-        self.pools_poisoned
-    }
-
-    /// Watchdog force-pops observed (wedged recovery domains).
-    pub fn forced_pops(&self) -> u64 {
-        self.forced_pops
-    }
-
-    /// Recovery domains pushed.
-    pub fn domain_pushes(&self) -> u64 {
-        self.domain_pushes
-    }
-
-    /// Recovery domains popped.
-    pub fn domain_pops(&self) -> u64 {
-        self.domain_pops
-    }
-
-    /// Snapshot restores this recorder lived through.
-    pub fn restores(&self) -> u64 {
-        self.restores
-    }
-
-    /// Longest run of IRQ deliveries with no syscall completing between
-    /// them — the "IRQ storm" indicator.
-    pub fn irq_burst_max(&self) -> u64 {
-        self.irq_burst_max
-    }
-
-    /// Subsystem repairs observed (`sva.recover.repair` teardown/reinit).
-    pub fn repairs(&self) -> u64 {
-        self.repairs
-    }
-
-    /// Probation transitions observed (`sva.recover.probation`).
-    pub fn probations(&self) -> u64 {
-        self.probations
-    }
-
-    /// Probation transitions that permanently retired the subsystem
-    /// (strike budget exhausted).
-    pub fn retirements(&self) -> u64 {
-        self.retirements
     }
 }
 
@@ -220,47 +90,6 @@ impl Tracer for FlightRecorder {
         | EventClass::Repair.bit();
 
     fn record(&mut self, ts: u64, event: TraceEvent) {
-        match &event {
-            TraceEvent::SyscallExit { num, cost } => {
-                self.syscalls += 1;
-                self.irq_burst = 0;
-                if self.syscalls.is_multiple_of(self.sample_period) {
-                    let c = self.sampled_syscalls.entry(*num).or_default();
-                    c.count += 1;
-                    c.cycles += cost;
-                }
-            }
-            TraceEvent::IrqDeliver { .. } => {
-                self.irqs += 1;
-                self.irq_burst += 1;
-                self.irq_burst_max = self.irq_burst_max.max(self.irq_burst);
-            }
-            TraceEvent::Violation { .. } => self.violations += 1,
-            TraceEvent::RecoverUnwind { .. } => self.unwinds += 1,
-            TraceEvent::PoolQuarantine { poisoned, .. } => {
-                self.quarantines += 1;
-                if *poisoned {
-                    self.pools_poisoned += 1;
-                }
-            }
-            TraceEvent::DomainPush { .. } => self.domain_pushes += 1,
-            TraceEvent::DomainPop { forced, .. } => {
-                self.domain_pops += 1;
-                if *forced {
-                    self.forced_pops += 1;
-                }
-            }
-            TraceEvent::Repair { .. } => self.repairs += 1,
-            TraceEvent::Probation { verdict, .. } => {
-                self.probations += 1;
-                if *verdict == 2 {
-                    self.retirements += 1;
-                }
-            }
-            // Classes outside WANTED: unreachable via gated VM sites, but
-            // record() is also callable directly — just buffer them.
-            _ => {}
-        }
         self.tail.push(ts, event);
     }
 
@@ -272,14 +101,7 @@ impl Tracer for FlightRecorder {
         // The black box restarts at the restore point: the restored image
         // is a different timeline, and a crash after a restore should not
         // show pre-restore events as if they led up to it.
-        let cfg = FlightConfig {
-            capacity: self.tail.len().max(1).max(256),
-            pinned_capacity: 128,
-            sample_period: self.sample_period,
-        };
-        let restores = self.restores + 1;
-        *self = FlightRecorder::new(cfg);
-        self.restores = restores;
+        *self = FlightRecorder::new(self.cfg.clone());
     }
 }
 
@@ -307,53 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn sampling_decimates_attribution_but_not_totals() {
-        let mut f = FlightRecorder::new(FlightConfig {
-            capacity: 16,
-            pinned_capacity: 8,
-            sample_period: 4,
-        });
-        for i in 0..16 {
-            f.record(i, sys_exit(7, 100));
-        }
-        assert_eq!(f.syscalls(), 16);
-        let c = f.sampled_syscalls()[&7];
-        assert_eq!(c.count, 4); // 1 in 4
-        assert_eq!(c.cycles, 400);
-    }
-
-    #[test]
-    fn irq_storm_burst_resets_on_syscall_progress() {
-        let mut f = FlightRecorder::default();
-        for i in 0..5 {
-            f.record(
-                i,
-                TraceEvent::IrqDeliver {
-                    vector: 32,
-                    cost: 40,
-                },
-            );
-        }
-        f.record(6, sys_exit(1, 10));
-        for i in 7..10 {
-            f.record(
-                i,
-                TraceEvent::IrqDeliver {
-                    vector: 32,
-                    cost: 40,
-                },
-            );
-        }
-        assert_eq!(f.irqs(), 8);
-        assert_eq!(f.irq_burst_max(), 5);
-    }
-
-    #[test]
     fn violations_and_recovery_survive_tail_wraparound() {
         let mut f = FlightRecorder::new(FlightConfig {
             capacity: 4,
             pinned_capacity: 16,
-            sample_period: 1,
         });
         f.record(
             0,
@@ -382,14 +161,12 @@ mod tests {
         assert!(tail
             .iter()
             .any(|e| matches!(e.event, TraceEvent::PoolQuarantine { .. })));
-        assert_eq!(f.violations(), 1);
-        assert_eq!(f.pools_poisoned(), 1);
         // Tail stays timestamp-ordered despite promotion.
         assert!(tail.windows(2).all(|w| w[0].ts <= w[1].ts));
     }
 
     #[test]
-    fn restore_clears_the_black_box_but_counts_itself() {
+    fn restore_clears_the_black_box() {
         let mut f = FlightRecorder::default();
         f.record(0, sys_exit(1, 10));
         f.record(
@@ -401,9 +178,38 @@ mod tests {
         );
         f.on_restore(1000);
         assert!(f.recent_events().is_empty());
-        assert_eq!(f.syscalls(), 0);
-        assert_eq!(f.restores(), 1);
         f.record(1001, sys_exit(2, 20));
-        assert_eq!(f.syscalls(), 1);
+        assert_eq!(f.recent_events().len(), 1);
+    }
+
+    #[test]
+    fn restore_keeps_the_configured_capacity() {
+        // 300 held: the 256-slot ring plus 44 promoted pinned records.
+        let mut f = FlightRecorder::default();
+        for i in 0..300 {
+            f.record(
+                i,
+                TraceEvent::DomainPush {
+                    subsys: 1,
+                    depth: 1,
+                },
+            );
+        }
+        assert_eq!(f.recent_events().len(), 300);
+        f.on_restore(300);
+        for i in 0..1000 {
+            f.record(301 + i, sys_exit(1, 10));
+        }
+        assert_eq!(f.recent_events().len(), 256);
+
+        let mut small = FlightRecorder::new(FlightConfig {
+            capacity: 8,
+            ..FlightConfig::default()
+        });
+        small.on_restore(0);
+        for i in 0..100 {
+            small.record(i, sys_exit(1, 10));
+        }
+        assert_eq!(small.recent_events().len(), 8);
     }
 }

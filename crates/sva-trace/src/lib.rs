@@ -32,8 +32,8 @@
 //! * [`FlightRecorder`] — the third mode: an always-on black box. Only
 //!   the high-signal classes ([`Tracer::WANTED`]) are compiled in, so the
 //!   hot check path matches `NullTracer` byte for byte while syscall
-//!   spans, IRQ storms, violations and recovery traffic land in a small
-//!   pinned tail buffer that crash bundles embed.
+//!   spans, IRQ deliveries, violations and recovery traffic land in a
+//!   small pinned tail buffer that crash bundles embed.
 
 pub mod event;
 pub mod export;

@@ -1,7 +1,6 @@
 //! Property tests for the flight recorder's black-box guarantee: no
 //! interleaving of high-signal traffic may ever lose a violation- or
-//! recovery-class event to tail wraparound, and the counters the
-//! postmortem report is built from always agree with the stream.
+//! recovery-class event to tail wraparound.
 
 use proptest::prelude::*;
 use sva_trace::{EventClass, FlightConfig, FlightRecorder, TraceEvent, Tracer};
@@ -86,31 +85,12 @@ proptest! {
             // Large enough that the side buffer never saturates here; the
             // property under test is wraparound, not the explicit cap.
             pinned_capacity: 1 << 16,
-            sample_period: 4,
         });
         let mut ts = 0u64;
         let mut pinned_pushed: Vec<u64> = Vec::new();
-        let (mut violations, mut quarantines, mut poisonings) = (0u64, 0u64, 0u64);
-        let (mut syscalls, mut irqs, mut unwinds) = (0u64, 0u64, 0u64);
-        let (mut pushes, mut pops, mut forced_pops) = (0u64, 0u64, 0u64);
         for (op, burst) in &script {
             for _ in 0..*burst {
                 let ev = event_for(*op, ts);
-                match op {
-                    Op::Syscall => syscalls += 1,
-                    Op::Irq => irqs += 1,
-                    Op::Violation => violations += 1,
-                    Op::Unwind => unwinds += 1,
-                    Op::Quarantine { poisoned } => {
-                        quarantines += 1;
-                        poisonings += u64::from(*poisoned);
-                    }
-                    Op::Push => pushes += 1,
-                    Op::Pop { forced } => {
-                        pops += 1;
-                        forced_pops += u64::from(*forced);
-                    }
-                }
                 if matches!(
                     ev.class(),
                     EventClass::Violation | EventClass::Recovery
@@ -140,16 +120,5 @@ proptest! {
 
         // The tail stays globally timestamp-ordered despite promotion.
         prop_assert!(tail.windows(2).all(|w| w[0].ts <= w[1].ts));
-
-        // The postmortem counters agree with the stream exactly.
-        prop_assert_eq!(f.violations(), violations);
-        prop_assert_eq!(f.quarantines(), quarantines);
-        prop_assert_eq!(f.pools_poisoned(), poisonings);
-        prop_assert_eq!(f.syscalls(), syscalls);
-        prop_assert_eq!(f.irqs(), irqs);
-        prop_assert_eq!(f.unwinds(), unwinds);
-        prop_assert_eq!(f.domain_pushes(), pushes);
-        prop_assert_eq!(f.domain_pops(), pops);
-        prop_assert_eq!(f.forced_pops(), forced_pops);
     }
 }

@@ -47,7 +47,7 @@ use sva_trace::{TimedEvent, Tracer};
 use crate::mem::Mode;
 use crate::resume::ResumeCode;
 use crate::snapshot::{
-    fingerprint_words, ImageReader, ImageWriter, SnapshotError, FP_FIELDS, V1_STATS_WORDS,
+    fingerprint_words, fp_words, stats_words, ImageReader, ImageWriter, SnapshotError, FP_FIELDS,
 };
 use crate::vm::{KernelKind, Vm, VmConfig, VmStats};
 
@@ -363,20 +363,14 @@ pub(crate) fn decode_bundle(payload: &[u8], version: u32) -> Result<CrashBundle,
     let detail = r.str()?.to_owned();
     let cpu = if version >= 3 { r.u32()? } else { 0 };
     let mut config_words = [0u64; FP_FIELDS.len()];
-    config_words[9] = 1;
-    for w in config_words
-        .iter_mut()
-        .take(if version >= 3 { 10 } else { 9 })
-    {
+    // A bundle older than v3 ran on one vCPU.
+    config_words[fp_words(2)] = 1;
+    for w in config_words.iter_mut().take(fp_words(version)) {
         *w = r.u64()?;
     }
     let code_id = r.u64()?;
     let mut stat_words = [0u64; VmStats::WORDS];
-    for w in stat_words.iter_mut().take(if version >= 2 {
-        VmStats::WORDS
-    } else {
-        V1_STATS_WORDS
-    }) {
+    for w in stat_words.iter_mut().take(stats_words(version)) {
         *w = r.u64()?;
     }
     let console = r.bytes()?.to_vec();
@@ -546,5 +540,36 @@ impl<T: Tracer> Vm<T> {
             }
         }
         self.crash.last_bundle = Some(bundle);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sva_ir::parse::parse_module;
+
+    #[test]
+    fn bundles_under_retired_config_words_refuse_replay() {
+        let m = parse_module("module \"m\"\nfunc public @f() : i64 {\nentry:\n  ret 0:i64\n}\n")
+            .expect("parse");
+        let cfg = VmConfig {
+            kind: KernelKind::SvaLlvm,
+            ..Default::default()
+        };
+        let mut vm = Vm::new(m, cfg).expect("load");
+        vm.enable_crash_capture(None, "t");
+        vm.capture_crash(CrashReason::Halt, 41, String::new());
+        let bundle = vm.take_crash_bundle().expect("bundle");
+        assert!(bundle.vm_config().is_ok());
+        // Word 8 nonzero: an older build's capture under a hot-function
+        // profile. Words 3 and 4 apart: one under mixed lookup switches.
+        for (word, value) in [(8, 0xfeed), (4, 0)] {
+            let mut b = bundle.clone();
+            b.config_words[word] = value;
+            assert!(
+                matches!(b.vm_config(), Err(BundleError::Malformed(_))),
+                "word {word}"
+            );
+        }
     }
 }

@@ -15,7 +15,7 @@
 pub mod bundle;
 pub mod mem;
 pub mod migrate;
-pub mod opt;
+mod opt;
 pub mod resume;
 pub mod smp;
 pub mod snapshot;
@@ -30,7 +30,6 @@ pub use migrate::{
     migrate, migrate_bundle, plan, reencode_at, MigrateError, MigrationPlan, MigrationReport,
     Upcaster, OLDEST_SUPPORTED, UPCASTERS,
 };
-pub use opt::HotProfile;
 pub use resume::{check_kind_code, ResumeCode, RESUME_KIND_WATCHDOG};
 pub use smp::{
     decode_quiesce, encode_quiesce, CpuReport, JobResult, QuiesceOutcome, SmpJob, SmpMachine,
@@ -39,8 +38,8 @@ pub use smp::{
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use sva_trace::{FlightConfig, FlightRecorder, NullTracer, RingTracer, Tracer};
 pub use vm::{
-    FaultAction, FaultHook, IrqAffinity, KernelKind, TrapInfo, Vm, VmConfig, VmError, VmExit,
-    VmStats, CHECK_CYCLES, PORT_CONSOLE, PORT_TIMER, REG_CYCLES, USTACK_SIZE,
+    FaultAction, FaultHook, KernelKind, TrapInfo, Vm, VmConfig, VmError, VmExit, VmStats,
+    CHECK_CYCLES, PORT_CONSOLE, PORT_TIMER, REG_CYCLES, USTACK_SIZE,
 };
 
 #[cfg(test)]

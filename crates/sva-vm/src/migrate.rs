@@ -47,11 +47,11 @@ use sva_trace::Tracer;
 
 use crate::bundle::{decode_bundle, CrashBundle, BUNDLE_MAGIC, BUNDLE_VERSION};
 use crate::snapshot::{
-    fingerprint_words, frame_image, read_frames, read_icontext, read_manifest, read_memory,
-    read_origin, read_pool_images, read_recovery, read_saved_state, surface_fp_of, unframe_image,
-    write_manifest, write_pool_image, CodeManifest, ImageReader, ImageWriter, SnapshotError,
-    FP_FIELDS, ICONTEXT_MIN, ORIGIN_CHECKPOINT, RECOVERY_MIN, SAVED_STATE_MIN, SNAPSHOT_VERSION,
-    V1_STATS_WORDS,
+    fingerprint_words, fp_words, frame_image, read_frames, read_icontext, read_manifest,
+    read_memory, read_origin, read_pool_images, read_recovery, read_saved_state, stats_words,
+    surface_fp_of, unframe_image, write_manifest, write_pool_image, CodeManifest, ImageReader,
+    ImageWriter, SnapshotError, FP_FIELDS, ICONTEXT_MIN, ORIGIN_CHECKPOINT, RECOVERY_MIN,
+    SAVED_STATE_MIN, SNAPSHOT_VERSION,
 };
 use crate::vm::{Frame, Vm, VmStats};
 
@@ -217,7 +217,7 @@ pub struct MigrationReport {
 struct MigImage<'a> {
     version: u32,
     code_id: u64,
-    /// Config fingerprint words: 9 (v1/v2) or 10 (v3+).
+    /// Config fingerprint words, [`fp_words`] of the version.
     fp: Vec<u64>,
     /// Kernel memory through the interrupt table — layout-invariant
     /// across every supported version, carried verbatim.
@@ -225,7 +225,7 @@ struct MigImage<'a> {
     pools: Vec<PoolImage>,
     /// Function check-stats words + console — invariant, verbatim.
     func_console: &'a [u8],
-    /// [`V1_STATS_WORDS`] (v1) or [`VmStats::WORDS`] (v2+) stats words.
+    /// Stats words, [`stats_words`] of the version.
     stats: Vec<u64>,
     /// Fuel through `trap_count` — invariant, verbatim.
     tail: &'a [u8],
@@ -247,8 +247,9 @@ fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
     let (version, code_id, payload) = unframe_image(image, SUPPORTED)?;
     let mut live_funcs = BTreeSet::new();
     let r = &mut ImageReader::new(payload);
-    let nfp = if version >= 3 { 10 } else { 9 };
-    let fp = (0..nfp).map(|_| r.u64()).collect::<Result<_, _>>()?;
+    let fp = (0..fp_words(version))
+        .map(|_| r.u64())
+        .collect::<Result<_, _>>()?;
     // Memory through the interrupt table: walk structurally (to validate
     // and harvest live frame functions), carry verbatim.
     let mid_start = r.pos();
@@ -283,12 +284,9 @@ fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
     r.take(8 * CheckStats::WORDS)?;
     r.bytes()?; // console
     let func_console = &payload[fc_start..r.pos()];
-    let nstats = if version >= 2 {
-        VmStats::WORDS
-    } else {
-        V1_STATS_WORDS
-    };
-    let stats = (0..nstats).map(|_| r.u64()).collect::<Result<_, _>>()?;
+    let stats = (0..stats_words(version))
+        .map(|_| r.u64())
+        .collect::<Result<_, _>>()?;
     // Fuel through trap_count: walk structurally, carry verbatim.
     let tail_start = r.pos();
     r.u64()?; // fuel
@@ -387,7 +385,7 @@ fn upcast(
                     ),
                 });
             }
-            img.stats.resize(VmStats::WORDS, 0);
+            img.stats.resize(stats_words(2), 0);
         }
         (2, 3) => {
             // Pre-SMP images are single-vCPU machines by construction.
@@ -436,14 +434,16 @@ fn downcast(img: &mut MigImage<'_>, from: u32) -> Result<(), MigrateError> {
             img.manifest = None;
         }
         3 => {
-            if img.fp.get(9).copied() != Some(1) {
+            // The word v3 appended to the fingerprint.
+            let vcpus = img.fp.get(fp_words(to)).copied();
+            if vcpus != Some(1) {
                 return Err(MigrateError::Incompatible {
                     from,
                     to,
                     field: "vcpus",
                     detail: format!(
                         "v2 images are single-vCPU; this machine had vcpus={}",
-                        img.fp.get(9).copied().unwrap_or(0)
+                        vcpus.unwrap_or(0)
                     ),
                 });
             }
@@ -458,11 +458,11 @@ fn downcast(img: &mut MigImage<'_>, from: u32) -> Result<(), MigrateError> {
                     ),
                 });
             }
-            img.fp.truncate(9);
+            img.fp.truncate(fp_words(to));
             img.cpu_id = None;
         }
         2 => {
-            for i in V1_STATS_WORDS..VmStats::WORDS {
+            for i in stats_words(to)..stats_words(from) {
                 if img.stats[i] != 0 {
                     let field = VmStats::NAMES[i];
                     return Err(MigrateError::Incompatible {
@@ -496,7 +496,7 @@ fn downcast(img: &mut MigImage<'_>, from: u32) -> Result<(), MigrateError> {
                     ),
                 });
             }
-            img.stats.truncate(V1_STATS_WORDS);
+            img.stats.truncate(stats_words(to));
         }
         _ => unreachable!("no downcast from v{from}"),
     }
@@ -511,6 +511,15 @@ fn downcast(img: &mut MigImage<'_>, from: u32) -> Result<(), MigrateError> {
 fn adopt_code(img: &mut MigImage<'_>, t: &TargetInfo) -> Result<(), MigrateError> {
     let v = SNAPSHOT_VERSION;
     let m = img.manifest.as_ref().expect("v4 image has a manifest");
+    // The manifest is image data: it must hash to its own surface
+    // fingerprint before any decision rests on it.
+    if surface_fp_of(m.globals_fp, &m.funcs) != m.surface_fp {
+        return Err(MigrateError::Image(SnapshotError::Malformed(format!(
+            "code manifest claims surface {:#x}, but its {} functions hash to another",
+            m.surface_fp,
+            m.funcs.len()
+        ))));
+    }
     if m.surface_fp != t.manifest.surface_fp {
         // Not the same surface: a pure append is still adoptable.
         if m.globals_fp != t.manifest.globals_fp {
@@ -558,13 +567,6 @@ fn adopt_code(img: &mut MigImage<'_>, t: &TargetInfo) -> Result<(), MigrateError
                 ),
             });
         }
-        // Prefix holds: recompute what the image's surface would hash to
-        // under the target's header, as a final consistency check.
-        debug_assert_eq!(
-            surface_fp_of(m.globals_fp, &m.funcs),
-            m.surface_fp,
-            "manifest surface_fp is self-consistent"
-        );
     }
     // Live frames pin function bodies: a frame's pc/block indices only
     // mean anything in the body they were captured in.
@@ -581,7 +583,20 @@ fn adopt_code(img: &mut MigImage<'_>, t: &TargetInfo) -> Result<(), MigrateError
                     m.funcs.len()
                 ),
             })?;
-        let new = &t.manifest.funcs[idx as usize];
+        let new = t
+            .manifest
+            .funcs
+            .get(idx as usize)
+            .ok_or_else(|| MigrateError::Incompatible {
+                from: v,
+                to: v,
+                field: "live_function",
+                detail: format!(
+                    "`@{}` has a live frame in the image but the target has only {} functions",
+                    old.name,
+                    t.manifest.funcs.len()
+                ),
+            })?;
         if old.body_hash != new.body_hash {
             return Err(MigrateError::Incompatible {
                 from: v,
@@ -778,8 +793,78 @@ pub fn migrate_bundle<T: Tracer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::{KernelKind, VmConfig};
+    use crate::vm::{KernelKind, VmConfig, VmError};
     use sva_ir::parse::parse_module;
+
+    const F: &str = r#"
+func public @f(%n: i64) : i64 {
+entry:
+  %r:i64 = add %n, 1:i64
+  ret %r
+}
+"#;
+    const G: &str = r#"
+func public @g(%n: i64) : i64 {
+entry:
+  br loop
+loop:
+  %i:i64 = phi i64 [entry: 0:i64, loop: %i2]
+  %i2:i64 = add %i, 1:i64
+  %done:i1 = icmp uge %i2, %n
+  condbr %done, out, loop
+out:
+  ret %i2
+}
+"#;
+
+    fn vm_of(funcs: &[&str], fuel: u64) -> Vm {
+        let src = format!("module \"m\"{}", funcs.concat());
+        let cfg = VmConfig {
+            kind: KernelKind::SvaLlvm,
+            fuel,
+            ..Default::default()
+        };
+        Vm::new(parse_module(&src).expect("parse"), cfg).expect("load")
+    }
+
+    /// `image` re-encoded with its manifest claiming `surface_fp`.
+    fn with_claimed_surface(image: &[u8], surface_fp: u64) -> Vec<u8> {
+        let mut img = decode(image).expect("decode");
+        img.manifest.as_mut().expect("v4 manifest").surface_fp = surface_fp;
+        encode_at(&img, SNAPSHOT_VERSION)
+    }
+
+    #[test]
+    fn forged_code_manifests_are_refused_without_a_panic() {
+        // A manifest whose surface fingerprint disagrees with its own
+        // function list, offered to a build that appended a function.
+        let image = vm_of(&[F], u64::MAX).snapshot();
+        let claimed = decode(&image).unwrap().manifest.unwrap().surface_fp ^ 1;
+        let inconsistent = with_claimed_surface(&image, claimed);
+        // A manifest claiming the target's surface while listing more
+        // functions, with a live frame in a function past the target's.
+        let mut source = vm_of(&[F, G], 10);
+        assert!(matches!(source.call("g", &[40]), Err(VmError::OutOfFuel)));
+        let mid = source.snapshot();
+        assert!(decode(&mid).unwrap().live_funcs.contains(&1));
+        let target_surface = vm_of(&[F], u64::MAX).code.manifest().surface_fp;
+        let overlong = with_claimed_surface(&mid, target_surface);
+
+        for (forged, funcs) in [(&inconsistent, &[F, G][..]), (&overlong, &[F][..])] {
+            let mut target = vm_of(funcs, u64::MAX);
+            assert!(matches!(
+                migrate(&target, forged),
+                Err(MigrateError::Image(SnapshotError::Malformed(_)))
+            ));
+            assert!(target.restore_migrated(forged).is_err());
+            let mut untouched = vm_of(funcs, u64::MAX);
+            assert_eq!(
+                target.call("f", &[7]).unwrap(),
+                untouched.call("f", &[7]).unwrap()
+            );
+            assert_eq!(target.stats(), untouched.stats());
+        }
+    }
 
     #[test]
     fn v1_downcast_refuses_each_self_healing_stats_word_by_name() {
@@ -798,7 +883,7 @@ mod tests {
             img
         };
         assert!(downcast(&mut at_v2(), 2).is_ok(), "zero words downcast");
-        for i in V1_STATS_WORDS..VmStats::WORDS {
+        for i in stats_words(1)..stats_words(2) {
             let mut img = at_v2();
             img.stats[i] = 1;
             match downcast(&mut img, 2) {

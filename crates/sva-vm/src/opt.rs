@@ -3,8 +3,8 @@
 //! The baseline translator (`vm::translate`) emits exactly one flat op
 //! per bytecode instruction. This module adds a second, optional tier: a
 //! peephole **fusion pass** over the flat code that rewrites adjacent
-//! dependent pairs into superinstructions, plus the [`HotProfile`] that
-//! selects which functions get it.
+//! dependent pairs into superinstructions. `VmConfig::opt_level` 0 keeps
+//! the baseline tier; any other level fuses every function.
 //!
 //! ## Why fusion is safe here
 //!
@@ -34,103 +34,11 @@
 //! executed phi has a matching predecessor, so dropping the
 //! missing-predecessor error path is behavior-preserving.)
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use sva_ir::Intrinsic;
 
 use crate::vm::{FlatCallee, FlatFunc, FlatOp, Src};
-
-/// The set of functions the optimizing tier should fuse, exported from a
-/// profiled run (`svaprof --profile-out`) and consumed by
-/// `VmConfig::hot_profile` / `Vm::with_profile`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HotProfile {
-    hot: HashSet<String>,
-}
-
-/// Header line of the on-disk profile format.
-pub const PROFILE_HEADER: &str = "# sva-hot-profile v1";
-
-impl HotProfile {
-    /// An empty profile (nothing hot).
-    pub fn new() -> HotProfile {
-        HotProfile::default()
-    }
-
-    /// Marks a function hot.
-    pub fn insert(&mut self, name: &str) {
-        self.hot.insert(name.to_owned());
-    }
-
-    /// Whether `name` is profiled hot.
-    pub fn is_hot(&self, name: &str) -> bool {
-        self.hot.contains(name)
-    }
-
-    /// Number of hot functions.
-    pub fn len(&self) -> usize {
-        self.hot.len()
-    }
-
-    /// Whether the profile is empty.
-    pub fn is_empty(&self) -> bool {
-        self.hot.is_empty()
-    }
-
-    /// Builds a profile from a `(function name, attributed cycles)`
-    /// ranking, keeping the top `keep_fraction` (0..=1) of functions by
-    /// cycles — at least one when the ranking is non-empty.
-    pub fn from_cycle_ranking(ranked: &[(String, u64)], keep_fraction: f64) -> HotProfile {
-        let mut sorted: Vec<&(String, u64)> = ranked.iter().collect();
-        sorted.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let frac = keep_fraction.clamp(0.0, 1.0);
-        let mut keep = (sorted.len() as f64 * frac).ceil() as usize;
-        if !sorted.is_empty() {
-            keep = keep.clamp(1, sorted.len());
-        }
-        let mut p = HotProfile::new();
-        for (name, _) in sorted.into_iter().take(keep) {
-            p.insert(name);
-        }
-        p
-    }
-
-    /// Serializes to the versioned text format: a header line followed by
-    /// one function name per line, sorted for stable diffs.
-    pub fn to_text(&self) -> String {
-        let mut names: Vec<&str> = self.hot.iter().map(String::as_str).collect();
-        names.sort_unstable();
-        let mut out = String::from(PROFILE_HEADER);
-        out.push('\n');
-        for n in names {
-            out.push_str(n);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses the text format written by [`HotProfile::to_text`]. Blank
-    /// lines and `#` comments after the header are ignored.
-    pub fn parse(text: &str) -> Result<HotProfile, String> {
-        let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
-        match lines.next() {
-            Some(h) if h.starts_with(PROFILE_HEADER) => {}
-            other => {
-                return Err(format!(
-                    "bad profile header: expected {PROFILE_HEADER:?}, got {other:?}"
-                ))
-            }
-        }
-        let mut p = HotProfile::new();
-        for l in lines {
-            if l.starts_with('#') {
-                continue;
-            }
-            p.insert(l);
-        }
-        Ok(p)
-    }
-}
 
 /// Whether `op` ends a basic block in the flat layout.
 fn is_terminator(op: &FlatOp) -> bool {
@@ -457,41 +365,6 @@ pub(crate) fn fuse_flat(ff: &mut FlatFunc) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn profile_text_round_trips() {
-        let mut p = HotProfile::new();
-        p.insert("sys_write");
-        p.insert("memcpy_user");
-        let text = p.to_text();
-        assert!(text.starts_with(PROFILE_HEADER));
-        let q = HotProfile::parse(&text).unwrap();
-        assert_eq!(p, q);
-        assert!(q.is_hot("sys_write"));
-        assert!(!q.is_hot("cold_fn"));
-    }
-
-    #[test]
-    fn profile_rejects_bad_header() {
-        assert!(HotProfile::parse("sys_write\n").is_err());
-        assert!(HotProfile::parse("").is_err());
-    }
-
-    #[test]
-    fn cycle_ranking_keeps_top_fraction_but_at_least_one() {
-        let ranked = vec![
-            ("hot".to_owned(), 1000),
-            ("warm".to_owned(), 100),
-            ("cold".to_owned(), 1),
-        ];
-        let p = HotProfile::from_cycle_ranking(&ranked, 0.34);
-        assert!(p.is_hot("hot"));
-        assert!(!p.is_hot("cold"));
-        let one = HotProfile::from_cycle_ranking(&ranked, 0.0);
-        assert_eq!(one.len(), 1);
-        assert!(one.is_hot("hot"));
-        assert!(HotProfile::from_cycle_ranking(&[], 1.0).is_empty());
-    }
 
     #[test]
     fn fusion_respects_block_boundaries_and_use_counts() {

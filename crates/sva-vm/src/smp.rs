@@ -26,9 +26,8 @@
 //! (`cpu+1, cpu+2, …` round-robin, stealing from the cold end) — but
 //! only from a neighbour whose virtual clock (the cycles of the jobs it
 //! has finished) is not behind its own — and finally parks on a condvar
-//! until the fleet drains. IRQs queued before a run are routed by
-//! [`IrqAffinity`]: round-robin fan-out (`Spread`), a fixed vCPU
-//! (`Pin`), or every vCPU (`Broadcast`).
+//! until the fleet drains. A job that needs an interrupt raises it from
+//! its setup hook ([`SmpJob::with_setup`]).
 //!
 //! At halt the per-vCPU reports are merged **deterministically in
 //! cpu-id order** and job results are returned in submission order.
@@ -57,7 +56,7 @@ use sva_rt::{CheckStats, SharedMetaPlane};
 use crate::mem::ForkPlan;
 use crate::migrate::MigrateError;
 use crate::snapshot::{ImageReader, ImageWriter, SnapshotError};
-use crate::vm::{IrqAffinity, Vm, VmError, VmExit, VmStats};
+use crate::vm::{Vm, VmError, VmExit, VmStats};
 
 /// A per-job setup hook (see [`SmpJob::setup`]).
 pub type JobSetup = Arc<dyn Fn(&mut Vm) + Send + Sync>;
@@ -140,8 +139,6 @@ pub struct CpuReport {
     pub steals: u64,
     /// Times this vCPU parked with the fleet still draining.
     pub parks: u64,
-    /// IRQ vectors routed to this vCPU's jobs.
-    pub irqs_routed: u64,
     /// Summed [`VmStats`] over this vCPU's jobs.
     pub stats: VmStats,
     /// Summed check counters over this vCPU's jobs.
@@ -217,7 +214,6 @@ pub struct SmpMachine {
     /// The pristine machine forks are cut from. Never run.
     template: Vm,
     vcpus: u32,
-    affinity: IrqAffinity,
     /// The shared metadata plane (`None` when `vcpus == 1`).
     plane: Option<Arc<SharedMetaPlane>>,
     /// Plane slot-range base per vCPU (`cpu * pools_per_cpu`).
@@ -227,21 +223,16 @@ pub struct SmpMachine {
     baseline: Vec<Vec<(u64, u64)>>,
     /// The template's nonzero kernel pages: what each fork copies.
     fork_plan: ForkPlan,
-    /// Round-robin cursor for `IrqAffinity::Spread`.
-    irq_next: u32,
-    /// Vectors queued per vCPU, delivered to its next job.
-    irq_pending: Vec<VecDeque<i64>>,
 }
 
 impl SmpMachine {
     /// Builds the machine around a pristine (never-run) template VM.
-    /// `cfg.vcpus` and `cfg.irq_affinity` on the template's config choose
-    /// the geometry. At `vcpus >= 2` the template's pool table is
-    /// published into a fresh shared plane once per vCPU; at `vcpus == 1`
-    /// no plane exists and jobs take the classic single-machine path.
+    /// `cfg.vcpus` on the template's config chooses the geometry. At
+    /// `vcpus >= 2` the template's pool table is published into a fresh
+    /// shared plane once per vCPU; at `vcpus == 1` no plane exists and
+    /// jobs take the classic single-machine path.
     pub fn new(template: Vm) -> SmpMachine {
         let vcpus = template.cfg.vcpus.max(1);
-        let affinity = template.cfg.irq_affinity;
         let baseline = template.pools.live_ranges_by_pool();
         let fork_plan = template.mem.fork_plan();
         let (plane, slot_base) = if vcpus >= 2 {
@@ -256,13 +247,10 @@ impl SmpMachine {
         SmpMachine {
             template,
             vcpus,
-            affinity,
             plane,
             slot_base,
             baseline,
             fork_plan,
-            irq_next: 0,
-            irq_pending: (0..vcpus).map(|_| VecDeque::new()).collect(),
         }
     }
 
@@ -279,27 +267,6 @@ impl SmpMachine {
     /// The pristine template machine.
     pub fn template(&self) -> &Vm {
         &self.template
-    }
-
-    /// Queues an IRQ vector, routed by the configured [`IrqAffinity`]:
-    /// `Spread` round-robins across vCPUs, `Pin(c)` targets vCPU `c`
-    /// (clamped), `Broadcast` queues on every vCPU. Pending vectors are
-    /// delivered to the next job the target vCPU runs.
-    pub fn queue_irq(&mut self, vector: i64) {
-        let n = self.vcpus as usize;
-        match self.affinity {
-            IrqAffinity::Broadcast => {
-                for q in &mut self.irq_pending {
-                    q.push_back(vector);
-                }
-            }
-            IrqAffinity::Pin(c) => self.irq_pending[(c as usize).min(n - 1)].push_back(vector),
-            IrqAffinity::Spread => {
-                let c = self.irq_next as usize % n;
-                self.irq_next = self.irq_next.wrapping_add(1);
-                self.irq_pending[c].push_back(vector);
-            }
-        }
     }
 
     /// Runs a batch of jobs to completion across all vCPUs and merges
@@ -322,23 +289,17 @@ impl SmpMachine {
             total,
             cv: Condvar::new(),
         };
-        let mut irq_plans = std::mem::replace(
-            &mut self.irq_pending,
-            (0..n).map(|_| VecDeque::new()).collect(),
-        );
         let this: &SmpMachine = self;
         let start = Instant::now();
         let per_cpu: Vec<(CpuReport, Vec<JobResult>)> = if n == 1 {
             // Single vCPU: no threads, no plane — the classic machine.
-            vec![this.vcpu_loop(0, &state, irq_plans.pop().unwrap_or_default())]
+            vec![this.vcpu_loop(0, &state)]
         } else {
             std::thread::scope(|s| {
-                let handles: Vec<_> = irq_plans
-                    .drain(..)
-                    .enumerate()
-                    .map(|(cpu, irqs)| {
+                let handles: Vec<_> = (0..n as u32)
+                    .map(|cpu| {
                         let state = &state;
-                        s.spawn(move || this.vcpu_loop(cpu as u32, state, irqs))
+                        s.spawn(move || this.vcpu_loop(cpu, state))
                     })
                     .collect();
                 handles
@@ -352,12 +313,7 @@ impl SmpMachine {
 
     /// One vCPU's scheduler loop: own queue, then steal, then wait for a
     /// sibling to finish a job, then park once nothing is left to claim.
-    fn vcpu_loop(
-        &self,
-        cpu: u32,
-        state: &RunState,
-        mut irqs: VecDeque<i64>,
-    ) -> (CpuReport, Vec<JobResult>) {
+    fn vcpu_loop(&self, cpu: u32, state: &RunState) -> (CpuReport, Vec<JobResult>) {
         let mut rep = CpuReport {
             cpu,
             ..CpuReport::default()
@@ -389,9 +345,7 @@ impl SmpMachine {
                 }
                 continue;
             };
-            let vectors: Vec<i64> = irqs.drain(..).collect();
-            rep.irqs_routed += vectors.len() as u64;
-            let r = self.run_job(cpu, ji, &state.jobs[ji], &vectors);
+            let r = self.run_job(cpu, ji, &state.jobs[ji]);
             rep.jobs += 1;
             rep.stats.fold(&r.stats);
             rep.checks.merge(&r.checks);
@@ -438,9 +392,9 @@ impl SmpMachine {
     }
 
     /// Forks the template for `cpu`, resets and binds the vCPU's plane
-    /// slot range, runs the job's setup hook, writes its globals and
-    /// queues its IRQ vectors — everything up to (but excluding) boot.
-    fn prepare_fork(&self, cpu: u32, job: &SmpJob, irqs: &[i64]) -> (Vm, Option<VmError>) {
+    /// slot range, runs the job's setup hook and writes its globals —
+    /// everything up to (but excluding) boot.
+    fn prepare_fork(&self, cpu: u32, job: &SmpJob) -> (Vm, Option<VmError>) {
         let mut vm = self.template.fork_sparse(cpu, &self.fork_plan);
         if let Some(plane) = &self.plane {
             let base = self.slot_base[cpu as usize];
@@ -459,17 +413,13 @@ impl SmpMachine {
                 break;
             }
         }
-        for &v in irqs {
-            vm.raise_interrupt(v);
-        }
         (vm, global_err)
     }
 
     /// Executes one job on `cpu`: fork the template, reset and bind the
-    /// vCPU's plane slot range, write the job's globals, queue its IRQ
-    /// vectors, boot.
-    fn run_job(&self, cpu: u32, ji: usize, job: &SmpJob, irqs: &[i64]) -> JobResult {
-        let (mut vm, global_err) = self.prepare_fork(cpu, job, irqs);
+    /// vCPU's plane slot range, write the job's globals, boot.
+    fn run_job(&self, cpu: u32, ji: usize, job: &SmpJob) -> JobResult {
+        let (mut vm, global_err) = self.prepare_fork(cpu, job);
         let exit = match global_err {
             Some(e) => Err(e),
             None => vm.boot(),
@@ -519,10 +469,6 @@ impl SmpMachine {
             n,
             "quiesce needs exactly one pinned job per vCPU"
         );
-        let mut irq_plans = std::mem::replace(
-            &mut self.irq_pending,
-            (0..n).map(|_| VecDeque::new()).collect(),
-        );
         let barrier = Arc::new(std::sync::Barrier::new(n));
         let slots: Vec<Arc<Mutex<Option<Vec<u8>>>>> =
             (0..n).map(|_| Arc::new(Mutex::new(None))).collect();
@@ -530,32 +476,17 @@ impl SmpMachine {
         let this: &SmpMachine = self;
         let start = Instant::now();
         let per_cpu: Vec<(CpuReport, Vec<JobResult>)> = if n == 1 {
-            let r = this.quiesce_job(
-                0,
-                &jobs[0],
-                &irq_plans
-                    .pop()
-                    .unwrap_or_default()
-                    .drain(..)
-                    .collect::<Vec<_>>(),
-                boundary,
-                &barrier,
-                &slots[0],
-                &arrivals,
-            );
+            let r = this.quiesce_job(0, &jobs[0], boundary, &barrier, &slots[0], &arrivals);
             vec![(cpu_report_of(&r), vec![r])]
         } else {
             std::thread::scope(|s| {
-                let handles: Vec<_> = irq_plans
-                    .drain(..)
-                    .enumerate()
-                    .map(|(cpu, irqs)| {
+                let handles: Vec<_> = (0..n)
+                    .map(|cpu| {
                         let (barrier, slot, arrivals, jobs) =
                             (&barrier, &slots[cpu], &arrivals, &jobs);
                         s.spawn(move || {
-                            let vectors: Vec<i64> = irqs.into_iter().collect();
                             let r = this.quiesce_job(
-                                cpu as u32, &jobs[cpu], &vectors, boundary, barrier, slot, arrivals,
+                                cpu as u32, &jobs[cpu], boundary, barrier, slot, arrivals,
                             );
                             (cpu_report_of(&r), vec![r])
                         })
@@ -591,18 +522,16 @@ impl SmpMachine {
     }
 
     /// One vCPU's half of the quiesce protocol; see [`Self::quiesce`].
-    #[allow(clippy::too_many_arguments)]
     fn quiesce_job(
         &self,
         cpu: u32,
         job: &SmpJob,
-        irqs: &[i64],
         boundary: u64,
         barrier: &Arc<std::sync::Barrier>,
         slot: &Arc<Mutex<Option<Vec<u8>>>>,
         arrivals: &Arc<Mutex<Vec<Instant>>>,
     ) -> JobResult {
-        let (mut vm, global_err) = self.prepare_fork(cpu, job, irqs);
+        let (mut vm, global_err) = self.prepare_fork(cpu, job);
         vm.request_snapshot_at(boundary);
         let sink = {
             let (barrier, slot, arrivals) =

@@ -80,6 +80,27 @@ pub const SNAPSHOT_VERSION: u32 = 4;
 /// Stats words in a v1 image or bundle: the [`VmStats`] table before v2
 /// appended its five self-healing counters (DESIGN.md §4.13).
 pub(crate) const V1_STATS_WORDS: usize = 17;
+
+/// Config fingerprint words in an image or bundle written at `version`:
+/// v3 appended `vcpus` to the nine [`FP_FIELDS`] before it.
+pub(crate) fn fp_words(version: u32) -> usize {
+    if version >= 3 {
+        FP_FIELDS.len()
+    } else {
+        FP_FIELDS.len() - 1
+    }
+}
+
+/// Stats words in an image or bundle written at `version`: v2 appended
+/// the self-healing counters to the [`V1_STATS_WORDS`] of v1.
+pub(crate) fn stats_words(version: u32) -> usize {
+    if version >= 2 {
+        VmStats::WORDS
+    } else {
+        V1_STATS_WORDS
+    }
+}
+
 /// Capture origin: a deliberate checkpoint ([`Vm::snapshot`]), e.g. at
 /// the boot pause point.
 pub const ORIGIN_CHECKPOINT: u8 = 0;
@@ -204,7 +225,10 @@ pub(crate) fn kind_code(k: KernelKind) -> u64 {
 /// Order is part of the format. Word 4 records whether the singleton test
 /// runs, which is now `fast_path` itself: an image whose words 3 and 4
 /// differ came from an older build under mixed lookup switches and fails
-/// as a `singleton_path` mismatch.
+/// as a `singleton_path` mismatch. Word 8 held the hash of a hot-function
+/// profile, which no build sets any more: it is always written as 0, and
+/// an older image taken under a profile fails as a `hot_profile`
+/// mismatch.
 pub(crate) const FP_FIELDS: [&str; 10] = [
     "kind",
     "sign_key",
@@ -219,11 +243,6 @@ pub(crate) const FP_FIELDS: [&str; 10] = [
 ];
 
 pub(crate) fn fingerprint_words(cfg: &VmConfig, fused_sites: u32) -> [u64; FP_FIELDS.len()] {
-    let profile_hash = cfg
-        .hot_profile
-        .as_ref()
-        .map(|p| fnv64(p.to_text().as_bytes()))
-        .unwrap_or(0);
     [
         kind_code(cfg.kind),
         cfg.sign_key,
@@ -233,7 +252,7 @@ pub(crate) fn fingerprint_words(cfg: &VmConfig, fused_sites: u32) -> [u64; FP_FI
         cfg.violation_budget as u64,
         cfg.domain_fuel,
         fused_sites as u64,
-        profile_hash,
+        0,
         cfg.vcpus.max(1) as u64,
     ]
 }
@@ -1263,27 +1282,33 @@ out:
     #[test]
     fn images_under_mixed_lookup_switches_fail_closed() {
         use crate::migrate::MigrateError;
+        let valid = mk(cfg()).snapshot();
+        let mut target = mk(cfg());
         // Fingerprint word 4 (the singleton test) off under word 3 (the
         // fast path) on: what an older build wrote for mixed switches.
-        let valid = mk(cfg()).snapshot();
-        let mixed = reframed(&valid, |payload| {
-            let mut w = ImageWriter::new();
-            w.raw(&payload[..8 * 4]);
-            w.u64(0);
-            w.raw(&payload[8 * 5..]);
-            w.into_bytes()
-        });
-        let mut target = mk(cfg());
-        let want = SnapshotError::ConfigMismatch {
-            field: "singleton_path",
-            image: 0,
-            machine: 1,
-        };
-        assert_eq!(target.restore(&mixed), Err(want.clone()));
-        assert!(matches!(
-            target.restore_migrated(&mixed),
-            Err(MigrateError::Image(e)) if e == want
-        ));
+        // Word 8 nonzero: an older build's image taken under a
+        // hot-function profile.
+        for (word, value, field, machine) in
+            [(4, 0, "singleton_path", 1), (8, 0xfeed, "hot_profile", 0)]
+        {
+            let forged = reframed(&valid, |payload| {
+                let mut w = ImageWriter::new();
+                w.raw(&payload[..8 * word]);
+                w.u64(value);
+                w.raw(&payload[8 * (word + 1)..]);
+                w.into_bytes()
+            });
+            let want = SnapshotError::ConfigMismatch {
+                field,
+                image: value,
+                machine,
+            };
+            assert_eq!(target.restore(&forged), Err(want.clone()));
+            assert!(matches!(
+                target.restore_migrated(&forged),
+                Err(MigrateError::Image(e)) if e == want
+            ));
+        }
         // A pool image whose two switch bytes differ is refused too.
         let img = sva_rt::MetaPool::new("MPf", false, true, None).export_image();
         let mut w = ImageWriter::new();

@@ -1216,39 +1216,20 @@ out:
 "#;
 
 #[test]
-fn profile_gates_fusion_to_hot_functions() {
-    use crate::opt::HotProfile;
-    // opt_level 1 without a profile: nothing fuses. With a profile naming
-    // the function: it fuses. With a profile naming something else: not.
-    let mk = |opt_level: u8, profile: Option<HotProfile>| {
-        let m = parse_module(COLLATZ).unwrap();
+fn every_nonzero_opt_level_fuses_every_function() {
+    let fused = |opt_level: u8| {
         let cfg = VmConfig {
             kind: KernelKind::SvaLlvm,
             opt_level,
-            hot_profile: profile.map(std::sync::Arc::new),
             ..Default::default()
         };
-        Vm::new(m, cfg).unwrap()
+        Vm::new(parse_module(COLLATZ).unwrap(), cfg)
+            .unwrap()
+            .fused_sites()
     };
-    assert_eq!(mk(1, None).fused_sites(), 0);
-    let mut hot = HotProfile::new();
-    hot.insert("collatz_len");
-    assert!(mk(1, Some(hot.clone())).fused_sites() > 0);
-    let mut cold = HotProfile::new();
-    cold.insert("some_other_fn");
-    assert_eq!(mk(2, Some(cold)).fused_sites(), 0);
-    // with_profile bumps opt_level 0 → 2.
-    let m = parse_module(COLLATZ).unwrap();
-    let vm = Vm::with_profile(
-        m,
-        VmConfig {
-            kind: KernelKind::SvaLlvm,
-            ..Default::default()
-        },
-        hot,
-    )
-    .unwrap();
-    assert!(vm.fused_sites() > 0);
+    assert_eq!(fused(0), 0, "the baseline tier fuses nothing");
+    assert!(fused(2) > 0, "the optimizing tier fused nothing");
+    assert_eq!(fused(1), fused(2), "opt 1 fuses what opt 2 does");
 }
 
 /// One counter table's derived items agree (DESIGN.md §4.13): `words`

@@ -30,7 +30,6 @@ use crate::mem::{
     addr_func, extern_addr, func_addr, ForkPlan, Memory, Mode, KSTACK_BASE, KSTACK_END, PAGE_SIZE,
     USER_BASE, USER_END, USER_SIZE,
 };
-use crate::opt::HotProfile;
 use crate::resume::{check_kind_code, ResumeCode, RESUME_KIND_WATCHDOG};
 
 /// Errors that abort VM execution.
@@ -196,13 +195,8 @@ pub struct VmConfig {
     pub fault_hook: Option<Arc<dyn FaultHook>>,
     /// Optimizing-translation tier (DESIGN.md §4.4). `0` (the default)
     /// translates exactly as the baseline tier — no fusion, byte-identical
-    /// flat code. `1` fuses only functions named hot by `hot_profile`
-    /// (nothing without a profile). `2` and above fuse hot functions when a
-    /// profile is present and *every* function otherwise.
+    /// flat code. Any other level fuses every function.
     pub opt_level: u8,
-    /// Profile-guided function selection for the optimizing tier, exported
-    /// by `svaprof --profile-out` from a previous traced run.
-    pub hot_profile: Option<Arc<HotProfile>>,
     /// Virtual CPUs of the machine (DESIGN.md §4.9). `1` (the default) is
     /// the classic single-threaded machine, bit-identical to the pre-SMP
     /// VM. At 2+ the [`crate::smp::SmpMachine`] runner forks one full VM
@@ -210,22 +204,6 @@ pub struct VmConfig {
     /// slot; each vCPU keeps its private MRU, check counters and trace
     /// rings, merged deterministically at halt.
     pub vcpus: u32,
-    /// How SMP machines route queued interrupts to vCPUs (ignored at
-    /// `vcpus == 1`).
-    pub irq_affinity: IrqAffinity,
-}
-
-/// Interrupt routing policy of an SMP machine (DESIGN.md §4.9).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum IrqAffinity {
-    /// Fan queued IRQs out round-robin across vCPUs (timer ticks load-
-    /// balance). The default.
-    #[default]
-    Spread,
-    /// Pin every IRQ to one vCPU (classic IRQ-owning-CPU kernels).
-    Pin(u32),
-    /// Deliver each IRQ to *every* vCPU (TLB-shootdown-style broadcast).
-    Broadcast,
 }
 
 impl std::fmt::Debug for VmConfig {
@@ -239,9 +217,7 @@ impl std::fmt::Debug for VmConfig {
             .field("domain_fuel", &self.domain_fuel)
             .field("fault_hook", &self.fault_hook.is_some())
             .field("opt_level", &self.opt_level)
-            .field("hot_profile", &self.hot_profile.is_some())
             .field("vcpus", &self.vcpus)
-            .field("irq_affinity", &self.irq_affinity)
             .finish()
     }
 }
@@ -257,9 +233,7 @@ impl Default for VmConfig {
             domain_fuel: u64::MAX,
             fault_hook: None,
             opt_level: 0,
-            hot_profile: None,
             vcpus: 1,
-            irq_affinity: IrqAffinity::default(),
         }
     }
 }
@@ -878,22 +852,6 @@ impl Vm {
     pub fn new(module: Module, cfg: VmConfig) -> Result<Vm, VmError> {
         Vm::with_tracer(module, cfg, NullTracer)
     }
-
-    /// Loads a module with a hot-function profile driving the optimizing
-    /// tier (untraced). Bumps `opt_level` to 2 when the configuration left
-    /// it at the baseline 0, so passing a profile alone turns fusion on
-    /// for exactly the profiled-hot functions.
-    pub fn with_profile(
-        module: Module,
-        mut cfg: VmConfig,
-        profile: HotProfile,
-    ) -> Result<Vm, VmError> {
-        if cfg.opt_level == 0 {
-            cfg.opt_level = 2;
-        }
-        cfg.hot_profile = Some(Arc::new(profile));
-        Vm::with_tracer(module, cfg, NullTracer)
-    }
 }
 
 impl<T: Tracer> Vm<T> {
@@ -1031,18 +989,11 @@ impl<T: Tracer> Vm<T> {
             Vec::new()
         };
         // Optimizing tier (DESIGN.md §4.4): superinstruction fusion over
-        // the flat code, selected per function by the hot profile.
+        // every function's flat code.
         let mut fused_sites = 0u32;
         if cfg.opt_level > 0 {
-            for (f, ff) in module.funcs.iter().zip(flat.iter_mut()) {
-                let fuse = match (&cfg.hot_profile, cfg.opt_level) {
-                    (Some(p), _) => p.is_hot(&f.name),
-                    (None, 1) => false,
-                    (None, _) => true,
-                };
-                if fuse {
-                    fused_sites += crate::opt::fuse_flat(ff);
-                }
+            for ff in flat.iter_mut() {
+                fused_sites += crate::opt::fuse_flat(ff);
             }
         }
 

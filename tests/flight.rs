@@ -31,7 +31,6 @@ fn flight_recorded_machine_is_byte_identical_on_clean_boot() {
     // And the black box actually flew: the tail holds the syscall spans
     // the workload executed.
     let f = flown.tracer();
-    assert!(f.syscalls() > 0, "no syscalls recorded");
     assert!(f
         .recent_events()
         .iter()
@@ -60,11 +59,8 @@ fn flight_recorded_machine_is_byte_identical_through_recovery() {
     let s = plain.stats();
     assert!(s.violations_recovered >= 1, "workload never tripped");
 
-    // The recorder saw what the stats counted.
-    let f = flown.tracer();
-    assert!(f.violations() >= 1);
-    assert!(f.unwinds() as u64 >= 1);
-    let tail = f.recent_events();
+    // The recorder's tail holds what the stats counted.
+    let tail = flown.tracer().recent_events();
     assert!(tail
         .iter()
         .any(|e| e.event.class() == EventClass::Violation));
