@@ -30,10 +30,10 @@
 //! shortcut is byte-identical; `--verify-reboot` extends the check to
 //! every cell.
 //!
-//! **Crash forensics.** Every campaign machine runs with an always-on
-//! [`FlightRecorder`] and per-cell crash capture: any machine death
-//! (halt 41/42, fuel exhaustion, escape) drops a crash bundle named
-//! after its grid cell into `target/sva-dbg` (override with
+//! **Crash forensics.** Every machine of the single-CPU grid runs with
+//! an always-on [`FlightRecorder`] and per-cell crash capture: any
+//! machine death (halt 41/42, fuel exhaustion, escape) drops a crash
+//! bundle named after its grid cell into `target/sva-dbg` (override with
 //! `SVA_DBG_DIR`). After the grid, every halt bundle is replayed via
 //! `sva_kernel::postmortem` and must reproduce the same halt code,
 //! resume code and console bit-for-bit — the `svadbg` inspector reads
@@ -44,7 +44,9 @@
 //! [`SmpMachine`] whose vCPUs share one per-slot published metadata plane
 //! (DESIGN.md §4.9) — proving containment survives real thread
 //! interleaving on the lock-free check path. Any death there drops a
-//! bundle whose `cpu` field names the faulting vCPU.
+//! bundle whose `cpu` field names the faulting vCPU. These bundles carry
+//! no flight tail: `SmpMachine` forks its vCPUs as `Vm<NullTracer>`
+//! (`prepare_fork` → `Vm::fork_sparse`), so no recorder flies there.
 //!
 //! A JSON report lands in `target/sva-inject/faultcamp.json` (override
 //! the directory with `SVA_INJECT_DIR`). Exit status is nonzero on any
@@ -70,7 +72,7 @@ use sva_vm::{
     VmExit, VmStats,
 };
 
-/// Campaign machines carry the always-on flight recorder so crash
+/// Single-CPU grid machines carry the always-on flight recorder so crash
 /// bundles embed a black-box event tail.
 type CampVm = Vm<FlightRecorder>;
 

@@ -6,7 +6,7 @@
 //!                            reproduce the death, gating bit-exactness
 //! svadbg --migrate <file>    print the migration plan (the upcaster
 //!                            chain) for a bundle or snapshot, and for
-//!                            bundles rewrite to the current format so
+//!                            bundles migrate the embedded snapshot so
 //!                            the postmortem/--replay run on builds that
 //!                            postdate the capture (DESIGN.md §4.10)
 //! ```
@@ -46,9 +46,6 @@ fn print_plan(plan: &sva_vm::MigrationPlan) {
         }
     );
     println!("code id:     {:#018x}", plan.code_id);
-    if let Some(step) = &plan.bundle_step {
-        println!("bundle:      {step}");
-    }
     if plan.steps.is_empty() {
         println!("steps:       none");
     } else {
@@ -206,7 +203,7 @@ fn main() -> ExitCode {
         match migrate_bundle_any(&bytes) {
             Ok((out, report, flavor)) => {
                 println!(
-                    "migrated:    from v{} via [{}]{} (flavor {flavor})",
+                    "migrated:    snapshot from v{} via [{}]{} (flavor {flavor})",
                     report.from_version,
                     report.steps.join(", "),
                     if report.code_migrated {

@@ -119,10 +119,10 @@ fn flavor_module(flavor: &'static str) -> sva_ir::Module {
     }
 }
 
-/// Migrates a (possibly previous-format) crash bundle to the current
-/// layout, trying each kernel flavor this harness builds until one's
-/// code identity — or compatible surface (DESIGN.md §4.10) — accepts
-/// the embedded snapshot. Returns the migrated bytes, what the
+/// Migrates a crash bundle's embedded snapshot (possibly a previous
+/// format) to the current one, trying each kernel flavor this harness
+/// builds until one's code identity — or compatible surface (DESIGN.md
+/// §4.10) — accepts it. Returns the migrated bytes, what the
 /// migration did, and the accepting flavor. A bundle already at the
 /// current format with a matching flavor passes through byte-identical.
 pub fn migrate_bundle_any(

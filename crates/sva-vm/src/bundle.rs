@@ -31,12 +31,12 @@
 //! ```
 //!
 //! The header is the shared container frame of `sva_ir::codec` and the
-//! payload is read by one decoder, `decode_bundle`, for every bundle
-//! version: [`CrashBundle::from_bytes`] accepts exactly
-//! [`BUNDLE_VERSION`], `migrate_bundle` any supported one. Truncation,
-//! bad magic, a version from the future, checksum mismatch and malformed
-//! payloads are distinct [`BundleError`]s, and a bundle that does not
-//! parse *in full* yields nothing.
+//! bundle is read by one decoder, `decode_bundle`, which accepts exactly
+//! [`BUNDLE_VERSION`]: [`CrashBundle::from_bytes`] and `migrate_bundle`
+//! both call it, and the v1 and v2 layouts are no longer read.
+//! Truncation, bad magic, any other version, checksum mismatch and
+//! malformed payloads are distinct [`BundleError`]s, and a bundle that
+//! does not parse *in full* yields nothing.
 
 use std::path::{Path, PathBuf};
 
@@ -46,9 +46,7 @@ use sva_trace::{TimedEvent, Tracer};
 
 use crate::mem::Mode;
 use crate::resume::ResumeCode;
-use crate::snapshot::{
-    fingerprint_words, fp_words, stats_words, ImageReader, ImageWriter, SnapshotError, FP_FIELDS,
-};
+use crate::snapshot::{fingerprint_words, ImageReader, ImageWriter, SnapshotError, FP_FIELDS};
 use crate::vm::{KernelKind, Vm, VmConfig, VmStats};
 
 /// Bundle magic.
@@ -339,20 +337,17 @@ impl CrashBundle {
 
     /// Parses a serialized bundle, fail-closed: any truncation,
     /// checksum mismatch or malformed section rejects the whole bundle.
-    /// Only [`BUNDLE_VERSION`] is accepted; `migrate_bundle` rewrites
-    /// older bundles.
+    /// Only [`BUNDLE_VERSION`] is accepted; `migrate_bundle` migrates the
+    /// embedded snapshot.
     pub fn from_bytes(bytes: &[u8]) -> Result<CrashBundle, BundleError> {
-        let f = unframe(bytes, BUNDLE_MAGIC, BUNDLE_VERSION..=BUNDLE_VERSION, 0)?;
-        decode_bundle(f.payload, f.version).map_err(BundleError::from)
+        decode_bundle(bytes).map_err(BundleError::from)
     }
 }
 
-/// Decodes an `SVAB` payload written at `version`, the one bundle
-/// decoder. Fields a legacy layout lacks take the defaults the snapshot
-/// upcasters use: vCPU 0 and `vcpus = 1` before v3, zero pool `repairs`
-/// and zero self-healing stats words before v2.
-pub(crate) fn decode_bundle(payload: &[u8], version: u32) -> Result<CrashBundle, CodecError> {
-    let r = &mut ImageReader::new(payload);
+/// Decodes an `SVAB` bundle, header and payload: the one bundle decoder.
+pub(crate) fn decode_bundle(bytes: &[u8]) -> Result<CrashBundle, CodecError> {
+    let f = unframe(bytes, BUNDLE_MAGIC, BUNDLE_VERSION..=BUNDLE_VERSION, 0)?;
+    let r = &mut ImageReader::new(f.payload);
     let reason_code = r.u8()?;
     let reason = CrashReason::from_code(reason_code).ok_or(CodecError::Invalid {
         what: "crash reason",
@@ -361,18 +356,10 @@ pub(crate) fn decode_bundle(payload: &[u8], version: u32) -> Result<CrashBundle,
     let halt_code = r.u64()?;
     let resume_code_raw = r.u64()?;
     let detail = r.str()?.to_owned();
-    let cpu = if version >= 3 { r.u32()? } else { 0 };
-    let mut config_words = [0u64; FP_FIELDS.len()];
-    // A bundle older than v3 ran on one vCPU.
-    config_words[fp_words(2)] = 1;
-    for w in config_words.iter_mut().take(fp_words(version)) {
-        *w = r.u64()?;
-    }
+    let cpu = r.u32()?;
+    let config_words = r.u64s()?;
     let code_id = r.u64()?;
-    let mut stat_words = [0u64; VmStats::WORDS];
-    for w in stat_words.iter_mut().take(stats_words(version)) {
-        *w = r.u64()?;
-    }
+    let stats = VmStats::from_words(r.u64s()?);
     let console = r.bytes()?.to_vec();
     let domains = r.vec(24, |r| {
         Ok(DomainDump {
@@ -391,7 +378,7 @@ pub(crate) fn decode_bundle(payload: &[u8], version: u32) -> Result<CrashBundle,
             violations: r.u32()?,
             quarantined: r.bool()?,
             poisoned: r.bool()?,
-            repairs: if version >= 2 { r.u32()? } else { 0 },
+            repairs: r.u32()?,
         })
     })?;
     let health = r.vec(16, |r| Ok((r.u64()?, r.u64()?)))?;
@@ -417,7 +404,7 @@ pub(crate) fn decode_bundle(payload: &[u8], version: u32) -> Result<CrashBundle,
         cpu,
         config_words,
         code_id,
-        stats: VmStats::from_words(stat_words),
+        stats,
         console,
         domains,
         pools,

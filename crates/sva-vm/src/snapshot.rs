@@ -49,7 +49,10 @@
 //! hard-rejects other versions ([`SnapshotError::BadVersion`]) rather
 //! than guessing. Images are likewise rejected when the restoring
 //! machine's config fingerprint or code identity differs — a snapshot is
-//! a *state* capture, not a code capture.
+//! a *state* capture, not a code capture. [`crate::migrate`] also reads
+//! v3, which lays out the machine state exactly as v4 does and lacks only
+//! the v4 trailer (origin byte and code manifest); both read that state
+//! with this module's one parser. Older versions are no longer read.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -74,32 +77,9 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SVA1";
 /// mid-flight safe point) and a code manifest — the module's surface
 /// fingerprint plus per-function body hashes — so [`crate::migrate`]
 /// can judge whether a *rebuilt* kernel may adopt the image
-/// (DESIGN.md §4.10). Older versions are upcast by `migrate`, never
-/// guessed at by [`Vm::restore`].
+/// (DESIGN.md §4.10). v3 images are upcast by `migrate`, never guessed
+/// at by [`Vm::restore`].
 pub const SNAPSHOT_VERSION: u32 = 4;
-/// Stats words in a v1 image or bundle: the [`VmStats`] table before v2
-/// appended its five self-healing counters (DESIGN.md §4.13).
-pub(crate) const V1_STATS_WORDS: usize = 17;
-
-/// Config fingerprint words in an image or bundle written at `version`:
-/// v3 appended `vcpus` to the nine [`FP_FIELDS`] before it.
-pub(crate) fn fp_words(version: u32) -> usize {
-    if version >= 3 {
-        FP_FIELDS.len()
-    } else {
-        FP_FIELDS.len() - 1
-    }
-}
-
-/// Stats words in an image or bundle written at `version`: v2 appended
-/// the self-healing counters to the [`V1_STATS_WORDS`] of v1.
-pub(crate) fn stats_words(version: u32) -> usize {
-    if version >= 2 {
-        VmStats::WORDS
-    } else {
-        V1_STATS_WORDS
-    }
-}
 
 /// Capture origin: a deliberate checkpoint ([`Vm::snapshot`]), e.g. at
 /// the boot pause point.
@@ -258,11 +238,11 @@ pub(crate) fn fingerprint_words(cfg: &VmConfig, fused_sites: u32) -> [u64; FP_FI
 }
 
 /// Frames an `SVA1` payload. The header's two extra words are
-/// `config_fp`, the FNV-1a of the payload's leading fingerprint block of
-/// `fp_words` words, and `code_id`.
-pub(crate) fn frame_image(version: u32, fp_words: usize, code_id: u64, payload: &[u8]) -> Vec<u8> {
+/// `config_fp`, the FNV-1a of the payload's leading fingerprint block,
+/// and `code_id`.
+pub(crate) fn frame_image(version: u32, code_id: u64, payload: &[u8]) -> Vec<u8> {
     let mut extra = ImageWriter::new();
-    extra.u64(fnv64(&payload[..8 * fp_words]));
+    extra.u64(fnv64(&payload[..8 * FP_FIELDS.len()]));
     extra.u64(code_id);
     frame(SNAPSHOT_MAGIC, version, extra.as_bytes(), payload)
 }
@@ -338,7 +318,7 @@ pub(crate) fn read_sparse<'a>(
 /// space behind its liveness tag. The required lengths are the region
 /// rule: [`KERN_SIZE`] for the kernel, [`USER_SIZE`] for a live space and
 /// 0 for a freed one, whose bytes `Memory::free_space` dropped.
-pub(crate) fn read_memory<'a>(r: &mut ImageReader<'a>) -> Result<MemoryImage<'a>, CodecError> {
+fn read_memory<'a>(r: &mut ImageReader<'a>) -> Result<MemoryImage<'a>, CodecError> {
     Ok(MemoryImage {
         kernel: read_sparse(r, "kernel region length", KERN_SIZE)?,
         spaces: r.vec(17, |r| {
@@ -350,7 +330,7 @@ pub(crate) fn read_memory<'a>(r: &mut ImageReader<'a>) -> Result<MemoryImage<'a>
 }
 
 /// The decoded memory section, borrowed from the image.
-pub(crate) struct MemoryImage<'a> {
+struct MemoryImage<'a> {
     kernel: SparseRegion<'a>,
     spaces: Vec<(bool, SparseRegion<'a>)>,
 }
@@ -383,12 +363,12 @@ impl SparseRegion<'_> {
 /// Five `u32`s, three prefixes, a tag and a mode byte.
 pub(crate) const FRAME_MIN: usize = 5 * 4 + 3 * 8 + 2;
 /// The frame-stack prefix, `usp`, `asid`, `result_frame` and four tags.
-pub(crate) const ICONTEXT_MIN: usize = 8 + 8 + 4 + 8 + 4;
+const ICONTEXT_MIN: usize = 8 + 8 + 4 + 8 + 4;
 /// The frame-stack prefix, `asid`, `ksp`, the `kstack` prefix and two tags.
-pub(crate) const SAVED_STATE_MIN: usize = 8 + 4 + 8 + 8 + 2;
+const SAVED_STATE_MIN: usize = 8 + 4 + 8 + 8 + 2;
 /// Frames, `asid`, `ksp`, `usp`, `kstack`, `subsys`, `fuel`, the pool
 /// list and two tags.
-pub(crate) const RECOVERY_MIN: usize = 8 + 4 + 5 * 8 + 8 + 2;
+const RECOVERY_MIN: usize = 8 + 4 + 5 * 8 + 8 + 2;
 /// A pool name prefix, range count and stats block.
 const POOL_IMAGE_MIN: usize = 8 + 8 + 8 * CheckStats::WORDS;
 
@@ -446,7 +426,7 @@ pub(crate) fn write_frames(w: &mut ImageWriter, frames: &[Frame]) {
     w.seq(frames, write_frame);
 }
 
-pub(crate) fn read_frames(r: &mut ImageReader<'_>) -> Result<Vec<Frame>, CodecError> {
+fn read_frames(r: &mut ImageReader<'_>) -> Result<Vec<Frame>, CodecError> {
     r.vec(FRAME_MIN, read_frame)
 }
 
@@ -464,7 +444,7 @@ pub(crate) fn write_icontext(w: &mut ImageWriter, ic: &IContext) {
     });
 }
 
-pub(crate) fn read_icontext(r: &mut ImageReader<'_>) -> Result<IContext, CodecError> {
+fn read_icontext(r: &mut ImageReader<'_>) -> Result<IContext, CodecError> {
     Ok(IContext {
         frames: read_frames(r)?,
         usp: r.u64()?,
@@ -486,7 +466,7 @@ pub(crate) fn write_saved_state(w: &mut ImageWriter, s: &SavedState) {
     w.opt(s.save_dst, ImageWriter::u32);
 }
 
-pub(crate) fn read_saved_state(r: &mut ImageReader<'_>) -> Result<SavedState, CodecError> {
+fn read_saved_state(r: &mut ImageReader<'_>) -> Result<SavedState, CodecError> {
     Ok(SavedState {
         frames: read_frames(r)?,
         icid: r.opt(|r| r.u32())?,
@@ -510,7 +490,7 @@ pub(crate) fn write_recovery(w: &mut ImageWriter, rc: &RecoveryCtx) {
     w.seq(&rc.quarantined_pools, |w, &p| w.u32(p));
 }
 
-pub(crate) fn read_recovery(r: &mut ImageReader<'_>) -> Result<RecoveryCtx, CodecError> {
+fn read_recovery(r: &mut ImageReader<'_>) -> Result<RecoveryCtx, CodecError> {
     Ok(RecoveryCtx {
         frames: read_frames(r)?,
         icid: r.opt(|r| r.u32())?,
@@ -525,12 +505,11 @@ pub(crate) fn read_recovery(r: &mut ImageReader<'_>) -> Result<RecoveryCtx, Code
     })
 }
 
-/// A pool image as format `version` lays it out: v1 has no
-/// `poisoned_by`/`repairs`, which read back as zero. The lookup switch is
-/// written twice, its second byte the old singleton switch (which is
-/// `fast_path` now), and the old read-mostly counter is a reserved u32,
-/// written as 0 and ignored on read.
-pub(crate) fn write_pool_image(w: &mut ImageWriter, img: &PoolImage, version: u32) {
+/// A pool image. The lookup switch is written twice, its second byte the
+/// old singleton switch (which is `fast_path` now), and the old
+/// read-mostly counter is a reserved u32, written as 0 and ignored on
+/// read.
+fn write_pool_image(w: &mut ImageWriter, img: &PoolImage) {
     w.str(&img.name);
     w.seq(&img.ranges, |w, &(s, e)| {
         w.u64(s);
@@ -554,16 +533,11 @@ pub(crate) fn write_pool_image(w: &mut ImageWriter, img: &PoolImage, version: u3
     w.u32(img.violations);
     w.u32(img.scope_violations);
     w.u32(img.forced_reg_failures);
-    if version >= 2 {
-        w.u64(img.poisoned_by);
-        w.u32(img.repairs);
-    }
+    w.u64(img.poisoned_by);
+    w.u32(img.repairs);
 }
 
-pub(crate) fn read_pool_image(
-    r: &mut ImageReader<'_>,
-    version: u32,
-) -> Result<PoolImage, CodecError> {
+fn read_pool_image(r: &mut ImageReader<'_>) -> Result<PoolImage, CodecError> {
     let name = r.str()?.to_owned();
     let ranges = r.vec(16, |r| Ok((r.u64()?, r.u64()?)))?;
     let stats = r.u64s()?;
@@ -593,17 +567,9 @@ pub(crate) fn read_pool_image(
         violations: r.u32()?,
         scope_violations: r.u32()?,
         forced_reg_failures: r.u32()?,
-        poisoned_by: if version >= 2 { r.u64()? } else { 0 },
-        repairs: if version >= 2 { r.u32()? } else { 0 },
+        poisoned_by: r.u64()?,
+        repairs: r.u32()?,
     })
-}
-
-/// Reads a pool-image list of format `version`.
-pub(crate) fn read_pool_images(
-    r: &mut ImageReader<'_>,
-    version: u32,
-) -> Result<Vec<PoolImage>, CodecError> {
-    r.vec(POOL_IMAGE_MIN, |r| read_pool_image(r, version))
 }
 
 /// Reads a map written by [`write_sorted`], `entry` reading one entry of
@@ -739,10 +705,10 @@ pub(crate) fn read_origin(r: &mut ImageReader<'_>) -> Result<u8, CodecError> {
     }
 }
 
-/// Everything a payload decodes to, parsed in full before any of it is
-/// committed to the machine (restore is atomic: error ⇒ untouched).
-/// Memory regions stay borrowed from the image until commit.
-struct Parsed<'a> {
+/// The machine state a payload decodes to, parsed in full before any of
+/// it is committed to the machine (restore is atomic: error ⇒
+/// untouched). Memory regions stay borrowed from the image until commit.
+pub(crate) struct Parsed<'a> {
     memory: MemoryImage<'a>,
     current_asid: u32,
     thread: Thread,
@@ -767,9 +733,24 @@ struct Parsed<'a> {
     cpu_id: u32,
 }
 
-/// Parses the payload after the fingerprint block, through its last
-/// byte.
-fn parse_payload<'a>(r: &mut ImageReader<'a>) -> Result<Parsed<'a>, CodecError> {
+impl Parsed<'_> {
+    /// Every frame the state holds: the thread's, the interrupt
+    /// contexts', the saved states' and the recovery stack's.
+    pub(crate) fn frames(&self) -> impl Iterator<Item = &Frame> {
+        self.thread
+            .frames
+            .iter()
+            .chain(self.icontexts.iter().flat_map(|ic| &ic.frames))
+            .chain(self.int_state.values().flat_map(|s| &s.frames))
+            .chain(self.user_state.values().flat_map(|ic| &ic.frames))
+            .chain(self.recovery.iter().flat_map(|rc| &rc.frames))
+    }
+}
+
+/// Parses the machine state: the payload after the fingerprint block,
+/// through `cpu_id`. v3 and v4 lay it out identically; what follows it
+/// (v4's origin byte and code manifest) is the caller's to read.
+pub(crate) fn parse_payload<'a>(r: &mut ImageReader<'a>) -> Result<Parsed<'a>, CodecError> {
     let table = |r: &mut ImageReader<'_>| read_map(r, 12, |r| Ok((r.i64()?, r.u32()?)));
     let memory = read_memory(r)?;
     let current_asid = r.u32()?;
@@ -788,11 +769,11 @@ fn parse_payload<'a>(r: &mut ImageReader<'a>) -> Result<Parsed<'a>, CodecError> 
     let user_state = read_map(r, 8 + ICONTEXT_MIN, |r| Ok((r.u64()?, read_icontext(r)?)))?;
     let syscalls = table(r)?;
     let interrupts = table(r)?;
-    let pool_images = read_pool_images(r, SNAPSHOT_VERSION)?;
+    let pool_images = r.vec(POOL_IMAGE_MIN, read_pool_image)?;
     let func_stats = r.u64s()?;
     let console = r.bytes()?.to_vec();
     let stats = VmStats::from_words(r.u64s()?);
-    let parsed = Parsed {
+    Ok(Parsed {
         memory,
         current_asid,
         thread,
@@ -815,13 +796,7 @@ fn parse_payload<'a>(r: &mut ImageReader<'a>) -> Result<Parsed<'a>, CodecError> 
         call_floor: r.u64()? as usize,
         trap_count: r.u64()?,
         cpu_id: r.u32()?,
-    };
-    // Origin and manifest are advisory (see `encode_image`); decode them
-    // for structural validity, then drop them.
-    read_origin(r)?;
-    read_manifest(r)?;
-    r.finish()?;
-    Ok(parsed)
+    })
 }
 
 impl<T: Tracer> Vm<T> {
@@ -895,9 +870,7 @@ impl<T: Tracer> Vm<T> {
         }
         // Metapools.
         let (pool_images, func_stats) = self.pools.export_images();
-        w.seq(&pool_images, |w, img| {
-            write_pool_image(w, img, SNAPSHOT_VERSION)
-        });
+        w.seq(&pool_images, write_pool_image);
         for word in func_stats {
             w.u64(word);
         }
@@ -937,12 +910,7 @@ impl<T: Tracer> Vm<T> {
         // tooling can tell a boot-pause checkpoint from a mid-flight cut.
         w.u8(origin);
         write_manifest(&mut w, self.code.manifest());
-        frame_image(
-            SNAPSHOT_VERSION,
-            FP_FIELDS.len(),
-            self.code_identity(),
-            w.as_bytes(),
-        )
+        frame_image(SNAPSHOT_VERSION, self.code_identity(), w.as_bytes())
     }
 
     /// Replaces this machine's state with the image's. The machine must
@@ -975,6 +943,11 @@ impl<T: Tracer> Vm<T> {
             });
         }
         let parsed = parse_payload(&mut r)?;
+        // Origin and manifest are advisory (see `encode_image`); decode
+        // them for structural validity, then drop them.
+        read_origin(&mut r)?;
+        read_manifest(&mut r)?;
+        r.finish()?;
         self.commit(parsed)
     }
 
@@ -1209,7 +1182,7 @@ out:
     fn reframed(valid: &[u8], edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
         let (_, code_id, payload) =
             unframe_image(valid, SNAPSHOT_VERSION..=SNAPSHOT_VERSION).unwrap();
-        frame_image(SNAPSHOT_VERSION, FP_FIELDS.len(), code_id, &edit(payload))
+        frame_image(SNAPSHOT_VERSION, code_id, &edit(payload))
     }
 
     #[test]
@@ -1236,7 +1209,7 @@ out:
         };
         let encode = |img: &PoolImage| {
             let mut w = ImageWriter::new();
-            write_pool_image(&mut w, img, SNAPSHOT_VERSION);
+            write_pool_image(&mut w, img);
             w.into_bytes()
         };
         let forged = reframed(&valid, |payload| {
@@ -1312,7 +1285,7 @@ out:
         // A pool image whose two switch bytes differ is refused too.
         let img = sva_rt::MetaPool::new("MPf", false, true, None).export_image();
         let mut w = ImageWriter::new();
-        write_pool_image(&mut w, &img, SNAPSHOT_VERSION);
+        write_pool_image(&mut w, &img);
         let mut bytes = w.into_bytes();
         let mut head = ImageWriter::new();
         head.str(&img.name);
@@ -1324,7 +1297,7 @@ out:
         assert_eq!(&bytes[at..at + 2], [1, 1]);
         bytes[at + 1] = 0;
         assert!(matches!(
-            read_pool_image(&mut ImageReader::new(&bytes), SNAPSHOT_VERSION),
+            read_pool_image(&mut ImageReader::new(&bytes)),
             Err(CodecError::Invalid { .. })
         ));
         target.restore(&valid).unwrap();
@@ -1361,7 +1334,7 @@ entry:
         w.raw(&payload[..fp_len]);
         w.u64(KERN_SIZE / 2);
         w.raw(&payload[fp_len + 8..]);
-        let short_kernel = frame_image(SNAPSHOT_VERSION, FP_FIELDS.len(), code_id, w.as_bytes());
+        let short_kernel = frame_image(SNAPSHOT_VERSION, code_id, w.as_bytes());
 
         let mut target = peek();
         for img in [&short_space, &short_kernel] {

@@ -15,8 +15,8 @@ use sva::ir::parse::parse_module;
 use sva::ir::{Linkage, Module, Operand};
 use sva::vm::{
     decode_quiesce, encode_quiesce, migrate_bundle, plan, reencode_at, CrashBundle, CrashReason,
-    KernelKind, Vm, VmConfig, VmError, BUNDLE_MAGIC, BUNDLE_VERSION, QUIESCE_MAGIC,
-    QUIESCE_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    KernelKind, Vm, VmConfig, VmError, BUNDLE_MAGIC, BUNDLE_VERSION, OLDEST_SUPPORTED,
+    QUIESCE_MAGIC, QUIESCE_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 
 /// Decode → verify → load → run, swallowing every structured error. The
@@ -111,7 +111,7 @@ out:
 /// must return a structured error (or, by luck, succeed) — never panic.
 fn exercise_migration(target: &mut Vm, bytes: &[u8]) {
     let _ = plan(bytes);
-    for to in [1u32, 2, 3] {
+    for to in OLDEST_SUPPORTED..SNAPSHOT_VERSION {
         let _ = reencode_at(bytes, to);
     }
     let _ = target.restore_migrated(bytes);
@@ -160,10 +160,10 @@ proptest! {
 }
 
 /// Body of `migration_survives_mutated_snapshots`: a damaged SVA1
-/// machine image through the whole migration surface — plan, downcasts,
-/// `restore_migrated` — at the given translation tier. Mutating the
-/// version byte steers many cases into the legacy decoders, which walk
-/// the payload structurally and must also fail closed.
+/// machine image through the whole migration surface — plan, the v3
+/// re-encode, `restore_migrated` — at the given translation tier.
+/// Mutating the version byte steers cases into the v3 path and into the
+/// retired and future versions, which must also fail closed.
 fn check_mutated_snapshot(opt: u8, flips: &[usize], cut: bool, k: u64) {
     let (mut target, img) = migration_seed(opt);
     let mut bytes = img;
@@ -172,9 +172,8 @@ fn check_mutated_snapshot(opt: u8, flips: &[usize], cut: bool, k: u64) {
 }
 
 /// Body of `migration_survives_mutated_bundles`: the same sweep over an
-/// SVAB crash bundle wrapping a valid snapshot — the bundle walker, the
-/// legacy bundle decoders and the embedded-snapshot migration must all
-/// survive arbitrary damage.
+/// SVAB crash bundle wrapping a valid snapshot — the bundle decoder and
+/// the embedded-snapshot migration must both survive arbitrary damage.
 fn check_mutated_bundle(opt: u8, flips: &[usize], cut: bool, k: u64) {
     let (mut target, img) = migration_seed(opt);
     let code_id = plan(&img).unwrap().code_id;
@@ -229,8 +228,8 @@ proptest! {
 /// bytes)`: the extra bytes are `config_fp` and `code_id` (SVA1), none
 /// (SVAB) and the member count (SVAQ).
 const CONTAINERS: [([u8; 4], std::ops::RangeInclusive<u32>, usize); 3] = [
-    (SNAPSHOT_MAGIC, 1..=SNAPSHOT_VERSION, 16),
-    (BUNDLE_MAGIC, 1..=BUNDLE_VERSION, 0),
+    (SNAPSHOT_MAGIC, OLDEST_SUPPORTED..=SNAPSHOT_VERSION, 16),
+    (BUNDLE_MAGIC, BUNDLE_VERSION..=BUNDLE_VERSION, 0),
     (QUIESCE_MAGIC, QUIESCE_VERSION..=QUIESCE_VERSION, 4),
 ];
 
@@ -243,7 +242,7 @@ fn entry_points(target: &mut Vm, bytes: &[u8]) -> [(&'static str, bool); 7] {
         ("plan", plan(bytes).is_err()),
         (
             "reencode_at",
-            (1..=3).all(|to| reencode_at(bytes, to).is_err()),
+            (OLDEST_SUPPORTED..SNAPSHOT_VERSION).all(|to| reencode_at(bytes, to).is_err()),
         ),
         (
             "CrashBundle::from_bytes",

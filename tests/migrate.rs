@@ -2,46 +2,46 @@
 //! §4.10).
 //!
 //! The contract under test: a machine image written by any supported
-//! format version restores into the current build **through the upcaster
-//! chain** and then behaves as if the machine had never been serialized
-//! at all — and every image migration cannot carry forward fails closed
-//! with a structured error naming the first lost field. Five angles:
+//! format version (`SVA1` v3 or v4) restores into the current build
+//! **through the upcaster chain** and then behaves as if the machine had
+//! never been serialized at all — and every image migration cannot carry
+//! forward fails closed with a structured error naming the first lost
+//! field. Five angles:
 //!
-//! * **composition** — proptest over generated programs: downcasting
-//!   stepwise equals downcasting directly, migrating any downgraded
-//!   image reproduces the original v4 bytes, and migrating a
-//!   current-format image is the byte-exact identity;
-//! * **legacy kernel images** — real kernel snapshots re-encoded at
-//!   v1/v2/v3 restore via migration and finish bit-identically to an
+//! * **round trip** — proptest over generated programs: re-encoding at
+//!   v3 is idempotent, migrating the v3 image reproduces the original v4
+//!   bytes in one step, and migrating a current-format image is the
+//!   byte-exact identity;
+//! * **legacy kernel images** — real kernel snapshots re-encoded at v3
+//!   restore via migration and finish bit-identically to an
 //!   uninterrupted boot;
 //! * **compatible rebuilds** — a kernel rebuilt with an appended
 //!   never-called function (different `code_id`, identical surface
 //!   prefix) adopts a mid-boot image across the code change;
-//! * **fail-closed** — a changed *live* function body, a poisoned pool's
-//!   attribution, and an unknown future version are each refused with
-//!   the named field, never a panic or a silent drop;
+//! * **fail-closed** — a changed *live* function body, a future version
+//!   and the retired `SVA1` and `SVAB` v1 and v2 layouts are each refused
+//!   with the named field or version, never a panic or a silent drop;
 //! * **bundles** — a crash bundle embedding a previous-format snapshot
-//!   migrates as a unit and the migrated bundle is a fixed point, and the
-//!   legacy v2 and v1 bundle layouts migrate to the current one.
+//!   migrates as a unit and the migrated bundle is a fixed point.
 //!
 //! Every wire format is also pinned byte for byte.
 
 use proptest::prelude::*;
 
 use sva::ir::bytecode::encode_module;
-use sva::ir::codec::{fnv64, frame, Writer};
+use sva::ir::codec::fnv64;
 use sva::ir::parse::parse_module;
 use sva::kernel::harness::{
     boot_user, boot_user_paused, make_vm, make_vm_cfg, make_vm_nested, make_vm_nested_patched,
-    make_vm_recovering, make_vm_recovering_traced, pack_arg, safe_kernel_module, USER_HEAP_BASE,
+    make_vm_recovering_traced, pack_arg, safe_kernel_module, USER_HEAP_BASE,
 };
 use sva::kernel::AS_TESTED_EXCLUSIONS;
 use sva::rt::MetaPoolId;
 use sva::trace::FlightRecorder;
 use sva::vm::{
-    encode_quiesce, migrate, migrate_bundle, plan, reencode_at, BundleError, CrashBundle,
-    CrashReason, KernelKind, MigrateError, SnapshotError, Vm, VmConfig, VmError, VmExit,
-    BUNDLE_MAGIC, UPCASTERS,
+    encode_quiesce, migrate, migrate_bundle, plan, reencode_at, CrashBundle, CrashReason,
+    KernelKind, MigrateError, SnapshotError, Vm, VmConfig, VmError, VmExit, OLDEST_SUPPORTED,
+    UPCASTERS,
 };
 
 // --- toy machines ---------------------------------------------------------
@@ -102,12 +102,41 @@ fn cut_image(src: &str, opt_level: u8, arg: u64, cut: u64) -> (Vec<u8>, String, 
     (vm.snapshot(), exit, base.stats())
 }
 
-// --- composition ----------------------------------------------------------
+/// A synthetic halt bundle around `snapshot`, for the bundle entry
+/// points.
+fn toy_bundle(snapshot: Vec<u8>, code_id: u64) -> CrashBundle {
+    CrashBundle {
+        reason: CrashReason::Halt,
+        halt_code: 41,
+        resume_code_raw: 0,
+        detail: "synthetic".to_string(),
+        cpu: 0,
+        config_words: [0; 10],
+        code_id,
+        stats: Default::default(),
+        console: b"hello".to_vec(),
+        domains: Vec::new(),
+        pools: Vec::new(),
+        health: Vec::new(),
+        flight: Vec::new(),
+        snapshot,
+    }
+}
 
-/// Downcast chains compose, every upcast chain is a right inverse of
-/// its downcast chain, and migration at the current version is the
-/// byte-exact identity. (Body of [`upcaster_chain_composes`]; plain
-/// asserts keep the proptest macro expansion shallow.)
+/// `bytes` with its container header's version word set to `version`.
+fn stamped(bytes: &[u8], version: u32) -> Vec<u8> {
+    let mut b = bytes.to_vec();
+    b[4..8].copy_from_slice(&version.to_le_bytes());
+    b
+}
+
+// --- round trip -----------------------------------------------------------
+
+/// Re-encoding at v3 is idempotent, the v3→v4 upcaster is a byte-exact
+/// right inverse of the v4→v3 re-encode, and migration at the current
+/// version is the byte-exact identity. (Body of
+/// [`upcaster_chain_composes`]; plain asserts keep the proptest macro
+/// expansion shallow.)
 fn check_chain_composition(trip: u64, mul: u64, add: u64, arg: u64, cut: u64, opt: u8) {
     let src = loop_prog(trip, mul, add, 0xf00d);
     let (img, exit, stats) = cut_image(&src, opt, arg, cut);
@@ -118,27 +147,18 @@ fn check_chain_composition(trip: u64, mul: u64, add: u64, arg: u64, cut: u64, op
     assert_eq!(out, img);
     assert!(rep.steps.is_empty() && !rep.code_migrated);
 
-    // Stepwise downcast equals direct downcast.
     let v3 = reencode_at(&img, 3).unwrap();
-    let v2 = reencode_at(&img, 2).unwrap();
-    let v1 = reencode_at(&img, 1).unwrap();
-    assert_eq!(reencode_at(&v3, 2).unwrap(), v2);
-    assert_eq!(reencode_at(&v2, 1).unwrap(), v1);
-    assert_eq!(reencode_at(&v3, 1).unwrap(), v1);
+    assert_eq!(reencode_at(&v3, 3).unwrap(), v3);
 
-    // Migrating any downgraded image reproduces the original bytes —
-    // the upcaster chain from v(k) is exactly the inverse of the
-    // downcast chain to v(k).
-    for (old, steps) in [(&v3, 1usize), (&v2, 2), (&v1, 3)] {
-        let (out, rep) = migrate(&target, old).unwrap();
-        assert_eq!(out, img);
-        assert_eq!(rep.steps.len(), steps);
-        assert!(!rep.code_migrated);
-    }
+    // Migrating the v3 image reproduces the original bytes in one step.
+    let (out, rep) = migrate(&target, &v3).unwrap();
+    assert_eq!(out, img);
+    assert_eq!(rep.steps.len(), 1);
+    assert!(!rep.code_migrated);
 
-    // And a migrated legacy image resumes to the reference result.
+    // And the migrated v3 image resumes to the reference result.
     let mut vm = toy_vm(&src, opt, 1);
-    vm.restore_migrated(&v1).unwrap();
+    vm.restore_migrated(&v3).unwrap();
     vm.set_fuel(u64::MAX);
     assert_eq!(format!("{:?}", vm.run()), exit);
     assert_eq!(vm.stats(), stats);
@@ -160,12 +180,17 @@ proptest! {
     }
 }
 
-/// The registry itself is a contiguous chain ending at the current
-/// version — the invariant `migrate` walks by.
+/// The registry itself is a contiguous chain from the oldest readable
+/// version to the current one — the invariant `migrate` walks by.
 #[test]
 fn upcaster_registry_is_contiguous() {
     for (i, u) in UPCASTERS.iter().enumerate() {
-        assert_eq!(u.from, 1 + i as u32, "registry out of order at {}", u.name);
+        assert_eq!(
+            u.from,
+            OLDEST_SUPPORTED + i as u32,
+            "registry out of order at {}",
+            u.name
+        );
         assert_eq!(u.to, u.from + 1, "upcaster {} skips a version", u.name);
     }
     assert_eq!(
@@ -196,19 +221,54 @@ fn changed_live_function_fails_closed() {
     }
 }
 
-/// A future format version is refused with `UnsupportedVersion`, and
-/// upcasting to the current version without a target machine is refused
+/// A future format version is refused with `UnsupportedVersion`, and so
+/// are the retired v1 and v2 layouts: an `SVA1` image through every
+/// entry point that reads images, an `SVAB` bundle through every one
+/// that reads bundles, and a current bundle carrying a retired image.
+/// Upcasting to the current version without a target machine is refused
 /// with the field that needs one (the code manifest).
 #[test]
 fn unknown_versions_fail_closed() {
     let (img, _, _) = cut_image(&loop_prog(8, 3, 5, 7), 0, 9, 20);
-    let mut future = img.clone();
-    future[4] = 99; // header version word (little-endian u32)
-    let target = toy_vm(&loop_prog(8, 3, 5, 7), 0, u64::MAX);
-    match migrate(&target, &future) {
+    let mut target = toy_vm(&loop_prog(8, 3, 5, 7), 0, u64::MAX);
+    match migrate(&target, &stamped(&img, 99)) {
         Err(MigrateError::UnsupportedVersion { found: 99, .. }) => {}
         r => panic!("expected UnsupportedVersion, got {r:?}"),
     }
+    let bundle = toy_bundle(img.clone(), 0).to_bytes();
+    for v in [1u32, 2] {
+        let image = stamped(&img, v);
+        let carrying = toy_bundle(image.clone(), 0).to_bytes();
+        let calls = [
+            ("migrate", migrate(&target, &image).map(drop)),
+            (
+                "restore_migrated",
+                target.restore_migrated(&image).map(drop),
+            ),
+            ("reencode_at", reencode_at(&image, 3).map(drop)),
+            ("plan", plan(&image).map(drop)),
+            ("plan (bundle)", plan(&stamped(&bundle, v)).map(drop)),
+            (
+                "migrate_bundle",
+                migrate_bundle(&target, &stamped(&bundle, v)).map(drop),
+            ),
+            ("plan (carrying)", plan(&carrying).map(drop)),
+            (
+                "migrate_bundle (carrying)",
+                migrate_bundle(&target, &carrying).map(drop),
+            ),
+        ];
+        for (entry, r) in calls {
+            match r {
+                Err(MigrateError::UnsupportedVersion { found, .. }) if found == v => {}
+                r => panic!("v{v} through {entry}: expected UnsupportedVersion, got {r:?}"),
+            }
+        }
+    }
+    assert_eq!(
+        migrate(&target, &stamped(&img, 1)).unwrap_err().to_string(),
+        "format version 1 unsupported (this build reads SVA1 v3–v4 and SVAB v3)"
+    );
     let v3 = reencode_at(&img, 3).unwrap();
     match reencode_at(&v3, 4) {
         Err(MigrateError::Incompatible {
@@ -303,9 +363,9 @@ fn patched_kernel_adopts_mid_boot_image() {
 
 // --- legacy kernel images -------------------------------------------------
 
-/// Real kernel snapshots re-encoded at every supported previous version
-/// restore through the chain and finish identically to an uninterrupted
-/// boot — the nightly `--resume` cross-check in miniature.
+/// A real kernel snapshot re-encoded at v3, the one supported previous
+/// version, restores through the chain and finishes identically to an
+/// uninterrupted boot — the nightly `--resume` cross-check in miniature.
 #[test]
 fn legacy_kernel_images_restore_via_migration() {
     let arg = pack_arg(30, 0, 0);
@@ -329,54 +389,25 @@ fn legacy_kernel_images_restore_via_migration() {
     }
     let img = vm.snapshot();
 
-    for old_version in 1..=3u32 {
-        let old = reencode_at(&img, old_version).unwrap();
-        let mut fresh = make_vm(KernelKind::SvaSafe);
-        // The strict path must refuse the old format by version...
-        assert!(matches!(
-            fresh.restore(&old),
-            Err(SnapshotError::BadVersion { .. })
-        ));
-        // ...and the migration path must walk the remaining chain.
-        let report = fresh.restore_migrated(&old).unwrap();
-        assert_eq!(report.from_version, old_version);
-        assert_eq!(report.steps.len(), (4 - old_version) as usize);
-        fresh.set_fuel(u64::MAX);
-        let r = fresh.run();
-        let got = (
-            format!("{r:?}"),
-            fresh.stats().equivalence_key(),
-            fresh.console.clone(),
-        );
-        assert_eq!(got, want, "v{old_version} image diverged after migration");
-    }
-}
-
-/// A poisoned pool carries attribution (`poisoned_by`) that the v1
-/// format cannot express: downcasting such an image must fail closed
-/// naming that field, not silently drop the forensics.
-#[test]
-fn poisoned_pool_refuses_v1_downcast() {
-    let mut vm = make_vm_nested(VmConfig::default());
-    boot_user(&mut vm, "user_getpid_loop", pack_arg(5, 0, 0)).expect("clean boot");
-    // Poison one pool the way the recovery path does: budget crossed,
-    // poison attributed to a recovery-domain subsystem.
-    let pool = vm.pools.pool_mut(MetaPoolId(0));
-    assert!(
-        pool.note_violation(1),
-        "budget 1 must poison on first strike"
+    let old = reencode_at(&img, 3).unwrap();
+    let mut fresh = make_vm(KernelKind::SvaSafe);
+    // The strict path must refuse the old format by version...
+    assert!(matches!(
+        fresh.restore(&old),
+        Err(SnapshotError::BadVersion { .. })
+    ));
+    // ...and the migration path must walk the remaining chain.
+    let report = fresh.restore_migrated(&old).unwrap();
+    assert_eq!(report.from_version, 3);
+    assert_eq!(report.steps.len(), 1);
+    fresh.set_fuel(u64::MAX);
+    let r = fresh.run();
+    let got = (
+        format!("{r:?}"),
+        fresh.stats().equivalence_key(),
+        fresh.console.clone(),
     );
-    pool.attribute_poison(3);
-    let img = vm.snapshot();
-    match reencode_at(&img, 1) {
-        Err(MigrateError::Incompatible {
-            field: "poisoned_by",
-            ..
-        }) => {}
-        r => panic!("expected poisoned_by refusal, got {:?}", r.map(|v| v.len())),
-    }
-    // v2 can express attribution — the same image downcasts fine there.
-    assert!(reencode_at(&img, 2).is_ok());
+    assert_eq!(got, want, "v3 image diverged after migration");
 }
 
 // --- bundles --------------------------------------------------------------
@@ -391,24 +422,7 @@ fn bundle_with_legacy_snapshot_migrates_and_is_fixed_point() {
     let target = toy_vm(&src, 0, u64::MAX);
     let v3 = reencode_at(&img, 3).unwrap();
     let code_id = plan(&img).unwrap().code_id;
-
-    let bundle = CrashBundle {
-        reason: CrashReason::Halt,
-        halt_code: 41,
-        resume_code_raw: 0,
-        detail: "synthetic".to_string(),
-        cpu: 0,
-        config_words: [0; 10],
-        code_id,
-        stats: Default::default(),
-        console: b"hello".to_vec(),
-        domains: Vec::new(),
-        pools: Vec::new(),
-        health: Vec::new(),
-        flight: Vec::new(),
-        snapshot: v3,
-    };
-    let bytes = bundle.to_bytes();
+    let bytes = toy_bundle(v3, code_id).to_bytes();
 
     let p = plan(&bytes).unwrap();
     assert_eq!(p.kind, "bundle");
@@ -449,129 +463,11 @@ fn halt_bundle(opt_level: u8) -> CrashBundle {
     vm.take_crash_bundle().expect("halt must capture a bundle")
 }
 
-/// `b` in the v2 or v1 `SVAB` layout: no vCPU id and a 9-word config
-/// fingerprint, and for v1 17 stats words and no pool `repairs`.
-fn legacy_bundle(b: &CrashBundle, version: u32) -> Vec<u8> {
-    let mut w = Writer::<8>::new();
-    w.u8(b.reason.to_code());
-    w.u64(b.halt_code);
-    w.u64(b.resume_code_raw);
-    w.str(&b.detail);
-    for &word in &b.config_words[..9] {
-        w.u64(word);
-    }
-    w.u64(b.code_id);
-    let s = &b.stats;
-    let stats = [
-        s.instructions,
-        s.cycles,
-        s.traps,
-        s.range_checks,
-        s.context_switches,
-        s.interrupts,
-        s.cache_hits,
-        s.page_hits,
-        s.tree_walks,
-        s.singleton_hits,
-        s.violations_recovered,
-        s.pools_quarantined,
-        s.pools_poisoned,
-        s.domains_pushed,
-        s.domains_popped,
-        s.watchdog_unwinds,
-        s.fused_execs,
-        s.repairs,
-        s.pools_repaired,
-        s.probation_passed,
-        s.probation_failed,
-        s.subsys_retired,
-    ];
-    for &word in &stats[..if version >= 2 { 22 } else { 17 }] {
-        w.u64(word);
-    }
-    w.bytes(&b.console);
-    w.seq(&b.domains, |w, d| {
-        w.u64(d.subsys);
-        w.u64(d.fuel);
-        w.seq(&d.quarantined_pools, |w, &p| w.u32(p));
-    });
-    w.seq(&b.pools, |w, p| {
-        w.u32(p.id);
-        w.str(&p.name);
-        w.bool(p.complete);
-        w.u64(p.live_objects);
-        w.u64(p.checks);
-        w.u32(p.violations);
-        w.bool(p.quarantined);
-        w.bool(p.poisoned);
-        if version >= 2 {
-            w.u32(p.repairs);
-        }
-    });
-    w.seq(&b.health, |w, &(i, v)| {
-        w.u64(i);
-        w.u64(v);
-    });
-    let flight: Vec<String> = b.flight.iter().map(|e| e.to_json()).collect();
-    w.str(&flight.join("\n"));
-    w.bytes(&b.snapshot);
-    frame(BUNDLE_MAGIC, version, &[], w.as_bytes())
-}
-
-/// Bundles in the v2 and v1 layouts: the strict decoder refuses them by
-/// version, `plan` names the bundle step, and `migrate_bundle` rewrites
-/// them into the current layout holding the original's fields, with the
-/// defaults the legacy layout implies for the fields it lacks.
-#[test]
-fn legacy_bundle_layouts_migrate_to_the_current_one() {
-    let original = halt_bundle(0);
-    let target = make_vm_recovering(VmConfig {
-        violation_budget: 1,
-        ..Default::default()
-    });
-    for version in [2u32, 1] {
-        let legacy = legacy_bundle(&original, version);
-        match CrashBundle::from_bytes(&legacy) {
-            Err(BundleError::BadVersion { found, .. }) => assert_eq!(found, version),
-            r => panic!(
-                "v{version}: expected BadVersion, got {:?}",
-                r.map(|b| b.reason)
-            ),
-        }
-        let p = plan(&legacy).unwrap();
-        assert_eq!((p.kind, p.version), ("bundle", version));
-        assert!(
-            p.bundle_step.is_some(),
-            "v{version}: no bundle step planned"
-        );
-        assert!(p.steps.is_empty(), "the embedded snapshot is current");
-
-        let (migrated, report) = migrate_bundle(&target, &legacy).unwrap();
-        assert_eq!(report.from_version, version);
-        let mut want = original.clone();
-        want.cpu = 0;
-        want.config_words[9] = 1;
-        if version < 2 {
-            for p in &mut want.pools {
-                p.repairs = 0;
-            }
-            let s = &mut want.stats;
-            s.repairs = 0;
-            s.pools_repaired = 0;
-            s.probation_passed = 0;
-            s.probation_failed = 0;
-            s.subsys_retired = 0;
-        }
-        let back = CrashBundle::from_bytes(&migrated).unwrap();
-        assert!(back == want, "v{version}: migrated bundle differs");
-    }
-}
-
 // --- wire-format pins -----------------------------------------------------
 
 /// Every wire format, pinned byte for byte as `(length, FNV-1a)`: the
 /// bytecode of the safe kernel, `SVA1` images of a paused boot and of a
-/// mid-flight cut, that cut re-encoded at v3, v2 and v1, an `SVAQ`
+/// mid-flight cut, that cut re-encoded at v3, an `SVAQ`
 /// container of both images and an `SVAB` crash bundle. A change that
 /// alters a format or the kernel build on purpose updates these pins
 /// and says so.
@@ -587,7 +483,7 @@ fn wire_formats_are_pinned() {
     assert_eq!(paused.unwrap(), None);
     vm.run_steps(5000).unwrap();
     let mid = vm.snapshot_midflight();
-    let pins: [(&str, Vec<u8>, usize, u64); 8] = [
+    let pins: [(&str, Vec<u8>, usize, u64); 6] = [
         (
             "bytecode, safe kernel",
             bytecode,
@@ -601,18 +497,6 @@ fn wire_formats_are_pinned() {
             reencode_at(&mid, 3).unwrap(),
             64_219,
             0x6fdf_d84e_2976_29e4,
-        ),
-        (
-            "SVA1 v2 mid",
-            reencode_at(&mid, 2).unwrap(),
-            64_207,
-            0xaf32_9b31_0b92_c49a,
-        ),
-        (
-            "SVA1 v1 mid",
-            reencode_at(&mid, 1).unwrap(),
-            62_175,
-            0x251e_744c_4843_9fc9,
         ),
         (
             "SVAQ [boot, mid]",
