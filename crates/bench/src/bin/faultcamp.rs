@@ -46,7 +46,7 @@
 //! interleaving on the lock-free check path. Any death there drops a
 //! bundle whose `cpu` field names the faulting vCPU. These bundles carry
 //! no flight tail: `SmpMachine` forks its vCPUs as `Vm<NullTracer>`
-//! (`prepare_fork` → `Vm::fork_sparse`), so no recorder flies there.
+//! (`prepare_fork` → `Vm::fork_for_cpu`), so no recorder flies there.
 //!
 //! A JSON report lands in `target/sva-inject/faultcamp.json` (override
 //! the directory with `SVA_INJECT_DIR`). Exit status is nonzero on any

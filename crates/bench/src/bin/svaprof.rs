@@ -36,15 +36,8 @@
 //!   to the uninterrupted machine. Nightly CI uploads this as the
 //!   mid-flight golden artifact alongside the post-boot one.
 //!
-//! Two offline modes skip the boot entirely:
+//! One offline mode skips the boot entirely:
 //!
-//! - `--replay events.jsonl` parses a recorded JSONL dump back into
-//!   events, feeds them through a *fresh* ring/profile/exporter pipeline,
-//!   and validates every exporter (panic guard, JSONL round-trip,
-//!   balanced Chrome spans, cumulative Prometheus histograms) — the way
-//!   to reproduce an exporter bug from a bug report's attached stream.
-//!   With `--shrink`, a failing stream is bisected to the minimal failing
-//!   prefix, written next to the input as `<input>.min.jsonl`.
 //! - `--prom-diff OLD NEW` diffs two Prometheus text exports: counter
 //!   deltas and per-bucket histogram shifts. Nightly CI runs it against
 //!   the previous night's artifact to catch latency-distribution drift
@@ -54,11 +47,10 @@
 //!     [--prog NAME] [--arg N] [--kind sva-safe|native|sva-gcc|sva-llvm]
 //!     [--top N] [--capacity N] [--prom]
 //!     [--snapshot-out PATH] [--snapshot-mid PATH [--cut N]] [--resume PATH]
-//!     [--replay PATH [--shrink]] [--prom-diff OLD NEW]`
+//!     [--prom-diff OLD NEW] [--vcpus N]`
 //!
 //! Exits nonzero if the captured profile is empty — CI uses that to catch
-//! a silently-detached tracer — or, under `--replay`, if the stream fails
-//! exporter validation.
+//! a silently-detached tracer.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -106,8 +98,6 @@ struct Options {
     snapshot_mid: Option<PathBuf>,
     cut: u64,
     resume: Option<PathBuf>,
-    replay: Option<PathBuf>,
-    shrink: bool,
     prom_diff: Option<(PathBuf, PathBuf)>,
     vcpus: Option<u32>,
 }
@@ -124,8 +114,6 @@ fn parse_args() -> Result<Options, String> {
         snapshot_mid: None,
         cut: 1000,
         resume: None,
-        replay: None,
-        shrink: false,
         prom_diff: None,
         vcpus: None,
     };
@@ -163,8 +151,6 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--resume" => opts.resume = Some(PathBuf::from(val("--resume")?)),
-            "--replay" => opts.replay = Some(PathBuf::from(val("--replay")?)),
-            "--shrink" => opts.shrink = true,
             "--prom-diff" => {
                 let old = PathBuf::from(val("--prom-diff")?);
                 let new = PathBuf::from(val("--prom-diff")?);
@@ -181,9 +167,6 @@ fn parse_args() -> Result<Options, String> {
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
-    }
-    if opts.shrink && opts.replay.is_none() {
-        return Err("--shrink only makes sense with --replay".to_string());
     }
     Ok(opts)
 }
@@ -379,62 +362,6 @@ fn resume_mode(kind: KernelKind, prog: &str, arg: u64, path: &PathBuf) -> ExitCo
     ExitCode::SUCCESS
 }
 
-/// `--replay`: run a recorded stream through the exporter layer offline.
-fn replay_mode(path: &PathBuf, capacity: usize, top: usize, shrink: bool) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("svaprof: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let stream = prof::parse_jsonl(&text);
-    for (line, content) in stream.bad_lines.iter().take(5) {
-        eprintln!(
-            "svaprof: {}:{line}: unparseable event: {content}",
-            path.display()
-        );
-    }
-    println!(
-        "svaprof: replayed {} events from {} ({} bad lines)",
-        stream.events.len(),
-        path.display(),
-        stream.bad_lines.len()
-    );
-    let tracer = prof::replay(&stream.events, capacity);
-    let total = stream.events.last().map(|e| e.ts).unwrap_or(0);
-    println!("{}", top_report(&tracer, total, top));
-    match prof::replay_failure(&stream.events, capacity) {
-        None => {
-            if shrink {
-                println!("svaprof: stream passes — nothing to shrink");
-            }
-            ExitCode::SUCCESS
-        }
-        Some(reason) => {
-            eprintln!("svaprof: exporter validation FAILED: {reason}");
-            if shrink {
-                if let Some(n) = prof::shrink_failing_prefix(&stream.events, capacity) {
-                    let out = path.with_extension("min.jsonl");
-                    let min: String = stream.events[..n]
-                        .iter()
-                        .map(|e| e.to_json() + "\n")
-                        .collect();
-                    match std::fs::write(&out, min) {
-                        Ok(()) => eprintln!(
-                            "svaprof: minimal failing prefix: {n} of {} events -> {}",
-                            stream.events.len(),
-                            out.display()
-                        ),
-                        Err(e) => eprintln!("svaprof: cannot write {}: {e}", out.display()),
-                    }
-                }
-            }
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// `--vcpus N`: run the SMP scaling corpus on an N-vCPU machine and
 /// export per-vCPU metrics — every `vm.*`/`check.*`/`recovery.*`/`sched.*`
 /// counter appears under `cpu<id>.` plus the machine total — to
@@ -531,9 +458,6 @@ fn main() -> ExitCode {
     }
     if let Some(vcpus) = opts.vcpus {
         return smp_prom_mode(vcpus);
-    }
-    if let Some(path) = &opts.replay {
-        return replay_mode(path, opts.capacity, opts.top, opts.shrink);
     }
     if let Some(path) = &opts.snapshot_out {
         return snapshot_out_mode(opts.kind, &opts.prog, opts.arg, path);

@@ -1,162 +1,12 @@
-//! Offline `svaprof` machinery: JSONL event-stream replay through the
-//! ring/profile/exporter layer, prefix shrinking, and Prometheus text
-//! diffing.
+//! Offline `svaprof` machinery: Prometheus text parsing and diffing.
 //!
-//! Replay exists to reproduce exporter bugs without booting a kernel: a
-//! recorded `*.jsonl` stream (the `svaprof` dump format) is parsed back
-//! into [`TimedEvent`]s and fed through a fresh [`RingTracer`], then every
-//! exporter runs against the result under a panic guard plus structural
-//! validators. When the stream fails, [`shrink_failing_prefix`] bisects to
-//! the shortest prefix that still fails, which is usually a one-event
-//! reproducer once the passing prefix is stripped.
+//! `svaprof --prom-diff OLD NEW` compares two exports of the same
+//! workload: counter deltas and de-accumulated per-bucket histogram
+//! shifts, which catch a latency shift that leaves the medians
+//! untouched.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use sva_trace::{
-    to_chrome_trace, to_jsonl, to_prometheus, RingConfig, RingTracer, TimedEvent, Tracer,
-};
-
-// ---------------------------------------------------------------------------
-// JSONL replay.
-// ---------------------------------------------------------------------------
-
-/// A parsed replay stream.
-pub struct ReplayStream {
-    /// Events in file order.
-    pub events: Vec<TimedEvent>,
-    /// `(1-based line number, line)` pairs that did not parse.
-    pub bad_lines: Vec<(usize, String)>,
-}
-
-/// Parses a JSONL dump (one event per line, blank lines ignored).
-pub fn parse_jsonl(text: &str) -> ReplayStream {
-    let mut events = Vec::new();
-    let mut bad_lines = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match TimedEvent::from_json(line) {
-            Some(ev) => events.push(ev),
-            None => bad_lines.push((i + 1, line.to_string())),
-        }
-    }
-    ReplayStream { events, bad_lines }
-}
-
-/// Feeds `events` through a fresh ring/profile/metrics pipeline, exactly
-/// as a live VM would have recorded them.
-pub fn replay(events: &[TimedEvent], capacity: usize) -> RingTracer {
-    let mut t = RingTracer::new(RingConfig {
-        capacity,
-        ..Default::default()
-    });
-    for e in events {
-        t.record(e.ts, e.event.clone());
-    }
-    t
-}
-
-/// Runs one exporter under a panic guard and hands its output to a
-/// validator.
-fn check_export(
-    name: &str,
-    tracer: &RingTracer,
-    export: impl Fn(&RingTracer) -> String,
-    validate: impl Fn(&str) -> Result<(), String>,
-) -> Result<(), String> {
-    let out = catch_unwind(AssertUnwindSafe(|| export(tracer)))
-        .map_err(|_| format!("{name}: exporter panicked"))?;
-    validate(&out).map_err(|e| format!("{name}: {e}"))
-}
-
-/// Replays a stream and verifies the exporter layer: every exporter must
-/// run without panicking, the JSONL serialization must round-trip through
-/// the codec, the Chrome trace must balance its `B`/`E` spans, and every
-/// Prometheus histogram must be cumulative with its `+Inf` bucket equal to
-/// `_count`. Returns the first failure, or `None` if the stream is clean.
-pub fn replay_failure(events: &[TimedEvent], capacity: usize) -> Option<String> {
-    let tracer = match catch_unwind(AssertUnwindSafe(|| replay(events, capacity))) {
-        Ok(t) => t,
-        Err(_) => return Some("replay: tracer panicked while recording".to_string()),
-    };
-    let r = check_export("jsonl", &tracer, to_jsonl, |out| {
-        for (i, line) in out.lines().enumerate() {
-            if TimedEvent::from_json(line).is_none() {
-                return Err(format!("line {} does not round-trip: {line}", i + 1));
-            }
-        }
-        Ok(())
-    })
-    .and_then(|()| {
-        check_export("chrome", &tracer, to_chrome_trace, |out| {
-            // Spans left open at the end are normal (a halt mid-syscall
-            // truncates the stream there); a span *closed before it was
-            // opened* — the ring dropped the B, the E survived — renders
-            // wrong in the trace viewer and is the bug to flag.
-            let mut open = 0i64;
-            for (i, line) in out.lines().enumerate() {
-                if line.contains("\"ph\":\"B\"") {
-                    open += 1;
-                } else if line.contains("\"ph\":\"E\"") {
-                    open -= 1;
-                    if open < 0 {
-                        return Err(format!("stray span end at event line {}", i + 1));
-                    }
-                }
-            }
-            Ok(())
-        })
-    })
-    .and_then(|()| {
-        check_export("prometheus", &tracer, to_prometheus, |out| {
-            let snap = parse_prom(out)?;
-            for (name, h) in &snap.histograms {
-                let mut prev = 0.0f64;
-                for (le, v) in &h.buckets {
-                    if *v < prev {
-                        return Err(format!("{name}: bucket le={le} not cumulative"));
-                    }
-                    prev = *v;
-                }
-                if let Some((_, last)) = h.buckets.last() {
-                    if *last != h.count {
-                        return Err(format!("{name}: +Inf bucket {last} != count {}", h.count));
-                    }
-                }
-            }
-            Ok(())
-        })
-    });
-    r.err()
-}
-
-/// Bisects to the minimal failing prefix: the smallest `n` such that
-/// `events[..n]` fails while `events[..n-1]` passes. Assumes the failure
-/// is prefix-monotone (adding events never fixes it), which holds for the
-/// exporter-layer failures [`replay_failure`] detects; a non-monotone
-/// failure still yields *a* pass/fail boundary, just not a global minimum.
-/// Returns `None` when the full stream already passes.
-pub fn shrink_failing_prefix(events: &[TimedEvent], capacity: usize) -> Option<usize> {
-    replay_failure(events, capacity)?;
-    // Invariant: prefix of length `hi` fails, prefix of length `lo` passes.
-    let (mut lo, mut hi) = (0usize, events.len());
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if replay_failure(&events[..mid], capacity).is_some() {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Some(hi)
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus text parsing and diffing.
-// ---------------------------------------------------------------------------
 
 /// A parsed histogram: cumulative buckets in file order (`le` label,
 /// cumulative count), plus `_sum` and `_count`.
@@ -367,67 +217,7 @@ pub fn diff_prom(old: &PromSnapshot, new: &PromSnapshot) -> PromDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sva_trace::TraceEvent;
-
-    fn inst(ts: u64) -> TimedEvent {
-        TimedEvent {
-            ts,
-            event: TraceEvent::Inst {
-                func: 0,
-                opcode: "load",
-                cost: 1,
-            },
-        }
-    }
-
-    #[test]
-    fn jsonl_parse_keeps_order_and_reports_bad_lines() {
-        let good = inst(3).to_json();
-        let text = format!("{good}\n\nnot json\n{good}\n");
-        let s = parse_jsonl(&text);
-        assert_eq!(s.events.len(), 2);
-        assert_eq!(s.events[0].ts, 3);
-        assert_eq!(s.bad_lines, vec![(3, "not json".to_string())]);
-    }
-
-    #[test]
-    fn clean_stream_replays_without_failure() {
-        let events: Vec<TimedEvent> = (1..=64).map(inst).collect();
-        assert_eq!(replay_failure(&events, 1024), None);
-        assert!(shrink_failing_prefix(&events, 1024).is_none());
-    }
-
-    #[test]
-    fn shrink_finds_the_pass_fail_boundary() {
-        // A span closed before it was opened — the head-truncated-stream
-        // exporter bug (the ring dropped the B, the E survived). The
-        // minimal failing prefix ends exactly at the stray OsExit.
-        let mut events: Vec<TimedEvent> = (1..=20).map(inst).collect();
-        events.push(TimedEvent {
-            ts: 21,
-            event: TraceEvent::OsExit {
-                op: "sva.syscall",
-                cost: 3,
-            },
-        });
-        events.extend((22..=40).map(inst));
-        let full = replay_failure(&events, 1024);
-        assert!(full.as_deref().unwrap_or("").contains("chrome"), "{full:?}");
-        assert_eq!(shrink_failing_prefix(&events, 1024), Some(21));
-        assert!(replay_failure(&events[..20], 1024).is_none());
-    }
-
-    #[test]
-    fn spans_open_at_stream_end_are_not_failures() {
-        // A halt mid-syscall legitimately truncates the stream inside a
-        // span; the validator must accept it.
-        let mut events: Vec<TimedEvent> = (1..=8).map(inst).collect();
-        events.push(TimedEvent {
-            ts: 9,
-            event: TraceEvent::SyscallEnter { num: 1 },
-        });
-        assert_eq!(replay_failure(&events, 1024), None);
-    }
+    use sva_trace::{to_prometheus, RingTracer, TraceEvent, Tracer};
 
     #[test]
     fn prom_round_trip_and_diff_reports_shifts() {

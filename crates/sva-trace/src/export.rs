@@ -35,9 +35,14 @@ pub fn to_jsonl(tracer: &RingTracer) -> String {
 /// The format's `otherData` metadata states what the ring lost: events
 /// recorded and held, unpinned drops per [`EventClass`] (`dropped_<class>`)
 /// and pinned overflow, so a wrapped trace never passes for the whole run.
+/// A ring that wrapped inside a span holds the span's end but not its
+/// begin; such an end is left out, since the viewer would close whatever
+/// span happened to be open instead.
 pub fn to_chrome_trace(tracer: &RingTracer) -> String {
     let mut events: Vec<String> = Vec::new();
     let common = "\"pid\":1,\"tid\":1";
+    // Spans begun and not yet ended; the viewer nests them as a stack.
+    let mut open = 0usize;
     for te in tracer.ring().iter() {
         let ts = te.ts;
         match &te.event {
@@ -52,12 +57,14 @@ pub fn to_chrome_trace(tracer: &RingTracer) -> String {
                 ));
             }
             TraceEvent::OsEnter { op } => {
+                open += 1;
                 events.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"os\",\"ph\":\"B\",\"ts\":{ts},{common}}}",
                     json_escape(op)
                 ));
             }
-            TraceEvent::OsExit { op, cost } => {
+            TraceEvent::OsExit { op, cost } if open > 0 => {
+                open -= 1;
                 events.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"os\",\"ph\":\"E\",\"ts\":{ts},{common},\
                      \"args\":{{\"cost\":{cost}}}}}",
@@ -96,12 +103,14 @@ pub fn to_chrome_trace(tracer: &RingTracer) -> String {
                 ));
             }
             TraceEvent::SyscallEnter { num } => {
+                open += 1;
                 events.push(format!(
                     "{{\"name\":\"syscall {num}\",\"cat\":\"syscall\",\"ph\":\"B\",\
                      \"ts\":{ts},{common}}}"
                 ));
             }
-            TraceEvent::SyscallExit { num, cost } => {
+            TraceEvent::SyscallExit { num, cost } if open > 0 => {
+                open -= 1;
                 events.push(format!(
                     "{{\"name\":\"syscall {num}\",\"cat\":\"syscall\",\"ph\":\"E\",\
                      \"ts\":{ts},{common},\"args\":{{\"cost\":{cost}}}}}"
@@ -187,6 +196,8 @@ pub fn to_chrome_trace(tracer: &RingTracer) -> String {
                      \"verdict\":{verdict}}}}}"
                 ));
             }
+            // A span end whose begin the ring dropped.
+            TraceEvent::OsExit { .. } | TraceEvent::SyscallExit { .. } => {}
         }
     }
     let ring = tracer.ring();
@@ -551,6 +562,58 @@ mod tests {
             ring.total_recorded(),
             ring.len() as u64 + ring.dropped() + ring.pinned_overflow()
         );
+    }
+
+    #[test]
+    fn chrome_trace_skips_ends_whose_begin_the_ring_dropped() {
+        // Five slots hold the last five of these eight events: the ring
+        // wrapped inside the syscall span, dropping its two begins but
+        // keeping a whole nested span and both ends.
+        let mut t = RingTracer::new(crate::RingConfig {
+            capacity: 5,
+            ..Default::default()
+        });
+        let inst = TraceEvent::Inst {
+            func: 0,
+            opcode: "add",
+            cost: 1,
+        };
+        t.record(1, TraceEvent::OsEnter { op: "sva.syscall" });
+        t.record(2, TraceEvent::SyscallEnter { num: 4 });
+        t.record(3, inst.clone());
+        t.record(4, inst);
+        t.record(5, TraceEvent::OsEnter { op: "sva.iret" });
+        t.record(
+            6,
+            TraceEvent::OsExit {
+                op: "sva.iret",
+                cost: 1,
+            },
+        );
+        t.record(7, TraceEvent::SyscallExit { num: 4, cost: 5 });
+        t.record(
+            8,
+            TraceEvent::OsExit {
+                op: "sva.syscall",
+                cost: 7,
+            },
+        );
+        assert_eq!(t.ring().dropped(), 3);
+        let chrome = to_chrome_trace(&t);
+        // Walking the spans never closes more than it opened.
+        let mut open = 0i64;
+        for line in chrome.lines() {
+            if line.contains("\"ph\":\"B\"") {
+                open += 1;
+            } else if line.contains("\"ph\":\"E\"") {
+                open -= 1;
+                assert!(open >= 0, "stray span end: {line}");
+            }
+        }
+        assert_eq!(open, 0);
+        assert_eq!(chrome.matches("\"ph\":\"E\"").count(), 1);
+        assert!(chrome.contains("\"name\":\"sva.iret\""));
+        assert!(!chrome.contains("syscall 4"));
     }
 
     #[test]

@@ -158,18 +158,6 @@ pub struct Profile {
     pub attributed_cycles: u64,
     /// Violations observed.
     pub violations: u64,
-    /// Recovery unwinds observed (contained kernel-mode violations).
-    pub recoveries: u64,
-    /// Recovery domains pushed (`sva.recover.register`).
-    pub domain_pushes: u64,
-    /// Recovery domains popped (release or watchdog force-pop).
-    pub domain_pops: u64,
-    /// Quarantine transitions observed (quarantine or poison).
-    pub quarantines: u64,
-    /// Subsystem repairs observed (`sva.recover.repair`).
-    pub repairs: u64,
-    /// Probation transitions observed (`sva.recover.probation`).
-    pub probations: u64,
 }
 
 impl Profile {
@@ -223,24 +211,12 @@ impl Profile {
             TraceEvent::Violation { .. } => {
                 self.violations += 1;
             }
-            TraceEvent::RecoverUnwind { .. } => {
-                self.recoveries += 1;
-            }
-            TraceEvent::DomainPush { .. } => {
-                self.domain_pushes += 1;
-            }
-            TraceEvent::DomainPop { .. } => {
-                self.domain_pops += 1;
-            }
-            TraceEvent::PoolQuarantine { .. } => {
-                self.quarantines += 1;
-            }
-            TraceEvent::Repair { .. } => {
-                self.repairs += 1;
-            }
-            TraceEvent::Probation { .. } => {
-                self.probations += 1;
-            }
+            TraceEvent::RecoverUnwind { .. }
+            | TraceEvent::DomainPush { .. }
+            | TraceEvent::DomainPop { .. }
+            | TraceEvent::PoolQuarantine { .. }
+            | TraceEvent::Repair { .. }
+            | TraceEvent::Probation { .. } => {}
         }
     }
 

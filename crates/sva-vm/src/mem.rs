@@ -14,6 +14,12 @@
 //! spaces with `sva.mmu.load.space` (the CR3 write of a ported kernel) and
 //! copies pages with `sva.mmu.copy.page` (fork). The SVM mediates all of
 //! this (paper §3.4): the kernel never touches page tables directly.
+//!
+//! Kernel memory and every address space are each one [`Region`]: a
+//! calloc-ed buffer, zero-page backed until touched, plus the set of
+//! pages stores have written. A page outside the set is all zero, so
+//! cloning a region (a vCPU fork), listing its pages (a snapshot) and
+//! rebuilding it (a restore) cost the written pages, not its size.
 
 use crate::VmError;
 
@@ -67,87 +73,76 @@ pub fn extern_addr(eid: u32) -> u64 {
     EXTERN_BASE + eid as u64 * FUNC_STRIDE
 }
 
-/// Indices of the [`PAGE_SIZE`] pages of `data` holding a nonzero byte,
-/// found by scanning all of `data`. The snapshot encoder lists each
-/// 256 KiB user space with this; the 32 MiB kernel region is listed from
-/// its written-page set instead ([`Memory::kernel_pages`]), because
-/// scanning it read-faults every untouched zero page.
-pub(crate) fn nonzero_pages(data: &[u8]) -> Vec<usize> {
-    data.chunks(PAGE_SIZE as usize)
-        .enumerate()
-        .filter(|(_, c)| !all_zero(c))
-        .map(|(i, _)| i)
-        .collect()
+/// [`PAGE_SIZE`] as a byte count.
+const PAGE: usize = PAGE_SIZE as usize;
+
+/// Whether `page`, at most a page long, is all zero: one `memcmp`
+/// against a zero page.
+fn all_zero(page: &[u8]) -> bool {
+    static ZERO: [u8; PAGE] = [0; PAGE];
+    page == &ZERO[..page.len()]
 }
 
-/// Whether `bytes` is all zero. Compares a page at a time against a zero
-/// page, which runs as one `memcmp` per page.
-fn all_zero(bytes: &[u8]) -> bool {
-    static ZERO: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
-    bytes.chunks(ZERO.len()).all(|c| c == &ZERO[..c.len()])
+/// One region of guest memory — kernel memory or an address space: a
+/// calloc-ed byte buffer and its written-page set, one bit per
+/// [`PAGE_SIZE`] page, set by every store into the page.
+///
+/// Invariant: a page whose bit is clear is all zero. A page whose bit is
+/// set may since have been written back to zero.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Region {
+    data: Vec<u8>,
+    written: Vec<u64>,
 }
 
-/// A `total`-byte zero buffer with each `(byte offset, bytes)` of
-/// `pages` copied in. `vec![0; n]` is a calloc: the buffer stays
-/// zero-page-backed until written, so this touches only the copied
-/// pages no matter how large the region is.
-pub(crate) fn sparse_fill<'a>(
-    total: usize,
-    pages: impl IntoIterator<Item = (usize, &'a [u8])>,
-) -> Vec<u8> {
-    let mut data = vec![0u8; total];
-    for (start, bytes) in pages {
-        data[start..start + bytes.len()].copy_from_slice(bytes);
-    }
-    data
-}
-
-/// The nonzero kernel pages of a memory image, recorded once so that
-/// [`Memory::fork_sparse`] copies only those. Valid only while the image
-/// it was taken from does not change — an SMP machine records it from
-/// its never-run template.
-#[derive(Debug)]
-pub(crate) struct ForkPlan {
-    kernel_pages: Vec<usize>,
-}
-
-/// Number of [`PAGE_SIZE`] pages in kernel memory.
-const KERN_PAGES: usize = (KERN_SIZE / PAGE_SIZE) as usize;
-
-/// The written-page set of kernel memory: one bit per page, set by every
-/// store into the page. A page whose bit is clear is all zero; a page
-/// whose bit is set may since have been written back to zero.
-#[derive(Clone, Debug)]
-struct WrittenPages(Vec<u64>);
-
-impl WrittenPages {
-    /// A set holding exactly `pages`.
-    fn of(pages: impl IntoIterator<Item = usize>) -> Self {
-        let mut set = WrittenPages(vec![0; KERN_PAGES.div_ceil(64)]);
-        for p in pages {
-            set.insert(p);
-        }
-        set
-    }
-
-    #[inline]
-    fn insert(&mut self, page: usize) {
-        self.0[page / 64] |= 1 << (page % 64);
-    }
-
-    /// Marks the pages under the kernel byte range `[off, off + len)`;
-    /// `len` is nonzero.
-    #[inline]
-    fn mark(&mut self, off: usize, len: usize) {
-        let page = PAGE_SIZE as usize;
-        for p in off / page..(off + len - 1) / page + 1 {
-            self.insert(p);
+impl Region {
+    /// An all-zero region of `len` bytes, a whole number of pages.
+    /// `vec![0; n]` is a calloc: the buffer stays zero-page backed until
+    /// written.
+    pub(crate) fn new(len: usize) -> Region {
+        Region {
+            data: vec![0; len],
+            written: vec![0; (len / PAGE).div_ceil(64)],
         }
     }
 
-    /// The marked pages in ascending order.
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().enumerate().flat_map(|(w, &word)| {
+    /// A `len`-byte region holding each `(page-aligned byte offset, page
+    /// bytes)` of `pages`, as a snapshot lists them, and zeros elsewhere,
+    /// with exactly those pages marked written. Costs the listed pages.
+    pub(crate) fn from_pages<'a>(
+        len: usize,
+        pages: impl IntoIterator<Item = (usize, &'a [u8])>,
+    ) -> Region {
+        let mut region = Region::new(len);
+        for (start, bytes) in pages {
+            region.bytes_mut(start, bytes.len()).copy_from_slice(bytes);
+        }
+        region
+    }
+
+    /// Region size in bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// The bytes of page `i`.
+    pub(crate) fn page(&self, i: usize) -> &[u8] {
+        &self.data[i * PAGE..(i + 1) * PAGE]
+    }
+
+    /// The bytes `[off, off + len)` for writing, their pages marked
+    /// written; `len` is nonzero.
+    #[inline(always)]
+    fn bytes_mut(&mut self, off: usize, len: usize) -> &mut [u8] {
+        for p in off / PAGE..(off + len - 1) / PAGE + 1 {
+            self.written[p / 64] |= 1 << (p % 64);
+        }
+        &mut self.data[off..off + len]
+    }
+
+    /// The written pages in ascending order.
+    fn written(&self) -> impl Iterator<Item = usize> + '_ {
+        self.written.iter().enumerate().flat_map(|(w, &word)| {
             let mut bits = word;
             std::iter::from_fn(move || {
                 (bits != 0).then(|| {
@@ -158,15 +153,22 @@ impl WrittenPages {
             })
         })
     }
+
+    /// Indices of the nonzero pages, ascending: the written pages minus
+    /// any written back to zero. Costs the written pages, not the region.
+    pub(crate) fn nonzero_pages(&self) -> Vec<usize> {
+        self.written()
+            .filter(|&p| !all_zero(self.page(p)))
+            .collect()
+    }
 }
 
-/// One user address space.
-#[derive(Clone, Debug)]
-pub struct UserSpace {
-    /// Backing bytes for `[USER_BASE, USER_END)`.
-    pub data: Vec<u8>,
-    /// Live flag (freed spaces are kept as tombstones).
-    pub live: bool,
+impl Clone for Region {
+    /// Copies the written pages into a fresh calloc-ed buffer without
+    /// zero-testing them, so a clone costs what was written.
+    fn clone(&self) -> Region {
+        Region::from_pages(self.len(), self.written().map(|p| (p * PAGE, self.page(p))))
+    }
 }
 
 /// Execution privilege.
@@ -179,13 +181,13 @@ pub enum Mode {
 }
 
 /// The simulated memory: kernel region plus per-asid user spaces.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Memory {
-    kernel: Vec<u8>,
-    /// Which kernel pages have been written since the region was last
-    /// replaced; every other kernel page is zero.
-    written: WrittenPages,
-    spaces: Vec<UserSpace>,
+    /// `[KERN_BASE, KERN_END)`.
+    pub(crate) kernel: Region,
+    /// `[USER_BASE, USER_END)` of each address space, by asid; `None`
+    /// for a freed space, so asids keep their numbers.
+    pub(crate) spaces: Vec<Option<Region>>,
     /// Currently loaded address space.
     pub current_asid: u32,
 }
@@ -194,35 +196,31 @@ impl Memory {
     /// Creates memory with one initial address space (asid 0).
     pub fn new() -> Self {
         Memory {
-            kernel: vec![0; KERN_SIZE as usize],
-            written: WrittenPages::of([]),
-            spaces: vec![UserSpace {
-                data: vec![0; USER_SIZE as usize],
-                live: true,
-            }],
+            kernel: Region::new(KERN_SIZE as usize),
+            spaces: vec![Some(Region::new(USER_SIZE as usize))],
             current_asid: 0,
         }
     }
 
     /// Creates a new user address space, returning its asid.
     pub fn new_space(&mut self) -> u32 {
-        let id = self.spaces.len() as u32;
-        self.spaces.push(UserSpace {
-            data: vec![0; USER_SIZE as usize],
-            live: true,
-        });
-        id
+        self.spaces.push(Some(Region::new(USER_SIZE as usize)));
+        self.spaces.len() as u32 - 1
+    }
+
+    /// The live address space `asid`.
+    fn space(&self, asid: u32) -> Result<&Region, VmError> {
+        match self.spaces.get(asid as usize) {
+            Some(Some(space)) => Ok(space),
+            _ => Err(VmError::BadAsid(asid)),
+        }
     }
 
     /// Switches the current address space.
     pub fn load_space(&mut self, asid: u32) -> Result<(), VmError> {
-        match self.spaces.get(asid as usize) {
-            Some(s) if s.live => {
-                self.current_asid = asid;
-                Ok(())
-            }
-            _ => Err(VmError::BadAsid(asid)),
-        }
+        self.space(asid)?;
+        self.current_asid = asid;
+        Ok(())
     }
 
     /// Frees an address space (exit). The current space cannot be freed.
@@ -230,14 +228,9 @@ impl Memory {
         if asid == self.current_asid {
             return Err(VmError::BadAsid(asid));
         }
-        match self.spaces.get_mut(asid as usize) {
-            Some(s) if s.live => {
-                s.live = false;
-                s.data = Vec::new();
-                Ok(())
-            }
-            _ => Err(VmError::BadAsid(asid)),
-        }
+        self.space(asid)?;
+        self.spaces[asid as usize] = None;
+        Ok(())
     }
 
     /// Copies one page of the *current* space into `dst_asid` (fork).
@@ -248,143 +241,75 @@ impl Memory {
                 len: PAGE_SIZE,
             });
         }
-        let page_off = ((vaddr - USER_BASE) / PAGE_SIZE * PAGE_SIZE) as usize;
-        if dst_asid as usize >= self.spaces.len()
-            || !self.spaces[dst_asid as usize].live
-            || dst_asid == self.current_asid
+        let page = ((vaddr - USER_BASE) / PAGE_SIZE) as usize;
+        match self
+            .spaces
+            .get_disjoint_mut([self.current_asid as usize, dst_asid as usize])
         {
-            return Err(VmError::BadAsid(dst_asid));
+            Ok([Some(src), Some(dst)]) => {
+                dst.bytes_mut(page * PAGE, PAGE)
+                    .copy_from_slice(src.page(page));
+                Ok(())
+            }
+            _ => Err(VmError::BadAsid(dst_asid)),
         }
-        let cur = self.current_asid as usize;
-        let (a, b) = if cur < dst_asid as usize {
-            let (lo, hi) = self.spaces.split_at_mut(dst_asid as usize);
-            (&lo[cur], &mut hi[0])
-        } else {
-            let (lo, hi) = self.spaces.split_at_mut(cur);
-            (&hi[0], &mut lo[dst_asid as usize])
-        };
-        b.data[page_off..page_off + PAGE_SIZE as usize]
-            .copy_from_slice(&a.data[page_off..page_off + PAGE_SIZE as usize]);
-        Ok(())
     }
 
     /// Number of live address spaces.
     pub fn live_spaces(&self) -> usize {
-        self.spaces.iter().filter(|s| s.live).count()
+        self.spaces.iter().flatten().count()
     }
 
-    /// Indices of the nonzero kernel pages, ascending: the written pages
-    /// minus any written back to zero. Costs the written pages, not the
-    /// 32 MiB region.
-    pub(crate) fn kernel_pages(&self) -> Vec<usize> {
-        let page = PAGE_SIZE as usize;
-        self.written
-            .iter()
-            .filter(|&p| !all_zero(&self.kernel[p * page..(p + 1) * page]))
-            .collect()
-    }
-
-    /// Records which kernel pages are nonzero (see [`ForkPlan`]).
-    pub(crate) fn fork_plan(&self) -> ForkPlan {
-        ForkPlan {
-            kernel_pages: self.kernel_pages(),
-        }
-    }
-
-    /// A copy of this memory that copies only the kernel pages `plan`
-    /// lists and leaves the rest of the fresh kernel region zero-page
-    /// backed: a fork costs the template's nonzero pages, not 32 MiB.
-    /// `plan` must come from [`Self::fork_plan`] on this same, unchanged
-    /// image, or the copy is wrong.
-    pub(crate) fn fork_sparse(&self, plan: &ForkPlan) -> Memory {
-        let page = PAGE_SIZE as usize;
-        let pages: Vec<(usize, &[u8])> = plan
-            .kernel_pages
-            .iter()
-            .map(|&i| (i * page, &self.kernel[i * page..(i + 1) * page]))
-            .collect();
-        let mut fork = Memory {
-            kernel: Vec::new(),
-            written: WrittenPages::of([]),
-            spaces: self.spaces.clone(),
-            current_asid: self.current_asid,
-        };
-        fork.set_kernel(&pages);
-        fork
-    }
-
-    /// Raw kernel-region bytes (machine snapshots).
-    pub(crate) fn kernel_bytes(&self) -> &[u8] {
-        &self.kernel
-    }
-
-    /// The written-page set as ascending page indices.
-    #[cfg(test)]
-    pub(crate) fn written_pages(&self) -> Vec<usize> {
-        self.written.iter().collect()
-    }
-
-    /// Replaces the kernel region with zeros overlaid by `pages`
-    /// (`(page-aligned byte offset, page bytes)`, as a snapshot lists
-    /// them) and marks exactly those pages written. The region is a fresh
-    /// calloc-ed buffer, zero-page backed until touched, so this costs the
-    /// listed pages — and so does the next snapshot, which lists pages
-    /// from the written set rather than scanning the region.
-    pub(crate) fn set_kernel(&mut self, pages: &[(usize, &[u8])]) {
-        let page = PAGE_SIZE as usize;
-        self.kernel = sparse_fill(KERN_SIZE as usize, pages.iter().copied());
-        self.written = WrittenPages::of(pages.iter().map(|&(start, _)| start / page));
-    }
-
-    /// All address spaces including tombstones (machine snapshots).
-    pub(crate) fn all_spaces(&self) -> &[UserSpace] {
-        &self.spaces
-    }
-
-    /// Replaces the address-space table wholesale (snapshot restore).
-    pub(crate) fn set_spaces(&mut self, spaces: Vec<UserSpace>) {
-        self.spaces = spaces;
-    }
-
+    /// The bytes `[addr, addr + len)`. A range that wraps past 2^64 or
+    /// leaves both regions faults, and user mode may not name kernel
+    /// memory.
     #[inline(always)]
     fn slice(&self, addr: u64, len: u64, mode: Mode) -> Result<&[u8], VmError> {
         if len == 0 {
             return Ok(&[]);
         }
-        if addr >= USER_BASE && addr + len <= USER_END {
-            let s = &self.spaces[self.current_asid as usize];
+        let Some(end) = addr.checked_add(len) else {
+            return Err(VmError::Fault { addr, len });
+        };
+        if addr >= USER_BASE && end <= USER_END {
             let off = (addr - USER_BASE) as usize;
-            return Ok(&s.data[off..off + len as usize]);
+            return Ok(&self.space(self.current_asid)?.data[off..off + len as usize]);
         }
-        if addr >= KERN_BASE && addr + len <= KERN_END {
+        if addr >= KERN_BASE && end <= KERN_END {
             if mode == Mode::User {
                 return Err(VmError::Privilege { addr });
             }
             let off = (addr - KERN_BASE) as usize;
-            return Ok(&self.kernel[off..off + len as usize]);
+            return Ok(&self.kernel.data[off..off + len as usize]);
         }
         Err(VmError::Fault { addr, len })
     }
 
-    /// The only path that hands out writable memory, so the one place
-    /// kernel stores are recorded in the written-page set.
+    /// [`Memory::slice`] for writing: the only path that hands out
+    /// writable memory, so the one place stores are recorded in a
+    /// region's written-page set.
     #[inline(always)]
     fn slice_mut(&mut self, addr: u64, len: u64, mode: Mode) -> Result<&mut [u8], VmError> {
         if len == 0 {
             return Ok(&mut []);
         }
-        if addr >= USER_BASE && addr + len <= USER_END {
-            let s = &mut self.spaces[self.current_asid as usize];
-            let off = (addr - USER_BASE) as usize;
-            return Ok(&mut s.data[off..off + len as usize]);
+        let Some(end) = addr.checked_add(len) else {
+            return Err(VmError::Fault { addr, len });
+        };
+        if addr >= USER_BASE && end <= USER_END {
+            let asid = self.current_asid;
+            let Some(Some(space)) = self.spaces.get_mut(asid as usize) else {
+                return Err(VmError::BadAsid(asid));
+            };
+            return Ok(space.bytes_mut((addr - USER_BASE) as usize, len as usize));
         }
-        if addr >= KERN_BASE && addr + len <= KERN_END {
+        if addr >= KERN_BASE && end <= KERN_END {
             if mode == Mode::User {
                 return Err(VmError::Privilege { addr });
             }
-            let off = (addr - KERN_BASE) as usize;
-            self.written.mark(off, len as usize);
-            return Ok(&mut self.kernel[off..off + len as usize]);
+            return Ok(self
+                .kernel
+                .bytes_mut((addr - KERN_BASE) as usize, len as usize));
         }
         Err(VmError::Fault { addr, len })
     }
@@ -623,12 +548,44 @@ mod tests {
         );
     }
 
+    /// The reference for [`Region::nonzero_pages`]: the pages of `data`
+    /// holding a nonzero byte, found by scanning all of it.
+    fn dense_nonzero_pages(data: &[u8]) -> Vec<usize> {
+        data.chunks(PAGE)
+            .enumerate()
+            .filter(|(_, c)| !all_zero(c))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    impl Memory {
+        /// A copy whose every page, in every region, counts as written: a
+        /// snapshot of it tests whole regions for zero pages, the dense
+        /// scan the written-page sets replace.
+        pub(crate) fn every_page_written(&self) -> Memory {
+            let mut m = self.clone();
+            for r in std::iter::once(&mut m.kernel).chain(m.spaces.iter_mut().flatten()) {
+                if r.len() > 0 {
+                    r.bytes_mut(0, r.len());
+                }
+            }
+            m
+        }
+    }
+
+    impl Region {
+        /// The written-page set as ascending page indices.
+        pub(crate) fn written_pages(&self) -> Vec<usize> {
+            self.written().collect()
+        }
+    }
+
     #[test]
-    fn sparse_fork_is_byte_identical_to_a_dense_clone() {
+    fn clone_copies_the_written_pages_of_every_region() {
         let mut m = Memory::new();
         // Scatter writes: first and last kernel page, a word straddling a
         // page boundary, a lone byte at a page's last offset, and user data
-        // in two spaces.
+        // in two spaces; a third space is freed.
         m.write_uint(KERN_BASE, 8, 0x1122_3344_5566_7788, Mode::Kernel)
             .unwrap();
         m.write_uint(KERN_END - 8, 8, u64::MAX, Mode::Kernel)
@@ -645,32 +602,56 @@ mod tests {
         m.write_bytes(USER_BASE + 100, b"user zero", Mode::User)
             .unwrap();
         let a1 = m.new_space();
+        let a2 = m.new_space();
         m.load_space(a1).unwrap();
         m.write_bytes(USER_END - 3, b"end", Mode::User).unwrap();
-        let plan = m.fork_plan();
-        assert_eq!(plan.kernel_pages.len(), 5);
-        let dense = m.clone();
-        let sparse = m.fork_sparse(&plan);
-        assert!(sparse.kernel_bytes() == dense.kernel_bytes());
-        assert_eq!(sparse.current_asid, dense.current_asid);
-        assert_eq!(sparse.all_spaces().len(), dense.all_spaces().len());
-        for (s, d) in sparse.all_spaces().iter().zip(dense.all_spaces()) {
-            assert_eq!(s.live, d.live);
-            assert!(s.data == d.data);
+        m.free_space(a2).unwrap();
+        assert_eq!(m.kernel.nonzero_pages().len(), 5);
+        let fork = m.clone();
+        assert!(fork == m, "clone differs from its original");
+        assert!(fork.spaces[a2 as usize].is_none());
+        for (f, o) in std::iter::once((&fork.kernel, &m.kernel))
+            .chain(fork.spaces.iter().flatten().zip(m.spaces.iter().flatten()))
+        {
+            assert_eq!(f.nonzero_pages(), dense_nonzero_pages(&o.data));
         }
-        // A fork of a pristine image is all zeros.
-        let blank = Memory::new();
-        assert!(blank.fork_plan().kernel_pages.is_empty());
-        assert!(all_zero(
-            blank.fork_sparse(&blank.fork_plan()).kernel_bytes()
-        ));
+        // A clone of a pristine image is all zeros and has nothing written.
+        let blank = Memory::new().clone();
+        assert!(blank.kernel.written_pages().is_empty());
+        assert!(dense_nonzero_pages(&blank.kernel.data).is_empty());
     }
 
-    /// The address a written-set proptest operand names: `page` 0–4
-    /// picks the first, second, a middle, the next-to-last or the last
-    /// kernel page, 5 picks a user page; the address sits `off` bytes
-    /// after the page's start, or before its end when `from_end`, so
-    /// short accesses straddle page boundaries.
+    #[test]
+    fn wrapping_ranges_fault_at_every_entry_point() {
+        let mut m = Memory::new();
+        let top = u64::MAX - 3;
+        let fault = |r: Result<(), VmError>, (addr, len): (u64, u64)| {
+            assert!(
+                matches!(r, Err(VmError::Fault { addr: a, len: l }) if a == addr && l == len),
+                "[{addr:#x}, +{len:#x}): {r:?}"
+            );
+        };
+        for mode in [Mode::Kernel, Mode::User] {
+            // An 8-byte access 4 bytes below 2^64.
+            fault(m.read_uint(top, 8, mode).map(drop), (top, 8));
+            fault(m.write_uint(top, 8, 1, mode), (top, 8));
+            fault(m.write_bytes(top, b"wrapping", mode), (top, 8));
+            // Lengths near 2^64 from inside each region.
+            for (base, len) in [(USER_BASE, u64::MAX), (KERN_BASE, u64::MAX - KERN_BASE + 1)] {
+                fault(m.read_bytes(base, len, mode).map(drop), (base, len));
+                fault(m.set_bytes(base, 0xAA, len, mode), (base, len));
+                fault(m.copy_bytes(USER_BASE, base, len, mode), (base, len));
+                fault(m.copy_bytes(base, USER_BASE, len, mode), (USER_BASE, len));
+            }
+        }
+        assert!(m == Memory::new(), "a faulting access changed memory");
+    }
+
+    /// The address a proptest operand names: `page` 0–4 picks the first,
+    /// second, a middle, the next-to-last or the last kernel page, 5–7 the
+    /// first, a middle or the last user page; the address sits `off`
+    /// bytes after the page's start, or before its end when `from_end`,
+    /// so short accesses straddle page and region boundaries.
     fn operand_addr((page, off, from_end): (usize, u64, bool)) -> u64 {
         let last = KERN_SIZE / PAGE_SIZE - 1;
         let base = match page {
@@ -679,7 +660,9 @@ mod tests {
             2 => KERN_BASE + 0x123 * PAGE_SIZE,
             3 => KERN_BASE + (last - 1) * PAGE_SIZE,
             4 => KERN_BASE + last * PAGE_SIZE,
-            _ => USER_BASE + 3 * PAGE_SIZE,
+            5 => USER_BASE,
+            6 => USER_BASE + 3 * PAGE_SIZE,
+            _ => USER_END - PAGE_SIZE,
         };
         if from_end {
             base + PAGE_SIZE - off
@@ -688,59 +671,165 @@ mod tests {
         }
     }
 
+    /// The dense model a proptest checks [`Memory`] against: each region
+    /// a plain byte vector, every access a direct index.
+    struct Model {
+        kernel: Vec<u8>,
+        spaces: Vec<Option<Vec<u8>>>,
+        current: usize,
+    }
+
+    impl Model {
+        fn new() -> Model {
+            Model {
+                kernel: vec![0; KERN_SIZE as usize],
+                spaces: vec![Some(vec![0; USER_SIZE as usize])],
+                current: 0,
+            }
+        }
+
+        /// The bytes `[addr, addr + len)` of a range the memory accepted.
+        fn bytes(&mut self, addr: u64, len: u64) -> &mut [u8] {
+            let (region, off) = if addr < KERN_BASE {
+                (
+                    self.spaces[self.current].as_mut().unwrap(),
+                    addr - USER_BASE,
+                )
+            } else {
+                (&mut self.kernel, addr - KERN_BASE)
+            };
+            &mut region[off as usize..(off + len) as usize]
+        }
+
+        fn live(&self, asid: usize) -> bool {
+            self.spaces.get(asid).is_some_and(Option::is_some)
+        }
+
+        /// Every region of `m` holds the model's bytes, and lists exactly
+        /// the model's nonzero pages from its written-page set.
+        fn check(&self, m: &Memory) -> Result<(), String> {
+            prop_assert_eq!(m.current_asid as usize, self.current);
+            prop_assert_eq!(m.spaces.len(), self.spaces.len());
+            let spaces = m
+                .spaces
+                .iter()
+                .zip(&self.spaces)
+                .map(|(r, d)| match (r, d) {
+                    (Some(r), Some(d)) => Ok(Some((r, d))),
+                    (None, None) => Ok(None),
+                    _ => Err("a space is live in one and freed in the other".to_string()),
+                });
+            for pair in std::iter::once(Ok(Some((&m.kernel, &self.kernel)))).chain(spaces) {
+                if let Some((region, dense)) = pair? {
+                    prop_assert!(region.data == *dense, "region bytes differ from the model");
+                    prop_assert_eq!(region.nonzero_pages(), dense_nonzero_pages(dense));
+                }
+            }
+            Ok(())
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn written_set_lists_exactly_the_nonzero_kernel_pages(
+        fn every_region_matches_a_dense_model(
             ops in prop::collection::vec(
                 (
-                    0u8..6,
-                    (0usize..6, 0u64..12, any::<bool>()),
-                    (0usize..6, 0u64..12, any::<bool>()),
+                    0u8..12,
+                    (0usize..8, 0u64..12, any::<bool>()),
+                    (0usize..8, 0u64..12, any::<bool>()),
                     1u64..24,
                     any::<u64>(),
                 ),
-                1..16,
+                1..32,
             ),
         ) {
             let mut m = Memory::new();
+            let mut model = Model::new();
+            // Start with three spaces, so asid operations meet live
+            // spaces other than the current one.
+            for _ in 0..2 {
+                m.new_space();
+                model.spaces.push(Some(vec![0; USER_SIZE as usize]));
+            }
             for &(op, dst, src, len, val) in &ops {
                 let (dst, src) = (operand_addr(dst), operand_addr(src));
                 // Every fourth operation spans several pages.
                 let len = if val % 4 == 0 { len * 700 } else { len };
                 // A third of the stores write zeros, some over earlier data.
                 let zero = val % 3 == 0;
+                // A fifth run in user mode, which kernel addresses refuse.
+                let mode = if val % 5 == 0 { Mode::User } else { Mode::Kernel };
+                // An asid that is live, freed or one past the last space.
+                let asid = (val >> 32) as usize % (model.spaces.len() + 1);
                 match op {
                     0 => {
                         let width = [1, 2, 4, 8][(val >> 8) as usize % 4];
                         let v = if zero { 0 } else { val | 0x0101_0101_0101_0101 };
-                        let _ = m.write_uint(dst, width, v, Mode::Kernel);
+                        if m.write_uint(dst, width, v, mode).is_ok() {
+                            model
+                                .bytes(dst, width)
+                                .copy_from_slice(&v.to_le_bytes()[..width as usize]);
+                        }
                     }
                     1 => {
                         let data: Vec<u8> = (0..len)
                             .map(|i| if zero || (val >> (i % 64)) & 1 == 0 { 0 } else { i as u8 | 0x80 })
                             .collect();
-                        let _ = m.write_bytes(dst, &data, Mode::Kernel);
+                        if m.write_bytes(dst, &data, mode).is_ok() {
+                            model.bytes(dst, len).copy_from_slice(&data);
+                        }
                     }
                     2 => {
                         let byte = if zero { 0 } else { (val >> 16) as u8 | 1 };
-                        let _ = m.set_bytes(dst, byte, len, Mode::Kernel);
+                        if m.set_bytes(dst, byte, len, mode).is_ok() {
+                            model.bytes(dst, len).fill(byte);
+                        }
                     }
                     3 | 4 => {
-                        // Operands 0-4 are kernel pages, 5 a user page, so
+                        // Operands 0-4 are kernel pages, 5-7 user pages, so
                         // copies run kernel to user, user to kernel and
                         // within each region.
                         let (d, s) = if op == 3 { (dst, src) } else { (src, dst) };
-                        let _ = m.copy_bytes(d, s, len, Mode::Kernel);
+                        if m.copy_bytes(d, s, len, mode).is_ok() {
+                            let data = model.bytes(s, len).to_vec();
+                            model.bytes(d, len).copy_from_slice(&data);
+                        }
                     }
-                    _ => m = m.fork_sparse(&m.fork_plan()),
+                    5 => {
+                        prop_assert_eq!(m.new_space() as usize, model.spaces.len());
+                        model.spaces.push(Some(vec![0; USER_SIZE as usize]));
+                    }
+                    6 | 7 => {
+                        prop_assert_eq!(m.load_space(asid as u32).is_ok(), model.live(asid));
+                        if model.live(asid) {
+                            model.current = asid;
+                        }
+                    }
+                    8 | 9 => {
+                        // A fork's copy: every page of the current space
+                        // into `asid`, each named by an address inside it.
+                        let ok = asid != model.current && model.live(asid);
+                        for page in 0..USER_SIZE / PAGE_SIZE {
+                            let vaddr = USER_BASE + page * PAGE_SIZE + val % PAGE_SIZE;
+                            prop_assert_eq!(m.copy_page(asid as u32, vaddr).is_ok(), ok);
+                        }
+                        if ok {
+                            model.spaces[asid] = model.spaces[model.current].clone();
+                        }
+                    }
+                    10 => {
+                        let ok = asid != model.current && model.live(asid);
+                        prop_assert_eq!(m.free_space(asid as u32).is_ok(), ok);
+                        if ok {
+                            model.spaces[asid] = None;
+                        }
+                    }
+                    _ => m = m.clone(),
                 }
-                prop_assert_eq!(m.kernel_pages(), nonzero_pages(m.kernel_bytes()), "after op {}", op);
+                model.check(&m).map_err(|e| format!("after op {op}: {e}"))?;
             }
-            let fork = m.fork_sparse(&m.fork_plan());
-            prop_assert!(fork.kernel_bytes() == m.kernel_bytes());
-            prop_assert_eq!(fork.kernel_pages(), nonzero_pages(fork.kernel_bytes()));
         }
     }
 

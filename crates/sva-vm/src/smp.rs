@@ -17,9 +17,9 @@
 //! * **Private**: memory image, thread state, recovery-domain stack,
 //!   per-vCPU MRU lines, `CheckStats`, `VmStats`, console and
 //!   trace sinks. Each job runs on a fresh fork of the never-run
-//!   template; the fork copies only the template's nonzero kernel pages,
-//!   recorded once at construction, and the kernel-stack window is carved
-//!   into per-CPU lanes.
+//!   template ([`Vm::fork_for_cpu`]): its memory is a clone, which copies
+//!   only the pages the template has written, and the kernel-stack window
+//!   is carved into per-CPU lanes.
 //!
 //! Work arrives as [`SmpJob`]s on per-vCPU run queues. An idle vCPU
 //! first drains its own queue, then *steals* from its neighbours
@@ -53,7 +53,6 @@ use std::time::{Duration, Instant};
 use sva_ir::codec::{frame, unframe};
 use sva_rt::{CheckStats, SharedMetaPlane};
 
-use crate::mem::ForkPlan;
 use crate::migrate::MigrateError;
 use crate::snapshot::{ImageReader, ImageWriter, SnapshotError};
 use crate::vm::{Vm, VmError, VmExit, VmStats};
@@ -221,8 +220,6 @@ pub struct SmpMachine {
     /// Per-pool live ranges of the pristine template — what each slot
     /// range is reset to before a job boots.
     baseline: Vec<Vec<(u64, u64)>>,
-    /// The template's nonzero kernel pages: what each fork copies.
-    fork_plan: ForkPlan,
 }
 
 impl SmpMachine {
@@ -234,7 +231,6 @@ impl SmpMachine {
     pub fn new(template: Vm) -> SmpMachine {
         let vcpus = template.cfg.vcpus.max(1);
         let baseline = template.pools.live_ranges_by_pool();
-        let fork_plan = template.mem.fork_plan();
         let (plane, slot_base) = if vcpus >= 2 {
             let plane = Arc::new(SharedMetaPlane::new());
             let bases = (0..vcpus)
@@ -250,7 +246,6 @@ impl SmpMachine {
             plane,
             slot_base,
             baseline,
-            fork_plan,
         }
     }
 
@@ -395,7 +390,7 @@ impl SmpMachine {
     /// slot range, runs the job's setup hook and writes its globals —
     /// everything up to (but excluding) boot.
     fn prepare_fork(&self, cpu: u32, job: &SmpJob) -> (Vm, Option<VmError>) {
-        let mut vm = self.template.fork_sparse(cpu, &self.fork_plan);
+        let mut vm = self.template.fork_for_cpu(cpu);
         if let Some(plane) = &self.plane {
             let base = self.slot_base[cpu as usize];
             plane
@@ -584,7 +579,7 @@ impl SmpMachine {
         let start = Instant::now();
         let mut per_cpu = Vec::with_capacity(members.len());
         for (cpu, member) in members.iter().enumerate() {
-            let mut vm = self.template.fork_sparse(cpu as u32, &self.fork_plan);
+            let mut vm = self.template.fork_for_cpu(cpu as u32);
             // Restore into the unbound fork first (pool images repopulate
             // the private registries), then reset this vCPU's plane slots
             // to the *restored* ranges and bind — the same bring-up order

@@ -62,7 +62,7 @@ use sva_ir::codec::{fnv64, frame, unframe, CodecError, Reader, Writer};
 use sva_rt::{CheckStats, PoolImage};
 use sva_trace::Tracer;
 
-use crate::mem::{nonzero_pages, sparse_fill, Mode, UserSpace, KERN_SIZE, PAGE_SIZE, USER_SIZE};
+use crate::mem::{Memory, Mode, Region, KERN_SIZE, PAGE_SIZE, USER_SIZE};
 use crate::vm::{
     Frame, IContext, KernelKind, RecoveryCtx, SavedState, Thread, Vm, VmConfig, VmStats,
 };
@@ -263,17 +263,15 @@ pub(crate) fn unframe_image(
 // ---------------------------------------------------------------------------
 
 /// Writes a zero-dominated region as its length and its nonzero pages:
-/// `len u64 | count u64 | (page index u64, page bytes)*`. `pages` lists
-/// the region's nonzero pages in ascending order; the kernel region's
-/// come from its written-page set rather than a scan. The 32 MiB kernel
-/// region is mostly zeros; post-boot images shrink ~50× under this
-/// encoding.
-pub(crate) fn write_sparse(w: &mut ImageWriter, data: &[u8], pages: &[usize]) {
-    let page = PAGE_SIZE as usize;
-    w.u64(data.len() as u64);
-    w.seq(pages, |w, &i| {
+/// `len u64 | count u64 | (page index u64, page bytes)*`, the pages
+/// ascending and listed from the region's written-page set rather than
+/// a scan. The 32 MiB kernel region is mostly zeros; post-boot images
+/// shrink ~50× under this encoding.
+pub(crate) fn write_sparse(w: &mut ImageWriter, region: &Region) {
+    w.u64(region.len() as u64);
+    w.seq(&region.nonzero_pages(), |w, &i| {
         w.u64(i as u64);
-        w.raw(&data[i * page..((i + 1) * page).min(data.len())]);
+        w.raw(region.page(i));
     });
 }
 
@@ -347,11 +345,9 @@ pub(crate) struct SparseRegion<'a> {
 }
 
 impl SparseRegion<'_> {
-    /// Decodes into a fresh zero-filled buffer that touches only the
-    /// image's nonzero pages (see [`sparse_fill`]). The kernel region
-    /// skips this and hands its page list to [`crate::mem::Memory::set_kernel`].
-    fn materialize(&self) -> Vec<u8> {
-        sparse_fill(self.total, self.pages.iter().copied())
+    /// The region these pages describe (see [`Region::from_pages`]).
+    fn region(&self) -> Region {
+        Region::from_pages(self.total, self.pages.iter().copied())
     }
 }
 
@@ -825,23 +821,17 @@ impl<T: Tracer> Vm<T> {
     }
 
     pub(crate) fn snapshot_with_origin(&self, origin: u8) -> Vec<u8> {
-        self.encode_image(origin, &self.mem.kernel_pages())
-    }
-
-    /// The image of this machine with the kernel region's nonzero pages
-    /// given as `kernel_pages` (ascending page indices).
-    pub(crate) fn encode_image(&self, origin: u8, kernel_pages: &[usize]) -> Vec<u8> {
         let mut w = ImageWriter::new();
         // Fingerprint block: one word per config field so restore can
         // name the exact mismatching field.
         for word in fingerprint_words(&self.cfg, self.fused_sites()) {
             w.u64(word);
         }
-        // Memory.
-        write_sparse(&mut w, self.mem.kernel_bytes(), kernel_pages);
-        w.seq(self.mem.all_spaces(), |w, s| {
-            w.bool(s.live);
-            write_sparse(w, &s.data, &nonzero_pages(&s.data));
+        // Memory. A freed space is written as an empty region.
+        write_sparse(&mut w, &self.mem.kernel);
+        w.seq(&self.mem.spaces, |w, s| {
+            w.bool(s.is_some());
+            write_sparse(w, s.as_ref().unwrap_or(&Region::new(0)));
         });
         w.u32(self.mem.current_asid);
         // Thread.
@@ -943,7 +933,7 @@ impl<T: Tracer> Vm<T> {
             });
         }
         let parsed = parse_payload(&mut r)?;
-        // Origin and manifest are advisory (see `encode_image`); decode
+        // Origin and manifest are advisory (see `snapshot_with_origin`); decode
         // them for structural validity, then drop them.
         read_origin(&mut r)?;
         read_manifest(&mut r)?;
@@ -953,9 +943,12 @@ impl<T: Tracer> Vm<T> {
 
     fn commit(&mut self, p: Parsed<'_>) -> Result<(), SnapshotError> {
         let spaces = p.memory.spaces;
-        if spaces.is_empty() || p.current_asid as usize >= spaces.len() {
+        if !spaces
+            .get(p.current_asid as usize)
+            .is_some_and(|(live, _)| *live)
+        {
             return Err(SnapshotError::Malformed(format!(
-                "current asid {} with {} spaces",
+                "current asid {} names no live space of {}",
                 p.current_asid,
                 spaces.len()
             )));
@@ -969,17 +962,14 @@ impl<T: Tracer> Vm<T> {
             .restore_images(&p.pool_images, p.func_stats)
             .map_err(SnapshotError::Malformed)?;
         self.pools = pools;
-        self.mem.set_kernel(&p.memory.kernel.pages);
-        self.mem.set_spaces(
-            spaces
-                .into_iter()
-                .map(|(live, data)| UserSpace {
-                    data: data.materialize(),
-                    live,
-                })
+        self.mem = Memory {
+            kernel: p.memory.kernel.region(),
+            spaces: spaces
+                .iter()
+                .map(|(live, space)| live.then(|| space.region()))
                 .collect(),
-        );
-        self.mem.current_asid = p.current_asid;
+            current_asid: p.current_asid,
+        };
         self.thread = p.thread;
         self.icontexts = p.icontexts;
         self.int_state = p.int_state;
@@ -1149,9 +1139,8 @@ out:
                 .write_uint(KERN_BASE + page * PAGE_SIZE, 8, v, Mode::Kernel)
                 .unwrap();
         }
-        let bytes = target.mem.kernel_bytes().to_vec();
-        let written = target.mem.written_pages();
-        assert_eq!(written, [2, 9, 40]);
+        let before = target.mem.clone();
+        assert_eq!(target.mem.kernel.written_pages(), [2, 9, 40]);
         // Images that parse in full but fail a check in `commit`, each
         // from a source whose kernel pages differ from the target's.
         let source = || {
@@ -1172,8 +1161,8 @@ out:
                 target.restore(&img),
                 Err(SnapshotError::Malformed(_))
             ));
-            assert!(target.mem.kernel_bytes() == &bytes[..]);
-            assert_eq!(target.mem.written_pages(), written);
+            // Every region's bytes and written-page set are unchanged.
+            assert!(target.mem == before);
         }
     }
 
@@ -1320,10 +1309,7 @@ entry:
         let peek = || Vm::new(parse_module(PEEK).unwrap(), cfg()).unwrap();
         // A checksummed image of a machine whose user space is 4 KiB.
         let mut small = peek();
-        small.mem.set_spaces(vec![UserSpace {
-            data: vec![0; 4096],
-            live: true,
-        }]);
+        small.mem.spaces = vec![Some(Region::new(4096))];
         let short_space = small.snapshot();
         // A valid image whose kernel region claims half its size.
         let valid = peek().snapshot();
@@ -1359,6 +1345,39 @@ entry:
         let asid = freed.mem.new_space();
         freed.mem.free_space(asid).unwrap();
         peek().restore(&freed.snapshot()).unwrap();
+    }
+
+    #[test]
+    fn restore_refuses_a_current_space_that_was_freed() {
+        use crate::mem::USER_BASE;
+        use crate::migrate::MigrateError;
+        let peek = || Vm::new(parse_module(PEEK).unwrap(), cfg()).unwrap();
+        // A machine whose current asid names the space it freed: the
+        // guest cannot reach this state, a forged image can.
+        let mut source = peek();
+        let asid = source.mem.new_space();
+        source.mem.free_space(asid).unwrap();
+        source.mem.current_asid = asid;
+        let img = source.snapshot();
+
+        let mut target = peek();
+        assert!(matches!(
+            target.restore(&img),
+            Err(SnapshotError::Malformed(_))
+        ));
+        assert!(matches!(
+            target.restore_migrated(&img),
+            Err(MigrateError::Image(SnapshotError::Malformed(_)))
+        ));
+        // The machine runs exactly as an untouched one does, including a
+        // load from the current address space.
+        let mut untouched = peek();
+        assert!(target.mem == untouched.mem);
+        assert_eq!(
+            target.call("peek", &[USER_BASE]).unwrap(),
+            untouched.call("peek", &[USER_BASE]).unwrap()
+        );
+        assert_eq!(target.stats(), untouched.stats());
     }
 
     #[test]

@@ -152,7 +152,7 @@ entry:
 }
 
 #[test]
-fn sparse_fork_memory_matches_a_dense_fork() {
+fn forks_copy_their_template_memory() {
     let src = r#"
 module "m"
 global @counter : i64 = zero
@@ -166,22 +166,12 @@ entry:
 "#;
     let mut template = vm_for(src, KernelKind::Native);
     template.call("bump", &[0x5a5a]).unwrap();
-    let plan = template.mem.fork_plan();
     for cpu in [0u32, 1] {
-        let dense = template.fork_for_cpu(cpu);
-        let mut sparse = template.fork_sparse(cpu, &plan);
-        assert!(sparse.mem.kernel_bytes() == dense.mem.kernel_bytes());
-        assert_eq!(sparse.mem.current_asid, dense.mem.current_asid);
-        let spaces = |vm: &Vm| -> Vec<(bool, Vec<u8>)> {
-            vm.mem
-                .all_spaces()
-                .iter()
-                .map(|s| (s.live, s.data.clone()))
-                .collect()
-        };
-        assert!(spaces(&sparse) == spaces(&dense));
+        let mut fork = template.fork_for_cpu(cpu);
+        // Every region's bytes and written-page set, and the current asid.
+        assert!(fork.mem == template.mem, "cpu {cpu}: fork memory differs");
         // The fork runs on from the template's state.
-        assert_eq!(sparse.call("bump", &[1]).unwrap(), VmExit::Returned(0x5a5b));
+        assert_eq!(fork.call("bump", &[1]).unwrap(), VmExit::Returned(0x5a5b));
     }
 }
 
@@ -215,12 +205,17 @@ fn paused_kernel(prog: &str, arg: u64) -> Vm {
 
 #[test]
 fn kernel_images_encode_like_a_dense_scan() {
-    use crate::mem::nonzero_pages;
     use crate::snapshot::{ORIGIN_CHECKPOINT, ORIGIN_MIDFLIGHT};
     use sva_kernel::harness::pack_arg;
-    // The reference lists the kernel's nonzero pages by scanning the
-    // whole region instead of reading the written-page set.
-    let dense = |vm: &Vm, origin| vm.encode_image(origin, &nonzero_pages(vm.mem.kernel_bytes()));
+    // The reference counts every page of every region as written, so
+    // the writer tests each whole region for zero pages: a dense scan.
+    let dense = |vm: &mut Vm, origin| {
+        let all = vm.mem.every_page_written();
+        let sparse = std::mem::replace(&mut vm.mem, all);
+        let image = vm.snapshot_with_origin(origin);
+        vm.mem = sparse;
+        image
+    };
     for (prog, arg) in [
         ("user_getpid_loop", pack_arg(400, 0, 0)),
         ("user_openclose_loop", pack_arg(60, 0, 0)),
@@ -229,7 +224,7 @@ fn kernel_images_encode_like_a_dense_scan() {
     ] {
         let mut vm = paused_kernel(prog, arg);
         assert!(
-            vm.snapshot() == dense(&vm, ORIGIN_CHECKPOINT),
+            vm.snapshot() == dense(&mut vm, ORIGIN_CHECKPOINT),
             "{prog}: boot image"
         );
         let mut cut = 0;
@@ -239,11 +234,40 @@ fn kernel_images_encode_like_a_dense_scan() {
             }
             cut += steps;
             assert!(
-                vm.snapshot_midflight() == dense(&vm, ORIGIN_MIDFLIGHT),
+                vm.snapshot_midflight() == dense(&mut vm, ORIGIN_MIDFLIGHT),
                 "{prog}: cut {cut} steps into user mode"
             );
         }
         assert!(cut > 0, "{prog}: finished before the first cut");
+    }
+}
+
+#[test]
+fn guest_loads_that_wrap_past_2_pow_64_fault() {
+    let src = r#"
+module "m"
+func public @peek(%a: i64) : i64 {
+entry:
+  %p:i64* = cast inttoptr %a to i64*
+  %v:i64 = load %p
+  ret %v
+}
+"#;
+    let addr = u64::MAX - 3;
+    for kind in KernelKind::ALL {
+        let mut vm = if kind == KernelKind::SvaSafe {
+            let cfg = VmConfig {
+                kind,
+                ..Default::default()
+            };
+            Vm::new(safe_module(src), cfg).expect("load")
+        } else {
+            vm_for(src, kind)
+        };
+        match vm.call("peek", &[addr]) {
+            Err(VmError::Fault { addr: a, len: 8 }) if a == addr => {}
+            r => panic!("{kind:?}: {r:?}"),
+        }
     }
 }
 

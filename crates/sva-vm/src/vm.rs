@@ -27,8 +27,8 @@ use sva_rt::{CheckError, MetaPool, MetaPoolTable};
 use sva_trace::{EventClass, LookupLayer, NullTracer, TraceEvent, Tracer};
 
 use crate::mem::{
-    addr_func, extern_addr, func_addr, ForkPlan, Memory, Mode, KSTACK_BASE, KSTACK_END, PAGE_SIZE,
-    USER_BASE, USER_END, USER_SIZE,
+    addr_func, extern_addr, func_addr, Memory, Mode, KSTACK_BASE, KSTACK_END, PAGE_SIZE, USER_BASE,
+    USER_END, USER_SIZE,
 };
 use crate::resume::{check_kind_code, ResumeCode, RESUME_KIND_WATCHDOG};
 
@@ -1115,9 +1115,11 @@ impl<T: Tracer> Vm<T> {
     /// (`Arc` — translation and fusion happen once); everything mutable —
     /// memory, thread, interrupt contexts, recovery-domain stack, pool
     /// table with its private MRU/counters — is deep-cloned, so each vCPU
-    /// steps without synchronizing. Shared metadata comes later:
-    /// [`MetaPoolTable::bind_shared`] rebinds each fork's pools to the
-    /// machine's plane. The fork starts with fresh stats/fuel/forensics
+    /// steps without synchronizing. Memory is cloned region by region,
+    /// copying only the written pages, so a fork costs what the machine
+    /// has written, not the 32 MiB kernel region. Shared metadata comes
+    /// later: [`MetaPoolTable::bind_shared`] rebinds each fork's pools to
+    /// the machine's plane. The fork starts with fresh stats/fuel/forensics
     /// and an untraced sink; per-vCPU counters are merged back at halt.
     ///
     /// Kernel stacks are per-CPU: the `KSTACK` window is carved into
@@ -1132,23 +1134,12 @@ impl<T: Tracer> Vm<T> {
     /// a `RingTracer` whose ring is merged at halt with
     /// `EventRing::fold_into`).
     pub fn fork_for_cpu_traced<U: Tracer>(&self, cpu_id: u32, tracer: U) -> Vm<U> {
-        self.fork_with_mem(cpu_id, tracer, self.mem.clone())
-    }
-
-    /// Like [`Vm::fork_for_cpu`], but the fork's kernel region copies only
-    /// the pages `plan` lists ([`Memory::fork_sparse`]). `plan` must come
-    /// from this machine's unchanged memory.
-    pub(crate) fn fork_sparse(&self, cpu_id: u32, plan: &ForkPlan) -> Vm {
-        self.fork_with_mem(cpu_id, NullTracer, self.mem.fork_sparse(plan))
-    }
-
-    fn fork_with_mem<U: Tracer>(&self, cpu_id: u32, tracer: U, mem: Memory) -> Vm<U> {
         let lanes = self.cfg.vcpus.max(1) as u64;
         let lane = (KSTACK_END - KSTACK_BASE) / lanes;
         let mut thread = self.thread.clone();
         thread.ksp += u64::from(cpu_id).min(lanes - 1) * lane;
         Vm {
-            mem,
+            mem: self.mem.clone(),
             code: Arc::clone(&self.code),
             cfg: self.cfg.clone(),
             thread,

@@ -5,7 +5,7 @@
 use sva::kernel::harness::{
     boot_user, make_vm, make_vm_recovering, make_vm_recovering_traced, make_vm_traced, pack_arg,
 };
-use sva::trace::RingTracer;
+use sva::trace::{EventClass, RingConfig, RingTracer, TraceEvent};
 use sva::vm::{KernelKind, VmConfig, VmError, VmExit};
 
 fn run(kind: KernelKind, prog: &str, arg: u64) -> (VmExit, String, u64) {
@@ -85,10 +85,16 @@ fn tracing_is_invisible_to_the_machine() {
 
     // The same discipline must hold across a violation-recovery unwind
     // (DESIGN.md §4.3): the unwind is machine state, the tracer is not,
-    // and the recovery events must actually land in the trace.
+    // and the recovery events must actually land in the trace. The ring
+    // pins the recovery class, so no unwind or quarantine is lost to
+    // wraparound.
     let mut plain = make_vm_recovering(VmConfig::default());
     let exit_p = boot_user(&mut plain, "user_exploit_bt", 0).expect("recovering boot");
-    let mut traced = make_vm_recovering_traced(VmConfig::default(), RingTracer::default());
+    let ring = RingConfig {
+        pinned: vec![EventClass::Violation, EventClass::Recovery],
+        ..Default::default()
+    };
+    let mut traced = make_vm_recovering_traced(VmConfig::default(), RingTracer::new(ring));
     let exit_t = boot_user(&mut traced, "user_exploit_bt", 0).expect("recovering traced boot");
     assert_eq!(exit_p, exit_t, "recovery: exit differs under tracing");
     assert_eq!(
@@ -107,12 +113,16 @@ fn tracing_is_invisible_to_the_machine() {
         "workload never recovered"
     );
     let tracer = traced.into_tracer();
+    let count = |of: fn(&TraceEvent) -> bool| tracer.ring().iter().filter(|e| of(&e.event)).count();
+    assert_eq!(tracer.ring().pinned_overflow(), 0);
     assert!(
-        tracer.profile().recoveries >= stats_t.violations_recovered,
+        count(|e| matches!(e, TraceEvent::RecoverUnwind { .. })) as u64
+            >= stats_t.violations_recovered,
         "recovery unwinds missing from the trace"
     );
     assert!(
-        tracer.profile().quarantines >= stats_t.pools_quarantined,
+        count(|e| matches!(e, TraceEvent::PoolQuarantine { .. })) as u64
+            >= stats_t.pools_quarantined,
         "quarantine events missing from the trace"
     );
 }
