@@ -4,7 +4,7 @@
 //! splay lookups" optimization discussion.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use sva_kernel::harness::{boot_user, make_vm_cfg, USER_HEAP_BASE};
+use sva_kernel::harness::{boot_user, make_vm_cfg, pack_arg, USER_HEAP_BASE};
 use sva_rt::{MetaPool, SplayTree};
 use sva_trace::{
     EventClass, FlightRecorder, LookupLayer, NullTracer, RingTracer, TraceEvent, Tracer,
@@ -301,12 +301,45 @@ fn fused_checked_load(c: &mut Criterion) {
     g.finish();
 }
 
+/// The host price of the run-time checks on the real kernel (DESIGN.md
+/// §4.11): a `user_fileread_bw` boot (16 reads of 4 KiB, each byte
+/// copied through a bounds check and an `lscheck`) on the native rung
+/// and on sva-safe, each on a fresh machine built untimed. A sample is
+/// the fastest of three boots, and the two sides alternate sample by
+/// sample, as the flight pair's slices do: on a shared host, load bursts
+/// then land on both sides alike instead of on whichever ran during one.
+/// No gate reads the pair: run to run its ratio swings about as far as
+/// the check ops moved it (EXPERIMENTS.md, "Check ops").
+fn checked_fileread(_c: &mut Criterion) {
+    const SAMPLES: usize = 61;
+    let boot = |kind: KernelKind| {
+        let mut vm = make_vm_cfg(VmConfig {
+            kind,
+            ..Default::default()
+        });
+        let start = std::time::Instant::now();
+        boot_user(&mut vm, "user_fileread_bw", pack_arg(16, 4096, 0)).unwrap();
+        start.elapsed().as_nanos() as f64
+    };
+    let sample = |kind| (0..3).map(|_| boot(kind)).fold(f64::INFINITY, f64::min);
+    sample(KernelKind::Native);
+    sample(KernelKind::SvaSafe);
+    let (mut native, mut safe) = (Vec::new(), Vec::new());
+    for _ in 0..SAMPLES {
+        native.push(sample(KernelKind::Native));
+        safe.push(sample(KernelKind::SvaSafe));
+    }
+    emit_result("vm/checks/fileread_native", &mut native, 3);
+    emit_result("vm/checks/fileread_safe", &mut safe, 3);
+}
+
 criterion_group!(
     benches,
     splay,
     fastpath,
     singleton,
     flight,
-    fused_checked_load
+    fused_checked_load,
+    checked_fileread
 );
 criterion_main!(benches);

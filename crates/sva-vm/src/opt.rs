@@ -36,8 +36,6 @@
 
 use std::collections::HashMap;
 
-use sva_ir::Intrinsic;
-
 use crate::vm::{FlatCallee, FlatFunc, FlatOp, Src};
 
 /// Whether `op` ends a basic block in the flat layout.
@@ -86,12 +84,22 @@ fn count_reg_uses(ops: &[FlatOp]) -> HashMap<u32, u32> {
             }
             FlatOp::Alloca { count, .. } => add(count),
             FlatOp::Call { callee, args, .. } => {
-                if let crate::vm::FlatCallee::Indirect(s) = callee {
+                if let FlatCallee::Indirect(s) = callee {
                     add(s);
                 }
                 for a in args {
                     add(a);
                 }
+            }
+            FlatOp::LsCheck { addr, .. } => add(addr),
+            FlatOp::BoundsCheck { src, addr, .. } => {
+                add(src);
+                add(addr);
+            }
+            FlatOp::RangeCheck { start, addr, end } => {
+                add(start);
+                add(addr);
+                add(end);
             }
             FlatOp::Phi { incomings, .. } => {
                 for (_, s) in incomings {
@@ -218,26 +226,23 @@ pub(crate) fn fuse_flat(ff: &mut FlatFunc) -> u32 {
                         const_off,
                         dynamic,
                     },
-                    FlatOp::Call {
-                        dst: None,
-                        callee: FlatCallee::Intrinsic(intr),
-                        args,
-                    },
+                    chk,
                     FlatOp::Load {
                         dst: ld,
                         ptr: Src::Reg(lp),
                         w,
                     },
                 ) if *lp == *dst && uses.get(dst).copied().unwrap_or(0) == 2 => {
-                    let chk = match (intr, args.as_slice()) {
-                        (Intrinsic::LsCheck, [Src::Imm(mp), Src::Reg(a)]) if *a == *dst => {
-                            Some((*mp as u32, None))
-                        }
-                        (Intrinsic::BoundsCheck, [Src::Imm(mp), src, Src::Reg(a)])
-                            if *a == *dst =>
-                        {
-                            Some((*mp as u32, Some(*src)))
-                        }
+                    let chk = match chk {
+                        FlatOp::LsCheck {
+                            mp,
+                            addr: Src::Reg(a),
+                        } if *a == *dst => Some((*mp, None)),
+                        FlatOp::BoundsCheck {
+                            mp,
+                            src,
+                            addr: Src::Reg(a),
+                        } if *a == *dst => Some((*mp, Some(*src))),
                         _ => None,
                     };
                     chk.map(|(mp, chk_src)| FlatOp::FusedGepChkLoad {
@@ -480,7 +485,7 @@ mod tests {
 
     #[test]
     fn checked_gep_load_triple_fuses() {
-        // gep t; pchk.ls(mp, t); load t — the address register has two
+        // gep t; pchk.lscheck(mp, t); load t — the address register has two
         // reads (check + load), both swallowed by the triple.
         let ops = vec![
             FlatOp::Gep {
@@ -489,10 +494,9 @@ mod tests {
                 const_off: 8,
                 dynamic: vec![],
             },
-            FlatOp::Call {
-                dst: None,
-                callee: FlatCallee::Intrinsic(Intrinsic::LsCheck),
-                args: vec![Src::Imm(3), Src::Reg(0)],
+            FlatOp::LsCheck {
+                mp: 3,
+                addr: Src::Reg(0),
             },
             FlatOp::Load {
                 dst: 1,
@@ -529,10 +533,10 @@ mod tests {
                 const_off: 16,
                 dynamic: vec![],
             },
-            FlatOp::Call {
-                dst: None,
-                callee: FlatCallee::Intrinsic(Intrinsic::BoundsCheck),
-                args: vec![Src::Imm(2), Src::Reg(0), Src::Reg(1)],
+            FlatOp::BoundsCheck {
+                mp: 2,
+                src: Src::Reg(0),
+                addr: Src::Reg(1),
             },
             FlatOp::Load {
                 dst: 2,
@@ -565,10 +569,9 @@ mod tests {
                 const_off: 0,
                 dynamic: vec![],
             },
-            FlatOp::Call {
-                dst: None,
-                callee: FlatCallee::Intrinsic(Intrinsic::LsCheck),
-                args: vec![Src::Imm(0), Src::Reg(0)],
+            FlatOp::LsCheck {
+                mp: 0,
+                addr: Src::Reg(0),
             },
             FlatOp::Load {
                 dst: 1,

@@ -1256,6 +1256,76 @@ fn every_nonzero_opt_level_fuses_every_function() {
     assert_eq!(fused(1), fused(2), "opt 1 fuses what opt 2 does");
 }
 
+/// The translator's check ops on both kernels (DESIGN.md §4.11): every
+/// `pchk.lscheck`, `pchk.bounds` and `pchk.bounds.range` call becomes an
+/// op of its own or, at opt 2, the check a `FusedGepChkLoad` swallows; no
+/// check is left as an intrinsic call; and fusion, which matches the
+/// check ops, installs the sites it installed on intrinsic-call checks.
+#[test]
+fn check_ops_and_fusion_sites_on_both_kernels() {
+    use crate::vm::{FlatCallee, FlatOp};
+    use sva_ir::{Callee, Inst, Intrinsic};
+    for (nested, fused_sites) in [(false, 551), (true, 557)] {
+        let module = sva_kernel::harness::safe_kernel_module_with(
+            sva_kernel::AS_TESTED_EXCLUSIONS,
+            &sva_kernel::build::KernelOptions {
+                recovery: nested,
+                nested,
+                ..Default::default()
+            },
+        );
+        let calls = |want: Intrinsic| {
+            let f = module.funcs.iter();
+            f.flat_map(|f| f.blocks.iter().flat_map(|b| &b.insts).map(|i| f.inst(*i)))
+                .filter(
+                    |i| matches!(i, Inst::Call { callee: Callee::Intrinsic(c), .. } if *c == want),
+                )
+                .count()
+        };
+        let (ls, bounds) = (calls(Intrinsic::LsCheck), calls(Intrinsic::BoundsCheck));
+        let range = calls(Intrinsic::BoundsCheckRange);
+        assert_eq!((ls, bounds), (8, 50), "nested {nested}");
+        for opt_level in [0, 2] {
+            let cfg = VmConfig {
+                opt_level,
+                ..Default::default()
+            };
+            let vm = Vm::new(module.clone(), cfg).expect("kernel loads");
+            let mut seen = (0, 0, 0);
+            for op in vm.code.flat.iter().flat_map(|f| &f.ops) {
+                match op {
+                    FlatOp::LsCheck { .. } | FlatOp::FusedGepChkLoad { chk_src: None, .. } => {
+                        seen.0 += 1
+                    }
+                    FlatOp::BoundsCheck { .. }
+                    | FlatOp::FusedGepChkLoad {
+                        chk_src: Some(_), ..
+                    } => seen.1 += 1,
+                    FlatOp::RangeCheck { .. } => seen.2 += 1,
+                    FlatOp::Call {
+                        callee: FlatCallee::Intrinsic(i),
+                        ..
+                    } => assert!(
+                        !matches!(
+                            i,
+                            Intrinsic::LsCheck
+                                | Intrinsic::BoundsCheck
+                                | Intrinsic::BoundsCheckRange
+                        ),
+                        "{} left as a call",
+                        i.name()
+                    ),
+                    _ => {}
+                }
+            }
+            let ctx = format!("nested {nested} opt {opt_level}");
+            assert_eq!(seen, (ls, bounds, range), "{ctx}");
+            let want = if opt_level == 0 { 0 } else { fused_sites };
+            assert_eq!(vm.fused_sites(), want, "{ctx}");
+        }
+    }
+}
+
 /// One counter table's derived items agree (DESIGN.md §4.13): `words`
 /// are `to_words` of `from_words(1..=WORDS)`, `debug` is that block's
 /// `Debug` output and `m` the registry its `fold_into` filled.

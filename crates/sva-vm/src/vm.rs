@@ -21,7 +21,7 @@ use std::sync::Arc;
 use sva_ir::bytecode::SignedModule;
 use sva_ir::{
     AtomicOp, BinOp, Callee, CastOp, GlobalInit, IPred, Inst, Intrinsic, Module, Operand,
-    RelocTarget, Type, TypeId,
+    PoolAnnotations, RelocTarget, Type, TypeId,
 };
 use sva_rt::{CheckError, MetaPool, MetaPoolTable};
 use sva_trace::{EventClass, LookupLayer, NullTracer, TraceEvent, Tracer};
@@ -375,6 +375,24 @@ pub(crate) enum FlatOp {
         callee: FlatCallee,
         args: Vec<Src>,
     },
+    // ---- the three pure checks, operands inline (DESIGN.md §4.11) ----
+    /// `pchk.lscheck(mp, addr)`.
+    LsCheck {
+        mp: u32,
+        addr: Src,
+    },
+    /// `pchk.bounds(mp, src, addr)`.
+    BoundsCheck {
+        mp: u32,
+        src: Src,
+        addr: Src,
+    },
+    /// `pchk.bounds.range(start, addr, end)`.
+    RangeCheck {
+        start: Src,
+        addr: Src,
+        end: Src,
+    },
     Phi {
         dst: u32,
         incomings: Vec<(u32, Src)>,
@@ -437,11 +455,11 @@ pub(crate) enum FlatOp {
         dynamic: Vec<(Src, u64, u8)>,
         w: u8,
     },
-    /// `gep` + inserted pool check (`pchk.bounds` / `pchk.ls`) + `load`:
-    /// the checked-kernel triple. The address register has exactly two
-    /// reads — the check operand and the load pointer — both swallowed
-    /// here, which is why the pairwise single-use rule alone could never
-    /// fuse a checked GEP. The check runs unchanged against the
+    /// `gep` + inserted pool check ([`FlatOp::BoundsCheck`] or
+    /// [`FlatOp::LsCheck`]) + `load`: the checked-kernel triple. The
+    /// address register has exactly two reads — the check operand and
+    /// the load pointer — both swallowed here, which is why the pairwise
+    /// single-use rule alone could never fuse a checked GEP. The check runs unchanged against the
     /// skew-adjusted address (same cycle charge, same lookup and trace
     /// attribution, same failure path), then the load retires.
     FusedGepChkLoad {
@@ -453,7 +471,7 @@ pub(crate) enum FlatOp {
         /// Metapool the swallowed check targets.
         mp: u32,
         /// `Some(src)` = `pchk.bounds(mp, src, addr)`; `None` =
-        /// `pchk.ls(mp, addr)`.
+        /// `pchk.lscheck(mp, addr)`.
         chk_src: Option<Src>,
     },
     /// `gep` + `store` through the (otherwise dead) address register.
@@ -508,6 +526,9 @@ impl FlatOp {
                 ..
             } => i.name(),
             FlatOp::Call { .. } => "call",
+            FlatOp::LsCheck { .. } => Intrinsic::LsCheck.name(),
+            FlatOp::BoundsCheck { .. } => Intrinsic::BoundsCheck.name(),
+            FlatOp::RangeCheck { .. } => Intrinsic::BoundsCheckRange.name(),
             FlatOp::Phi { .. } => "phi",
             FlatOp::AtomicRmw { .. } => "atomicrmw",
             FlatOp::CmpXchg { .. } => "cmpxchg",
@@ -913,13 +934,22 @@ impl<T: Tracer> Vm<T> {
             }
         }
 
-        // Metapool runtime from the annotations.
+        // Metapool runtime from the annotations. Every pool operand is
+        // checked against it once, here, so the run-time paths index the
+        // table directly.
+        let pa = if cfg.kind.checks() {
+            Some(
+                module
+                    .pool_annotations
+                    .as_ref()
+                    .ok_or(VmError::NotVerified)?,
+            )
+        } else {
+            None
+        };
+        check_pool_operands(&module, pa)?;
         let mut pools = MetaPoolTable::new();
-        if cfg.kind.checks() {
-            let pa = module
-                .pool_annotations
-                .as_ref()
-                .ok_or(VmError::NotVerified)?;
+        if let Some(pa) = pa {
             for d in &pa.metapools {
                 // Function types are unsized; a pool whose element type is
                 // a function (e.g. one inferred behind a fops table) gets
@@ -1951,12 +1981,12 @@ impl<T: Tracer> Vm<T> {
     /// current frame in one host loop until `budget` ops have run, an op
     /// has failed, or an op has run that can change what the boundary
     /// prologue looks at — the frame stack, the mode, the address space,
-    /// the IRQ queue, `halted`, the latch or a countdown. Those are calls,
-    /// returns, allocas, `unreachable` and every intrinsic except the three
-    /// pure checks, which run inline. Each op is charged its instruction
-    /// and dispatch cycle before it runs; `ran` counts the ops that ran, a
-    /// failing one included, and a failing op leaves the pc past itself.
-    /// A budget of 1 is a single step.
+    /// the IRQ queue, `halted`, the latch or a countdown. Those are calls
+    /// (every intrinsic call included), returns, allocas and `unreachable`;
+    /// the three pure checks are ops of their own and run inline. Each op
+    /// is charged its instruction and dispatch cycle before it runs; `ran`
+    /// counts the ops that ran, a failing one included, and a failing op
+    /// leaves the pc past itself. A budget of 1 is a single step.
     fn exec_flat(
         &mut self,
         code: &CodeImage,
@@ -2059,19 +2089,23 @@ impl<T: Tracer> Vm<T> {
                 }
                 // The three pure checks run inline, bracketed like every
                 // other SVA-OS operation for a tracer that wants `Os`.
-                FlatOp::Call {
-                    callee:
-                        FlatCallee::Intrinsic(
-                            i @ (Intrinsic::LsCheck
-                            | Intrinsic::BoundsCheck
-                            | Intrinsic::BoundsCheckRange),
-                        ),
-                    args,
-                    ..
-                } => {
-                    let arg = |n: usize| args.get(n).map_or(0, |s| src!(s));
-                    let (i, a, b, c) = (*i, arg(0), arg(1), arg(2));
-                    self.os_span(i, |vm| vm.pure_check(i, a, b, c))?;
+                FlatOp::LsCheck { mp, addr } => {
+                    let addr = src!(addr);
+                    self.os_span(Intrinsic::LsCheck, |vm| vm.pool_check(*mp, None, addr))?;
+                    fr = top_frame!();
+                }
+                FlatOp::BoundsCheck { mp, src, addr } => {
+                    let (src, addr) = (src!(src), src!(addr));
+                    self.os_span(Intrinsic::BoundsCheck, |vm| {
+                        vm.pool_check(*mp, Some(src), addr)
+                    })?;
+                    fr = top_frame!();
+                }
+                FlatOp::RangeCheck { start, addr, end } => {
+                    let (start, addr, end) = (src!(start), src!(addr), src!(end));
+                    self.os_span(Intrinsic::BoundsCheckRange, |vm| {
+                        vm.range_check(start, addr, end)
+                    })?;
                     fr = top_frame!();
                 }
                 FlatOp::Call { dst, callee, args } => {
@@ -2600,45 +2634,35 @@ impl<T: Tracer> Vm<T> {
         result
     }
 
-    /// The three pure run-time checks, `pchk.lscheck`, `pchk.bounds` and
-    /// `pchk.bounds.range`, on their first three intrinsic arguments. They
-    /// change no state the boundary prologue reads, so the flat engine
-    /// runs them inside a block (DESIGN.md §4.11); both engines run them
-    /// here, with the same charges, counters, events and failures.
+    /// `pchk.bounds.range(start, derived, end)`: a bounds check against
+    /// bounds the verifier knew statically. The flat engine runs it as
+    /// [`FlatOp::RangeCheck`], the tree engine as an intrinsic call.
     #[inline(always)]
-    fn pure_check(&mut self, i: Intrinsic, a: u64, b: u64, c: u64) -> Result<(), VmError> {
-        match i {
-            Intrinsic::LsCheck => self.pool_check(a as u32, None, b),
-            Intrinsic::BoundsCheck => self.pool_check(a as u32, Some(b), c),
-            Intrinsic::BoundsCheckRange => {
-                let (start, derived, end) = (a, b, c);
-                self.stats.cycles += 2;
-                self.stats.range_checks += 1;
-                let ok = derived >= start && derived <= end;
-                if T::wants(EventClass::Check) {
-                    self.tracer.record(
-                        self.stats.cycles,
-                        TraceEvent::Check {
-                            check: i.name(),
-                            pool: u32::MAX,
-                            layer: LookupLayer::None,
-                            passed: ok,
-                            cost: 2,
-                        },
-                    );
-                }
-                if ok {
-                    Ok(())
-                } else {
-                    Err(VmError::Safety(CheckError {
-                        kind: sva_rt::CheckKind::Bounds,
-                        pool: "static".into(),
-                        addr: derived,
-                        detail: format!("static object [{start:#x}, {end:#x})"),
-                    }))
-                }
-            }
-            _ => Err(VmError::Internal("not a pure check")),
+    fn range_check(&mut self, start: u64, derived: u64, end: u64) -> Result<(), VmError> {
+        self.stats.cycles += 2;
+        self.stats.range_checks += 1;
+        let ok = derived >= start && derived <= end;
+        if T::wants(EventClass::Check) {
+            self.tracer.record(
+                self.stats.cycles,
+                TraceEvent::Check {
+                    check: Intrinsic::BoundsCheckRange.name(),
+                    pool: u32::MAX,
+                    layer: LookupLayer::None,
+                    passed: ok,
+                    cost: 2,
+                },
+            );
+        }
+        if ok {
+            Ok(())
+        } else {
+            Err(VmError::Safety(CheckError {
+                kind: sva_rt::CheckKind::Bounds,
+                pool: "static".into(),
+                addr: derived,
+                detail: format!("static object [{start:#x}, {end:#x})"),
+            }))
         }
     }
 
@@ -2982,9 +3006,11 @@ impl<T: Tracer> Vm<T> {
                     hook.on_pool_drop(mp, addr);
                 }
             }
-            BoundsCheck | BoundsCheckRange | LsCheck => {
-                self.pure_check(i, arg(0), arg(1), arg(2))?;
-            }
+            BoundsCheckRange => self.range_check(arg(0), arg(1), arg(2))?,
+            // No machine calls these: the flat engine runs them as check
+            // ops, and `Vm::new` refuses them on the tree engine's kind,
+            // which has no pools.
+            BoundsCheck | LsCheck => return Err(VmError::Internal("pool check as a call")),
             GetBounds => {
                 self.stats.cycles += CHECK_CYCLES;
                 let (mp, p, sout, eout) = (arg(0) as u32, arg(1), arg(2), arg(3));
@@ -3660,6 +3686,71 @@ fn round_up(v: u64, a: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
+// Load-time operand checks.
+// ---------------------------------------------------------------------------
+
+/// The operand count of an intrinsic whose first operand names a metapool
+/// (`true`), and of `pchk.bounds.range`, whose operands the flat engine
+/// decodes inline (`false`); `None` for every other intrinsic.
+fn pool_operands(i: Intrinsic) -> Option<(usize, bool)> {
+    match i {
+        Intrinsic::PchkRegObj | Intrinsic::BoundsCheck => Some((3, true)),
+        Intrinsic::PchkDropObj | Intrinsic::LsCheck => Some((2, true)),
+        Intrinsic::GetBounds => Some((4, true)),
+        Intrinsic::BoundsCheckRange => Some((3, false)),
+        _ => None,
+    }
+}
+
+/// Refuses a module in which a pool-taking intrinsic call lacks operands
+/// or names none of the metapools of `pa` (the annotations the machine
+/// runs, `None` without checks) with a constant, or in which a global's
+/// pool annotation names none: the guest must not pick an index into the
+/// host's metapool table.
+fn check_pool_operands(module: &Module, pa: Option<&PoolAnnotations>) -> Result<(), VmError> {
+    let pools = pa.map_or(0, |pa| pa.metapools.len());
+    for f in &module.funcs {
+        for iid in f.blocks.iter().flat_map(|b| &b.insts) {
+            let Some(Inst::Call {
+                callee: Callee::Intrinsic(i),
+                args,
+            }) = f.insts.get(iid.0 as usize)
+            else {
+                continue;
+            };
+            let Some((arity, pooled)) = pool_operands(*i) else {
+                continue;
+            };
+            let names_pool = matches!(args.first(),
+                Some(Operand::ConstInt(mp, _)) if (*mp as u64) < pools as u64);
+            if args.len() < arity || (pooled && !names_pool) {
+                return Err(VmError::Unsupported(format!(
+                    "@{}: `{}` wants {arity} operands{}",
+                    f.name,
+                    i.name(),
+                    if pooled {
+                        format!(", the first a constant naming one of {pools} metapools")
+                    } else {
+                        String::new()
+                    }
+                )));
+            }
+        }
+    }
+    let global_pools = pa.map_or(&[][..], |pa| &pa.global_pools);
+    for (gi, mp) in global_pools.iter().enumerate() {
+        if let Some(mp) = *mp {
+            if mp as usize >= pools || gi >= module.globals.len() {
+                return Err(VmError::Unsupported(format!(
+                    "global {gi}: pool annotation names metapool {mp} of {pools}"
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
 // Translation (bytecode → flat "native" code).
 // ---------------------------------------------------------------------------
 
@@ -3810,6 +3901,41 @@ fn translate_inst(
                 elem: layout.size,
                 count: s(count),
                 align: layout.align,
+            }
+        }
+        Inst::Call {
+            callee:
+                Callee::Intrinsic(
+                    i @ (Intrinsic::LsCheck | Intrinsic::BoundsCheck | Intrinsic::BoundsCheckRange),
+                ),
+            args,
+        } => {
+            // `check_pool_operands` vouched for the operand count and the
+            // constant pool at load.
+            let arg = |n: usize| {
+                args.get(n)
+                    .map(&s)
+                    .ok_or(VmError::Internal("check call without its operands"))
+            };
+            let mp = || match arg(0)? {
+                Src::Imm(mp) => Ok(mp as u32),
+                Src::Reg(_) => Err(VmError::Internal("check call without a constant pool")),
+            };
+            match i {
+                Intrinsic::LsCheck => FlatOp::LsCheck {
+                    mp: mp()?,
+                    addr: arg(1)?,
+                },
+                Intrinsic::BoundsCheck => FlatOp::BoundsCheck {
+                    mp: mp()?,
+                    src: arg(1)?,
+                    addr: arg(2)?,
+                },
+                _ => FlatOp::RangeCheck {
+                    start: arg(0)?,
+                    addr: arg(1)?,
+                    end: arg(2)?,
+                },
             }
         }
         Inst::Call { callee, args } => {

@@ -304,11 +304,11 @@ entry:
 allocator ordinary "kmalloc" alloc=@kmalloc dealloc=@kfree size=arg0
 "#;
 
-/// A load through a pointer to a freed object of a complete pool that is
-/// not type-homogeneous (it holds a pointer and an integer at offset 0):
-/// the inserted `pchk.lscheck` fails inside a block.
-/// With `recover`, a recovery domain registered first absorbs it.
-fn stale_load_module(recover: bool) -> sva::ir::Module {
+/// `@work(%n)` over `ALLOC_PRELUDE`, compiled and verified, running
+/// `body` from its block `body`. With `recover`, a recovery domain
+/// registered first absorbs a failing check and `@work` returns the
+/// resume code.
+fn checked_work(recover: bool, body: &str) -> sva::ir::Module {
     let register = if recover {
         "  %code:i64 = call $sva.recover.register(0:i64) : i64
   %caught:i1 = icmp ne %code, 0:i64
@@ -326,7 +326,23 @@ out:
 func public @work(%n: i64) : i64 {{
 entry:
 {register}body:
-  %a:i8* = call @kmalloc(32:i64)
+{body}}}
+"#
+    );
+    let m = parse_module(&src).unwrap();
+    let compiled = compile(m, &AnalysisConfig::kernel(), &CompileOptions::default());
+    verify_and_insert_checks(compiled.module)
+        .expect("verifies")
+        .module
+}
+
+/// A load through a pointer to a freed object of a complete pool that is
+/// not type-homogeneous (it holds a pointer and an integer at offset 0):
+/// the inserted `pchk.lscheck` fails inside a block.
+fn stale_load_module(recover: bool) -> sva::ir::Module {
+    checked_work(
+        recover,
+        "  %a:i8* = call @kmalloc(32:i64)
   %pp:i8** = cast bitcast %a to i8**
   store %a, %pp
   %ai:i64* = cast bitcast %a to i64*
@@ -337,14 +353,8 @@ entry:
   %v:i64 = load %ai
   %r:i64 = add %v, %y
   ret %r
-}}
-"#
-    );
-    let m = parse_module(&src).unwrap();
-    let compiled = compile(m, &AnalysisConfig::kernel(), &CompileOptions::default());
-    verify_and_insert_checks(compiled.module)
-        .expect("verifies")
-        .module
+",
+    )
 }
 
 /// A failing inline `pchk.lscheck`, escaping without a recovery domain
@@ -365,5 +375,124 @@ fn failing_inline_check_agrees_with_and_without_recovery() {
         let seen = assert_failure_agrees(&recovering, KernelKind::SvaSafe, opt_level);
         assert!(seen.exit.starts_with("Ok(Returned("), "{}", seen.exit);
         assert_eq!(seen.stats.violations_recovered, 1, "{}", seen.exit);
+    }
+}
+
+/// A checked load through `%q = gep %base [idx]` into the one 32-byte
+/// object of a complete pool that is not type-homogeneous (it holds an
+/// integer and a pointer at offset 0), so the verifier puts a bounds
+/// check of `%q` and the `lscheck` of `%q` in front of the load. With
+/// `range` the base is the allocation, whose bounds the verifier knows
+/// (`pchk.bounds.range`); otherwise it is reloaded from the object
+/// (`pchk.bounds`). Index 3 passes both checks; 4, one past the end,
+/// passes the bounds check (`derived == end` is legal) and fails the
+/// `lscheck`; 5 fails the bounds check.
+fn checked_gep_module(range: bool, idx: u64, recover: bool) -> sva::ir::Module {
+    let base = if range { "%ai" } else { "%b" };
+    checked_work(
+        recover,
+        &format!(
+            "  %a:i8* = call @kmalloc(32:i64)
+  %ai:i64* = cast bitcast %a to i64*
+  store 7:i64, %ai
+  %pp:i8** = cast bitcast %a to i8**
+  store %a, %pp
+  %a2:i8* = load %pp
+  %b:i64* = cast bitcast %a2 to i64*
+  %q:i64* = gep {base} [{idx}:i64]
+  %v:i64 = load %q
+  %r:i64 = add %v, %n
+  ret %r
+"
+        ),
+    )
+}
+
+/// A tracer that wants the `Os` and `Check` events the check ops record.
+/// Without `STEP` its machine batches; with `STEP` it also wants `Inst`
+/// and single-steps.
+#[derive(Default)]
+struct OsChecks<const STEP: bool>(Vec<(u64, TraceEvent)>);
+
+impl<const STEP: bool> Tracer for OsChecks<STEP> {
+    const ENABLED: bool = true;
+    const WANTED: u16 = EventClass::Os.bit()
+        | EventClass::Check.bit()
+        | if STEP { EventClass::Inst.bit() } else { 0 };
+
+    fn record(&mut self, ts: u64, event: TraceEvent) {
+        if !matches!(event, TraceEvent::Inst { .. }) {
+            self.0.push((ts, event));
+        }
+    }
+}
+
+/// Runs a [`checked_gep_module`] at both tiers through
+/// [`assert_failure_agrees`] and demands that a batching and a
+/// single-stepping tracer record the same `Os` and `Check` events at the
+/// same cycle stamps. Returns the observations at opt 0 and 2.
+fn checked_gep_case(range: bool, idx: u64, recover: bool) -> [Observed; 2] {
+    let m = checked_gep_module(range, idx, recover);
+    [0, 2].map(|opt_level| {
+        let seen = assert_failure_agrees(&m, KernelKind::SvaSafe, opt_level);
+        let cfg = VmConfig {
+            opt_level,
+            fuel: 1000,
+            ..Default::default()
+        };
+        let mut batched =
+            Vm::with_tracer(m.clone(), cfg.clone(), OsChecks::<false>::default()).unwrap();
+        let r_b = batched.call("work", &[5]);
+        let mut stepped = Vm::with_tracer(m.clone(), cfg, OsChecks::<true>::default()).unwrap();
+        let r_s = stepped.call("work", &[5]);
+        let ctx = format!("range {range} [{idx}] recover {recover} opt {opt_level}");
+        assert_eq!(observe(&batched, &r_b), seen, "{ctx}");
+        assert_eq!(observe(&stepped, &r_s), seen, "{ctx}");
+        assert_eq!(batched.tracer().0, stepped.tracer().0, "{ctx}: events");
+        assert!(!batched.tracer().0.is_empty(), "{ctx}: no events");
+        seen
+    })
+}
+
+/// The bounds-check ops, `pchk.bounds` and `pchk.bounds.range`, inside a
+/// block: both checks pass; a pointer one past its object's end passes
+/// the bounds check and fails the `lscheck` behind it; a pointer further
+/// out fails the bounds check, and the `lscheck` never runs. Each agrees
+/// with single steps, escaping and absorbed by a recovery domain.
+#[test]
+fn bounds_check_ops_agree_with_single_steps() {
+    for (range, recover) in [(false, false), (false, true), (true, false), (true, true)] {
+        let [pass, past_end, beyond] = [3, 4, 5].map(|idx| checked_gep_case(range, idx, recover));
+        let ctx = format!("range {range} recover {recover}");
+        for k in 0..2 {
+            assert_eq!(pass[k].exit, "Ok(Returned(5))", "{ctx}");
+            assert_eq!(
+                past_end[k].checks.ls_checks, pass[k].checks.ls_checks,
+                "{ctx}"
+            );
+            assert_eq!(
+                beyond[k].checks.ls_checks + 1,
+                pass[k].checks.ls_checks,
+                "{ctx}"
+            );
+            if recover {
+                assert_eq!(past_end[k].stats.violations_recovered, 1, "{ctx}");
+                assert_eq!(beyond[k].stats.violations_recovered, 1, "{ctx}");
+            } else {
+                let ls = format!("{:?}", CheckKind::LoadStore);
+                assert!(
+                    past_end[k].exit.contains(&ls),
+                    "{ctx}: {}",
+                    past_end[k].exit
+                );
+                let bounds = format!("{:?}", CheckKind::Bounds);
+                assert!(
+                    beyond[k].exit.contains(&bounds),
+                    "{ctx}: {}",
+                    beyond[k].exit
+                );
+                assert_eq!(beyond[k].exit.contains("static"), range, "{ctx}");
+            }
+        }
     }
 }

@@ -322,3 +322,118 @@ out:
     results.push(vm.call("mix", &[1000]).unwrap());
     assert!(results.windows(2).all(|w| w[0] == w[1]), "{results:?}");
 }
+
+/// Applies `edit` to the operands of the first `i` call that `func`
+/// executes in block order.
+fn edit_first_call(
+    m: &mut sva::ir::Module,
+    func: &str,
+    i: sva::ir::Intrinsic,
+    edit: impl FnOnce(&mut Vec<sva::ir::Operand>),
+) {
+    use sva::ir::{Callee, Inst};
+    let f = m.func_mut(m.func_by_name(func).expect("function"));
+    let site = f.blocks.iter().flat_map(|b| &b.insts).find(|iid| {
+        matches!(&f.insts[iid.0 as usize],
+            Inst::Call { callee: Callee::Intrinsic(c), .. } if *c == i)
+    });
+    match site.map(|iid| &mut f.insts[iid.0 as usize]) {
+        Some(Inst::Call { args, .. }) => edit(args),
+        _ => panic!("@{func} calls no `{}`", i.name()),
+    }
+}
+
+/// Rewrites a constant pool operand to metapool 99999, which no machine
+/// has.
+fn forge_pool(args: &mut [sva::ir::Operand]) {
+    match args.first_mut() {
+        Some(sva::ir::Operand::ConstInt(mp, _)) => *mp = 99_999,
+        other => panic!("no constant pool operand: {other:?}"),
+    }
+}
+
+/// A pool operand indexes the host's metapool table, so the SVM checks
+/// each one once, at load. A module whose `pchk.lscheck` or
+/// `pchk.reg.obj` names no metapool of the machine, or whose global pool
+/// annotation names none, is refused with the function or global named,
+/// instead of indexing past the table when it runs and panicking the
+/// host; so is a check call short of an operand. A module without
+/// annotations is refused as unverified.
+#[test]
+fn forged_pool_operands_are_refused_at_load() {
+    use sva::ir::Intrinsic;
+    use sva::kernel::harness::{boot_user, pack_arg, safe_kernel_module};
+    let kernel = safe_kernel_module(sva::kernel::AS_TESTED_EXCLUSIONS);
+    let entry = kernel.funcs[kernel.entry.expect("kernel entry").0 as usize]
+        .name
+        .clone();
+    let mut lscheck = kernel.clone();
+    edit_first_call(&mut lscheck, "fs_file_read", Intrinsic::LsCheck, |a| {
+        forge_pool(a)
+    });
+    let mut reg_obj = kernel.clone();
+    edit_first_call(&mut reg_obj, &entry, Intrinsic::PchkRegObj, |a| {
+        forge_pool(a)
+    });
+    // A check call that lacks an operand is refused as well (it used to
+    // read the missing one as 0).
+    let mut short = kernel.clone();
+    edit_first_call(&mut short, "fs_file_read", Intrinsic::BoundsCheck, |args| {
+        args.pop();
+    });
+    // A module with its checks but without its annotations was never
+    // verified: that is what a load says, before any operand is looked at.
+    let mut unverified = kernel;
+    unverified.pool_annotations = None;
+    // Without a kernel entry the SVM registers each global with its
+    // annotated pool at load.
+    let small = build(
+        r#"
+func public @f() : i64 {
+entry:
+  %v:i64 = load @brk
+  ret %v
+}
+"#,
+    );
+    let compiled = compile(small, &AnalysisConfig::kernel(), &CompileOptions::default());
+    let mut global = verify_and_insert_checks(compiled.module)
+        .expect("verifies")
+        .module;
+    global.pool_annotations.as_mut().unwrap().global_pools[0] = Some(99_999);
+
+    let cases = [
+        (lscheck, "@fs_file_read: `pchk.lscheck`", "user_fileread_bw"),
+        (reg_obj, &*format!("@{entry}: `pchk.reg.obj`"), "user_hello"),
+        (global, "global 0", ""),
+        (
+            short,
+            "@fs_file_read: `pchk.bounds` wants 3",
+            "user_fileread_bw",
+        ),
+    ];
+    for opt_level in [0, 2] {
+        for (m, want, prog) in &cases {
+            let cfg = VmConfig {
+                kind: KernelKind::SvaSafe,
+                opt_level,
+                ..Default::default()
+            };
+            let r = Vm::new(m.clone(), cfg).and_then(|mut vm| match *prog {
+                "" => vm.call("f", &[]),
+                prog => boot_user(&mut vm, prog, pack_arg(2, 4096, 0)),
+            });
+            match r {
+                Err(VmError::Unsupported(msg)) if msg.starts_with(want) => {}
+                other => panic!("opt {opt_level}: {want} must be refused at load: {other:?}"),
+            }
+        }
+        let cfg = VmConfig {
+            kind: KernelKind::SvaSafe,
+            opt_level,
+            ..Default::default()
+        };
+        let r = Vm::new(unverified.clone(), cfg);
+        assert!(matches!(r, Err(VmError::NotVerified)), "opt {opt_level}");
+    }
+}
