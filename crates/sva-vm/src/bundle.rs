@@ -46,7 +46,9 @@ use sva_trace::{TimedEvent, Tracer};
 
 use crate::mem::Mode;
 use crate::resume::ResumeCode;
-use crate::snapshot::{fingerprint_words, ImageReader, ImageWriter, SnapshotError, FP_FIELDS};
+use crate::snapshot::{
+    fingerprint_words, ImageReader, ImageWriter, SnapshotError, FP_FIELDS, SIGN_KEY_WORD,
+};
 use crate::vm::{KernelKind, Vm, VmConfig, VmStats};
 
 /// Bundle magic.
@@ -224,7 +226,7 @@ pub struct CrashBundle {
     /// snapshot format), from which [`CrashBundle::vm_config`] rebuilds
     /// a replay config.
     pub config_words: [u64; FP_FIELDS.len()],
-    /// FNV identity of the sealed module the machine was running.
+    /// FNV identity of the bytecode of the module the machine was running.
     pub code_id: u64,
     /// Execution statistics at capture.
     pub stats: VmStats,
@@ -265,20 +267,19 @@ impl CrashBundle {
             3 => KernelKind::SvaSafe,
             v => return Err(BundleError::Malformed(format!("bad kernel kind {v}"))),
         };
-        if w[8] != 0 {
-            return Err(BundleError::Malformed(
-                "bundle was captured under a hot profile; replay cannot reconstruct it".into(),
-            ));
-        }
-        if w[3] != w[4] {
-            return Err(BundleError::Malformed(
-                "bundle was captured under mixed lookup switches; replay cannot reconstruct it"
-                    .into(),
-            ));
+        for (differs, what) in [
+            (w[1] != SIGN_KEY_WORD, "another signing key"),
+            (w[8] != 0, "a hot profile"),
+            (w[3] != w[4], "mixed lookup switches"),
+        ] {
+            if differs {
+                return Err(BundleError::Malformed(format!(
+                    "bundle was captured under {what}; replay cannot reconstruct it"
+                )));
+            }
         }
         Ok(VmConfig {
             kind,
-            sign_key: w[1],
             opt_level: w[2] as u8,
             fast_path: w[3] != 0,
             violation_budget: w[5] as u32,

@@ -1,7 +1,7 @@
 //! # The Secure Virtual Machine (SVM)
 //!
 //! Executes SVA bytecode (paper §3.4): verification, translation to a
-//! signed "native" code cache, and the SVA-OS operations — interrupt
+//! "native" code cache, and the SVA-OS operations — interrupt
 //! contexts, processor-state save/restore, MMU mediation, I/O ports and
 //! system-call dispatch. Under [`KernelKind::SvaSafe`] the run-time
 //! metapool checks from `sva-rt` are live and any violation stops the

@@ -17,7 +17,7 @@
 //!   magic       4  b"SVA1"
 //!   version     4  u32 LE, SNAPSHOT_VERSION
 //!   config_fp   8  FNV-1a over the fingerprint block
-//!   code_id     8  FNV-1a over the sealed module bytes
+//!   code_id     8  FNV-1a over the module's bytecode
 //!   payload_len 8  u64 LE
 //!   checksum    8  FNV-1a over the payload
 //! payload:
@@ -62,9 +62,13 @@ use sva_ir::codec::{fnv64, frame, unframe, CodecError, Reader, Writer};
 use sva_rt::{CheckStats, PoolImage};
 use sva_trace::Tracer;
 
-use crate::mem::{Memory, Mode, Region, KERN_SIZE, PAGE_SIZE, USER_SIZE};
+use crate::mem::{
+    Memory, Mode, Region, KERN_SIZE, KSTACK_BASE, KSTACK_END, PAGE_SIZE, USER_BASE, USER_END,
+    USER_SIZE,
+};
 use crate::vm::{
-    Frame, IContext, KernelKind, RecoveryCtx, SavedState, Thread, Vm, VmConfig, VmStats,
+    CodeImage, Continuation, Frame, IContext, KernelKind, RecoveryCtx, Thread, Vm, VmConfig,
+    VmStats,
 };
 
 /// Image magic.
@@ -202,13 +206,16 @@ pub(crate) fn kind_code(k: KernelKind) -> u64 {
 }
 
 /// The config fields a snapshot is only valid under, each widened to u64.
-/// Order is part of the format. Word 4 records whether the singleton test
-/// runs, which is now `fast_path` itself: an image whose words 3 and 4
-/// differ came from an older build under mixed lookup switches and fails
-/// as a `singleton_path` mismatch. Word 8 held the hash of a hot-function
-/// profile, which no build sets any more: it is always written as 0, and
-/// an older image taken under a profile fails as a `hot_profile`
-/// mismatch.
+/// Order is part of the format. Word 1 held the key the machine sealed
+/// its module under when `Vm::new` still sealed it; it is always written
+/// as [`SIGN_KEY_WORD`], the old default, so an image taken under another
+/// key fails as a `sign_key` mismatch. Word 4 records whether the
+/// singleton test runs, which is now `fast_path` itself: an image whose
+/// words 3 and 4 differ came from an older build under mixed lookup
+/// switches and fails as a `singleton_path` mismatch. Word 8 held the hash
+/// of a hot-function profile, which no build sets any more: it is always
+/// written as 0, and an older image taken under a profile fails as a
+/// `hot_profile` mismatch.
 pub(crate) const FP_FIELDS: [&str; 10] = [
     "kind",
     "sign_key",
@@ -222,10 +229,13 @@ pub(crate) const FP_FIELDS: [&str; 10] = [
     "vcpus",
 ];
 
+/// Fingerprint word 1 (see [`FP_FIELDS`]).
+pub(crate) const SIGN_KEY_WORD: u64 = 0x57a;
+
 pub(crate) fn fingerprint_words(cfg: &VmConfig, fused_sites: u32) -> [u64; FP_FIELDS.len()] {
     [
         kind_code(cfg.kind),
-        cfg.sign_key,
+        SIGN_KEY_WORD,
         cfg.opt_level as u64,
         cfg.fast_path as u64,
         cfg.fast_path as u64,
@@ -360,7 +370,8 @@ impl SparseRegion<'_> {
 pub(crate) const FRAME_MIN: usize = 5 * 4 + 3 * 8 + 2;
 /// The frame-stack prefix, `usp`, `asid`, `result_frame` and four tags.
 const ICONTEXT_MIN: usize = 8 + 8 + 4 + 8 + 4;
-/// The frame-stack prefix, `asid`, `ksp`, the `kstack` prefix and two tags.
+/// A saved state's continuation: the frame-stack prefix, `asid`, `ksp`,
+/// the `kstack` prefix and two tags.
 const SAVED_STATE_MIN: usize = 8 + 4 + 8 + 8 + 2;
 /// Frames, `asid`, `ksp`, `usp`, `kstack`, `subsys`, `fuel`, the pool
 /// list and two tags.
@@ -386,7 +397,7 @@ fn mode_from(c: u8) -> Result<Mode, CodecError> {
     }
 }
 
-pub(crate) fn write_frame(w: &mut ImageWriter, fr: &Frame) {
+fn write_frame(w: &mut ImageWriter, fr: &Frame) {
     w.u32(fr.func);
     w.u32(fr.pc);
     w.u32(fr.block);
@@ -403,7 +414,7 @@ pub(crate) fn write_frame(w: &mut ImageWriter, fr: &Frame) {
     });
 }
 
-pub(crate) fn read_frame(r: &mut ImageReader<'_>) -> Result<Frame, CodecError> {
+fn read_frame(r: &mut ImageReader<'_>) -> Result<Frame, CodecError> {
     Ok(Frame {
         func: r.u32()?,
         pc: r.u32()?,
@@ -418,7 +429,7 @@ pub(crate) fn read_frame(r: &mut ImageReader<'_>) -> Result<Frame, CodecError> {
     })
 }
 
-pub(crate) fn write_frames(w: &mut ImageWriter, frames: &[Frame]) {
+fn write_frames(w: &mut ImageWriter, frames: &[Frame]) {
     w.seq(frames, write_frame);
 }
 
@@ -426,7 +437,7 @@ fn read_frames(r: &mut ImageReader<'_>) -> Result<Vec<Frame>, CodecError> {
     r.vec(FRAME_MIN, read_frame)
 }
 
-pub(crate) fn write_icontext(w: &mut ImageWriter, ic: &IContext) {
+fn write_icontext(w: &mut ImageWriter, ic: &IContext) {
     write_frames(w, &ic.frames);
     w.u64(ic.usp);
     w.u32(ic.asid);
@@ -453,34 +464,37 @@ fn read_icontext(r: &mut ImageReader<'_>) -> Result<IContext, CodecError> {
     })
 }
 
-pub(crate) fn write_saved_state(w: &mut ImageWriter, s: &SavedState) {
-    write_frames(w, &s.frames);
-    w.opt(s.icid, ImageWriter::u32);
-    w.u32(s.asid);
-    w.u64(s.ksp);
-    w.bytes(&s.kstack);
-    w.opt(s.save_dst, ImageWriter::u32);
+/// A continuation: a saved integer state, or the head of a recovery
+/// domain, whose user stack pointer sits between `ksp` and the
+/// kernel-stack bytes (a saved state has none).
+fn write_continuation(w: &mut ImageWriter, c: &Continuation) {
+    write_frames(w, &c.frames);
+    w.opt(c.icid, ImageWriter::u32);
+    w.u32(c.asid);
+    w.u64(c.ksp);
+    if let Some(usp) = c.usp {
+        w.u64(usp);
+    }
+    w.bytes(&c.kstack);
+    w.opt(c.dst, ImageWriter::u32);
 }
 
-fn read_saved_state(r: &mut ImageReader<'_>) -> Result<SavedState, CodecError> {
-    Ok(SavedState {
+/// Reads a continuation written by [`write_continuation`]; `domain`
+/// says whether it carries a user stack pointer.
+fn read_continuation(r: &mut ImageReader<'_>, domain: bool) -> Result<Continuation, CodecError> {
+    Ok(Continuation {
         frames: read_frames(r)?,
         icid: r.opt(|r| r.u32())?,
         asid: r.u32()?,
         ksp: r.u64()?,
+        usp: if domain { Some(r.u64()?) } else { None },
         kstack: r.bytes()?.to_vec(),
-        save_dst: r.opt(|r| r.u32())?,
+        dst: r.opt(|r| r.u32())?,
     })
 }
 
-pub(crate) fn write_recovery(w: &mut ImageWriter, rc: &RecoveryCtx) {
-    write_frames(w, &rc.frames);
-    w.opt(rc.icid, ImageWriter::u32);
-    w.u32(rc.asid);
-    w.u64(rc.ksp);
-    w.u64(rc.usp);
-    w.bytes(&rc.kstack);
-    w.opt(rc.dst, ImageWriter::u32);
+fn write_recovery(w: &mut ImageWriter, rc: &RecoveryCtx) {
+    write_continuation(w, &rc.cont);
     w.u64(rc.subsys);
     w.u64(rc.fuel);
     w.seq(&rc.quarantined_pools, |w, &p| w.u32(p));
@@ -488,13 +502,7 @@ pub(crate) fn write_recovery(w: &mut ImageWriter, rc: &RecoveryCtx) {
 
 fn read_recovery(r: &mut ImageReader<'_>) -> Result<RecoveryCtx, CodecError> {
     Ok(RecoveryCtx {
-        frames: read_frames(r)?,
-        icid: r.opt(|r| r.u32())?,
-        asid: r.u32()?,
-        ksp: r.u64()?,
-        usp: r.u64()?,
-        kstack: r.bytes()?.to_vec(),
-        dst: r.opt(|r| r.u32())?,
+        cont: read_continuation(r, true)?,
         subsys: r.u64()?,
         fuel: r.u64()?,
         quarantined_pools: r.vec(4, |r| r.u32())?,
@@ -709,7 +717,7 @@ pub(crate) struct Parsed<'a> {
     current_asid: u32,
     thread: Thread,
     icontexts: Vec<IContext>,
-    int_state: HashMap<u64, SavedState>,
+    int_state: HashMap<u64, Continuation>,
     user_state: HashMap<u64, IContext>,
     syscalls: HashMap<i64, u32>,
     interrupts: HashMap<i64, u32>,
@@ -739,7 +747,93 @@ impl Parsed<'_> {
             .chain(self.icontexts.iter().flat_map(|ic| &ic.frames))
             .chain(self.int_state.values().flat_map(|s| &s.frames))
             .chain(self.user_state.values().flat_map(|ic| &ic.frames))
-            .chain(self.recovery.iter().flat_map(|rc| &rc.frames))
+            .chain(self.recovery.iter().flat_map(|rc| &rc.cont.frames))
+    }
+
+    /// Refuses state that names code, registers, pools or stack addresses
+    /// the machine lacks, so that no run-time path indexes or subtracts
+    /// with a value the image forged (DESIGN.md §4.6).
+    fn check(&self, code: &CodeImage, pools: usize) -> Result<(), String> {
+        let funcs = &code.module.funcs;
+        let stack = |what: &str, frames: &[Frame]| {
+            for (i, fr) in frames.iter().enumerate() {
+                let Some(f) = funcs.get(fr.func as usize) else {
+                    return Err(format!("{what} frame {i}: bad function"));
+                };
+                // The tree engine has no flat code and ignores the pc.
+                let ops = code
+                    .flat
+                    .get(fr.func as usize)
+                    .map_or(usize::MAX, |ff| ff.ops.len());
+                let ret = dst_ok(fr.ret_dst, i.checked_sub(1).map(|c| &frames[c]));
+                let pooled = fr.stack_regs.iter().all(|r| (r.0 as usize) < pools);
+                let checks = [
+                    ((fr.pc as usize) < ops, "pc"),
+                    (fr.regs.len() >= f.num_values(), "register count"),
+                    (ret, "return register"),
+                    (sp_ok(fr.mode, fr.sp_saved), "saved stack pointer"),
+                    (pooled, "stack registration"),
+                ];
+                first_bad(format_args!("{what} frame {i} (@{})", f.name), &checks)?;
+            }
+            Ok(())
+        };
+        let t = &self.thread;
+        stack("thread", &t.frames)?;
+        let sps = sp_ok(Mode::Kernel, t.ksp) && sp_ok(Mode::User, t.usp);
+        first_bad("thread", &[(sps, "stack pointer")])?;
+        for ic in self.icontexts.iter().chain(self.user_state.values()) {
+            stack("icontext", &ic.frames)?;
+            let dst = dst_ok(ic.result_dst, ic.frames.get(ic.result_frame));
+            let checks = [
+                (sp_ok(Mode::User, ic.usp), "stack pointer"),
+                (dst, "result register"),
+            ];
+            first_bad("icontext", &checks)?;
+        }
+        let domains = self.recovery.iter().map(|rc| &rc.cont);
+        for c in self.int_state.values().chain(domains) {
+            stack("continuation", &c.frames)?;
+            let sps = sp_ok(Mode::Kernel, c.ksp) && c.usp.is_none_or(|sp| sp_ok(Mode::User, sp));
+            let kstack = c.ksp.checked_sub(KSTACK_BASE) == Some(c.kstack.len() as u64);
+            let checks = [
+                (sps, "stack pointer"),
+                (kstack, "kernel stack"),
+                (dst_ok(c.dst, c.frames.last()), "result register"),
+            ];
+            first_bad("continuation", &checks)?;
+        }
+        for (what, table) in [("syscall", &self.syscalls), ("interrupt", &self.interrupts)] {
+            let known = table.values().all(|&f| (f as usize) < funcs.len());
+            first_bad(format_args!("{what} table"), &[(known, "function")])?;
+        }
+        Ok(())
+    }
+}
+
+/// Names the first of `checks` that fails, as an error about `what`.
+fn first_bad(what: impl std::fmt::Display, checks: &[(bool, &str)]) -> Result<(), String> {
+    match checks.iter().find(|(ok, _)| !ok) {
+        Some((_, field)) => Err(format!("{what}: bad {field}")),
+        None => Ok(()),
+    }
+}
+
+/// Whether stack pointer `sp` lies in the stack of `mode`.
+fn sp_ok(mode: Mode, sp: u64) -> bool {
+    match mode {
+        Mode::Kernel => (KSTACK_BASE..=KSTACK_END).contains(&sp),
+        Mode::User => (USER_BASE..=USER_END).contains(&sp),
+    }
+}
+
+/// Whether result register `dst` is one of frame `fr`'s. An interrupt
+/// context that returned keeps its result register and no frames, and
+/// nothing is written.
+fn dst_ok(dst: Option<u32>, fr: Option<&Frame>) -> bool {
+    match (dst, fr) {
+        (Some(d), Some(fr)) => (d as usize) < fr.regs.len(),
+        _ => true,
     }
 }
 
@@ -760,7 +854,7 @@ pub(crate) fn parse_payload<'a>(r: &mut ImageReader<'a>) -> Result<Parsed<'a>, C
     };
     let icontexts = r.vec(ICONTEXT_MIN, read_icontext)?;
     let int_state = read_map(r, 8 + SAVED_STATE_MIN, |r| {
-        Ok((r.u64()?, read_saved_state(r)?))
+        Ok((r.u64()?, read_continuation(r, false)?))
     })?;
     let user_state = read_map(r, 8 + ICONTEXT_MIN, |r| Ok((r.u64()?, read_icontext(r)?)))?;
     let syscalls = table(r)?;
@@ -845,7 +939,7 @@ impl<T: Tracer> Vm<T> {
         w.seq(&self.icontexts, write_icontext);
         write_sorted(&mut w, &self.int_state, |w, k, s| {
             w.u64(k);
-            write_saved_state(w, s);
+            write_continuation(w, s);
         });
         write_sorted(&mut w, &self.user_state, |w, k, ic| {
             w.u64(k);
@@ -942,6 +1036,8 @@ impl<T: Tracer> Vm<T> {
     }
 
     fn commit(&mut self, p: Parsed<'_>) -> Result<(), SnapshotError> {
+        p.check(&self.code, self.pools.len())
+            .map_err(SnapshotError::Malformed)?;
         let spaces = p.memory.spaces;
         if !spaces
             .get(p.current_asid as usize)

@@ -372,7 +372,6 @@ entry:
         m,
         VmConfig {
             kind: KernelKind::Native,
-            sign_key: 1,
             fuel: 10_000,
             ..Default::default()
         },
@@ -741,38 +740,6 @@ fn unsafe_kernels_miss_the_overflow() {
 }
 
 #[test]
-fn native_cache_is_signed() {
-    // Signing happens inside Vm::new; this exercises the failure path via
-    // a direct tamper on SignedModule (unit-level check lives in sva-ir).
-    let m = parse_module(
-        r#"
-module "m"
-func public @f() : i64 {
-entry:
-  ret 3:i64
-}
-"#,
-    )
-    .unwrap();
-    let sealed = sva_ir::bytecode::SignedModule::seal(&m, 5);
-    let mut bad = sealed.clone();
-    bad.bytecode[8] ^= 0xff;
-    assert!(bad.open(5).is_err());
-    let good = sealed.open(5).unwrap();
-    let mut vm = Vm::new(
-        good,
-        VmConfig {
-            kind: KernelKind::Native,
-            sign_key: 5,
-            fuel: u64::MAX,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(vm.call("f", &[]).unwrap(), VmExit::Returned(3));
-}
-
-#[test]
 fn memcpy_intrinsic_kernel_user() {
     let src = r#"
 module "m"
@@ -1039,6 +1006,316 @@ entry:
     let mut vm = vm_for(src, KernelKind::Native);
     let err = vm.call("evil", &[]).unwrap_err();
     assert!(matches!(err, VmError::Privilege { .. }), "{err}");
+}
+
+#[test]
+fn function_addresses_past_the_module_are_refused_where_handed_over() {
+    // Every intrinsic that takes a function address refuses one past the
+    // module, on both engines, where it is handed over: a syscall or
+    // interrupt handler before any trap reaches it, an icontext entry or
+    // pushed signal handler before a frame is built from it.
+    let src = r#"
+module "os"
+func internal @user_main(%arg: i64) : i64 {
+entry:
+  %a:i64 = call $sva.syscall(40:i64, %arg) : i64
+  call $sva.abort(%a)
+  ret 0:i64
+}
+
+func internal @to_user() : i64 {
+entry:
+  %ic:i64 = call $sva.icontext.new(0:i64, 0:i64) : i64
+  call $sva.icontext.setentry(%ic, @user_main, 7:i64)
+  call $sva.iret(%ic, 0:i64)
+  ret 0:i64
+}
+
+func public @reg_syscall(%f: i64) : i64 {
+entry:
+  call $sva.register.syscall(40:i64, %f)
+  %r:i64 = call @to_user()
+  ret %r
+}
+
+func public @reg_interrupt(%f: i64) : i64 {
+entry:
+  call $sva.register.interrupt(0:i64, %f)
+  %r:i64 = call @to_user()
+  ret %r
+}
+
+func public @set_entry(%f: i64) : i64 {
+entry:
+  %ic:i64 = call $sva.icontext.new(0:i64, 0:i64) : i64
+  call $sva.icontext.setentry(%ic, %f, 7:i64)
+  ret 0:i64
+}
+
+func public @ipush(%f: i64) : i64 {
+entry:
+  %ic:i64 = call $sva.icontext.new(0:i64, 0:i64) : i64
+  call $llva.ipush.function(%ic, %f, 7:i64)
+  ret 0:i64
+}
+"#;
+    let wild = crate::mem::func_addr(1000);
+    for kind in [KernelKind::SvaGcc, KernelKind::SvaLlvm] {
+        for entry in ["reg_syscall", "reg_interrupt", "set_entry", "ipush"] {
+            let mut vm = vm_for(src, kind);
+            // Delivered at the first user-mode boundary.
+            vm.raise_interrupt(0);
+            match vm.call(entry, &[wild]) {
+                Err(VmError::BadIndirect(a)) if a == wild => {}
+                r => panic!("{kind:?} @{entry}: {r:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_syscall_without_operands_dispatches_syscall_0() {
+    // The structural verifier refuses `sva.syscall()`, but only the safe
+    // configuration requires verified bytecode; the others dispatch it as
+    // syscall 0 with no arguments.
+    let src = r#"
+module "m"
+func internal @h() : i64 {
+entry:
+  ret 1:i64
+}
+
+func public @noargs() : i64 {
+entry:
+  call $sva.register.syscall(0:i64, @h)
+  %r:i64 = call $sva.syscall() : i64
+  ret %r
+}
+"#;
+    for kind in [KernelKind::SvaGcc, KernelKind::SvaLlvm] {
+        let cfg = VmConfig {
+            kind,
+            ..Default::default()
+        };
+        let mut vm = Vm::new(parse_module(src).unwrap(), cfg).unwrap();
+        assert_eq!(vm.call("noargs", &[]).unwrap(), VmExit::Returned(1));
+    }
+}
+
+#[test]
+fn a_syscall_span_that_opens_after_the_clock_closes_at_cost_0() {
+    // An image (or a vCPU fork, whose counters start at 0) can hand a
+    // traced machine a syscall span that opens after its cycle count;
+    // closing it must not subtract past zero.
+    let src = r#"
+module "os"
+func internal @h(%x: i64) : i64 {
+entry:
+  %r:i64 = add %x, 2:i64
+  ret %r
+}
+
+func internal @user_main(%arg: i64) : i64 {
+entry:
+  %a:i64 = call $sva.syscall(40:i64, %arg) : i64
+  call $sva.abort(%a)
+  ret 0:i64
+}
+
+func public @start() : i64 {
+entry:
+  call $sva.register.syscall(40:i64, @h)
+  %ic:i64 = call $sva.icontext.new(0:i64, 0:i64) : i64
+  call $sva.icontext.setentry(%ic, @user_main, 7:i64)
+  call $sva.iret(%ic, 0:i64)
+  ret 0:i64
+}
+"#;
+    let traced = || {
+        let cfg = VmConfig {
+            kind: KernelKind::SvaLlvm,
+            ..Default::default()
+        };
+        Vm::with_tracer(
+            parse_module(src).unwrap(),
+            cfg,
+            sva_trace::RingTracer::default(),
+        )
+        .unwrap()
+    };
+    let mut vm = traced();
+    vm.set_fuel(1);
+    assert!(matches!(vm.call("start", &[]), Err(VmError::OutOfFuel)));
+    vm.set_fuel(u64::MAX);
+    while vm.thread.icid.is_none() {
+        assert!(vm.run_steps(1).unwrap().is_none(), "no trap");
+    }
+    let icid = vm.thread.icid.unwrap() as usize;
+    let (num, _) = vm.icontexts[icid].trace_sys.expect("a traced syscall span");
+    vm.icontexts[icid].trace_sys = Some((num, vm.stats.cycles + 1_000_000));
+    let mut target = traced();
+    target.restore(&vm.snapshot()).unwrap();
+    target.set_fuel(u64::MAX);
+    assert_eq!(target.run().unwrap(), VmExit::Halted(9));
+}
+
+/// A plain machine's continuations: `@work` registers a recovery domain
+/// and saves its integer state, counts to `%n` through calls, then
+/// reloads the state once and unwinds to the domain once, and returns
+/// `5 + n`.
+const RESUME_SRC: &str = r#"
+module "m"
+func internal @leaf(%x: i64) : i64 {
+entry:
+  %y:i64 = add %x, 1:i64
+  ret %y
+}
+
+func public @work(%n: i64) : i64 {
+entry:
+  %r:i64 = call $sva.recover.register(0:i64) : i64
+  %s:i64 = call $llva.save.integer(64:i64) : i64
+  br loop
+loop:
+  %i:i64 = phi i64 [entry: 0:i64, loop: %i2]
+  %i2:i64 = call @leaf(%i)
+  %done:i1 = icmp uge %i2, %n
+  condbr %done, tail, loop
+tail:
+  %first:i1 = icmp eq %s, 1:i64
+  condbr %first, reload, unw
+reload:
+  call $llva.load.integer(64:i64)
+  ret 0:i64
+unw:
+  %fresh:i1 = icmp eq %r, 0:i64
+  condbr %fresh, unwind, out
+unwind:
+  call $sva.recover.unwind(5:i64)
+  ret 0:i64
+out:
+  %sum:i64 = add %r, %i2
+  ret %sum
+}
+"#;
+
+/// Each forgery edits a paused machine into a state that names code,
+/// registers, pools or stack addresses the machine lacks; snapshotted, the
+/// image passes every checksum, and running the state would index or
+/// subtract past what the machine has.
+type Forgery = (&'static str, fn(&mut Vm));
+
+/// The running thread's innermost frame.
+fn top(vm: &mut Vm) -> &mut crate::vm::Frame {
+    vm.thread.frames.last_mut().unwrap()
+}
+
+/// Restores `valid` into `src`, applies each forgery and snapshots it,
+/// then requires `restore` and `restore_migrated` to refuse the image and
+/// `target`, which held `valid`, to run exactly as `untouched` did from
+/// `valid`.
+fn refuse_forgeries(src: &mut Vm, target: &mut Vm, valid: &[u8], forgeries: &[Forgery]) {
+    use crate::migrate::MigrateError;
+    use crate::snapshot::SnapshotError;
+    let run = |vm: &mut Vm| {
+        vm.set_fuel(50_000_000);
+        let exit = vm.run();
+        (format!("{exit:?}"), vm.stats(), vm.console.clone())
+    };
+    target.restore(valid).unwrap();
+    let untouched = run(target);
+    for (name, edit) in forgeries {
+        src.restore(valid).unwrap();
+        edit(src);
+        let img = src.snapshot_midflight();
+        target.restore(valid).unwrap();
+        match target.restore(&img) {
+            Err(SnapshotError::Malformed(_)) => {}
+            r => panic!("{name}: restore gave {r:?}"),
+        }
+        match target.restore_migrated(&img) {
+            Err(MigrateError::Image(SnapshotError::Malformed(_))) => {}
+            r => panic!("{name}: restore_migrated gave {r:?}"),
+        }
+        assert!(run(target) == untouched, "{name}: diverged after refusal");
+    }
+}
+
+#[test]
+fn restore_refuses_state_the_machine_lacks() {
+    // A plain machine paused inside `@work`'s loop, its domain and saved
+    // state live.
+    let plain = || {
+        let cfg = VmConfig {
+            kind: KernelKind::SvaLlvm,
+            fuel: 60,
+            ..Default::default()
+        };
+        Vm::new(parse_module(RESUME_SRC).unwrap(), cfg).unwrap()
+    };
+    let mut paused = plain();
+    assert!(matches!(
+        paused.call("work", &[50]),
+        Err(VmError::OutOfFuel)
+    ));
+    assert_eq!((paused.recovery.len(), paused.int_state.len()), (1, 1));
+    refuse_forgeries(
+        &mut plain(),
+        &mut plain(),
+        &paused.snapshot_midflight(),
+        &[
+            ("frame pc past the code", |vm| top(vm).pc = 1_000_000),
+            ("frame function past the code", |vm| top(vm).func = 1_000),
+            ("frame without its registers", |vm| top(vm).regs.clear()),
+            ("saved-state result register", |vm| {
+                vm.int_state.get_mut(&64).unwrap().dst = Some(1_000_000)
+            }),
+            ("domain result register", |vm| {
+                vm.recovery[0].cont.dst = Some(1_000_000)
+            }),
+            ("domain kernel stack pointer", |vm| {
+                vm.recovery[0].cont.ksp = 0
+            }),
+        ],
+    );
+
+    // The nested kernel inside its first syscall handler, under the
+    // syscall's domain.
+    let arg = sva_kernel::harness::pack_arg(20, 0, 0);
+    let mut kernel = paused_kernel("user_getpid_loop", arg);
+    while kernel.thread.icid.is_none()
+        || kernel.recovery.len() < 2
+        || kernel.thread.frames.len() < 2
+    {
+        assert!(kernel.run_steps(1).unwrap().is_none(), "no syscall");
+    }
+    assert!(!kernel.interrupts.is_empty(), "no IRQ handler");
+    let fresh = || paused_kernel("user_getpid_loop", arg);
+    refuse_forgeries(
+        &mut fresh(),
+        &mut fresh(),
+        &kernel.snapshot_midflight(),
+        &[
+            ("syscall table entry", |vm| {
+                vm.syscalls.values_mut().for_each(|f| *f = 1_000_000)
+            }),
+            ("return register past the caller's", |vm| {
+                top(vm).ret_dst = Some(1_000_000)
+            }),
+            ("icontext result register", |vm| {
+                let icid = vm.thread.icid.unwrap() as usize;
+                vm.icontexts[icid].result_dst = Some(1_000_000);
+            }),
+            ("stack registration of no metapool", |vm| {
+                top(vm).stack_regs.push((99_999, 0x1000, 16))
+            }),
+            ("interrupt table entry", |vm| {
+                let vector = *vm.interrupts.keys().next().unwrap();
+                vm.interrupts.values_mut().for_each(|f| *f = 1_000_000);
+                vm.pending_irq.push_back(vector);
+            }),
+        ],
+    );
 }
 
 #[test]

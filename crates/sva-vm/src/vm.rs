@@ -7,7 +7,7 @@
 //! * loads a module, lays out globals in kernel memory and patches
 //!   relocations;
 //! * **translates** bytecode to a pre-resolved flat instruction stream
-//!   (the "native code cache"), signed together with the bytecode;
+//!   (the "native code cache");
 //! * executes either the flat code or the tree-walking interpreter — the
 //!   two code generators behind the paper's GCC/LLVM comparison columns;
 //! * implements every SVA-OS operation: interrupt contexts, integer/FP
@@ -18,7 +18,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sva_ir::bytecode::SignedModule;
 use sva_ir::{
     AtomicOp, BinOp, Callee, CastOp, GlobalInit, IPred, Inst, Intrinsic, Module, Operand,
     PoolAnnotations, RelocTarget, Type, TypeId,
@@ -70,8 +69,6 @@ pub enum VmError {
     BadStateBuffer(u64),
     /// Safety enforcement requested for a module without verifier output.
     NotVerified,
-    /// Native-code cache signature mismatch (paper §3.4).
-    BadSignature,
     /// Execution exceeded the configured fuel limit.
     OutOfFuel,
     /// `sva.recover.unwind` without a registered recovery context.
@@ -99,7 +96,6 @@ impl std::fmt::Display for VmError {
             VmError::BadIContext(i) => write!(f, "bad interrupt context {i}"),
             VmError::BadStateBuffer(a) => write!(f, "no integer state saved at {a:#x}"),
             VmError::NotVerified => write!(f, "safety enforcement requires verified bytecode"),
-            VmError::BadSignature => write!(f, "native code cache signature mismatch"),
             VmError::OutOfFuel => write!(f, "execution exceeded fuel limit"),
             VmError::NoRecoveryContext => write!(f, "no recovery context registered"),
             VmError::Internal(s) => write!(f, "internal VM invariant violated: {s}"),
@@ -170,8 +166,6 @@ impl KernelKind {
 pub struct VmConfig {
     /// Kernel configuration.
     pub kind: KernelKind,
-    /// Key for the native-code-cache signature.
-    pub sign_key: u64,
     /// Instruction budget (guards against runaway guests); `u64::MAX` for
     /// unlimited.
     pub fuel: u64,
@@ -210,7 +204,6 @@ impl std::fmt::Debug for VmConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VmConfig")
             .field("kind", &self.kind)
-            .field("sign_key", &self.sign_key)
             .field("fuel", &self.fuel)
             .field("fast_path", &self.fast_path)
             .field("violation_budget", &self.violation_budget)
@@ -226,7 +219,6 @@ impl Default for VmConfig {
     fn default() -> Self {
         VmConfig {
             kind: KernelKind::SvaSafe,
-            sign_key: 0x57a,
             fuel: u64::MAX,
             fast_path: true,
             violation_budget: 3,
@@ -603,10 +595,8 @@ impl CodeImage {
             .get_or_init(|| crate::snapshot::compute_manifest(&self.module))
     }
 
-    /// FNV identity of the code: the module's bytecode, which is what a
-    /// sealed module signs and what the translation cache is a pure
-    /// function of. The signing key only changes the seal's tag, so the
-    /// identity depends on the module alone, which never changes.
+    /// FNV identity of the code: the module's bytecode, which the
+    /// translation cache is a pure function of and which never changes.
     pub(crate) fn code_identity(&self) -> u64 {
         *self
             .code_id
@@ -621,9 +611,10 @@ impl CodeImage {
 #[derive(Clone, Debug)]
 pub(crate) struct Frame {
     pub func: u32,
-    /// Flat pc (flat engine) or instruction cursor (tree engine:
-    /// block/index packed by the engine).
+    /// Flat pc (flat engine; the tree engine leaves it 0).
     pub pc: u32,
+    /// Block and instruction index (tree engine; the flat engine leaves
+    /// them 0).
     pub block: u32,
     pub idx: u32,
     pub prev_block: u32,
@@ -635,15 +626,21 @@ pub(crate) struct Frame {
     pub stack_regs: Vec<(u32, u64, u64)>,
 }
 
-/// Saved integer state (`llva.save.integer`, paper Table 1).
+/// A captured thread (DESIGN.md §4.3): what [`Vm::capture`] saves and
+/// [`Vm::resume`] puts back.
 #[derive(Clone, Debug)]
-pub(crate) struct SavedState {
+pub(crate) struct Continuation {
     pub frames: Vec<Frame>,
     pub icid: Option<u32>,
     pub asid: u32,
     pub ksp: u64,
+    /// Saved and restored by a recovery domain, not by
+    /// `llva.save.integer` (`None`).
+    pub usp: Option<u64>,
+    /// The live kernel-stack bytes, `KSTACK_BASE..ksp`.
     pub kstack: Vec<u8>,
-    pub save_dst: Option<u32>,
+    /// The capturing call's result register, which a resume overwrites.
+    pub dst: Option<u32>,
 }
 
 /// Recovery domain registered by `sva.recover.register` (setjmp-like;
@@ -654,15 +651,8 @@ pub(crate) struct SavedState {
 /// quarantined.
 #[derive(Clone, Debug)]
 pub(crate) struct RecoveryCtx {
-    pub frames: Vec<Frame>,
-    pub icid: Option<u32>,
-    pub asid: u32,
-    pub ksp: u64,
-    pub usp: u64,
-    pub kstack: Vec<u8>,
-    /// Register that receives 0 at registration and the packed resume code
-    /// on every unwind.
-    pub dst: Option<u32>,
+    /// Where an unwind resumes.
+    pub cont: Continuation,
     /// Owning-subsystem id (`sva.recover.register` argument 0; purely
     /// attribution — surfaced in trace events and the blast-radius report).
     pub subsys: u64,
@@ -678,7 +668,7 @@ pub(crate) struct RecoveryCtx {
 
 /// An interrupt context (paper §3.3): the interrupted control state handed
 /// to the kernel on a trap.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct IContext {
     pub frames: Vec<Frame>,
     pub usp: u64,
@@ -812,7 +802,7 @@ pub struct Vm<T: Tracer = NullTracer> {
     pub(crate) cfg: VmConfig,
     pub(crate) thread: Thread,
     pub(crate) icontexts: Vec<IContext>,
-    pub(crate) int_state: HashMap<u64, SavedState>,
+    pub(crate) int_state: HashMap<u64, Continuation>,
     pub(crate) user_state: HashMap<u64, IContext>,
     pub(crate) syscalls: HashMap<i64, u32>,
     pub(crate) interrupts: HashMap<i64, u32>,
@@ -883,13 +873,6 @@ impl<T: Tracer> Vm<T> {
         if cfg.kind.checks() && module.pool_annotations.is_none() {
             return Err(VmError::NotVerified);
         }
-        // Translation + authentication: encode, sign and verify the pair —
-        // the offline-translation flow of §3.4.
-        let sealed = SignedModule::seal(&module, cfg.sign_key);
-        if sealed.open(cfg.sign_key).is_err() {
-            return Err(VmError::BadSignature);
-        }
-
         let mut mem = Memory::new();
         let mut global_addr = Vec::with_capacity(module.globals.len());
         let mut cursor = crate::mem::KERN_BASE + 0x1000;
@@ -973,14 +956,9 @@ impl<T: Tracer> Vm<T> {
                     .collect();
                 pools.add_func_set(addrs);
             }
-            // Register every global eagerly (the compiler also emits
-            // registrations in the kernel entry; eager registration keeps
-            // direct `vm.call` entry points checkable too). Registration is
-            // idempotent at the entry because reg rejects only *overlap*
-            // with other objects, so pre-register and let the kernel-entry
-            // registrations be skipped.
-            // Instead: rely on the instrumented entry; here we only
-            // register the userspace pseudo-object (paper §4.6).
+            // A module's globals are registered by the compiler-inserted
+            // registrations its entry runs; at load the SVM registers only
+            // the userspace pseudo-object (paper §4.6).
             for (i, d) in pa.metapools.iter().enumerate() {
                 if d.userspace {
                     let _ = pools
@@ -1284,50 +1262,66 @@ impl<T: Tracer> Vm<T> {
             .module
             .func_by_name(name)
             .ok_or_else(|| VmError::Unsupported(format!("no function @{name}")))?;
-        let frame = self.frame_for_call(fid.0, args, None, Mode::Kernel)?;
-        let saved_floor = self.call_floor;
-        self.call_floor = self.thread.frames.len();
-        self.thread.frames.push(frame);
-        let r = self.run();
-        self.call_floor = saved_floor;
-        r
+        self.enter(fid.0, args, Self::run)
     }
 
     /// Boots the module: runs its designated entry function.
     pub fn boot(&mut self) -> Result<VmExit, VmError> {
-        let entry = self
-            .code
-            .module
-            .entry
-            .ok_or_else(|| VmError::Unsupported("module has no entry".into()))?;
-        let name = self.code.module.func(entry).name.clone();
-        self.call(&name, &[])
+        let entry = self.entry()?;
+        self.enter(entry, &[], Self::run)
     }
 
-    fn frame_for_call(
+    fn entry(&self) -> Result<u32, VmError> {
+        self.code
+            .module
+            .entry
+            .map(|f| f.0)
+            .ok_or_else(|| VmError::Unsupported("module has no entry".into()))
+    }
+
+    /// The one host entry: pushes a kernel-mode frame of `func` and lets
+    /// `run` run the machine until that frame returns.
+    fn enter<R>(
         &mut self,
         func: u32,
         args: &[u64],
+        run: impl FnOnce(&mut Self) -> Result<R, VmError>,
+    ) -> Result<R, VmError> {
+        let frame = self.new_frame(func, args, args.len(), None, Mode::Kernel, self.thread.ksp)?;
+        let saved_floor = std::mem::replace(&mut self.call_floor, self.thread.frames.len());
+        self.thread.frames.push(frame);
+        let r = run(self);
+        self.call_floor = saved_floor;
+        r
+    }
+
+    /// The one frame constructor: `func` bound to `args`, with a register
+    /// per value and at least `min_regs` (a call pads to its argument
+    /// count). A function past the module is [`VmError::BadIndirect`].
+    fn new_frame(
+        &self,
+        func: u32,
+        args: &[u64],
+        min_regs: usize,
         ret_dst: Option<u32>,
         mode: Mode,
+        sp_saved: u64,
     ) -> Result<Frame, VmError> {
         // Borrow the shared image rather than cloning its `Arc`: every
         // guest call lands here, and on an SMP machine all vCPUs would
         // otherwise bounce one reference count between their cores.
-        let f = &self.code.module.funcs[func as usize];
-        let nvals = f.num_values().max(args.len());
-        let mut regs = vec![0u64; nvals];
-        for (i, a) in args.iter().enumerate() {
-            if i < f.params.len() {
-                if let Some(r) = regs.get_mut(f.params[i].0 as usize) {
-                    *r = *a;
-                }
+        let f = self
+            .code
+            .module
+            .funcs
+            .get(func as usize)
+            .ok_or(VmError::BadIndirect(func_addr(func)))?;
+        let mut regs = vec![0u64; f.num_values().max(min_regs)];
+        for (p, a) in f.params.iter().zip(args) {
+            if let Some(r) = regs.get_mut(p.0 as usize) {
+                *r = *a;
             }
         }
-        let sp_saved = match mode {
-            Mode::Kernel => self.thread.ksp,
-            Mode::User => self.thread.usp,
-        };
         Ok(Frame {
             func,
             pc: 0,
@@ -1342,6 +1336,24 @@ impl<T: Tracer> Vm<T> {
         })
     }
 
+    /// The function at guest address `addr`, under the bound
+    /// [`Vm::new_frame`] applies: every code address the guest hands over
+    /// passes here, so no table or context holds a function without one.
+    fn func_at(&self, addr: u64) -> Result<u32, VmError> {
+        addr_func(addr)
+            .filter(|&f| (f as usize) < self.code.module.funcs.len())
+            .ok_or(VmError::BadIndirect(addr))
+    }
+
+    /// Writes `v` into the innermost frame's result register `dst`.
+    fn set_reg(&mut self, dst: Option<u32>, v: u64) -> Result<(), VmError> {
+        if let Some(d) = dst {
+            let fr = self.thread.frames.last_mut();
+            fr.ok_or(VmError::Internal("result with no frame"))?.regs[d as usize] = v;
+        }
+        Ok(())
+    }
+
     fn mode(&self) -> Mode {
         self.thread
             .frames
@@ -1351,26 +1363,16 @@ impl<T: Tracer> Vm<T> {
     }
 
     fn alloca(&mut self, size: u64, align: u64) -> Result<u64, VmError> {
-        let mode = self.mode();
-        let align = align.max(8);
-        match mode {
-            Mode::Kernel => {
-                let base = round_up(self.thread.ksp, align);
-                if base + size > KSTACK_END {
-                    return Err(VmError::StackOverflow);
-                }
-                self.thread.ksp = base + size;
-                Ok(base)
-            }
-            Mode::User => {
-                let base = round_up(self.thread.usp, align);
-                if base + size > USER_END {
-                    return Err(VmError::StackOverflow);
-                }
-                self.thread.usp = base + size;
-                Ok(base)
-            }
+        let (sp, end) = match self.mode() {
+            Mode::Kernel => (&mut self.thread.ksp, KSTACK_END),
+            Mode::User => (&mut self.thread.usp, USER_END),
+        };
+        let base = round_up(*sp, align.max(8));
+        if base + size > end {
+            return Err(VmError::StackOverflow);
         }
+        *sp = base + size;
+        Ok(base)
     }
 
     // --- main loop -------------------------------------------------------
@@ -1393,18 +1395,8 @@ impl<T: Tracer> Vm<T> {
     /// from here with [`Vm::run`] is byte-identical (fuel, stats, traps)
     /// to one that booted straight through.
     pub fn boot_to_user(&mut self) -> Result<Option<VmExit>, VmError> {
-        let entry = self
-            .code
-            .module
-            .entry
-            .ok_or_else(|| VmError::Unsupported("module has no entry".into()))?;
-        let frame = self.frame_for_call(entry.0, &[], None, Mode::Kernel)?;
-        let saved_floor = self.call_floor;
-        self.call_floor = self.thread.frames.len();
-        self.thread.frames.push(frame);
-        let r = self.run_inner(true);
-        self.call_floor = saved_floor;
-        r
+        let entry = self.entry()?;
+        self.enter(entry, &[], |vm| vm.run_inner(true))
     }
 
     /// Runs at most `max` instruction-boundary iterations, returning
@@ -1562,37 +1554,37 @@ impl<T: Tracer> Vm<T> {
                 None
             };
             // Deferred fault probe: counts down per kernel-mode
-            // instruction and then models the stale dereference, taking
-            // the same containment path as an in-step violation.
-            if self.pending_probe.is_some() && self.mode() == Mode::Kernel {
-                let (cnt, pool, addr) = self.pending_probe.unwrap();
-                if cnt > 1 {
-                    self.pending_probe = Some((cnt - 1, pool, addr));
-                } else {
-                    self.pending_probe = None;
-                    self.stats.cycles += CHECK_CYCLES;
-                    let r = self
-                        .pools
-                        .pool_get_mut(sva_rt::MetaPoolId(pool))
-                        .map(|p| p.ls_check(addr))
-                        .unwrap_or(Ok(()));
-                    if let Err(e) = r {
-                        if T::wants(EventClass::Violation) {
-                            let ts = self.stats.cycles;
-                            self.tracer.record(
-                                ts,
-                                TraceEvent::Violation {
-                                    check: e.kind.to_string(),
-                                    pool: e.pool.clone(),
-                                    addr: e.addr,
-                                    detail: e.detail.clone(),
-                                },
-                            );
-                        }
-                        if !self.recovery.is_empty() {
-                            self.recover_from(&e)?;
-                            continue;
-                        }
+            // instruction, then models the stale dereference as this
+            // boundary's step.
+            let probed = match self.pending_probe {
+                Some((cnt, pool, addr)) if self.mode() == Mode::Kernel => {
+                    if cnt > 1 {
+                        self.pending_probe = Some((cnt - 1, pool, addr));
+                        Ok(())
+                    } else {
+                        self.pending_probe = None;
+                        self.probe(pool, addr)
+                    }
+                }
+                _ => Ok(()),
+            };
+            let step = probed.and_then(|()| self.step(&code, watched));
+            // The one safety-violation exit (DESIGN.md §4.3/§4.5): a
+            // kernel-mode violation with a registered recovery domain is
+            // absorbed — the pool is quarantined within the innermost
+            // domain's scope and the thread unwinds to it. Otherwise the
+            // machine dies with `VmError::Safety`, captured first.
+            let step = match step {
+                Err(VmError::Safety(e)) => {
+                    self.trace(EventClass::Violation, |_, _| TraceEvent::Violation {
+                        check: e.kind.to_string(),
+                        pool: e.pool.clone(),
+                        addr: e.addr,
+                        detail: e.detail.clone(),
+                    });
+                    if !self.recovery.is_empty() && self.mode() == Mode::Kernel {
+                        self.recover_from(&e)
+                    } else {
                         if self.crash.enabled {
                             let d = format!(
                                 "{} pool={} addr={:#x} {}",
@@ -1600,153 +1592,8 @@ impl<T: Tracer> Vm<T> {
                             );
                             self.capture_crash(crate::bundle::CrashReason::SafetyEscape, 0, d);
                         }
-                        return Err(VmError::Safety(e));
+                        Err(VmError::Safety(e))
                     }
-                }
-            }
-            // Deferred GEP skew: arms the live skew after the countdown so
-            // the skewed derivations happen inside the handler body.
-            if self.pending_skew.is_some() && self.mode() == Mode::Kernel {
-                let (cnt, count, delta) = self.pending_skew.unwrap();
-                if cnt > 1 {
-                    self.pending_skew = Some((cnt - 1, count, delta));
-                } else {
-                    self.pending_skew = None;
-                    self.gep_skew = Some((count, delta));
-                }
-            }
-            // Snapshot the cycle counter before this iteration charges
-            // anything: the post-step delta is the cycles attributed to the
-            // event recorded below, so summing event costs reproduces the
-            // counter exactly (100% profile coverage by construction).
-            // Needed by both the per-instruction and the IRQ-delivery
-            // events, so it is read if either class is wanted.
-            let iter_start = if T::wants(EventClass::Inst) || T::wants(EventClass::Irq) {
-                self.stats.cycles
-            } else {
-                0
-            };
-            if !self.pending_irq.is_empty() && self.mode() == Mode::User {
-                self.stats.instructions += 1;
-                self.stats.cycles += 1;
-                let vector = self.deliver_interrupt()?;
-                if T::wants(EventClass::Irq) {
-                    let ts = self.stats.cycles;
-                    self.tracer.record(
-                        ts,
-                        TraceEvent::IrqDeliver {
-                            vector,
-                            cost: ts - iter_start,
-                        },
-                    );
-                }
-                continue;
-            }
-            let (func, opcode) = if T::wants(EventClass::Inst) {
-                (
-                    self.thread
-                        .frames
-                        .last()
-                        .map(|f| f.func)
-                        .unwrap_or(u32::MAX),
-                    self.current_opcode(&code),
-                )
-            } else {
-                (0, "")
-            };
-            let step = if self.cfg.kind.flat() {
-                // The block budget (DESIGN.md §4.11): 1 while anything acts
-                // at a single boundary — per-instruction tracing or a
-                // deferred probe or skew counting down — otherwise as many
-                // ops as the fuel, the ticking domain's watchdog fuel and
-                // an armed latch leave before their next boundary action.
-                // This op's units are charged already, hence the `+ 1`s.
-                let budget = if T::wants(EventClass::Inst)
-                    || self.pending_probe.is_some()
-                    || self.pending_skew.is_some()
-                {
-                    1
-                } else {
-                    let mut b = self.fuel.saturating_add(1);
-                    if let Some(slot) = watched {
-                        b = b.min(self.recovery[slot].fuel.saturating_add(1));
-                    }
-                    if let Some(n) = self.snap_request {
-                        b = b.min(n.saturating_add(1));
-                    }
-                    b
-                };
-                let mut ran = 0;
-                let step = self.exec_flat(&code, budget, &mut ran);
-                // Charge the boundaries the block ran past before anything
-                // looks at the machine: recovery, crash capture and the
-                // caller all see what single steps would have left. The
-                // watchdog slot still names the ticking domain when the
-                // block's last op pushed a domain above it, and names
-                // nothing when that op popped it.
-                let skipped = ran.saturating_sub(1);
-                if skipped > 0 {
-                    self.fuel -= skipped;
-                    if let Some(rc) = watched.and_then(|s| self.recovery.get_mut(s)) {
-                        rc.fuel -= skipped;
-                    }
-                    if let Some(n) = self.snap_request.as_mut() {
-                        *n -= skipped;
-                    }
-                }
-                step
-            } else {
-                self.stats.instructions += 1;
-                self.stats.cycles += 1;
-                self.step_tree(&code)
-            };
-            if T::wants(EventClass::Inst) {
-                let ts = self.stats.cycles;
-                self.tracer.record(
-                    ts,
-                    TraceEvent::Inst {
-                        func,
-                        opcode,
-                        cost: ts - iter_start,
-                    },
-                );
-            }
-            if T::wants(EventClass::Violation) {
-                if let Err(VmError::Safety(e)) = &step {
-                    let ts = self.stats.cycles;
-                    self.tracer.record(
-                        ts,
-                        TraceEvent::Violation {
-                            check: e.kind.to_string(),
-                            pool: e.pool.clone(),
-                            addr: e.addr,
-                            detail: e.detail.clone(),
-                        },
-                    );
-                }
-            }
-            // Violation recovery (DESIGN.md §4.3/§4.5): a kernel-mode
-            // safety violation with a registered recovery domain is
-            // absorbed — the offending pool is quarantined within the
-            // innermost domain's scope and the thread unwinds to that
-            // domain's snapshot instead of the error escaping `run`. With
-            // no domain registered this arm never fires and the machine is
-            // exactly the pre-recovery machine.
-            let step = match step {
-                Err(VmError::Safety(e))
-                    if !self.recovery.is_empty() && self.mode() == Mode::Kernel =>
-                {
-                    self.recover_from(&e)
-                }
-                Err(VmError::Safety(e)) => {
-                    // A violation with nowhere to unwind to: the machine
-                    // dies with `VmError::Safety`, so capture it first.
-                    if self.crash.enabled {
-                        let d =
-                            format!("{} pool={} addr={:#x} {}", e.kind, e.pool, e.addr, e.detail);
-                        self.capture_crash(crate::bundle::CrashReason::SafetyEscape, 0, d);
-                    }
-                    Err(VmError::Safety(e))
                 }
                 other => other,
             };
@@ -1755,6 +1602,109 @@ impl<T: Tracer> Vm<T> {
                 StepOut::Exit(e) => return Ok(Some(e)),
             }
         }
+    }
+
+    /// One boundary's work after the prologue: ticks a deferred skew, then
+    /// delivers a pending IRQ or runs a block of ops (DESIGN.md §4.11), or
+    /// one on the tree engine. `watched` is the domain slot whose watchdog
+    /// this boundary ticked.
+    fn step(&mut self, code: &CodeImage, watched: Option<usize>) -> Result<StepOut, VmError> {
+        // Deferred GEP skew: arms the live skew after the countdown so the
+        // skewed derivations happen inside the handler body.
+        if self.pending_skew.is_some() && self.mode() == Mode::Kernel {
+            let (cnt, count, delta) = self.pending_skew.unwrap();
+            if cnt > 1 {
+                self.pending_skew = Some((cnt - 1, count, delta));
+            } else {
+                self.pending_skew = None;
+                self.gep_skew = Some((count, delta));
+            }
+        }
+        // Snapshot the cycle counter before this iteration charges
+        // anything: the post-step delta is the cycles attributed to the
+        // event recorded below, so summing event costs reproduces the
+        // counter exactly (100% profile coverage by construction). Needed
+        // by both the per-instruction and the IRQ-delivery events, so it is
+        // read if either class is wanted.
+        let iter_start = if T::wants(EventClass::Inst) || T::wants(EventClass::Irq) {
+            self.stats.cycles
+        } else {
+            0
+        };
+        if !self.pending_irq.is_empty() && self.mode() == Mode::User {
+            self.stats.instructions += 1;
+            self.stats.cycles += 1;
+            let vector = self.deliver_interrupt()?;
+            self.trace(EventClass::Irq, |_, ts| TraceEvent::IrqDeliver {
+                vector,
+                cost: ts - iter_start,
+            });
+            return Ok(StepOut::Continue);
+        }
+        let (func, opcode) = if T::wants(EventClass::Inst) {
+            (
+                self.thread
+                    .frames
+                    .last()
+                    .map(|f| f.func)
+                    .unwrap_or(u32::MAX),
+                self.current_opcode(code),
+            )
+        } else {
+            (0, "")
+        };
+        let step = if self.cfg.kind.flat() {
+            // The block budget (DESIGN.md §4.11): 1 while anything acts at
+            // a single boundary — per-instruction tracing or a deferred
+            // probe or skew counting down — otherwise as many ops as the
+            // fuel, the ticking domain's watchdog fuel and an armed latch
+            // leave before their next boundary action. This op's units are
+            // charged already, hence the `+ 1`s.
+            let budget = if T::wants(EventClass::Inst)
+                || self.pending_probe.is_some()
+                || self.pending_skew.is_some()
+            {
+                1
+            } else {
+                let mut b = self.fuel.saturating_add(1);
+                if let Some(slot) = watched {
+                    b = b.min(self.recovery[slot].fuel.saturating_add(1));
+                }
+                if let Some(n) = self.snap_request {
+                    b = b.min(n.saturating_add(1));
+                }
+                b
+            };
+            let mut ran = 0;
+            let step = self.exec_flat(code, budget, &mut ran);
+            // Charge the boundaries the block ran past before anything
+            // looks at the machine: recovery, crash capture and the caller
+            // all see what single steps would have left. The watchdog slot
+            // still names the ticking domain when the block's last op
+            // pushed a domain above it, and names nothing when that op
+            // popped it.
+            let skipped = ran.saturating_sub(1);
+            if skipped > 0 {
+                self.fuel -= skipped;
+                if let Some(rc) = watched.and_then(|s| self.recovery.get_mut(s)) {
+                    rc.fuel -= skipped;
+                }
+                if let Some(n) = self.snap_request.as_mut() {
+                    *n -= skipped;
+                }
+            }
+            step
+        } else {
+            self.stats.instructions += 1;
+            self.stats.cycles += 1;
+            self.step_tree(code)
+        };
+        self.trace(EventClass::Inst, |_, ts| TraceEvent::Inst {
+            func,
+            opcode,
+            cost: ts - iter_start,
+        });
+        step
     }
 
     /// Absorbs a kernel-mode safety violation: attributes it to a metapool
@@ -1794,18 +1744,11 @@ impl<T: Tracer> Vm<T> {
                     rc.quarantined_pools.push(pid.0);
                 }
             }
-            if T::wants(EventClass::Recovery) {
-                let violations = self.pools.pool(pid).violations();
-                let ts = self.stats.cycles;
-                self.tracer.record(
-                    ts,
-                    TraceEvent::PoolQuarantine {
-                        pool: pid.0,
-                        violations,
-                        poisoned,
-                    },
-                );
-            }
+            self.trace(EventClass::Recovery, |vm, _| TraceEvent::PoolQuarantine {
+                pool: pid.0,
+                violations: vm.pools.pool(pid).violations(),
+                poisoned,
+            });
         }
         // The resume code captures the interrupted icontext *before* the
         // unwind resets `icid`, so the handler can still iret the faulting
@@ -1820,21 +1763,11 @@ impl<T: Tracer> Vm<T> {
         }
         .encode();
         self.stats.violations_recovered += 1;
-        self.unwind_to_recovery(code)?;
-        if T::wants(EventClass::Recovery) {
-            let ts = self.stats.cycles;
-            let subsys = self.recovery.last().map(|rc| rc.subsys).unwrap_or(0);
-            self.tracer.record(
-                ts,
-                TraceEvent::RecoverUnwind {
-                    code,
-                    pool: pool_id.map(|p| p.0).unwrap_or(u32::MAX),
-                    poisoned,
-                    depth: depth as u32,
-                    subsys,
-                },
-            );
-        }
+        self.resume(Resume::Unwind {
+            code,
+            pool: pool_id.map(|p| p.0),
+            poisoned,
+        })?;
         Ok(StepOut::Continue)
     }
 
@@ -1849,17 +1782,11 @@ impl<T: Tracer> Vm<T> {
                 p.end_scope();
             }
         }
-        if T::wants(EventClass::Recovery) {
-            let ts = self.stats.cycles;
-            self.tracer.record(
-                ts,
-                TraceEvent::DomainPop {
-                    subsys: rc.subsys,
-                    depth: self.recovery.len() as u32,
-                    forced,
-                },
-            );
-        }
+        self.trace(EventClass::Recovery, |vm, _| TraceEvent::DomainPop {
+            subsys: rc.subsys,
+            depth: vm.recovery.len() as u32,
+            forced,
+        });
         Some(rc)
     }
 
@@ -1895,43 +1822,57 @@ impl<T: Tracer> Vm<T> {
             icid,
         }
         .encode();
-        self.unwind_to_recovery(code)?;
-        if T::wants(EventClass::Recovery) {
-            let ts = self.stats.cycles;
-            let subsys = self.recovery.last().map(|rc| rc.subsys).unwrap_or(0);
-            self.tracer.record(
-                ts,
-                TraceEvent::RecoverUnwind {
-                    code,
-                    pool: u32::MAX,
-                    poisoned: false,
-                    depth: depth as u32,
-                    subsys,
-                },
-            );
-        }
-        Ok(())
+        self.resume(Resume::Unwind {
+            code,
+            pool: None,
+            poisoned: false,
+        })
     }
 
-    /// Restores the thread to the innermost registered recovery snapshot
-    /// (the longjmp half of `sva.recover.register`), writing `code` into
-    /// the snapshot's result register. Mirrors the `llva.load.integer`
-    /// restore sequence: kernel stack bytes, address space, and the
-    /// snapshot frames' stack registrations all come back. The domain
-    /// stays registered (re-armed) — only `sva.recover.release` pops it.
-    fn unwind_to_recovery(&mut self, code: u64) -> Result<(), VmError> {
-        let rc = self
-            .recovery
-            .last()
-            .cloned()
-            .ok_or(VmError::NoRecoveryContext)?;
-        self.stats.cycles += 32 + rc.frames.len() as u64 * 8;
+    /// The one capture, behind `llva.save.integer` and
+    /// `sva.recover.register` (`with_usp`).
+    fn capture(&mut self, dst: Option<u32>, with_usp: bool) -> Result<Continuation, VmError> {
+        let len = self.thread.ksp - KSTACK_BASE;
+        let c = Continuation {
+            kstack: self.mem.read_bytes(KSTACK_BASE, len, Mode::Kernel)?,
+            frames: self.thread.frames.clone(),
+            icid: self.thread.icid,
+            asid: self.thread.asid,
+            ksp: self.thread.ksp,
+            usp: with_usp.then_some(self.thread.usp),
+            dst,
+        };
+        self.stats.cycles += 32 + c.frames.len() as u64 * 8;
+        Ok(c)
+    }
+
+    /// The one resume (the longjmp half), behind `llva.load.integer` and
+    /// every recovery unwind. The result register gets 0 for a saved
+    /// state and the resume code for an unwind, which also records the
+    /// one `RecoverUnwind` event. A domain stays registered (re-armed).
+    fn resume(&mut self, to: Resume) -> Result<(), VmError> {
+        let (c, value) = match to {
+            Resume::State(buf) => {
+                let st = self
+                    .int_state
+                    .get(&buf)
+                    .ok_or(VmError::BadStateBuffer(buf))?;
+                (st, 0)
+            }
+            Resume::Unwind { code, .. } => {
+                let rc = self.recovery.last().ok_or(VmError::NoRecoveryContext)?;
+                (&rc.cont, code)
+            }
+        };
+        let c = c.clone();
+        self.stats.cycles += 32 + c.frames.len() as u64 * 8;
         self.stats.context_switches += 1;
-        self.mem
-            .write_bytes(KSTACK_BASE, &rc.kstack, Mode::Kernel)?;
-        self.mem.load_space(rc.asid)?;
+        self.mem.write_bytes(KSTACK_BASE, &c.kstack, Mode::Kernel)?;
+        self.mem.load_space(c.asid)?;
         self.sweep_stack_regs();
-        for fr in &rc.frames {
+        // The continuation's stack objects were dropped when its frames
+        // were discarded; bring them back so checks against them pass.
+        for fr in &c.frames {
             for (mp, addr, len) in &fr.stack_regs {
                 let _ = self
                     .pools
@@ -1939,18 +1880,25 @@ impl<T: Tracer> Vm<T> {
                     .reg_obj(*addr, *len);
             }
         }
-        self.thread.frames = rc.frames;
-        self.thread.icid = rc.icid;
-        self.thread.asid = rc.asid;
-        self.thread.ksp = rc.ksp;
-        self.thread.usp = rc.usp;
-        if let Some(d) = rc.dst {
-            let fr = self
-                .thread
-                .frames
-                .last_mut()
-                .ok_or(VmError::Internal("recovery snapshot has no frames"))?;
-            fr.regs[d as usize] = code;
+        self.thread.frames = c.frames;
+        self.thread.icid = c.icid;
+        self.thread.asid = c.asid;
+        self.thread.ksp = c.ksp;
+        self.thread.usp = c.usp.unwrap_or(self.thread.usp);
+        self.set_reg(c.dst, value)?;
+        if let Resume::Unwind {
+            code,
+            pool,
+            poisoned,
+        } = to
+        {
+            self.trace(EventClass::Recovery, |vm, _| TraceEvent::RecoverUnwind {
+                code,
+                pool: pool.unwrap_or(u32::MAX),
+                poisoned,
+                depth: vm.recovery.len() as u32 - 1,
+                subsys: vm.recovery.last().map_or(0, |rc| rc.subsys),
+            });
         }
         Ok(())
     }
@@ -2025,10 +1973,7 @@ impl<T: Tracer> Vm<T> {
                     addr += idx.wrapping_mul(*scale as i64);
                 }
                 if self.gep_skew.is_some() && fr.mode == Mode::Kernel {
-                    if let Some((n, delta)) = self.gep_skew {
-                        addr = addr.wrapping_add(delta);
-                        self.gep_skew = if n > 1 { Some((n - 1, delta)) } else { None };
-                    }
+                    addr = skew(&mut self.gep_skew, addr);
                 }
                 addr
             }};
@@ -2399,10 +2344,7 @@ impl<T: Tracer> Vm<T> {
                     }
                 }
                 if self.gep_skew.is_some() && fr.mode == Mode::Kernel {
-                    if let Some((n, delta)) = self.gep_skew {
-                        addr = addr.wrapping_add(delta);
-                        self.gep_skew = if n > 1 { Some((n - 1, delta)) } else { None };
-                    }
+                    addr = skew(&mut self.gep_skew, addr);
                 }
                 fr.regs[result.unwrap() as usize] = addr as u64;
             }
@@ -2410,30 +2352,19 @@ impl<T: Tracer> Vm<T> {
                 let pty = func.operand_type(ptr, m);
                 let w = byte_width(m, m.types.pointee(pty));
                 let addr = opd!(ptr);
-                let mode = fr.mode;
-                let v = self.mem.read_uint(addr, w as u64, mode)?;
-                self.thread
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("load with no frame"))?
-                    .regs[result.unwrap() as usize] = v;
+                fr.regs[result.unwrap() as usize] = self.mem.read_uint(addr, w as u64, fr.mode)?;
             }
             Inst::Store { val, ptr } => {
                 let vty = func.operand_type(val, m);
                 let w = byte_width(m, vty);
                 let (v, addr) = (opd!(val), opd!(ptr));
-                let mode = fr.mode;
-                self.mem.write_uint(addr, w as u64, v, mode)?;
+                self.mem.write_uint(addr, w as u64, v, fr.mode)?;
             }
             Inst::Alloca { ty, count } => {
                 let layout = m.types.layout(*ty);
                 let n = opd!(count);
                 let addr = self.alloca(layout.size * n, layout.align)?;
-                self.thread
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("alloca with no frame"))?
-                    .regs[result.unwrap() as usize] = addr;
+                self.set_reg(result, addr)?;
             }
             Inst::Call { callee, args } => {
                 let argv: Vec<u64> = args.iter().map(|a| opd!(a)).collect();
@@ -2464,34 +2395,24 @@ impl<T: Tracer> Vm<T> {
                 let pty = func.operand_type(ptr, m);
                 let w = byte_width(m, m.types.pointee(pty));
                 let (addr, v) = (opd!(ptr), opd!(val));
-                let mode = fr.mode;
-                let old = self.mem.read_uint(addr, w as u64, mode)?;
+                let old = self.mem.read_uint(addr, w as u64, fr.mode)?;
                 let newv = match op {
                     AtomicOp::Add => old.wrapping_add(v),
                     AtomicOp::Sub => old.wrapping_sub(v),
                     AtomicOp::Xchg => v,
                 };
-                self.mem.write_uint(addr, w as u64, newv, mode)?;
-                self.thread
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("atomic with no frame"))?
-                    .regs[result.unwrap() as usize] = old;
+                self.mem.write_uint(addr, w as u64, newv, fr.mode)?;
+                fr.regs[result.unwrap() as usize] = old;
             }
             Inst::CmpXchg { ptr, expected, new } => {
                 let pty = func.operand_type(ptr, m);
                 let w = byte_width(m, m.types.pointee(pty));
                 let (addr, e, n) = (opd!(ptr), opd!(expected), opd!(new));
-                let mode = fr.mode;
-                let old = self.mem.read_uint(addr, w as u64, mode)?;
+                let old = self.mem.read_uint(addr, w as u64, fr.mode)?;
                 if old == e {
-                    self.mem.write_uint(addr, w as u64, n, mode)?;
+                    self.mem.write_uint(addr, w as u64, n, fr.mode)?;
                 }
-                self.thread
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("cmpxchg with no frame"))?
-                    .regs[result.unwrap() as usize] = old;
+                fr.regs[result.unwrap() as usize] = old;
             }
             Inst::Fence => {}
             Inst::Br { target } => {
@@ -2540,17 +2461,8 @@ impl<T: Tracer> Vm<T> {
         args: &[u64],
         dst: Option<u32>,
     ) -> Result<StepOut, VmError> {
-        match callee {
-            FlatCallee::Direct(f) => {
-                let mode = self.mode();
-                let frame = self.frame_for_call(f, args, dst, mode)?;
-                self.thread.frames.push(frame);
-                Ok(StepOut::Continue)
-            }
-            FlatCallee::External(e) => {
-                let name = self.code.module.externs[e as usize].name.clone();
-                Err(VmError::CallToExternal(name))
-            }
+        let f = match callee {
+            FlatCallee::Direct(f) => f,
             FlatCallee::Indirect(s) => {
                 let addr = match s {
                     Src::Reg(r) => {
@@ -2562,17 +2474,24 @@ impl<T: Tracer> Vm<T> {
                     }
                     Src::Imm(v) => v,
                 };
-                let f = addr_func(addr).ok_or(VmError::BadIndirect(addr))?;
-                if f as usize >= self.code.module.funcs.len() {
-                    return Err(VmError::BadIndirect(addr));
-                }
-                let mode = self.mode();
-                let frame = self.frame_for_call(f, args, dst, mode)?;
-                self.thread.frames.push(frame);
-                Ok(StepOut::Continue)
+                self.func_at(addr)?
             }
-            FlatCallee::Intrinsic(i) => self.os_span(i, |vm| vm.intrinsic_inner(i, args, dst)),
-        }
+            FlatCallee::External(e) => {
+                let name = self.code.module.externs[e as usize].name.clone();
+                return Err(VmError::CallToExternal(name));
+            }
+            FlatCallee::Intrinsic(i) => {
+                return self.os_span(i, |vm| vm.intrinsic_inner(i, args, dst))
+            }
+        };
+        let mode = self.mode();
+        let sp = match mode {
+            Mode::Kernel => self.thread.ksp,
+            Mode::User => self.thread.usp,
+        };
+        let frame = self.new_frame(f, args, args.len(), dst, mode, sp)?;
+        self.thread.frames.push(frame);
+        Ok(StepOut::Continue)
     }
 
     fn do_ret(&mut self, v: u64) -> Result<StepOut, VmError> {
@@ -2634,6 +2553,17 @@ impl<T: Tracer> Vm<T> {
         result
     }
 
+    /// Records the event `event` builds from the machine and the cycle
+    /// count, if the tracer wants `class`; compiled out otherwise.
+    #[inline(always)]
+    fn trace(&mut self, class: EventClass, event: impl FnOnce(&Self, u64) -> TraceEvent) {
+        if T::wants(class) {
+            let ts = self.stats.cycles;
+            let e = event(self, ts);
+            self.tracer.record(ts, e);
+        }
+    }
+
     /// `pchk.bounds.range(start, derived, end)`: a bounds check against
     /// bounds the verifier knew statically. The flat engine runs it as
     /// [`FlatOp::RangeCheck`], the tree engine as an intrinsic call.
@@ -2643,16 +2573,7 @@ impl<T: Tracer> Vm<T> {
         self.stats.range_checks += 1;
         let ok = derived >= start && derived <= end;
         if T::wants(EventClass::Check) {
-            self.tracer.record(
-                self.stats.cycles,
-                TraceEvent::Check {
-                    check: Intrinsic::BoundsCheckRange.name(),
-                    pool: u32::MAX,
-                    layer: LookupLayer::None,
-                    passed: ok,
-                    cost: 2,
-                },
-            );
+            self.trace_check(Intrinsic::BoundsCheckRange.name(), None, 0, ok, 2);
         }
         if ok {
             Ok(())
@@ -2679,7 +2600,7 @@ impl<T: Tracer> Vm<T> {
             None => (Intrinsic::LsCheck.name(), pool.ls_check(addr)),
         };
         if T::wants(EventClass::Check) {
-            self.trace_check(name, mp, before, r.is_ok(), CHECK_CYCLES);
+            self.trace_check(name, Some(mp), before, r.is_ok(), CHECK_CYCLES);
         }
         r.map_err(VmError::Safety)
     }
@@ -2694,74 +2615,15 @@ impl<T: Tracer> Vm<T> {
         if i.privileged() && self.mode() == Mode::User {
             return Err(VmError::Privilege { addr: 0 });
         }
-        let set = |vm: &mut Vm<T>, v: u64| -> Result<(), VmError> {
-            if let Some(d) = dst {
-                vm.thread
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("intrinsic result with no frame"))?
-                    .regs[d as usize] = v;
-            }
-            Ok(())
-        };
         let arg = |n: usize| args.get(n).copied().unwrap_or(0);
         match i {
             // ---- Table 1: processor state ----
             SaveInteger => {
-                let buf = arg(0);
-                let kstack = self.mem.read_bytes(
-                    KSTACK_BASE,
-                    self.thread.ksp - KSTACK_BASE,
-                    Mode::Kernel,
-                )?;
-                let st = SavedState {
-                    frames: self.thread.frames.clone(),
-                    icid: self.thread.icid,
-                    asid: self.thread.asid,
-                    ksp: self.thread.ksp,
-                    kstack,
-                    save_dst: dst,
-                };
-                self.stats.cycles += 32 + st.frames.len() as u64 * 8;
-                self.int_state.insert(buf, st);
-                set(self, 1)?;
+                let st = self.capture(dst, false)?;
+                self.int_state.insert(arg(0), st);
+                self.set_reg(dst, 1)?;
             }
-            LoadInteger => {
-                let buf = arg(0);
-                let st = self
-                    .int_state
-                    .get(&buf)
-                    .cloned()
-                    .ok_or(VmError::BadStateBuffer(buf))?;
-                self.stats.cycles += 32 + st.frames.len() as u64 * 8;
-                self.stats.context_switches += 1;
-                self.mem
-                    .write_bytes(KSTACK_BASE, &st.kstack, Mode::Kernel)?;
-                self.mem.load_space(st.asid)?;
-                self.sweep_stack_regs();
-                // The restored continuation's stack objects were dropped
-                // when its frames were discarded at context-switch time;
-                // bring them back so checks against them pass again.
-                for fr in &st.frames {
-                    for (mp, addr, len) in &fr.stack_regs {
-                        let _ = self
-                            .pools
-                            .pool_mut(sva_rt::MetaPoolId(*mp))
-                            .reg_obj(*addr, *len);
-                    }
-                }
-                self.thread.frames = st.frames;
-                self.thread.icid = st.icid;
-                self.thread.asid = st.asid;
-                self.thread.ksp = st.ksp;
-                if let Some(d) = st.save_dst {
-                    self.thread
-                        .frames
-                        .last_mut()
-                        .ok_or(VmError::Internal("restored state has no frames"))?
-                        .regs[d as usize] = 0;
-                }
-            }
+            LoadInteger => self.resume(Resume::State(arg(0)))?,
             SaveFp => {
                 let always = arg(1) != 0;
                 if always || self.thread.fp_dirty {
@@ -2776,7 +2638,7 @@ impl<T: Tracer> Vm<T> {
             // ---- Table 2: interrupt contexts ----
             IcontextGet => {
                 let icid = self.thread.icid.map(|i| i as u64).unwrap_or(u64::MAX);
-                set(self, icid)?;
+                self.set_reg(dst, icid)?;
             }
             IcontextSave => {
                 let (icp, isp) = (arg(0), arg(1));
@@ -2804,50 +2666,25 @@ impl<T: Tracer> Vm<T> {
                 self.stats.cycles += 16 + n * 4;
             }
             IpushFunction => {
-                let (icp, faddr, a0) = (arg(0), arg(1), arg(2));
-                let f = addr_func(faddr).ok_or(VmError::BadIndirect(faddr))?;
+                let (icp, a0) = (arg(0), arg(2));
+                let f = self.func_at(arg(1))?;
                 // Build the synthetic frame against the *context's* user
                 // stack, then push onto its frame stack.
-                let frame = {
-                    let code = self.code.clone();
-                    let fdef = &code.module.funcs[f as usize];
-                    let mut regs = vec![0u64; fdef.num_values()];
-                    if !fdef.params.is_empty() {
-                        regs[fdef.params[0].0 as usize] = a0;
-                    }
-                    let ic = self.icontext(icp)?;
-                    Frame {
-                        func: f,
-                        pc: 0,
-                        block: 0,
-                        idx: 0,
-                        prev_block: u32::MAX,
-                        regs,
-                        ret_dst: None,
-                        mode: Mode::User,
-                        sp_saved: ic.usp,
-                        stack_regs: Vec::new(),
-                    }
-                };
+                let usp = self.icontext(icp)?.usp;
+                let frame = self.new_frame(f, &[a0], 0, None, Mode::User, usp)?;
                 self.icontext_mut(icp)?.frames.push(frame);
             }
             WasPrivileged => {
                 let icp = arg(0);
                 let p = self.icontext(icp)?.privileged;
-                set(self, p as u64)?;
+                self.set_reg(dst, p as u64)?;
             }
             IcontextNew => {
                 let (isp, asid) = (arg(0), arg(1) as u32);
                 let mut ic = if isp == 0 {
                     IContext {
-                        frames: Vec::new(),
                         usp: USER_END - USTACK_SIZE,
-                        asid,
-                        privileged: false,
-                        result_dst: None,
-                        result_frame: 0,
-                        live: true,
-                        trace_sys: None,
+                        ..IContext::default()
                     }
                 } else {
                     self.user_state
@@ -2858,31 +2695,13 @@ impl<T: Tracer> Vm<T> {
                 ic.asid = asid;
                 ic.live = true;
                 let icid = self.push_icontext(ic);
-                set(self, icid as u64)?;
+                self.set_reg(dst, icid as u64)?;
             }
             IcontextSetEntry => {
-                let (icp, faddr, a0) = (arg(0), arg(1), arg(2));
-                let f = addr_func(faddr).ok_or(VmError::BadIndirect(faddr))?;
-                let frame = {
-                    let code = self.code.clone();
-                    let fdef = &code.module.funcs[f as usize];
-                    let mut regs = vec![0u64; fdef.num_values()];
-                    if !fdef.params.is_empty() {
-                        regs[fdef.params[0].0 as usize] = a0;
-                    }
-                    Frame {
-                        func: f,
-                        pc: 0,
-                        block: 0,
-                        idx: 0,
-                        prev_block: u32::MAX,
-                        regs,
-                        ret_dst: None,
-                        mode: Mode::User,
-                        sp_saved: USER_END - USTACK_SIZE,
-                        stack_regs: Vec::new(),
-                    }
-                };
+                let (icp, a0) = (arg(0), arg(2));
+                let f = self.func_at(arg(1))?;
+                let frame =
+                    self.new_frame(f, &[a0], 0, None, Mode::User, USER_END - USTACK_SIZE)?;
                 let ic = self.icontext_mut(icp)?;
                 ic.frames = vec![frame];
                 ic.usp = USER_END - USTACK_SIZE;
@@ -2890,19 +2709,17 @@ impl<T: Tracer> Vm<T> {
                 ic.privileged = false;
             }
             // ---- OS support ----
-            RegisterSyscall => {
-                let num = arg(0) as i64;
-                let f = addr_func(arg(1)).ok_or(VmError::BadIndirect(arg(1)))?;
-                self.syscalls.insert(num, f);
-            }
-            RegisterInterrupt => {
-                let num = arg(0) as i64;
-                let f = addr_func(arg(1)).ok_or(VmError::BadIndirect(arg(1)))?;
-                self.interrupts.insert(num, f);
+            RegisterSyscall | RegisterInterrupt => {
+                let f = self.func_at(arg(1))?;
+                let table = match i {
+                    RegisterSyscall => &mut self.syscalls,
+                    _ => &mut self.interrupts,
+                };
+                table.insert(arg(0) as i64, f);
             }
             IoRead => {
                 let v = self.io_read(arg(0));
-                set(self, v)?;
+                self.set_reg(dst, v)?;
             }
             IoWrite => {
                 self.io_write(arg(0), arg(1));
@@ -2920,7 +2737,7 @@ impl<T: Tracer> Vm<T> {
             MmuNewSpace => {
                 let asid = self.mem.new_space();
                 self.stats.cycles += PAGE_SIZE / 64;
-                set(self, asid as u64)?;
+                self.set_reg(dst, asid as u64)?;
             }
             MmuLoadSpace => {
                 let asid = arg(0) as u32;
@@ -2944,11 +2761,11 @@ impl<T: Tracer> Vm<T> {
             }
             CpuId => {
                 let id = self.cpu_id as u64;
-                set(self, id)?;
+                self.set_reg(dst, id)?;
             }
             GetTimer => {
                 let c = self.stats.cycles;
-                set(self, c)?;
+                self.set_reg(dst, c)?;
             }
             // ---- safety runtime ----
             PchkRegObj => {
@@ -2963,16 +2780,11 @@ impl<T: Tracer> Vm<T> {
                     .pool_mut(sva_rt::MetaPoolId(mp))
                     .reg_obj(addr, len)
                     .map_err(VmError::Safety)?;
-                if T::wants(EventClass::Pool) {
-                    self.tracer.record(
-                        self.stats.cycles,
-                        TraceEvent::PoolReg {
-                            pool: mp,
-                            addr,
-                            len,
-                        },
-                    );
-                }
+                self.trace(EventClass::Pool, |_, _| TraceEvent::PoolReg {
+                    pool: mp,
+                    addr,
+                    len,
+                });
                 if stack {
                     self.thread
                         .frames
@@ -2992,10 +2804,10 @@ impl<T: Tracer> Vm<T> {
                     .pool_mut(sva_rt::MetaPoolId(mp))
                     .drop_obj(addr)
                     .map_err(VmError::Safety)?;
-                if T::wants(EventClass::Pool) {
-                    self.tracer
-                        .record(self.stats.cycles, TraceEvent::PoolDrop { pool: mp, addr });
-                }
+                self.trace(EventClass::Pool, |_, _| TraceEvent::PoolDrop {
+                    pool: mp,
+                    addr,
+                });
                 // Remove from the frame sweep if it was a stack object.
                 if let Some(fr) = self.thread.frames.last_mut() {
                     fr.stack_regs.retain(|(m, a, _)| !(*m == mp && *a == addr));
@@ -3017,7 +2829,7 @@ impl<T: Tracer> Vm<T> {
                 let before = self.lookups_of(mp);
                 let b = self.pools.pool_mut(sva_rt::MetaPoolId(mp)).get_bounds(p);
                 if T::wants(EventClass::Check) {
-                    self.trace_check(i.name(), mp, before, b.is_some(), CHECK_CYCLES);
+                    self.trace_check(i.name(), Some(mp), before, b.is_some(), CHECK_CYCLES);
                 }
                 let (s, e) = b.unwrap_or((0, 0));
                 let mode = self.mode();
@@ -3029,23 +2841,14 @@ impl<T: Tracer> Vm<T> {
                 let (setid, target) = (arg(0) as u32, arg(1));
                 let r = self.pools.func_check(setid, target);
                 if T::wants(EventClass::Check) {
-                    self.tracer.record(
-                        self.stats.cycles,
-                        TraceEvent::Check {
-                            check: i.name(),
-                            pool: u32::MAX,
-                            layer: LookupLayer::None,
-                            passed: r.is_ok(),
-                            cost: CHECK_CYCLES / 2,
-                        },
-                    );
+                    self.trace_check(i.name(), None, 0, r.is_ok(), CHECK_CYCLES / 2);
                 }
                 r.map_err(VmError::Safety)?;
             }
             PseudoAlloc => {
                 // Returns a pointer to the manufactured range; registration
                 // is a separate pchk.reg.obj inserted by the compiler.
-                set(self, arg(0))?;
+                self.set_reg(dst, arg(0))?;
             }
             // ---- memory intrinsics ----
             MemCpy | MemMove => {
@@ -3064,66 +2867,33 @@ impl<T: Tracer> Vm<T> {
             RecoverRegister => {
                 // Pushes a nested recovery domain owned by subsystem
                 // `arg(0)` (0 = unattributed, e.g. the boot domain).
-                let kstack = self.mem.read_bytes(
-                    KSTACK_BASE,
-                    self.thread.ksp - KSTACK_BASE,
-                    Mode::Kernel,
-                )?;
                 let subsys = arg(0);
-                let rc = RecoveryCtx {
-                    frames: self.thread.frames.clone(),
-                    icid: self.thread.icid,
-                    asid: self.thread.asid,
-                    ksp: self.thread.ksp,
-                    usp: self.thread.usp,
-                    kstack,
-                    dst,
+                let cont = self.capture(dst, true)?;
+                self.stats.domains_pushed += 1;
+                self.recovery.push(RecoveryCtx {
+                    cont,
                     subsys,
                     fuel: self.cfg.domain_fuel,
                     quarantined_pools: Vec::new(),
-                };
-                self.stats.cycles += 32 + rc.frames.len() as u64 * 8;
-                self.stats.domains_pushed += 1;
-                self.recovery.push(rc);
-                if T::wants(EventClass::Recovery) {
-                    let ts = self.stats.cycles;
-                    self.tracer.record(
-                        ts,
-                        TraceEvent::DomainPush {
-                            subsys,
-                            depth: self.recovery.len() as u32 - 1,
-                        },
-                    );
-                }
-                set(self, 0)?;
+                });
+                self.trace(EventClass::Recovery, |vm, _| TraceEvent::DomainPush {
+                    subsys,
+                    depth: vm.recovery.len() as u32 - 1,
+                });
+                self.set_reg(dst, 0)?;
             }
             RecoverUnwind => {
                 // User-mode callers never reach this arm: the privilege
                 // gate at the top of `intrinsic_inner` fires *before* any
                 // context lookup, so an unprivileged unwind is a
                 // `Privilege` error, not `NoRecoveryContext`.
-                if self.recovery.is_empty() {
-                    return Err(VmError::NoRecoveryContext);
-                }
                 // Resume codes are nonzero by construction so the handler
                 // can distinguish unwind from registration.
-                let code = arg(0).max(1);
-                self.unwind_to_recovery(code)?;
-                if T::wants(EventClass::Recovery) {
-                    let ts = self.stats.cycles;
-                    let depth = self.recovery.len() as u32 - 1;
-                    let subsys = self.recovery.last().map(|rc| rc.subsys).unwrap_or(0);
-                    self.tracer.record(
-                        ts,
-                        TraceEvent::RecoverUnwind {
-                            code,
-                            pool: u32::MAX,
-                            poisoned: false,
-                            depth,
-                            subsys,
-                        },
-                    );
-                }
+                self.resume(Resume::Unwind {
+                    code: arg(0).max(1),
+                    pool: None,
+                    poisoned: false,
+                })?;
             }
             RecoverRelease => {
                 if args.is_empty() {
@@ -3131,7 +2901,7 @@ impl<T: Tracer> Vm<T> {
                     // every pool it quarantined ends its scope.
                     self.stats.cycles += 8;
                     let ok = self.pop_domain(false).is_some();
-                    set(self, ok as u64)?;
+                    self.set_reg(dst, ok as u64)?;
                 } else {
                     // Pool form (legacy, DESIGN.md §4.3): lift the
                     // quarantine on pool `arg(0)`; the domain stays.
@@ -3140,7 +2910,7 @@ impl<T: Tracer> Vm<T> {
                         .pool_get_mut(sva_rt::MetaPoolId(arg(0) as u32))
                         .map(|p| p.release_quarantine())
                         .unwrap_or(false);
-                    set(self, ok as u64)?;
+                    self.set_reg(dst, ok as u64)?;
                 }
             }
             RecoverRepair => {
@@ -3156,17 +2926,11 @@ impl<T: Tracer> Vm<T> {
                     self.stats.repairs += 1;
                     self.stats.pools_repaired += repaired.len() as u64;
                 }
-                if T::wants(EventClass::Repair) {
-                    let ts = self.stats.cycles;
-                    self.tracer.record(
-                        ts,
-                        TraceEvent::Repair {
-                            subsys,
-                            pools: repaired.len() as u32,
-                        },
-                    );
-                }
-                set(self, repaired.len() as u64)?;
+                self.trace(EventClass::Repair, |_, _| TraceEvent::Repair {
+                    subsys,
+                    pools: repaired.len() as u32,
+                });
+                self.set_reg(dst, repaired.len() as u64)?;
             }
             RecoverProbation => {
                 // Probation bookkeeping (DESIGN.md §4.8): the kernel's
@@ -3182,12 +2946,11 @@ impl<T: Tracer> Vm<T> {
                     1 => self.stats.probation_failed += 1,
                     _ => self.stats.subsys_retired += 1,
                 }
-                if T::wants(EventClass::Repair) {
-                    let ts = self.stats.cycles;
-                    self.tracer
-                        .record(ts, TraceEvent::Probation { subsys, verdict });
-                }
-                set(self, 0)?;
+                self.trace(EventClass::Repair, |_, _| TraceEvent::Probation {
+                    subsys,
+                    verdict,
+                });
+                self.set_reg(dst, 0)?;
             }
             // ---- diagnostics ----
             Print => {
@@ -3218,28 +2981,27 @@ impl<T: Tracer> Vm<T> {
         }
     }
 
-    /// Records a `Check` event for a pool-backed check, attributing it to
-    /// the lookup layer that answered — or [`LookupLayer::None`] when the
-    /// check decided without an object lookup (reduced checks).
+    /// Records a `Check` event, attributing a check of pool `mp` to the
+    /// lookup layer that answered — or [`LookupLayer::None`] when the
+    /// check decided without an object lookup (reduced checks, and the
+    /// checks of no pool).
     fn trace_check(
         &mut self,
         check: &'static str,
-        mp: u32,
+        mp: Option<u32>,
         lookups_before: u64,
         passed: bool,
         cost: u64,
     ) {
-        let pool = self.pools.pool(sva_rt::MetaPoolId(mp));
-        let layer = if pool.stats().lookups() > lookups_before {
-            pool.last_lookup_layer()
-        } else {
-            LookupLayer::None
+        let layer = match mp.map(|mp| self.pools.pool(sva_rt::MetaPoolId(mp))) {
+            Some(pool) if pool.stats().lookups() > lookups_before => pool.last_lookup_layer(),
+            _ => LookupLayer::None,
         };
         self.tracer.record(
             self.stats.cycles,
             TraceEvent::Check {
                 check,
-                pool: mp,
+                pool: mp.unwrap_or(u32::MAX),
                 layer,
                 passed,
                 cost,
@@ -3286,26 +3048,49 @@ impl<T: Tracer> Vm<T> {
             return Ok(vec);
         };
         self.stats.interrupts += 1;
+        self.trap(handler, &[vec as u64], None)?;
+        Ok(vec)
+    }
+
+    /// The one trap entry (paper §3.3), behind a user-mode `sva.syscall`
+    /// (`syscall`: its number and result register) and IRQ delivery: the
+    /// user computation moves into an interrupt context and `handler`
+    /// starts on an empty kernel stack. The SVA-OS entry path saves a
+    /// *subset* of control state; the full interface costs a little more
+    /// than the hand-written native path.
+    fn trap(
+        &mut self,
+        handler: u32,
+        args: &[u64],
+        syscall: Option<(i64, Option<u32>)>,
+    ) -> Result<(), VmError> {
+        let frame = self.new_frame(handler, args, args.len(), None, Mode::Kernel, KSTACK_BASE)?;
         let fast = self.cfg.kind.fast_os();
         self.stats.cycles += if fast { 24 } else { 40 };
+        let trace_sys = match syscall {
+            Some((num, _)) if T::wants(EventClass::Syscall) => {
+                let ts = self.stats.cycles;
+                self.tracer.record(ts, TraceEvent::SyscallEnter { num });
+                Some((num, ts))
+            }
+            _ => None,
+        };
         let frames = std::mem::take(&mut self.thread.frames);
-        let result_frame = frames.len().saturating_sub(1);
         let ic = IContext {
+            result_frame: frames.len().saturating_sub(1),
             frames,
             usp: self.thread.usp,
             asid: self.thread.asid,
-            privileged: false,
-            result_dst: None,
-            result_frame,
+            result_dst: syscall.and_then(|(_, dst)| dst),
             live: true,
-            trace_sys: None,
+            trace_sys,
+            ..IContext::default()
         };
         let icid = self.push_icontext(ic);
         self.thread.icid = Some(icid);
         self.thread.ksp = KSTACK_BASE;
-        let frame = self.frame_for_call(handler, &[vec as u64], None, Mode::Kernel)?;
         self.thread.frames.push(frame);
-        Ok(vec)
+        Ok(())
     }
 
     fn do_syscall(&mut self, args: &[u64], dst: Option<u32>) -> Result<StepOut, VmError> {
@@ -3314,81 +3099,55 @@ impl<T: Tracer> Vm<T> {
             .syscalls
             .get(&num)
             .ok_or(VmError::UnknownSyscall(num))?;
-        let hargs = &args[1..];
-        match self.mode() {
-            Mode::Kernel => {
-                // Internal system call: analyzed as a direct call (§4.8);
-                // executed as one too — no privilege transition needed.
-                self.stats.cycles += 8;
-                let frame = self.frame_for_call(handler, hargs, dst, Mode::Kernel)?;
-                self.thread.frames.push(frame);
-            }
-            Mode::User => {
-                self.stats.traps += 1;
-                // Fault injection observes every user→kernel trap; the
-                // returned action perturbs the machine around handler entry.
-                let action = if let Some(hook) = self.cfg.fault_hook.clone() {
-                    let info = TrapInfo {
-                        trap_index: self.trap_count,
-                        syscall: num,
-                        args: hargs,
-                    };
-                    Some(hook.on_trap(&info))
-                } else {
-                    None
-                };
-                self.trap_count += 1;
-                let mut mutated;
-                let hargs = match &action {
-                    Some(a) if !a.mutate_args.is_empty() => {
-                        mutated = hargs.to_vec();
-                        for (idx, v) in &a.mutate_args {
-                            if let Some(slot) = mutated.get_mut(*idx) {
-                                *slot = *v;
-                            }
-                        }
-                        &mutated[..]
+        let hargs = args.get(1..).unwrap_or_default();
+        if self.mode() == Mode::Kernel {
+            // Internal system call: analyzed as a direct call (§4.8);
+            // executed as one too — no privilege transition needed.
+            self.stats.cycles += 8;
+            let frame = self.new_frame(
+                handler,
+                hargs,
+                hargs.len(),
+                dst,
+                Mode::Kernel,
+                self.thread.ksp,
+            )?;
+            self.thread.frames.push(frame);
+            return Ok(StepOut::Continue);
+        }
+        self.stats.traps += 1;
+        // Fault injection observes every user→kernel trap; the returned
+        // action perturbs the machine around handler entry.
+        let action = if let Some(hook) = self.cfg.fault_hook.clone() {
+            let info = TrapInfo {
+                trap_index: self.trap_count,
+                syscall: num,
+                args: hargs,
+            };
+            Some(hook.on_trap(&info))
+        } else {
+            None
+        };
+        self.trap_count += 1;
+        let mut mutated;
+        let hargs = match &action {
+            Some(a) if !a.mutate_args.is_empty() => {
+                mutated = hargs.to_vec();
+                for (idx, v) in &a.mutate_args {
+                    if let Some(slot) = mutated.get_mut(*idx) {
+                        *slot = *v;
                     }
-                    _ => hargs,
-                };
-                // Trap: move the user computation into an interrupt context
-                // and start the kernel handler.
-                // The SVA-OS entry path saves a *subset* of control state
-                // (paper §3.3); the full interface costs a little more than
-                // the hand-written native path.
-                let fast = self.cfg.kind.fast_os();
-                self.stats.cycles += if fast { 24 } else { 40 };
-                let trace_sys = if T::wants(EventClass::Syscall) {
-                    let ts = self.stats.cycles;
-                    self.tracer.record(ts, TraceEvent::SyscallEnter { num });
-                    Some((num, ts))
-                } else {
-                    None
-                };
-                let frames = std::mem::take(&mut self.thread.frames);
-                let result_frame = frames.len().saturating_sub(1);
-                let ic = IContext {
-                    frames,
-                    usp: self.thread.usp,
-                    asid: self.thread.asid,
-                    privileged: false,
-                    result_dst: dst,
-                    result_frame,
-                    live: true,
-                    trace_sys,
-                };
-                let icid = self.push_icontext(ic);
-                self.thread.icid = Some(icid);
-                self.thread.ksp = KSTACK_BASE;
-                let frame = self.frame_for_call(handler, hargs, None, Mode::Kernel)?;
-                self.thread.frames.push(frame);
-                // Now in kernel mode: apply the rest of the action. A
-                // failing stale probe takes the normal safety-violation
-                // path out of this step.
-                if let Some(a) = action {
-                    self.apply_fault_action(a)?;
                 }
+                &mutated[..]
             }
+            _ => hargs,
+        };
+        self.trap(handler, hargs, Some((num, dst)))?;
+        // Now in kernel mode: apply the rest of the action. A failing
+        // stale probe takes the normal safety-violation path out of this
+        // step.
+        if let Some(a) = action {
+            self.apply_fault_action(a)?;
         }
         Ok(StepOut::Continue)
     }
@@ -3427,15 +3186,20 @@ impl<T: Tracer> Vm<T> {
                 // run loop), inside any recovery domain the handler pushes.
                 self.pending_probe = Some((a.probe_defer, pool, addr));
             } else {
-                // Model a kernel dereference of a stale/wild pointer through
-                // the load/store check the verifier would have inserted.
-                self.stats.cycles += CHECK_CYCLES;
-                if let Some(p) = self.pools.pool_get_mut(sva_rt::MetaPoolId(pool)) {
-                    p.ls_check(addr).map_err(VmError::Safety)?;
-                }
+                self.probe(pool, addr)?;
             }
         }
         Ok(())
+    }
+
+    /// A fault plan's stale probe: a kernel dereference of `addr` through
+    /// the load/store check of `pool` (a pool the machine lacks passes).
+    fn probe(&mut self, pool: u32, addr: u64) -> Result<(), VmError> {
+        self.stats.cycles += CHECK_CYCLES;
+        match self.pools.pool_get_mut(sva_rt::MetaPoolId(pool)) {
+            Some(p) => p.ls_check(addr).map_err(VmError::Safety),
+            None => Ok(()),
+        }
     }
 
     /// Drops the metapool registrations of every stack object owned by the
@@ -3480,17 +3244,13 @@ impl<T: Tracer> Vm<T> {
         self.thread.asid = asid;
         self.thread.icid = None;
         self.thread.ksp = KSTACK_BASE;
-        if T::wants(EventClass::Syscall) {
-            if let Some((num, enter)) = trace_sys {
-                let ts = self.stats.cycles;
-                self.tracer.record(
-                    ts,
-                    TraceEvent::SyscallExit {
-                        num,
-                        cost: ts - enter,
-                    },
-                );
-            }
+        // A span's start comes from a snapshot image or, in a vCPU fork
+        // whose counters start at 0, from the template's clock.
+        if let Some((num, enter)) = trace_sys {
+            self.trace(EventClass::Syscall, |_, ts| TraceEvent::SyscallExit {
+                num,
+                cost: ts.saturating_sub(enter),
+            });
         }
         Ok(())
     }
@@ -3526,6 +3286,19 @@ pub const PORT_TIMER: u64 = 0x40;
 enum StepOut {
     Continue,
     Exit(VmExit),
+}
+
+/// Where [`Vm::resume`] takes the thread: the integer state saved at a
+/// buffer, or the innermost domain with a resume code (and, for a
+/// violation, its pool and whether that poisoned it).
+#[derive(Clone, Copy)]
+enum Resume {
+    State(u64),
+    Unwind {
+        code: u64,
+        pool: Option<u32>,
+        poisoned: bool,
+    },
 }
 
 // ---------------------------------------------------------------------------
@@ -3679,6 +3452,17 @@ fn resolve_operand(m: &Module, global_addr: &[u64], fr: &Frame, op: &Operand) ->
         Operand::Extern(e) => extern_addr(e.0),
         Operand::Undef(_) => 0,
     }
+}
+
+/// Applies an armed fault-injection GEP skew to a kernel-mode address,
+/// disarming it after its last count.
+#[inline(always)]
+fn skew(armed: &mut Option<(u32, i64)>, addr: i64) -> i64 {
+    let Some((n, delta)) = *armed else {
+        return addr;
+    };
+    *armed = (n > 1).then(|| (n - 1, delta));
+    addr.wrapping_add(delta)
 }
 
 fn round_up(v: u64, a: u64) -> u64 {

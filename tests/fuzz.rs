@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use sva::ir::build::FunctionBuilder;
 use sva::ir::bytecode::{decode_module, encode_module};
-use sva::ir::codec::{frame, header_len, CodecError, Reader, Writer};
+use sva::ir::codec::{fnv64, frame, header_len, CodecError, Reader, Writer};
 use sva::ir::parse::parse_module;
 use sva::ir::{Linkage, Module, Operand};
 use sva::vm::{
@@ -65,10 +65,16 @@ fn seed_module(k: u64) -> Module {
 
 // --- snapshot / bundle migration (DESIGN.md §4.10) ------------------------
 
-/// A mid-run machine image at the given opt level — the well-formed
-/// SVA1 artifact the mutation tests corrupt. Built once per opt level;
-/// the guest is a counted loop so the cut lands inside a live frame.
+/// A mid-run sva-llvm machine image at the given opt level — the
+/// well-formed SVA1 artifact the mutation tests corrupt.
 fn migration_seed(opt_level: u8) -> (Vm, Vec<u8>) {
+    mid_run_seed(KernelKind::SvaLlvm, opt_level)
+}
+
+/// A mid-run machine image of the given kind at the given opt level, and
+/// a fresh machine that restores it. Built once per configuration; the
+/// guest is a counted loop so the cut lands inside a live frame.
+fn mid_run_seed(kind: KernelKind, opt_level: u8) -> (Vm, Vec<u8>) {
     let src = r#"
 module "m"
 func public @work(%n0: i64) : i64 {
@@ -90,7 +96,7 @@ out:
 }
 "#;
     let cfg = |fuel| VmConfig {
-        kind: KernelKind::SvaLlvm,
+        kind,
         opt_level,
         fuel,
         ..Default::default()
@@ -219,6 +225,48 @@ proptest! {
         k in any::<u64>(),
     ) {
         check_mutated_bundle(opt, &flips, cut, k);
+    }
+}
+
+/// Every edit that restore accepts runs. Bit flips inside a checksummed
+/// image almost never get past `unframe`, so the mutation tests above
+/// never run what restore accepts. Here each payload byte of the mid-run
+/// image is changed by each of a few deltas and re-framed with a valid
+/// checksum and config fingerprint, so the edit reaches restore's own
+/// checks; every image restore accepts then runs for bounded fuel, on
+/// both engines at opt 0 and 2.
+#[test]
+fn every_restorable_edit_of_a_mid_run_image_runs() {
+    for kind in [KernelKind::SvaLlvm, KernelKind::SvaGcc] {
+        for opt in [0, 2] {
+            let (mut target, img) = mid_run_seed(kind, opt);
+            let (head, payload) = img.split_at(header_len(16));
+            let code_id = &head[16..24];
+            let (mut images, mut accepted) = (0, 0);
+            for at in 0..payload.len() {
+                for delta in [1u8, 0x10, 0x80, 0xff] {
+                    let mut edited = payload.to_vec();
+                    edited[at] = edited[at].wrapping_add(delta);
+                    let mut extra = fnv64(&edited[..80]).to_le_bytes().to_vec();
+                    extra.extend_from_slice(code_id);
+                    images += 1;
+                    if target
+                        .restore(&frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &extra, &edited))
+                        .is_ok()
+                    {
+                        accepted += 1;
+                        target.set_fuel(2_000);
+                        let _ = target.run();
+                    }
+                }
+            }
+            // Most edits land in memory, counters and values restore
+            // takes as they are.
+            assert!(
+                accepted * 2 > images,
+                "{kind:?} opt {opt}: {accepted} of {images} edits restored"
+            );
+        }
     }
 }
 
