@@ -424,7 +424,6 @@ pub(crate) struct CrashCapture {
     pub(crate) dir: Option<PathBuf>,
     pub(crate) tag: String,
     pub(crate) last_bundle: Option<CrashBundle>,
-    pub(crate) last_path: Option<PathBuf>,
 }
 
 impl<T: Tracer> Vm<T> {
@@ -432,8 +431,8 @@ impl<T: Tracer> Vm<T> {
     /// escape, watchdog force-unwind, fuel exhaustion under an armed
     /// fault hook) snapshots the machine into a [`CrashBundle`]. With
     /// `dir` set the bundle is also written to
-    /// `dir/{tag}-{reason}.bundle`; the latest capture is always
-    /// available via [`Vm::last_crash_bundle`].
+    /// `dir/{tag}-{reason}.bundle`; [`Vm::take_crash_bundle`] takes the
+    /// latest capture.
     pub fn enable_crash_capture(&mut self, dir: Option<&Path>, tag: &str) {
         self.crash.enabled = true;
         self.crash.dir = dir.map(Path::to_path_buf);
@@ -444,17 +443,6 @@ impl<T: Tracer> Vm<T> {
     /// so a dying probe cannot overwrite the real death's bundle).
     pub fn disable_crash_capture(&mut self) {
         self.crash.enabled = false;
-    }
-
-    /// The most recent crash bundle captured by this machine.
-    pub fn last_crash_bundle(&self) -> Option<&CrashBundle> {
-        self.crash.last_bundle.as_ref()
-    }
-
-    /// Where the most recent bundle was written (capture dir set and the
-    /// write succeeded).
-    pub fn last_crash_path(&self) -> Option<&Path> {
-        self.crash.last_path.as_deref()
     }
 
     /// Takes ownership of the most recent crash bundle.
@@ -514,7 +502,6 @@ impl<T: Tracer> Vm<T> {
             flight: self.tracer.recent_events(),
             snapshot,
         };
-        self.crash.last_path = None;
         if let Some(dir) = self.crash.dir.clone() {
             let tag = if self.crash.tag.is_empty() {
                 "crash"
@@ -523,9 +510,7 @@ impl<T: Tracer> Vm<T> {
             };
             let path = dir.join(format!("{tag}-{}.bundle", reason.name()));
             let _ = std::fs::create_dir_all(&dir);
-            if std::fs::write(&path, bundle.to_bytes()).is_ok() {
-                self.crash.last_path = Some(path);
-            }
+            let _ = std::fs::write(&path, bundle.to_bytes());
         }
         self.crash.last_bundle = Some(bundle);
     }

@@ -29,11 +29,14 @@
 //! until the fleet drains. A job that needs an interrupt raises it from
 //! its setup hook ([`SmpJob::with_setup`]).
 //!
-//! At halt the per-vCPU reports are merged **deterministically in
-//! cpu-id order** and job results are returned in submission order.
-//! With `vcpus == 1` no plane is created and no thread is spawned: the
-//! single fork takes exactly the classic machine's code path, so its
-//! `VmStats::equivalence_key` is byte-identical to the pre-SMP machine.
+//! [`SmpMachine::run`], [`SmpMachine::quiesce`] and
+//! [`SmpMachine::resume_quiesced`] share one per-vCPU runner, one
+//! [`JobResult`] builder and one merge. At halt the per-vCPU reports
+//! are merged **deterministically in cpu-id order** and job results are
+//! returned in submission order. With `vcpus == 1` no plane is created
+//! and no thread is spawned: the single fork takes exactly the classic
+//! machine's code path, so its `VmStats::equivalence_key` is
+//! byte-identical to the pre-SMP machine.
 //!
 //! Throughput is reported in *virtual time*: the machine-level elapsed
 //! time of a run is the maximum virtual cycle count over vCPUs (they
@@ -47,7 +50,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use sva_ir::codec::{frame, unframe};
@@ -125,6 +128,22 @@ pub struct JobResult {
     pub checks: CheckStats,
     /// Console bytes the job produced.
     pub console: Vec<u8>,
+}
+
+impl JobResult {
+    /// Job `job` as it ended on vCPU `cpu`: its exit and what its fork
+    /// counted and printed.
+    fn of(job: usize, label: String, cpu: u32, exit: Result<VmExit, VmError>, vm: Vm) -> JobResult {
+        JobResult {
+            job,
+            label,
+            cpu,
+            exit,
+            stats: vm.stats(),
+            checks: vm.pools.total_stats(),
+            console: vm.console,
+        }
+    }
 }
 
 /// Per-vCPU aggregate, merged at halt.
@@ -249,11 +268,6 @@ impl SmpMachine {
         }
     }
 
-    /// vCPU count.
-    pub fn vcpus(&self) -> u32 {
-        self.vcpus
-    }
-
     /// The shared metadata plane (`None` at `vcpus == 1`).
     pub fn plane(&self) -> Option<&Arc<SharedMetaPlane>> {
         self.plane.as_ref()
@@ -284,25 +298,8 @@ impl SmpMachine {
             total,
             cv: Condvar::new(),
         };
-        let this: &SmpMachine = self;
         let start = Instant::now();
-        let per_cpu: Vec<(CpuReport, Vec<JobResult>)> = if n == 1 {
-            // Single vCPU: no threads, no plane — the classic machine.
-            vec![this.vcpu_loop(0, &state)]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..n as u32)
-                    .map(|cpu| {
-                        let state = &state;
-                        s.spawn(move || this.vcpu_loop(cpu, state))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("vCPU thread panicked"))
-                    .collect()
-            })
-        };
+        let per_cpu = on_each_vcpu(vec![(); n], |cpu, ()| self.vcpu_loop(cpu, &state));
         self.merge_report(per_cpu, start.elapsed())
     }
 
@@ -340,7 +337,10 @@ impl SmpMachine {
                 }
                 continue;
             };
-            let r = self.run_job(cpu, ji, &state.jobs[ji]);
+            let job = &state.jobs[ji];
+            let (mut vm, written) = self.prepare_fork(cpu, job);
+            let exit = written.and_then(|()| vm.boot());
+            let r = JobResult::of(ji, job.label.clone(), cpu, exit, vm);
             rep.jobs += 1;
             rep.stats.fold(&r.stats);
             rep.checks.merge(&r.checks);
@@ -388,8 +388,9 @@ impl SmpMachine {
 
     /// Forks the template for `cpu`, resets and binds the vCPU's plane
     /// slot range, runs the job's setup hook and writes its globals —
-    /// everything up to (but excluding) boot.
-    fn prepare_fork(&self, cpu: u32, job: &SmpJob) -> (Vm, Option<VmError>) {
+    /// everything up to (but excluding) boot. A global that cannot be
+    /// written is the job's exit.
+    fn prepare_fork(&self, cpu: u32, job: &SmpJob) -> (Vm, Result<(), VmError>) {
         let mut vm = self.template.fork_for_cpu(cpu);
         if let Some(plane) = &self.plane {
             let base = self.slot_base[cpu as usize];
@@ -401,172 +402,77 @@ impl SmpMachine {
         if let Some(setup) = &job.setup {
             setup(&mut vm);
         }
-        let mut global_err = None;
-        for (name, v) in &job.globals {
-            if let Err(e) = vm.write_global_u64(name, *v) {
-                global_err = Some(e);
-                break;
-            }
-        }
-        (vm, global_err)
-    }
-
-    /// Executes one job on `cpu`: fork the template, reset and bind the
-    /// vCPU's plane slot range, write the job's globals, boot.
-    fn run_job(&self, cpu: u32, ji: usize, job: &SmpJob) -> JobResult {
-        let (mut vm, global_err) = self.prepare_fork(cpu, job);
-        let exit = match global_err {
-            Some(e) => Err(e),
-            None => vm.boot(),
-        };
-        JobResult {
-            job: ji,
-            label: job.label.clone(),
-            cpu,
-            exit,
-            stats: vm.stats(),
-            checks: vm.pools.total_stats(),
-            console: std::mem::take(&mut vm.console),
-        }
+        let written = job
+            .globals
+            .iter()
+            .try_for_each(|(name, v)| vm.write_global_u64(name, *v));
+        (vm, written)
     }
 
     /// Runs one **pinned** job per vCPU (`jobs[i]` on vCPU `i`, no
-    /// stealing) and parks every vCPU at its next safe point after
-    /// `boundary` instruction boundaries, capturing a coordinated
-    /// multi-vCPU image (DESIGN.md §4.10).
+    /// stealing) and cuts every vCPU at instruction boundary `boundary`,
+    /// capturing a coordinated multi-vCPU image (DESIGN.md §4.10).
     ///
-    /// Each vCPU arms its fork's snapshot latch with a sink that blocks
-    /// on a fleet-wide barrier: when the latch fires at the safe point
-    /// the vCPU records its member image and *parks inside the
-    /// instruction loop* until every sibling has reached its own safe
-    /// point — the set of member images is therefore a consistent cut
-    /// (no member has executed past its capture point while another's
-    /// image was still forming). A job that reaches terminal state
-    /// before its boundary contributes its terminal state as the member
-    /// image and parks at the barrier from the outside. After the
-    /// barrier releases, every vCPU runs its job on to terminal state,
-    /// so the returned [`SmpReport`] is a complete run — the quiesce is
-    /// a pause, not a stop.
+    /// Each vCPU boots its fork under a [`Vm::run_steps`] countdown of
+    /// `boundary`, takes its member image with
+    /// [`Vm::snapshot_midflight`] where the countdown pauses it, then
+    /// waits at a fleet-wide barrier, outside the interpreter loop, until
+    /// every sibling has taken its own. The member images are therefore
+    /// a consistent cut: no member has executed past its capture point
+    /// while another's image was still forming. A job that reaches
+    /// terminal state before its boundary contributes its terminal state
+    /// as the member image. After the barrier releases, every vCPU runs
+    /// its job on to terminal state, so the returned [`SmpReport`] is a
+    /// complete run — the quiesce is a pause, not a stop.
     ///
-    /// At `vcpus == 1` the single member takes exactly the classic
-    /// machine's `request_snapshot_at` path, so the member image is
-    /// byte-identical to a solo mid-flight snapshot at the same
-    /// boundary.
+    /// At `vcpus == 1` the single member is the classic machine's
+    /// `run_steps` cut, so the member image is byte-identical to a solo
+    /// mid-flight snapshot at the same boundary.
     ///
     /// # Panics
     ///
     /// Panics if `jobs.len() != vcpus` — quiesce is a whole-machine
     /// protocol; every vCPU must participate.
     pub fn quiesce(&mut self, jobs: Vec<SmpJob>, boundary: u64) -> QuiesceOutcome {
-        let n = self.vcpus as usize;
         assert_eq!(
             jobs.len(),
-            n,
+            self.vcpus as usize,
             "quiesce needs exactly one pinned job per vCPU"
         );
-        let barrier = Arc::new(std::sync::Barrier::new(n));
-        let slots: Vec<Arc<Mutex<Option<Vec<u8>>>>> =
-            (0..n).map(|_| Arc::new(Mutex::new(None))).collect();
-        let arrivals: Arc<Mutex<Vec<Instant>>> = Arc::new(Mutex::new(Vec::with_capacity(n)));
-        let this: &SmpMachine = self;
+        let barrier = Barrier::new(jobs.len());
         let start = Instant::now();
-        let per_cpu: Vec<(CpuReport, Vec<JobResult>)> = if n == 1 {
-            let r = this.quiesce_job(0, &jobs[0], boundary, &barrier, &slots[0], &arrivals);
-            vec![(cpu_report_of(&r), vec![r])]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..n)
-                    .map(|cpu| {
-                        let (barrier, slot, arrivals, jobs) =
-                            (&barrier, &slots[cpu], &arrivals, &jobs);
-                        s.spawn(move || {
-                            let r = this.quiesce_job(
-                                cpu as u32, &jobs[cpu], boundary, barrier, slot, arrivals,
-                            );
-                            (cpu_report_of(&r), vec![r])
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("vCPU thread panicked"))
-                    .collect()
-            })
-        };
+        let cuts = on_each_vcpu(jobs, |cpu, job| {
+            let (mut vm, written) = self.prepare_fork(cpu, &job);
+            let cut = written.and_then(|()| vm.boot_steps(boundary));
+            let member = vm.snapshot_midflight();
+            let parked = Instant::now();
+            barrier.wait();
+            let exit = cut.transpose().unwrap_or_else(|| vm.run());
+            let r = JobResult::of(cpu as usize, job.label, cpu, exit, vm);
+            (member, parked, r)
+        });
         let wall = start.elapsed();
-        let members: Vec<Vec<u8>> = slots
-            .iter()
-            .map(|s| {
-                relock(s)
-                    .take()
-                    .expect("every vCPU filled its member slot before the barrier")
-            })
-            .collect();
-        let park_spread = {
-            let a = relock(&arrivals);
-            match (a.iter().min(), a.iter().max()) {
-                (Some(&first), Some(&last)) => last.duration_since(first),
-                _ => Duration::ZERO,
-            }
+        let parked = || cuts.iter().map(|c| c.1);
+        let park_spread = match (parked().min(), parked().max()) {
+            (Some(first), Some(last)) => last.duration_since(first),
+            _ => Duration::ZERO,
         };
+        let (members, results): (Vec<_>, Vec<_>) = cuts.into_iter().map(|c| (c.0, c.2)).unzip();
         QuiesceOutcome {
             image: encode_quiesce(&members),
-            report: self.merge_report(per_cpu, wall),
+            report: self.merge_report(pinned(results), wall),
             park_spread,
         }
     }
 
-    /// One vCPU's half of the quiesce protocol; see [`Self::quiesce`].
-    fn quiesce_job(
-        &self,
-        cpu: u32,
-        job: &SmpJob,
-        boundary: u64,
-        barrier: &Arc<std::sync::Barrier>,
-        slot: &Arc<Mutex<Option<Vec<u8>>>>,
-        arrivals: &Arc<Mutex<Vec<Instant>>>,
-    ) -> JobResult {
-        let (mut vm, global_err) = self.prepare_fork(cpu, job);
-        vm.request_snapshot_at(boundary);
-        let sink = {
-            let (barrier, slot, arrivals) =
-                (Arc::clone(barrier), Arc::clone(slot), Arc::clone(arrivals));
-            move |img: Vec<u8>| {
-                relock(&arrivals).push(Instant::now());
-                *relock(&slot) = Some(img);
-                barrier.wait();
-            }
-        };
-        vm.set_snapshot_sink(Arc::new(sink));
-        let exit = match global_err {
-            Some(e) => Err(e),
-            None => vm.boot(),
-        };
-        if relock(slot).is_none() {
-            // Terminal before the boundary: this vCPU's contribution to
-            // the cut is its terminal state; park from the outside so
-            // the siblings' barrier still fills.
-            relock(arrivals).push(Instant::now());
-            *relock(slot) = Some(vm.snapshot_midflight());
-            barrier.wait();
-        }
-        JobResult {
-            job: cpu as usize,
-            label: job.label.clone(),
-            cpu,
-            exit,
-            stats: vm.stats(),
-            checks: vm.pools.total_stats(),
-            console: std::mem::take(&mut vm.console),
-        }
-    }
-
     /// Restores a coordinated image captured by [`Self::quiesce`] and
-    /// runs every member on to terminal state, in cpu-id order. Member
-    /// images go through the migration path ([`Vm::restore_migrated`]),
-    /// so a coordinated image survives format-version bumps and
-    /// compatible rebuilds like any other snapshot. The machine's vCPU
-    /// count must match the image's.
+    /// runs every member on to terminal state, each on its own vCPU.
+    /// Every member is restored and bound before any member runs, so a
+    /// member that fails to restore leaves nothing run. Member images go
+    /// through the migration path ([`Vm::restore_migrated`]), so a
+    /// coordinated image survives format-version bumps and compatible
+    /// rebuilds like any other snapshot. The machine's vCPU count must
+    /// match the image's.
     pub fn resume_quiesced(&mut self, image: &[u8]) -> Result<SmpReport, MigrateError> {
         let members = decode_quiesce(image)?;
         if members.len() != self.vcpus as usize {
@@ -577,41 +483,38 @@ impl SmpMachine {
             ))));
         }
         let start = Instant::now();
-        let mut per_cpu = Vec::with_capacity(members.len());
-        for (cpu, member) in members.iter().enumerate() {
-            let mut vm = self.template.fork_for_cpu(cpu as u32);
-            // Restore into the unbound fork first (pool images repopulate
-            // the private registries), then reset this vCPU's plane slots
-            // to the *restored* ranges and bind — the same bring-up order
-            // `MetaPoolTable::publish_to_plane` + `bind_shared_at` use at
-            // machine construction.
-            vm.restore_migrated(member)?;
-            if let Some(plane) = &self.plane {
-                let base = self.slot_base[cpu];
-                plane
-                    .reset_slots(base, &vm.pools.live_ranges_by_pool())
-                    .map_err(|e| {
-                        MigrateError::Image(SnapshotError::Malformed(format!(
-                            "member {cpu} pool ranges rejected by the plane: {}",
-                            e.detail
-                        )))
-                    })?;
-                vm.pools.bind_shared_at(plane, base);
-            }
+        let forks = (0..)
+            .zip(&members)
+            .map(|(cpu, member)| self.restore_member(cpu, member))
+            .collect::<Result<Vec<Vm>, _>>()?;
+        let results = on_each_vcpu(forks, |cpu, mut vm| {
             let exit = vm.run();
-            let r = JobResult {
-                job: cpu,
-                label: format!("resume:cpu{cpu}"),
-                cpu: cpu as u32,
-                exit,
-                stats: vm.stats(),
-                checks: vm.pools.total_stats(),
-                console: std::mem::take(&mut vm.console),
-            };
-            per_cpu.push((cpu_report_of(&r), vec![r]));
+            JobResult::of(cpu as usize, format!("resume:cpu{cpu}"), cpu, exit, vm)
+        });
+        Ok(self.merge_report(pinned(results), start.elapsed()))
+    }
+
+    /// Restores `member` into a fork for `cpu`. The fork is restored
+    /// unbound first (pool images repopulate the private registries);
+    /// then this vCPU's plane slots are reset to the *restored* ranges and
+    /// bound — the same bring-up order `MetaPoolTable::publish_to_plane`
+    /// and `bind_shared_at` use at machine construction.
+    fn restore_member(&self, cpu: u32, member: &[u8]) -> Result<Vm, MigrateError> {
+        let mut vm = self.template.fork_for_cpu(cpu);
+        vm.restore_migrated(member)?;
+        if let Some(plane) = &self.plane {
+            let base = self.slot_base[cpu as usize];
+            plane
+                .reset_slots(base, &vm.pools.live_ranges_by_pool())
+                .map_err(|e| {
+                    MigrateError::Image(SnapshotError::Malformed(format!(
+                        "member {cpu} pool ranges rejected by the plane: {}",
+                        e.detail
+                    )))
+                })?;
+            vm.pools.bind_shared_at(plane, base);
         }
-        let wall = start.elapsed();
-        Ok(self.merge_report(per_cpu, wall))
+        Ok(vm)
     }
 
     /// Deterministic merge shared by [`Self::run`], [`Self::quiesce`]
@@ -649,15 +552,43 @@ impl SmpMachine {
     }
 }
 
-fn cpu_report_of(r: &JobResult) -> CpuReport {
-    let mut rep = CpuReport {
-        cpu: r.cpu,
-        jobs: 1,
-        ..CpuReport::default()
-    };
-    rep.stats.fold(&r.stats);
-    rep.checks.merge(&r.checks);
-    rep
+/// The one per-vCPU runner of [`SmpMachine::run`],
+/// [`SmpMachine::quiesce`] and [`SmpMachine::resume_quiesced`]: `work`
+/// runs once per vCPU on that vCPU's input. One input runs inline, with
+/// no thread (the classic machine's path); more run on one scoped host
+/// thread each. Outputs come back in cpu-id order.
+fn on_each_vcpu<I: Send, R: Send>(inputs: Vec<I>, work: impl Fn(u32, I) -> R + Sync) -> Vec<R> {
+    if inputs.len() == 1 {
+        return inputs.into_iter().map(|input| work(0, input)).collect();
+    }
+    std::thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = (0..)
+            .zip(inputs)
+            .map(|(cpu, input)| s.spawn(move || work(cpu, input)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("vCPU thread panicked"))
+            .collect()
+    })
+}
+
+/// Per-vCPU reports of a pinned run, in which each vCPU ran one job.
+fn pinned(results: Vec<JobResult>) -> Vec<(CpuReport, Vec<JobResult>)> {
+    results
+        .into_iter()
+        .map(|r| {
+            let mut rep = CpuReport {
+                cpu: r.cpu,
+                jobs: 1,
+                ..CpuReport::default()
+            };
+            rep.stats.fold(&r.stats);
+            rep.checks.merge(&r.checks);
+            (rep, vec![r])
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

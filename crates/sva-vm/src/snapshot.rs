@@ -88,9 +88,9 @@ pub const SNAPSHOT_VERSION: u32 = 4;
 /// Capture origin: a deliberate checkpoint ([`Vm::snapshot`]), e.g. at
 /// the boot pause point.
 pub const ORIGIN_CHECKPOINT: u8 = 0;
-/// Capture origin: a latched safe-point capture taken at an instruction
-/// boundary while the machine was running ([`Vm::request_snapshot`],
-/// [`Vm::snapshot_midflight`], `SmpMachine::quiesce`).
+/// Capture origin: a safe-point capture taken at an instruction boundary
+/// where a running machine was cut, e.g. by a [`Vm::run_steps`] pause
+/// ([`Vm::snapshot_midflight`], `SmpMachine::quiesce`).
 pub const ORIGIN_MIDFLIGHT: u8 = 1;
 
 /// Machine images (`SVA1`, and the `SVAB` and `SVAQ` containers around
@@ -905,11 +905,11 @@ impl<T: Tracer> Vm<T> {
         self.snapshot_with_origin(ORIGIN_CHECKPOINT)
     }
 
-    /// [`Vm::snapshot`] tagged [`ORIGIN_MIDFLIGHT`]: the image a latched
-    /// safe-point capture produces. Taking one by hand at a chosen
-    /// instruction boundary (e.g. after [`Vm::run_steps`]) yields bytes
-    /// identical to arming [`Vm::request_snapshot_at`] with the same
-    /// boundary — the byte-identity gates in `tests/smp.rs` rely on it.
+    /// [`Vm::snapshot`] tagged [`ORIGIN_MIDFLIGHT`]: the image of a
+    /// machine cut at an instruction boundary while it was running, e.g.
+    /// after a [`Vm::run_steps`] pause. `SmpMachine::quiesce` takes each
+    /// member image this way, so an N=1 member is byte-identical to a
+    /// solo cut at the same boundary (`tests/smp.rs` gates it).
     pub fn snapshot_midflight(&self) -> Vec<u8> {
         self.snapshot_with_origin(ORIGIN_MIDFLIGHT)
     }

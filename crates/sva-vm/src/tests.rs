@@ -272,6 +272,43 @@ entry:
 }
 
 #[test]
+fn huge_allocas_overflow_the_stack() {
+    // The guest picks the count. A size (2^62 elements) or a top (2^61 - 1
+    // elements) past 2^64 must not wrap to a small allocation that the
+    // next `alloca` would alias.
+    let src = r#"
+module "m"
+func public @stack(%n: i64) : i64 {
+entry:
+  %p:i64* = alloca i64, %n
+  store 7:i64, %p
+  %q:i64* = alloca i64, 1:i64
+  store 9:i64, %q
+  %v:i64 = load %p
+  ret %v
+}
+"#;
+    for kind in [KernelKind::SvaLlvm, KernelKind::SvaGcc] {
+        for opt_level in [0u8, 2] {
+            let m = parse_module(src).expect("parse");
+            let cfg = VmConfig {
+                kind,
+                opt_level,
+                ..Default::default()
+            };
+            let mut vm = Vm::new(m, cfg).expect("load");
+            assert_eq!(vm.call("stack", &[1]).unwrap(), VmExit::Returned(7));
+            for n in [1 << 62, (1 << 61) - 1] {
+                match vm.call("stack", &[n]) {
+                    Err(VmError::StackOverflow) => {}
+                    r => panic!("{kind:?} opt {opt_level} n {n:#x}: {r:?}"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn indirect_call_through_table() {
     let src = r#"
 module "m"

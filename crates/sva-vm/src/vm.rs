@@ -841,16 +841,10 @@ pub struct Vm<T: Tracer = NullTracer> {
     /// Host-side crash-forensics capture state (opt-in, never part of a
     /// snapshot image).
     pub(crate) crash: crate::bundle::CrashCapture,
-    /// Armed safe-point snapshot latch: `Some(n)` fires a mid-flight
-    /// snapshot at the n-th next instruction boundary (DESIGN.md §4.10).
-    /// Host-side intent, never serialized.
-    pub(crate) snap_request: Option<u64>,
-    /// The latched image, when no sink is attached.
-    pub(crate) snap_pending: Option<Vec<u8>>,
-    /// Where a fired latch delivers its image. The callback runs *inside*
-    /// the interpreter loop at the safe point and may block — that is how
-    /// `SmpMachine::quiesce` parks every vCPU at its boundary.
-    pub(crate) snap_sink: Option<std::sync::Arc<dyn Fn(Vec<u8>) + Send + Sync>>,
+    /// The boundary countdown of a [`Vm::run_steps`] slice: `Some(n)`
+    /// pauses the machine after n more instruction boundaries
+    /// (DESIGN.md §4.10). Host-side, never serialized.
+    pause_in: Option<u64>,
     pub(crate) tracer: T,
 }
 
@@ -1038,9 +1032,7 @@ impl<T: Tracer> Vm<T> {
             fused_sites,
             cpu_id: 0,
             crash: crate::bundle::CrashCapture::default(),
-            snap_request: None,
-            snap_pending: None,
-            snap_sink: None,
+            pause_in: None,
             tracer,
         };
         if T::ENABLED {
@@ -1172,9 +1164,7 @@ impl<T: Tracer> Vm<T> {
             fused_sites: self.fused_sites,
             cpu_id,
             crash: crate::bundle::CrashCapture::default(),
-            snap_request: None,
-            snap_pending: None,
-            snap_sink: None,
+            pause_in: None,
             tracer,
         }
     }
@@ -1362,16 +1352,21 @@ impl<T: Tracer> Vm<T> {
             .unwrap_or(Mode::Kernel)
     }
 
-    fn alloca(&mut self, size: u64, align: u64) -> Result<u64, VmError> {
+    /// Carves `count` elements of `elem` bytes off the current mode's
+    /// stack. The guest supplies `count`, so a size or top that overflows
+    /// is a [`VmError::StackOverflow`] like one past the stack's end.
+    fn alloca(&mut self, elem: u64, count: u64, align: u64) -> Result<u64, VmError> {
         let (sp, end) = match self.mode() {
             Mode::Kernel => (&mut self.thread.ksp, KSTACK_END),
             Mode::User => (&mut self.thread.usp, USER_END),
         };
         let base = round_up(*sp, align.max(8));
-        if base + size > end {
-            return Err(VmError::StackOverflow);
-        }
-        *sp = base + size;
+        let top = elem
+            .checked_mul(count)
+            .and_then(|size| base.checked_add(size))
+            .filter(|&top| top <= end)
+            .ok_or(VmError::StackOverflow)?;
+        *sp = top;
         Ok(base)
     }
 
@@ -1382,7 +1377,7 @@ impl<T: Tracer> Vm<T> {
     pub fn run(&mut self) -> Result<VmExit, VmError> {
         Ok(self
             .run_inner(false)?
-            .expect("run_inner(false) never pauses"))
+            .expect("only a run_steps countdown pauses run_inner(false)"))
     }
 
     /// Boots the module like [`Vm::boot`] but pauses at the first
@@ -1400,64 +1395,25 @@ impl<T: Tracer> Vm<T> {
     }
 
     /// Runs at most `max` instruction-boundary iterations, returning
-    /// `Ok(None)` if the budget ran out with the machine still live (state
-    /// intact at the boundary — exactly what [`VmError::OutOfFuel`]
-    /// guarantees). Implemented by temporarily narrowing the fuel tank, so
-    /// the fuel value an interrupted machine carries equals the value an
-    /// uninterrupted run would have at the same boundary — which is what
-    /// lets snapshot tests cut a run at an arbitrary step and still compare
-    /// byte-identical images.
+    /// `Ok(None)` if they ran out with the machine still live (state
+    /// intact at the boundary). A countdown armed for the slice ticks
+    /// with the fuel tank and is tested right after it, so the fuel an
+    /// interrupted machine carries equals the value an uninterrupted run
+    /// would have at the same boundary — which is what lets snapshot tests
+    /// and quiesce cut a run at an arbitrary step and still compare
+    /// byte-identical images — and a `max` at or past the remaining fuel
+    /// ends in [`VmError::OutOfFuel`], as [`Vm::run`] does.
     pub fn run_steps(&mut self, max: u64) -> Result<Option<VmExit>, VmError> {
-        if max >= self.fuel {
-            return self.run().map(Some);
-        }
-        let rest = self.fuel - max;
-        self.fuel = max;
-        match self.run() {
-            Ok(exit) => {
-                self.fuel += rest;
-                Ok(Some(exit))
-            }
-            Err(VmError::OutOfFuel) => {
-                self.fuel = rest;
-                Ok(None)
-            }
-            Err(e) => {
-                self.fuel += rest;
-                Err(e)
-            }
-        }
+        self.pause_in = Some(max);
+        let r = self.run_inner(false);
+        self.pause_in = None;
+        r
     }
 
-    /// Arms the safe-point snapshot latch: the machine takes a mid-flight
-    /// snapshot ([`crate::snapshot::ORIGIN_MIDFLIGHT`]) at the *next*
-    /// instruction boundary it reaches while running, without pausing.
-    /// The image lands in the attached sink ([`Vm::set_snapshot_sink`])
-    /// or, with none, in [`Vm::take_pending_snapshot`].
-    pub fn request_snapshot(&mut self) {
-        self.request_snapshot_at(0);
-    }
-
-    /// Like [`Vm::request_snapshot`], but fires after `boundary` further
-    /// instruction boundaries — the image is byte-identical to pausing
-    /// the same machine with [`Vm::run_steps`]`(boundary)` and calling
-    /// [`Vm::snapshot_midflight`] there, because the latch is checked at
-    /// the exact loop position the fuel tank is.
-    pub fn request_snapshot_at(&mut self, boundary: u64) {
-        self.snap_request = Some(boundary);
-    }
-
-    /// Attaches a delivery sink for latched snapshots. The callback runs
-    /// inside the interpreter loop at the safe point and may block —
-    /// `SmpMachine::quiesce` passes a barrier-waiting closure to park
-    /// every vCPU at its boundary until the coordinated cut is complete.
-    pub fn set_snapshot_sink(&mut self, sink: std::sync::Arc<dyn Fn(Vec<u8>) + Send + Sync>) {
-        self.snap_sink = Some(sink);
-    }
-
-    /// Takes the image a fired latch stashed (sink-less delivery).
-    pub fn take_pending_snapshot(&mut self) -> Option<Vec<u8>> {
-        self.snap_pending.take()
+    /// [`Vm::boot`] under a [`Vm::run_steps`] countdown of `max`.
+    pub(crate) fn boot_steps(&mut self, max: u64) -> Result<Option<VmExit>, VmError> {
+        let entry = self.entry()?;
+        self.enter(entry, &[], |vm| vm.run_steps(max))
     }
 
     /// Remaining instruction fuel.
@@ -1478,8 +1434,8 @@ impl<T: Tracer> Vm<T> {
     /// Each iteration runs the per-boundary prologue below once, then
     /// hands the flat engine a block of ops (DESIGN.md §4.11): the ops
     /// after the first skip a prologue that would have found nothing to
-    /// do, and are charged the fuel, watchdog fuel and latch ticks it
-    /// would have taken.
+    /// do, and are charged the fuel, watchdog fuel and `run_steps`
+    /// countdown ticks it would have taken.
     fn run_inner(&mut self, pause_on_user: bool) -> Result<Option<VmExit>, VmError> {
         let code = self.code.clone();
         loop {
@@ -1503,27 +1459,9 @@ impl<T: Tracer> Vm<T> {
             if pause_on_user && self.mode() == Mode::User {
                 return Ok(None);
             }
-            // Safe-point snapshot latch (DESIGN.md §4.10). Checked at the
-            // exact loop position the fuel tank is, so an image latched at
-            // boundary k is byte-identical to `run_steps(k)` followed by
-            // `snapshot_midflight()`. The capture charges no guest fuel,
-            // cycles or stats: execution continues as if nothing happened.
-            if let Some(n) = self.snap_request {
-                if n == 0 {
-                    self.snap_request = None;
-                    let img = self.snapshot_with_origin(crate::snapshot::ORIGIN_MIDFLIGHT);
-                    match &self.snap_sink {
-                        Some(sink) => sink(img),
-                        None => self.snap_pending = Some(img),
-                    }
-                } else {
-                    self.snap_request = Some(n - 1);
-                }
-            }
             if self.fuel == 0 {
                 // Only terminal under an armed fault hook: fuel running
-                // out in a campaign is a wedged machine, fuel running out
-                // in a `run_steps` slice is an ordinary pause.
+                // out in a campaign is a wedged machine.
                 if self.crash.enabled && self.cfg.fault_hook.is_some() {
                     self.capture_crash(
                         crate::bundle::CrashReason::FuelExhausted,
@@ -1532,6 +1470,15 @@ impl<T: Tracer> Vm<T> {
                     );
                 }
                 return Err(VmError::OutOfFuel);
+            }
+            // A `run_steps` slice pauses here, after the empty-tank test,
+            // so a slice that ends where the tank does is `OutOfFuel`.
+            // The pause charges nothing.
+            if let Some(n) = self.pause_in {
+                if n == 0 {
+                    return Ok(None);
+                }
+                self.pause_in = Some(n - 1);
             }
             self.fuel -= 1;
             // Domain watchdog (DESIGN.md §4.5): kernel-mode execution
@@ -1657,9 +1604,9 @@ impl<T: Tracer> Vm<T> {
             // The block budget (DESIGN.md §4.11): 1 while anything acts at
             // a single boundary — per-instruction tracing or a deferred
             // probe or skew counting down — otherwise as many ops as the
-            // fuel, the ticking domain's watchdog fuel and an armed latch
-            // leave before their next boundary action. This op's units are
-            // charged already, hence the `+ 1`s.
+            // fuel, the ticking domain's watchdog fuel and a `run_steps`
+            // countdown leave before their next boundary action. This
+            // op's units are charged already, hence the `+ 1`s.
             let budget = if T::wants(EventClass::Inst)
                 || self.pending_probe.is_some()
                 || self.pending_skew.is_some()
@@ -1670,7 +1617,7 @@ impl<T: Tracer> Vm<T> {
                 if let Some(slot) = watched {
                     b = b.min(self.recovery[slot].fuel.saturating_add(1));
                 }
-                if let Some(n) = self.snap_request {
+                if let Some(n) = self.pause_in {
                     b = b.min(n.saturating_add(1));
                 }
                 b
@@ -1689,7 +1636,7 @@ impl<T: Tracer> Vm<T> {
                 if let Some(rc) = watched.and_then(|s| self.recovery.get_mut(s)) {
                     rc.fuel -= skipped;
                 }
-                if let Some(n) = self.snap_request.as_mut() {
+                if let Some(n) = self.pause_in.as_mut() {
                     *n -= skipped;
                 }
             }
@@ -1929,7 +1876,7 @@ impl<T: Tracer> Vm<T> {
     /// current frame in one host loop until `budget` ops have run, an op
     /// has failed, or an op has run that can change what the boundary
     /// prologue looks at — the frame stack, the mode, the address space,
-    /// the IRQ queue, `halted`, the latch or a countdown. Those are calls
+    /// the IRQ queue, `halted` or a deferred countdown. Those are calls
     /// (every intrinsic call included), returns, allocas and `unreachable`;
     /// the three pure checks are ops of their own and run inline. Each op
     /// is charged its instruction and dispatch cycle before it runs; `ran`
@@ -2027,8 +1974,8 @@ impl<T: Tracer> Vm<T> {
                     count,
                     align,
                 } => {
-                    let size = elem * src!(count);
-                    let addr = self.alloca(size, *align)?;
+                    let count = src!(count);
+                    let addr = self.alloca(*elem, count, *align)?;
                     top_frame!().regs[*dst as usize] = addr;
                     return Ok(StepOut::Continue);
                 }
@@ -2363,7 +2310,7 @@ impl<T: Tracer> Vm<T> {
             Inst::Alloca { ty, count } => {
                 let layout = m.types.layout(*ty);
                 let n = opd!(count);
-                let addr = self.alloca(layout.size * n, layout.align)?;
+                let addr = self.alloca(layout.size, n, layout.align)?;
                 self.set_reg(result, addr)?;
             }
             Inst::Call { callee, args } => {

@@ -4,11 +4,19 @@
 //! optimization tier, and (c) be rejected fail-closed when truncated or
 //! corrupted — a forensic artifact that parses is trustworthy, full stop.
 
-use sva::kernel::harness::{boot_user, make_vm_recovering_traced, USER_HEAP_BASE};
+use std::sync::Arc;
+
+use sva::kernel::harness::{
+    boot_user, boot_user_paused, make_vm_nested, make_vm_recovering_traced, pack_arg,
+    USER_HEAP_BASE,
+};
 use sva::kernel::postmortem::{check_reproduction, replay, ReplayExit};
 use sva::rt::{CheckKind, MetaPoolId};
 use sva::trace::FlightRecorder;
-use sva::vm::{check_kind_code, BundleError, CrashBundle, CrashReason, VmConfig, VmExit};
+use sva::vm::{
+    check_kind_code, BundleError, CrashBundle, CrashReason, FaultAction, FaultHook, TrapInfo,
+    VmConfig, VmError, VmExit,
+};
 
 /// Drives a recovering machine into the poisoned-pool abort(41) death
 /// with crash capture on, and returns the captured bundle.
@@ -119,4 +127,56 @@ fn bundle_parsing_is_fail_closed() {
 
     // And the untampered bytes still parse (the fixture is valid).
     CrashBundle::from_bytes(&bytes).unwrap();
+}
+
+/// A fault hook that lets every trap through untouched.
+struct PassThrough;
+
+impl FaultHook for PassThrough {
+    fn on_trap(&self, _: &TrapInfo<'_>) -> FaultAction {
+        FaultAction::default()
+    }
+}
+
+/// A `run_steps` pause is not a death. Under an armed fault hook with
+/// crash capture on, the pause captures no bundle and the machine runs
+/// on to its clean halt. A tank that runs dry under the same hook still
+/// captures a `FuelExhausted` bundle, through `run` and through a slice
+/// that ends exactly where the tank does.
+#[test]
+fn run_steps_pause_is_not_a_crash() {
+    let paused = || {
+        let mut vm = make_vm_nested(VmConfig::default());
+        vm.arm_faults(Arc::new(PassThrough));
+        vm.enable_crash_capture(None, "probe");
+        let arg = pack_arg(4, 64, 0);
+        let r = boot_user_paused(&mut vm, "user_pipe_loop", arg);
+        assert!(matches!(r, Ok(None)), "{r:?}");
+        vm
+    };
+    let mut vm = paused();
+    let r = vm.run_steps(1000);
+    assert!(matches!(r, Ok(None)), "{r:?}");
+    assert!(
+        vm.take_crash_bundle().is_none(),
+        "the pause captured a bundle"
+    );
+    let r = vm.run();
+    assert!(matches!(r, Ok(VmExit::Halted(0))), "{r:?}");
+
+    for sliced in [false, true] {
+        let mut vm = paused();
+        vm.set_fuel(1000);
+        let r = if sliced {
+            vm.run_steps(1000)
+        } else {
+            vm.run().map(Some)
+        };
+        assert!(
+            matches!(r, Err(VmError::OutOfFuel)),
+            "sliced {sliced}: {r:?}"
+        );
+        let bundle = vm.take_crash_bundle().expect("an empty tank captures");
+        assert_eq!(bundle.reason, CrashReason::FuelExhausted, "sliced {sliced}");
+    }
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use sva::kernel::harness::{boot_user, make_vm_cfg, pack_arg};
 use sva::rt::{CheckKind, MetaPool, SharedMetaPlane};
-use sva::vm::{decode_quiesce, KernelKind, SmpJob, SmpMachine, VmConfig, VmStats};
+use sva::vm::{decode_quiesce, KernelKind, SmpJob, SmpMachine, VmConfig, VmError, VmStats};
 
 fn cfg(kind: KernelKind, opt: u8, vcpus: u32) -> VmConfig {
     VmConfig {
@@ -318,7 +318,7 @@ fn midflight_boundary(c: &VmConfig) -> u64 {
 /// member rebinds its pools to the plane with empty MRU lines, so a probe
 /// the uninterrupted run answered from the MRU may be answered by the
 /// slot snapshot after the cut; only the `cache_hits + page_hits` *sum*
-/// is stable between a threaded run and its serially resumed twin.
+/// is stable between an uninterrupted run and its resumed twin.
 fn smp_key(s: &VmStats) -> VmStats {
     let mut k = (*s).equivalence_key();
     k.cache_hits += k.page_hits;
@@ -377,10 +377,10 @@ fn four_vcpu_quiesce_image_resumes_to_the_same_terminal_state() {
     }
 }
 
-/// At N=1 the quiesce member takes exactly the classic machine's
-/// snapshot-latch path, so its bytes must equal a solo mid-flight
-/// snapshot of the same fork at the same boundary — the coordinated
-/// container adds framing, never reinterpretation.
+/// At N=1 the quiesce member is the classic machine's `run_steps` cut,
+/// so its bytes must equal a solo mid-flight snapshot of the same fork
+/// at the same boundary — the coordinated container adds framing, never
+/// reinterpretation.
 #[test]
 fn single_vcpu_quiesce_member_is_byte_identical_to_a_solo_midflight_snapshot() {
     let c = cfg(KernelKind::SvaSafe, 2, 1);
@@ -395,29 +395,24 @@ fn single_vcpu_quiesce_member_is_byte_identical_to_a_solo_midflight_snapshot() {
     let members = decode_quiesce(&out.image).expect("SVAQ container decodes");
     assert_eq!(members.len(), 1);
 
-    // The classic path: same fork, same latch, solo sink.
+    // The classic path: the same fork cut by a tank that holds exactly
+    // `boundary` units, then refilled to what the cut machine holds.
     let mut solo = smp.template().fork_for_cpu(0);
     solo.write_global_u64("boot_user_prog", addr).unwrap();
     solo.write_global_u64("boot_user_arg", arg).unwrap();
-    solo.request_snapshot_at(boundary);
-    let captured = Arc::new(std::sync::Mutex::new(None));
-    let slot = captured.clone();
-    solo.set_snapshot_sink(Arc::new(move |img: Vec<u8>| {
-        *slot.lock().unwrap() = Some(img);
-    }));
-    let exit = solo.boot().expect("solo boot");
+    let fuel = solo.fuel();
+    solo.set_fuel(boundary);
+    assert!(matches!(solo.boot(), Err(VmError::OutOfFuel)));
+    solo.set_fuel(fuel - boundary);
+    assert_eq!(
+        members[0],
+        solo.snapshot_midflight(),
+        "N=1 quiesce member is not byte-identical to the classic mid-flight snapshot"
+    );
+    let exit = solo.run().expect("solo run");
     assert_eq!(
         format!("{exit:?}"),
         format!("{:?}", out.report.jobs[0].exit.as_ref().unwrap())
-    );
-    let solo_img = captured
-        .lock()
-        .unwrap()
-        .take()
-        .expect("solo latch fired before terminal state");
-    assert_eq!(
-        members[0], solo_img,
-        "N=1 quiesce member is not byte-identical to the classic mid-flight snapshot"
     );
 }
 
@@ -432,7 +427,7 @@ fn exploit_detection_is_vcpu_invariant() {
     use sva::exploits::{EXPLOITS, EXPLOIT_FUEL};
     use sva::kernel::harness::safe_kernel_module;
     use sva::kernel::AS_TESTED_EXCLUSIONS;
-    use sva::vm::{Vm, VmError};
+    use sva::vm::Vm;
 
     for vcpus in [1u32, 2, 4] {
         let template = Vm::new(
