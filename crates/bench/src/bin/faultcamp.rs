@@ -41,9 +41,9 @@
 //!
 //! **SMP arm.** After the single-CPU grid, the same 6-class grid runs
 //! as concurrent job batches on a `--vcpus`-wide (default 4) nested
-//! [`SmpMachine`] whose vCPUs share one per-slot published metadata plane
-//! (DESIGN.md §4.9) — proving containment survives real thread
-//! interleaving on the lock-free check path. Any death there drops a
+//! [`SmpMachine`] whose vCPUs each check against their own fork's
+//! metapools (DESIGN.md §4.9) — proving containment survives real thread
+//! interleaving of whole kernels. Any death there drops a
 //! bundle whose `cpu` field names the faulting vCPU. These bundles carry
 //! no flight tail: `SmpMachine` forks its vCPUs as `Vm<NullTracer>`
 //! (`prepare_fork` → `Vm::fork_for_cpu`), so no recorder flies there.
@@ -808,9 +808,9 @@ fn run_retire_drill(handler: &str, args: &[u64], pool: u32) -> RetireDrill {
 // (seed, workload) cell is an [`SmpJob`] that arms its own plan (the
 // same per-cell determinism the grid has) and enables crash capture, so
 // an unexpected death drops a bundle whose `cpu` field names the
-// faulting vCPU (`svadbg` prints it). The vCPUs share the per-slot
-// published metadata plane, so the injected violations exercise the
-// lock-free check path under real thread interleaving. Gates: zero
+// faulting vCPU (`svadbg` prints it). Each vCPU checks against its own
+// fork's metapools, so the injected violations run the 1-vCPU check
+// path under real thread interleaving. Gates: zero
 // escaped safety violations and zero machine deaths anywhere in the
 // fleet, with a floor on injected faults so an accidentally-disarmed
 // arm cannot pass vacuously.
@@ -1262,21 +1262,10 @@ fn run_upgrade_quiesce(vcpus: u32) -> QuiesceProbe {
     match fresh.resume_quiesced(&outcome.image) {
         Err(e) => probe.resume_error = Some(e.to_string()),
         Ok(resumed) => {
-            // A resumed member rebinds its pools to the plane with empty
-            // MRU lines, so a check the uninterrupted run answered from
-            // the range cache may be answered by the slot snapshot after
-            // the cut: compare the folded total of resolved checks, not
-            // the cache-hit/page-hit split.
-            let smp_key = |s: &VmStats| {
-                let mut k = (*s).equivalence_key();
-                k.cache_hits += k.page_hits;
-                k.page_hits = 0;
-                k
-            };
             for (a, b) in outcome.report.jobs.iter().zip(&resumed.jobs) {
                 let same = format!("{:?}", a.exit) == format!("{:?}", b.exit)
                     && a.console == b.console
-                    && smp_key(&a.stats) == smp_key(&b.stats);
+                    && a.stats.equivalence_key() == b.stats.equivalence_key();
                 if !same {
                     probe.resume_divergences += 1;
                     eprintln!(
@@ -1284,10 +1273,10 @@ fn run_upgrade_quiesce(vcpus: u32) -> QuiesceProbe {
                         a.cpu,
                         a.exit,
                         a.console.len(),
-                        smp_key(&a.stats),
+                        a.stats.equivalence_key(),
                         b.exit,
                         b.console.len(),
-                        smp_key(&b.stats),
+                        b.stats.equivalence_key(),
                     );
                 }
             }
@@ -1716,7 +1705,7 @@ fn main() {
     );
 
     // SMP arm (DESIGN.md §4.9): the 6-class grid as concurrent job
-    // batches on a multi-vCPU machine sharing one metadata plane.
+    // batches on a multi-vCPU machine.
     let smp = catch_unwind(AssertUnwindSafe(|| {
         run_smp_arm(smp_vcpus, &nested_ctx.targets)
     }))

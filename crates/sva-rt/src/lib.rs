@@ -23,6 +23,11 @@
 //! The crate also implements the pool-allocator constraints of §4.4 via
 //! [`pool::PagePolicy`]: a kernel pool may reuse memory internally but must
 //! not release its pages to other metapools until the metapool dies.
+//!
+//! Each vCPU of an SMP machine checks against its own clone of a kernel's
+//! [`MetaPoolTable`]. [`shared::SharedMetaPlane`] is a standalone
+//! RCU-style plane that no machine reads; it stays only for the
+//! benchmark's plane probe (ROADMAP item 6).
 
 pub mod check;
 pub mod metapool;

@@ -4,15 +4,15 @@
 //! points-to node and so must be treated as one logical pool by the safety
 //! checking algorithm". At run time it owns a registry of registered
 //! object ranges — a sorted range index, or the paper's splay tree as the
-//! ablation baseline, or a shared-plane slot on SMP machines — and
-//! implements the checks of §4.5, honouring the completeness-based
-//! "reduced checks" rule.
+//! ablation baseline — and implements the checks of §4.5, honouring the
+//! completeness-based "reduced checks" rule. Every vCPU of an SMP machine
+//! checks against its own clone of the table (DESIGN.md §4.9).
 
 use sva_trace::LookupLayer;
 
 use crate::check::{CheckError, CheckKind, CheckStats};
 use crate::ranges::RangeIndex;
-use crate::shared::{SharedMetaPlane, SlotReader};
+use crate::shared::SharedMetaPlane;
 use crate::splay::SplayTree;
 
 /// Identifier of a metapool within a [`MetaPoolTable`].
@@ -20,7 +20,7 @@ use crate::splay::SplayTree;
 pub struct MetaPoolId(pub u32);
 
 /// An empty MRU line: no address lies in `[0, 0)`.
-const NO_LINE: (u64, u64, u64) = (0, 0, 0);
+const NO_LINE: (u64, u64) = (0, 0);
 
 /// Where a metapool's registered objects live.
 #[derive(Clone, Debug)]
@@ -30,11 +30,6 @@ enum Registry {
     /// The paper's splay tree: the ablation baseline, where every lookup
     /// is a splay walk (`fast_path` off).
     Splay(SplayTree),
-    /// One slot of a shared metadata plane (SMP machines; DESIGN.md
-    /// §4.9), read through the snapshot this vCPU pinned. Registrations
-    /// and drops publish the slot; check semantics, counters and
-    /// quarantine state remain per-vCPU.
-    Shared(SlotReader),
 }
 
 /// One metapool with its object registry.
@@ -52,16 +47,11 @@ pub struct MetaPool {
     registry: Registry,
     stats: CheckStats,
     /// The ablation switch this pool runs under: on, the registry is a
-    /// range index; off, the splay baseline. A pool bound to a plane
-    /// ignores it but keeps it for its image.
+    /// range index; off, the splay baseline.
     fast_path: bool,
-    /// MRU last-hit cache, most recent first: `(tag, start, end)` lines.
-    /// A private pool tags its lines 0 and purges a line when its range
-    /// is dropped. A plane-bound pool tags each line with the generation
-    /// it was filled under, so a line dies the moment its slot publishes
-    /// again — a drop on any vCPU kills it everywhere, with no
-    /// cross-CPU invalidation traffic.
-    mru: [(u64, u64, u64); 2],
+    /// MRU last-hit cache, most recent first: `(start, end)` lines. A
+    /// line is purged when its range is dropped.
+    mru: [(u64, u64); 2],
     /// Which layer answered the most recent lookup. A single byte store on
     /// the lookup path; read by tracing instrumentation, never by checks.
     last_layer: LookupLayer,
@@ -119,28 +109,6 @@ impl MetaPool {
         }
     }
 
-    /// Attaches this pool to slot `idx` of a shared metadata plane
-    /// (SMP machines; DESIGN.md §4.9). The plane slot must already hold
-    /// this pool's live ranges (see [`MetaPoolTable::publish_to_plane`]);
-    /// the private registry and its MRU lines are dropped — every
-    /// registration, drop and lookup now goes through the plane slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plane has no slot `idx`.
-    pub fn bind_shared(&mut self, plane: &SharedMetaPlane, idx: u32) {
-        let slot = plane
-            .slot(idx)
-            .unwrap_or_else(|| panic!("bind_shared: plane has no slot {idx}"));
-        self.registry = Registry::Shared(SlotReader::new(slot));
-        self.mru = [NO_LINE; 2];
-    }
-
-    /// Whether this pool is bound to a shared metadata plane.
-    pub fn is_shared(&self) -> bool {
-        matches!(self.registry, Registry::Shared(_))
-    }
-
     /// Whether the pool runs the range index rather than the splay
     /// baseline.
     pub fn fast_path(&self) -> bool {
@@ -148,24 +116,21 @@ impl MetaPool {
     }
 
     /// Switches between the range index and the splay baseline (the
-    /// benchmark ablation flag), moving the live ranges across. A pool
-    /// bound to a plane only records the switch.
+    /// benchmark ablation flag), moving the live ranges across.
     pub fn set_fast_path(&mut self, enabled: bool) {
         if self.fast_path == enabled {
             return;
         }
         self.fast_path = enabled;
         self.mru = [NO_LINE; 2];
-        if !self.is_shared() {
-            let ranges = self.live_ranges();
-            self.registry = Self::private_registry(enabled, &ranges)
-                .expect("live registry ranges are disjoint");
-        }
+        let ranges = self.live_ranges();
+        self.registry =
+            Self::build_registry(enabled, &ranges).expect("live registry ranges are disjoint");
     }
 
-    /// A private registry holding `ranges`, as a range index or as the
-    /// splay baseline. Refuses empty or overlapping ranges.
-    fn private_registry(fast_path: bool, ranges: &[(u64, u64)]) -> Result<Registry, String> {
+    /// A registry holding `ranges`, as a range index or as the splay
+    /// baseline. Refuses empty or overlapping ranges.
+    fn build_registry(fast_path: bool, ranges: &[(u64, u64)]) -> Result<Registry, String> {
         let mut index = RangeIndex::new();
         let mut tree = SplayTree::new();
         for &(start, end) in ranges {
@@ -187,21 +152,16 @@ impl MetaPool {
     }
 
     /// The object lookup behind every check. On the splay baseline it is
-    /// one splay walk. Otherwise — private pool or plane-bound, the
-    /// latter on the snapshot it pins first — it is the singleton test
-    /// (one live range: two compares answer hit and definitive miss),
-    /// then the MRU, then a binary search of the range index. Exactly one
-    /// of `singleton_hits` / `cache_hits` / `page_hits` / `tree_walks` is
+    /// one splay walk. Otherwise it is the singleton test (one live
+    /// range: two compares answer hit and definitive miss), then the MRU,
+    /// then a binary search of the range index. Exactly one of
+    /// `singleton_hits` / `cache_hits` / `page_hits` / `tree_walks` is
     /// incremented per call. Inlined into the checks, and through them
     /// into an interpreter that runs checks inline.
     #[inline]
     fn lookup_obj(&mut self, addr: u64) -> Option<(u64, u64)> {
-        let (index, tag) = match &mut self.registry {
-            Registry::Index(index) => (&*index, 0),
-            Registry::Shared(reader) => {
-                reader.pin();
-                (reader.ranges(), reader.pinned())
-            }
+        let index = match &mut self.registry {
+            Registry::Index(index) => &*index,
             Registry::Splay(tree) => {
                 self.stats.tree_walks += 1;
                 self.last_layer = LookupLayer::Tree;
@@ -214,8 +174,8 @@ impl MetaPool {
             return (start <= addr && addr < end).then_some((start, end));
         }
         for i in 0..self.mru.len() {
-            let (t, start, end) = self.mru[i];
-            if t == tag && start <= addr && addr < end {
+            let (start, end) = self.mru[i];
+            if start <= addr && addr < end {
                 self.stats.cache_hits += 1;
                 self.last_layer = LookupLayer::Cache;
                 if i != 0 {
@@ -228,10 +188,10 @@ impl MetaPool {
         self.stats.page_hits += 1;
         self.last_layer = LookupLayer::Page;
         let hit = index.find(addr);
-        if let Some((start, end)) = hit {
-            if self.mru[0] != (tag, start, end) {
+        if let Some(range) = hit {
+            if self.mru[0] != range {
                 self.mru[1] = self.mru[0];
-                self.mru[0] = (tag, start, end);
+                self.mru[0] = range;
             }
         }
         hit
@@ -240,7 +200,7 @@ impl MetaPool {
     /// Empties every MRU line holding `range` (it was just dropped).
     fn purge_line(&mut self, range: (u64, u64)) {
         for line in &mut self.mru {
-            if (line.1, line.2) == range {
+            if *line == range {
                 *line = NO_LINE;
             }
         }
@@ -253,13 +213,11 @@ impl MetaPool {
         self.last_layer
     }
 
-    /// Number of live registered objects. For a shared-bound pool this
-    /// reads the slot's current snapshot (cold path).
+    /// Number of live registered objects.
     pub fn live_objects(&self) -> usize {
         match &self.registry {
             Registry::Index(index) => index.len(),
             Registry::Splay(tree) => tree.len(),
-            Registry::Shared(reader) => reader.slot().live_objects(),
         }
     }
 
@@ -410,8 +368,6 @@ impl MetaPool {
                 tree.remove(start);
                 tree.insert(start, head);
             }
-            // The plane picks the same range under its slot lock.
-            Registry::Shared(reader) => return reader.slot().corrupt(seed),
         }
         true
     }
@@ -461,7 +417,6 @@ impl MetaPool {
                 Ok(_) => (!tree.insert(addr, len))
                     .then(|| format!("overlapping registration of {len} bytes")),
             },
-            Registry::Shared(reader) => reader.slot().register(addr, len).err().map(|e| e.detail),
         };
         match refused {
             None => Ok(()),
@@ -478,14 +433,12 @@ impl MetaPool {
         let dropped = match &mut self.registry {
             Registry::Index(index) => index.remove(addr),
             Registry::Splay(tree) => tree.remove(addr),
-            Registry::Shared(reader) => reader.slot().drop_obj(addr).ok(),
         };
         match dropped {
             Some(range) => {
                 // A freed object must never be served from the MRU: that
                 // would reintroduce exactly the use-after-free class the
-                // checks exist to catch. (On a plane the generation bump
-                // already killed the line on every vCPU.)
+                // checks exist to catch.
                 self.purge_line(range);
                 Ok(())
             }
@@ -600,18 +553,14 @@ impl MetaPool {
         match &mut self.registry {
             Registry::Index(index) => index.clear(),
             Registry::Splay(tree) => tree.clear(),
-            Registry::Shared(reader) => reader.slot().clear(),
         }
     }
 
-    /// All live ranges, ascending (diagnostics). For a shared-bound pool
-    /// this reads the slot's current snapshot (cold path: takes the slot
-    /// lock).
+    /// All live ranges, ascending (diagnostics).
     pub fn live_ranges(&self) -> Vec<(u64, u64)> {
         match &self.registry {
             Registry::Index(index) => index.as_slice().to_vec(),
             Registry::Splay(tree) => tree.iter_ranges(),
-            Registry::Shared(reader) => reader.slot().ranges(),
         }
     }
 
@@ -620,19 +569,16 @@ impl MetaPool {
     /// shape is *not* captured — it is rebuilt deterministically on
     /// restore, which is observationally equivalent because ranges are
     /// disjoint (every lookup answer and every counter increment is
-    /// independent of tree shape). A plane-bound pool exports no MRU
-    /// lines: their generation tags mean nothing outside the plane.
+    /// independent of tree shape).
     pub fn export_image(&self) -> PoolImage {
-        let mru = match self.registry {
-            Registry::Shared(_) => [NO_LINE; 2],
-            _ => self.mru,
-        };
         PoolImage {
             name: self.name.clone(),
             ranges: self.live_ranges(),
             stats: self.stats.to_words(),
             fast_path: self.fast_path,
-            mru: mru.map(|(_, start, end)| (start < end).then_some((start, end))),
+            mru: self
+                .mru
+                .map(|(start, end)| (start < end).then_some((start, end))),
             last_layer: self.last_layer.to_code(),
             quarantined: self.quarantined,
             poisoned: self.poisoned,
@@ -645,8 +591,8 @@ impl MetaPool {
     }
 
     /// Restores the pool's mutable state from [`MetaPool::export_image`]
-    /// output into a private registry (a range index, or the splay
-    /// baseline if the image was taken with the fast path off), built
+    /// output into a registry (a range index, or the splay baseline if
+    /// the image was taken with the fast path off), built
     /// from the range list. The pool's identity fields (name,
     /// homogeneity, completeness) are *not* taken from the image — they
     /// come from the bytecode annotations, which the caller has already
@@ -666,7 +612,7 @@ impl MetaPool {
                 self.name, img.last_layer
             )
         })?;
-        let registry = Self::private_registry(img.fast_path, &img.ranges)
+        let registry = Self::build_registry(img.fast_path, &img.ranges)
             .map_err(|e| format!("pool {}: {e} in image", self.name))?;
         if let Some((start, end)) = img
             .mru
@@ -681,9 +627,7 @@ impl MetaPool {
         }
         self.registry = registry;
         self.fast_path = img.fast_path;
-        self.mru = img
-            .mru
-            .map(|line| line.map_or(NO_LINE, |(start, end)| (0, start, end)));
+        self.mru = img.mru.map(|line| line.unwrap_or(NO_LINE));
         self.last_layer = last_layer;
         self.quarantined = img.quarantined;
         self.poisoned = img.poisoned;
@@ -712,7 +656,7 @@ pub struct PoolImage {
     /// Whether the pool runs the range index (else the splay baseline).
     pub fast_path: bool,
     /// MRU last-hit cache, most recent first. Each line must be one of
-    /// `ranges`; a plane-bound pool exports none.
+    /// `ranges`.
     pub mru: [Option<(u64, u64)>; 2],
     /// [`LookupLayer::to_code`] of the most recent lookup's layer.
     pub last_layer: u8,
@@ -966,13 +910,11 @@ impl MetaPoolTable {
         Ok(())
     }
 
-    /// SMP bring-up, step 1: publishes every pool's live ranges into
-    /// `plane` — one fresh plane slot per pool, contiguous — and returns
-    /// the base slot index. Publishing the same table once per vCPU gives
-    /// each vCPU its own slot range (`base = vcpu * len()`) inside one
-    /// shared plane: every slot shares the plane's snapshot/generation
-    /// machinery while each vCPU's kernel keeps its own object namespace,
-    /// and a publish on one slot never disturbs readers of another.
+    /// Publishes every pool's live ranges into `plane`, one fresh plane
+    /// slot per pool, contiguous, and returns the base slot index. No
+    /// machine calls this: `benchmark/src/smp.rs` builds the plane it
+    /// times with it, and it goes with that probe at the next change to
+    /// the benchmark (ROADMAP item 6).
     ///
     /// # Panics
     ///
@@ -989,35 +931,11 @@ impl MetaPoolTable {
         }
         base.unwrap_or(0)
     }
-
-    /// SMP bring-up, step 2: binds every pool of this table to `plane`
-    /// at slot range base 0 (plane slot = pool id, the layout a single
-    /// [`Self::publish_to_plane`] call created). Each vCPU's table binds
-    /// its own clone.
-    pub fn bind_shared(&mut self, plane: &SharedMetaPlane) {
-        self.bind_shared_at(plane, 0);
-    }
-
-    /// Like [`Self::bind_shared`] with an explicit slot-range base: pool
-    /// `i` binds to plane slot `base + i` (the layout one
-    /// [`Self::publish_to_plane`] call per vCPU creates).
-    pub fn bind_shared_at(&mut self, plane: &SharedMetaPlane, base: u32) {
-        for (i, p) in self.pools.iter_mut().enumerate() {
-            p.bind_shared(plane, base + i as u32);
-        }
-    }
-
-    /// Every pool's live ranges, in pool-id order (the per-job reset
-    /// baseline an SMP machine restores its plane slots to).
-    pub fn live_ranges_by_pool(&self) -> Vec<Vec<(u64, u64)>> {
-        self.pools.iter().map(|p| p.live_ranges()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn th_pool() -> MetaPool {
         MetaPool::new("MP0", true, true, Some(16))
@@ -1522,157 +1440,6 @@ mod tests {
         assert!(other.restore_image(&img).is_err());
     }
 
-    /// Two pool clones bound to one plane, as two vCPUs would hold them.
-    fn shared_pair() -> (Arc<SharedMetaPlane>, MetaPool, MetaPool) {
-        let mut p = MetaPool::new("MPc", false, true, None);
-        p.reg_obj(0x1000, 64).unwrap();
-        let plane = Arc::new(SharedMetaPlane::new());
-        let mut t = MetaPoolTable::new();
-        t.add_pool(p);
-        t.publish_to_plane(&plane);
-        let mut t2 = t.clone();
-        t.bind_shared(&plane);
-        t2.bind_shared(&plane);
-        let id = MetaPoolId(0);
-        (plane, t.pool(id).clone(), t2.pool(id).clone())
-    }
-
-    #[test]
-    fn shared_binding_routes_checks_through_the_plane() {
-        let (plane, mut cpu0, mut cpu1) = shared_pair();
-        assert!(cpu0.is_shared());
-        // The adopted boot-time object is visible on both vCPUs.
-        cpu0.ls_check(0x1010).unwrap();
-        cpu1.bounds_check(0x1000, 0x1020).unwrap();
-        assert_eq!(cpu1.get_bounds(0x1010), Some((0x1000, 0x1040)));
-        // cpu0 registers; cpu1 sees it immediately (epoch moved).
-        cpu0.reg_obj(0x2000, 32).unwrap();
-        assert_eq!(plane.epoch(), 3); // add_pool + adopt + register
-        cpu1.ls_check(0x2010).unwrap();
-        // cpu1 drops it; cpu0's next probe must miss in every layer —
-        // including the MRU it may have filled under the old epoch.
-        cpu0.ls_check(0x2010).unwrap();
-        cpu1.drop_obj(0x2000).unwrap();
-        assert_eq!(
-            cpu0.ls_check(0x2010).unwrap_err().kind,
-            CheckKind::LoadStore
-        );
-        // Double free caught across vCPUs.
-        assert_eq!(
-            cpu0.drop_obj(0x2000).unwrap_err().kind,
-            CheckKind::IllegalFree
-        );
-        // Overlap caught across vCPUs; the error names the pool.
-        let e = cpu1.reg_obj(0x1010, 8).unwrap_err();
-        assert_eq!(e.kind, CheckKind::BadRegistration);
-        assert_eq!(e.pool, "MPc");
-    }
-
-    #[test]
-    fn shared_lookup_counters_partition_and_mru_is_epoch_tagged() {
-        let (_plane, mut cpu0, mut cpu1) = shared_pair();
-        // One live object: the singleton test on the pinned snapshot.
-        cpu0.ls_check(0x1010).unwrap();
-        assert_eq!(cpu0.stats().singleton_hits, 1);
-        // A second object, registered by the other vCPU, ends that: the
-        // first probe fills the MRU from the range index, repeats hit it.
-        cpu1.reg_obj(0x2000, 64).unwrap();
-        for _ in 0..5 {
-            cpu0.ls_check(0x1010).unwrap();
-        }
-        assert_eq!(cpu0.stats().page_hits, 1);
-        assert_eq!(cpu0.stats().cache_hits, 4);
-        // Any publish on this pool's slot — even of an unrelated object,
-        // even by this vCPU — invalidates the tag; the next probe
-        // re-reads the snapshot.
-        cpu1.reg_obj(0x9000, 8).unwrap();
-        cpu0.ls_check(0x1010).unwrap();
-        assert_eq!(cpu0.stats().page_hits, 2);
-        let s = *cpu0.stats();
-        assert_eq!(s.tree_walks, 0);
-        assert_eq!(s.lookups(), 7);
-        // The filled lines carry generation tags: an image exports none.
-        assert_eq!(cpu0.export_image().mru, [None, None]);
-    }
-
-    #[test]
-    fn mru_lines_survive_publishes_on_other_slots() {
-        // Two pools of one vCPU, bound to sibling slots A and B.
-        let mut t = MetaPoolTable::new();
-        let a = t.add_pool(MetaPool::new("MPa", false, true, None));
-        let b = t.add_pool(MetaPool::new("MPb", false, true, None));
-        // Enough objects that every probe below gets past the singleton
-        // test to the MRU.
-        for addr in [0x1000, 0x3000, 0x5000] {
-            t.pool_mut(a).reg_obj(addr, 64).unwrap();
-            t.pool_mut(b).reg_obj(addr, 64).unwrap();
-        }
-        let plane = Arc::new(SharedMetaPlane::new());
-        let base = t.publish_to_plane(&plane);
-        let mut sibling = t.clone();
-        t.bind_shared_at(&plane, base);
-        sibling.bind_shared_at(&plane, base);
-        // Fill B's MRU line.
-        t.pool_mut(b).ls_check(0x1010).unwrap();
-        assert_eq!(t.pool(b).stats().page_hits, 1);
-        // A publish on slot A — a register and a drop, from another vCPU —
-        // leaves B's line live: the next probe is a cache hit.
-        sibling.pool_mut(a).reg_obj(0x2000, 8).unwrap();
-        sibling.pool_mut(a).drop_obj(0x1000).unwrap();
-        t.pool_mut(b).ls_check(0x1010).unwrap();
-        assert_eq!(t.pool(b).stats().cache_hits, 1);
-        assert_eq!(t.pool(b).stats().page_hits, 1);
-        // The other direction: A's dropped object is never answered from
-        // a line filled before the drop, even though A's line was hot.
-        t.pool_mut(a).ls_check(0x2004).unwrap();
-        t.pool_mut(a).ls_check(0x2004).unwrap();
-        assert_eq!(t.pool(a).stats().cache_hits, 1);
-        sibling.pool_mut(a).drop_obj(0x2000).unwrap();
-        assert_eq!(
-            t.pool_mut(a).ls_check(0x2004).unwrap_err().kind,
-            CheckKind::LoadStore
-        );
-        assert_eq!(t.pool(a).stats().cache_hits, 1, "stale MRU hit after drop");
-        // And B still hits its line after A's second publish.
-        t.pool_mut(b).ls_check(0x1010).unwrap();
-        assert_eq!(t.pool(b).stats().cache_hits, 2);
-    }
-
-    #[test]
-    fn shared_quarantine_and_stats_stay_per_vcpu() {
-        let (_plane, mut cpu0, mut cpu1) = shared_pair();
-        cpu0.note_violation(3);
-        assert!(cpu0.quarantined());
-        assert_eq!(
-            cpu0.ls_check(0x1010).unwrap_err().kind,
-            CheckKind::Quarantined
-        );
-        // The other vCPU's clone keeps checking normally.
-        assert!(!cpu1.quarantined());
-        cpu1.ls_check(0x1010).unwrap();
-        assert_eq!(cpu1.stats().quarantine_rejects, 0);
-    }
-
-    #[test]
-    fn shared_corruption_and_clear_propagate_across_vcpus() {
-        let (_plane, mut cpu0, mut cpu1) = shared_pair();
-        cpu0.ls_check(0x1030).unwrap();
-        assert!(cpu1.inject_corrupt_metadata(0));
-        // The shrunken tail is wild on the *other* vCPU.
-        assert_eq!(
-            cpu0.ls_check(0x1030).unwrap_err().kind,
-            CheckKind::LoadStore
-        );
-        cpu0.ls_check(0x1010).unwrap();
-        assert_eq!(cpu0.live_objects(), 1);
-        cpu1.clear();
-        assert_eq!(cpu0.live_objects(), 0);
-        assert_eq!(
-            cpu0.ls_check(0x1010).unwrap_err().kind,
-            CheckKind::LoadStore
-        );
-    }
-
     #[test]
     fn lookup_layers_partition_all_lookups() {
         let mut p = MetaPool::new("MPc", false, true, None);
@@ -1725,12 +1492,11 @@ mod tests {
 
     #[test]
     fn a_registration_that_wraps_is_refused_on_every_registry() {
-        let (_plane, mut shared, _) = shared_pair();
-        let mut private = MetaPool::new("MPc", false, true, None);
-        private.reg_obj(0x1000, 64).unwrap();
-        let mut splay = private.clone();
+        let mut index = MetaPool::new("MPc", false, true, None);
+        index.reg_obj(0x1000, 64).unwrap();
+        let mut splay = index.clone();
         splay.set_fast_path(false);
-        for p in [&mut private, &mut splay, &mut shared] {
+        for p in [&mut index, &mut splay] {
             let e = p.reg_obj(u64::MAX - 8, 32).unwrap_err();
             assert_eq!(e.kind, CheckKind::BadRegistration);
             assert_eq!(e.pool, "MPc");

@@ -3,9 +3,9 @@
 //!
 //! A metapool's live objects are disjoint byte ranges, so a sorted list
 //! of them answers "which object contains `addr`" with one binary search,
-//! and a list of length one answers it with two compares. A private pool
-//! owns one index; a shared-plane slot publishes an immutable one per
-//! mutation.
+//! and a list of length one answers it with two compares. Every pool
+//! that runs the fast path owns one index; the standalone plane in
+//! [`crate::shared`] publishes an immutable one per mutation.
 
 /// A sorted list of disjoint, non-empty ranges `[start, end)`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -22,11 +22,6 @@ impl RangeIndex {
     /// Number of ranges.
     pub(crate) fn len(&self) -> usize {
         self.ranges.len()
-    }
-
-    /// True if the index holds nothing.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
     }
 
     /// The ranges, ascending.
@@ -128,7 +123,7 @@ mod tests {
         assert_eq!(ix.remove(0x1040), Some((0x1040, 0x1050)));
         assert_eq!(ix.only(), Some((0x2000, 0x2040)));
         ix.clear();
-        assert!(ix.is_empty());
+        assert_eq!(ix.len(), 0);
     }
 
     #[test]

@@ -1,38 +1,32 @@
-//! Per-slot published shared metapool metadata (DESIGN.md §4.9).
+//! A standalone per-slot published metadata plane, kept for the
+//! benchmark's plane probe.
 //!
-//! A multi-vCPU machine shares pool-level object metadata across vCPUs.
-//! The write side (object registration and drop) is rare compared to the
-//! read side (every checked load), so the registry is split the RCU way,
-//! one plane *slot* (one pool of one vCPU's kernel) at a time:
+//! No machine reads this type. Every vCPU of an `sva_vm::SmpMachine`
+//! checks against the private metapool table its fork clones, the path
+//! a 1-vCPU machine takes (DESIGN.md §4.9). `benchmark/src/smp.rs` still
+//! times this plane's write and read paths (`plane_probe`), so the type
+//! stays until the next change to the benchmark, which deletes it with
+//! that probe (ROADMAP item 6).
 //!
-//! * Each slot **publishes** an immutable snapshot of its live ranges, a
-//!   `RangeIndex`, and then stores the slot's new generation with
-//!   `Release` ordering. A mutation copies the published ranges, edits
-//!   the copy under the slot's mutex and publishes it, so a publish costs
-//!   what the slot holds, never what the plane holds.
-//! * Readers never take the lock on the steady state: one `Acquire` load
-//!   of the slot generation validates their cached `Arc` of the slot's
-//!   snapshot; only when it moved do they briefly lock that slot to swap
-//!   in the new one.
-//! * Reclamation is deferred until the readers quiesce: a superseded
-//!   snapshot stays alive for exactly as long as some reader still holds
-//!   its `Arc`, and [`SharedMetaPlane::retired_live`] counts the
-//!   snapshots still pinned that way.
+//! The plane is an array of *slots*, each the live ranges of one pool,
+//! split the RCU way:
+//!
+//! * A registration or drop copies the slot's published ranges, edits
+//!   the copy under the slot's mutex, publishes it as an immutable
+//!   snapshot and then stores the slot's new generation with `Release`
+//!   ordering.
+//! * A [`PlaneReader`] caches each slot's snapshot `Arc` and validates it
+//!   with one `Acquire` load of the slot generation per lookup; only when
+//!   the generation moved does it briefly lock the slot to swap in the
+//!   new snapshot. A lookup can therefore never be answered from a
+//!   snapshot older than a publish that happened-before it.
 //!
 //! A slot's generation is the plane epoch its latest publish drew, so
-//! generations are unique plane-wide and [`SharedMetaPlane::epoch`] stays
-//! a monotone count of every publish on every slot.
-//!
-//! The stale-read hazard this design must exclude: a checked load served
-//! from metadata that a concurrent drop already retired (a missed
-//! use-after-free). Two mechanisms close it — the slot generation
-//! validates the snapshot before every answer, and the per-vCPU MRU
-//! lines in [`crate::metapool::MetaPool`] are tagged with the generation
-//! they were filled under, so a line is dead the moment its slot
-//! publishes again. A publish on any *other* slot leaves it alive.
+//! generations are unique plane-wide and [`SharedMetaPlane::epoch`] is a
+//! monotone count of every publish on every slot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use crate::check::{CheckError, CheckKind};
 use crate::ranges::RangeIndex;
@@ -46,189 +40,71 @@ struct PoolSnap {
     ranges: RangeIndex,
 }
 
-/// Publisher-side state of one slot, only touched under its mutex.
-#[derive(Debug)]
-struct SlotState {
-    /// The currently published snapshot: the slot's authoritative set.
-    snap: Arc<PoolSnap>,
-    /// Superseded snapshots some reader still held when they were
-    /// replaced, kept as weak refs so deferred reclamation is observable
-    /// (an upgradeable weak means a reader still pins that generation).
-    retired: Vec<Weak<PoolSnap>>,
-}
-
 /// One plane slot: a pool's published ranges and the generation that
 /// validates them.
 #[derive(Debug)]
-pub(crate) struct Slot {
-    /// Plane slot index (error attribution).
-    idx: u32,
+struct Slot {
     /// The plane's publish counter, shared by every slot.
     epoch: Arc<AtomicU64>,
     /// Generation of the published snapshot. `Release`-stored after the
     /// snapshot swap, `Acquire`-loaded by readers, so a reader that
     /// observes generation G also observes the snapshot that published it.
     gen: AtomicU64,
-    state: Mutex<SlotState>,
+    /// The published snapshot, replaced whole under this mutex.
+    snap: Mutex<Arc<PoolSnap>>,
 }
 
 impl Slot {
     /// An empty slot, published at a fresh epoch.
-    fn new(idx: u32, epoch: Arc<AtomicU64>) -> Slot {
+    fn new(epoch: Arc<AtomicU64>) -> Slot {
         let gen = epoch.fetch_add(1, Ordering::AcqRel) + 1;
         Slot {
-            idx,
             epoch,
             gen: AtomicU64::new(gen),
-            state: Mutex::new(SlotState {
-                snap: Arc::new(PoolSnap {
-                    gen,
-                    ranges: RangeIndex::new(),
-                }),
-                retired: Vec::new(),
-            }),
+            snap: Mutex::new(Arc::new(PoolSnap {
+                gen,
+                ranges: RangeIndex::new(),
+            })),
         }
     }
 
-    fn locked(&self) -> MutexGuard<'_, SlotState> {
-        // A poisoned mutex means another vCPU thread panicked mid-publish;
-        // the published snapshot is only ever replaced whole, so the data
-        // is coherent — recover it.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Publishes `ranges` as the slot's new immutable snapshot at a fresh
-    /// plane epoch, then stores it as the slot generation (`Release`).
-    /// Caller holds the slot lock.
-    fn publish(&self, st: &mut SlotState, ranges: RangeIndex) {
-        let gen = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        let old = std::mem::replace(&mut st.snap, Arc::new(PoolSnap { gen, ranges }));
-        st.retired.retain(|w| w.strong_count() > 0);
-        if Arc::strong_count(&old) > 1 {
-            st.retired.push(Arc::downgrade(&old));
-        }
-        self.gen.store(gen, Ordering::Release);
+    fn locked(&self) -> MutexGuard<'_, Arc<PoolSnap>> {
+        // A poisoned mutex means another thread panicked mid-publish; the
+        // published snapshot is only ever replaced whole, so the data is
+        // coherent — recover it.
+        self.snap.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The published generation (`Acquire`). One atomic load — the only
     /// synchronization a steady-state reader performs per lookup.
-    pub(crate) fn generation(&self) -> u64 {
+    fn generation(&self) -> u64 {
         self.gen.load(Ordering::Acquire)
     }
 
     /// The published snapshot (readers call this only after a generation
     /// mismatch; the steady state never locks).
     fn current(&self) -> Arc<PoolSnap> {
-        self.locked().snap.clone()
-    }
-
-    /// Live ranges of the published snapshot, ascending.
-    pub(crate) fn ranges(&self) -> Vec<(u64, u64)> {
-        self.current().ranges.as_slice().to_vec()
-    }
-
-    /// Live objects in the published snapshot.
-    pub(crate) fn live_objects(&self) -> usize {
-        self.current().ranges.len()
+        self.locked().clone()
     }
 
     /// Applies `edit` to a copy of the published ranges and publishes the
-    /// copy; a refused edit publishes nothing.
+    /// copy at a fresh plane epoch, then stores that epoch as the slot
+    /// generation (`Release`). A refused edit publishes nothing.
     fn mutate<R>(
         &self,
-        edit: impl FnOnce(&mut RangeIndex) -> Result<R, CheckError>,
-    ) -> Result<R, CheckError> {
-        let mut st = self.locked();
-        let mut next = st.snap.ranges.clone();
-        let out = edit(&mut next)?;
-        self.publish(&mut st, next);
+        edit: impl FnOnce(&mut RangeIndex) -> Result<R, String>,
+    ) -> Result<R, String> {
+        let mut snap = self.locked();
+        let mut ranges = snap.ranges.clone();
+        let out = edit(&mut ranges)?;
+        let gen = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        *snap = Arc::new(PoolSnap { gen, ranges });
+        self.gen.store(gen, Ordering::Release);
         Ok(out)
     }
-
-    /// Registers `[addr, addr+len)` and publishes.
-    pub(crate) fn register(&self, addr: u64, len: u64) -> Result<(), CheckError> {
-        self.mutate(|ix| {
-            ix.insert(addr, len.max(1))
-                .map_err(|detail| plane_err(self.idx, CheckKind::BadRegistration, addr, detail))
-        })
-    }
-
-    /// Drops the object starting at `addr` and publishes.
-    pub(crate) fn drop_obj(&self, addr: u64) -> Result<(u64, u64), CheckError> {
-        self.mutate(|ix| {
-            ix.remove(addr).ok_or_else(|| {
-                plane_err(
-                    self.idx,
-                    CheckKind::IllegalFree,
-                    addr,
-                    "object not live at this address",
-                )
-            })
-        })
-    }
-
-    /// Removes every object; publishes only if the slot was nonempty.
-    pub(crate) fn clear(&self) {
-        let mut st = self.locked();
-        if !st.snap.ranges.is_empty() {
-            self.publish(&mut st, RangeIndex::new());
-        }
-    }
-
-    /// Adds `ranges` with one publish, all or nothing: every range is
-    /// checked against the live set and against the others before any
-    /// is inserted, so a rejected adopt leaves the slot untouched.
-    fn adopt(&self, ranges: &[(u64, u64)]) -> Result<(), CheckError> {
-        self.mutate(|ix| insert_all(ix, self.idx, ranges))
-    }
-
-    /// Replaces the live set with `ranges`, publishing only if it
-    /// differs. Returns whether it published.
-    fn reset(&self, ranges: &RangeIndex) -> bool {
-        let mut st = self.locked();
-        if st.snap.ranges == *ranges {
-            return false;
-        }
-        self.publish(&mut st, ranges.clone());
-        true
-    }
-
-    /// See [`SharedMetaPlane::corrupt`].
-    pub(crate) fn corrupt(&self, seed: u64) -> bool {
-        let mut st = self.locked();
-        let live = st.snap.ranges.as_slice();
-        if live.is_empty() {
-            return false;
-        }
-        let (start, end) = live[(seed as usize) % live.len()];
-        let mut next = st.snap.ranges.clone();
-        next.remove(start);
-        // The head of the range just removed is free, so this only
-        // refuses an empty head (a one-byte object vanishes).
-        let _ = next.insert(start, (end - start) / 2);
-        self.publish(&mut st, next);
-        true
-    }
-
-    fn retired_live(&self) -> usize {
-        let mut st = self.locked();
-        st.retired.retain(|w| w.strong_count() > 0);
-        st.retired.len()
-    }
 }
 
-/// Inserts every `(start, end)` of `ranges` into `ix`, an empty range
-/// widened to one byte the way every registration path treats zero-sized
-/// objects.
-fn insert_all(ix: &mut RangeIndex, idx: u32, ranges: &[(u64, u64)]) -> Result<(), CheckError> {
-    for &(start, end) in ranges {
-        ix.insert(start, end.saturating_sub(start).max(1))
-            .map_err(|detail| plane_err(idx, CheckKind::BadRegistration, start, detail))?;
-    }
-    Ok(())
-}
-
-/// The shared metapool metadata plane: a growable array of independently
+/// The standalone metadata plane: a growable array of independently
 /// published slots.
 ///
 /// Cheap to share (`Arc<SharedMetaPlane>`); all methods take `&self`.
@@ -236,7 +112,7 @@ fn insert_all(ix: &mut RangeIndex, idx: u32, ranges: &[(u64, u64)]) -> Result<()
 pub struct SharedMetaPlane {
     /// Publish counter: bumped once per publish on any slot.
     epoch: Arc<AtomicU64>,
-    /// Write-locked only by [`Self::add_pool`] (machine bring-up).
+    /// Write-locked only by [`Self::add_pool`].
     slots: RwLock<Vec<Arc<Slot>>>,
 }
 
@@ -246,9 +122,8 @@ impl SharedMetaPlane {
         SharedMetaPlane::default()
     }
 
-    /// The slot at plane index `idx` (bindings resolve it once and keep
-    /// the `Arc`, so their steady state never touches the slot table).
-    pub(crate) fn slot(&self, idx: u32) -> Option<Arc<Slot>> {
+    /// The slot at plane index `idx`.
+    fn slot(&self, idx: u32) -> Option<Arc<Slot>> {
         self.slots
             .read()
             .unwrap_or_else(|e| e.into_inner())
@@ -256,103 +131,65 @@ impl SharedMetaPlane {
             .cloned()
     }
 
-    /// [`Self::slot`], with an unknown slot reported as a `kind` error at
-    /// `addr`.
-    fn slot_or(&self, idx: u32, kind: CheckKind, addr: u64) -> Result<Arc<Slot>, CheckError> {
-        self.slot(idx)
-            .ok_or_else(|| plane_err(idx, kind, addr, "unknown pool slot"))
+    /// Applies `edit` to slot `idx` (see [`Slot::mutate`]); an unknown
+    /// slot is a `kind` error at `addr`.
+    fn mutate<R>(
+        &self,
+        idx: u32,
+        kind: CheckKind,
+        addr: u64,
+        edit: impl FnOnce(&mut RangeIndex) -> Result<R, String>,
+    ) -> Result<R, CheckError> {
+        let slot = self
+            .slot(idx)
+            .ok_or_else(|| plane_err(idx, kind, addr, "unknown pool slot"))?;
+        slot.mutate(edit)
+            .map_err(|detail| plane_err(idx, kind, addr, detail))
     }
 
-    /// Adds a pool slot, returning its plane index. Publishes.
-    pub fn add_pool(&self) -> u32 {
+    /// Adds an empty pool slot, returning its plane index. Publishes.
+    pub(crate) fn add_pool(&self) -> u32 {
         let mut slots = self.slots.write().unwrap_or_else(|e| e.into_inner());
         let idx = slots.len() as u32;
-        slots.push(Arc::new(Slot::new(idx, self.epoch.clone())));
+        slots.push(Arc::new(Slot::new(self.epoch.clone())));
         idx
     }
 
-    /// Bulk-adopts boot-time ranges into pool `idx` with a single
-    /// publish (machine bring-up: the booted pool state becomes the
-    /// shared truth). All or nothing: if any range overlaps a live
-    /// object or another adopted range, nothing is inserted.
-    pub fn adopt(&self, idx: u32, ranges: &[(u64, u64)]) -> Result<(), CheckError> {
+    /// Adds `ranges` to pool `idx` with a single publish, all or nothing:
+    /// if any range overlaps a live object or another adopted range,
+    /// nothing is inserted. An empty range is widened to one byte, the
+    /// way every registration treats zero-sized objects.
+    pub(crate) fn adopt(&self, idx: u32, ranges: &[(u64, u64)]) -> Result<(), CheckError> {
         let addr = ranges.first().map_or(0, |r| r.0);
-        self.slot_or(idx, CheckKind::BadRegistration, addr)?
-            .adopt(ranges)
-    }
-
-    /// Resets the slot range starting at `base` to `baseline` (one range
-    /// list per slot, each disjoint, as
-    /// [`crate::MetaPoolTable::live_ranges_by_pool`] returns them). Only
-    /// slots whose live set differs are republished. All or nothing: every
-    /// slot and range is validated before any slot changes. Returns how
-    /// many slots published.
-    pub fn reset_slots(
-        &self,
-        base: u32,
-        baseline: &[Vec<(u64, u64)>],
-    ) -> Result<usize, CheckError> {
-        let slots = self.slots.read().unwrap_or_else(|e| e.into_inner());
-        let mut targets = Vec::with_capacity(baseline.len());
-        for (i, ranges) in baseline.iter().enumerate() {
-            let idx = base + i as u32;
-            let slot = slots.get(idx as usize).ok_or_else(|| {
-                plane_err(idx, CheckKind::BadRegistration, 0, "unknown pool slot")
-            })?;
-            let mut ix = RangeIndex::new();
-            insert_all(&mut ix, idx, ranges)?;
-            targets.push((slot, ix));
-        }
-        Ok(targets.into_iter().filter(|(s, ix)| s.reset(ix)).count())
+        self.mutate(idx, CheckKind::BadRegistration, addr, |ix| {
+            ranges
+                .iter()
+                .try_for_each(|&(start, end)| ix.insert(start, end.saturating_sub(start).max(1)))
+        })
     }
 
     /// Registers `[addr, addr+len)` in pool `idx` and publishes that
     /// slot. Overlap with a live object, or an end past 2^64, is a bad
-    /// registration, exactly as on the private path.
+    /// registration, exactly as in a metapool.
     pub fn register(&self, idx: u32, addr: u64, len: u64) -> Result<(), CheckError> {
-        self.slot_or(idx, CheckKind::BadRegistration, addr)?
-            .register(addr, len)
+        self.mutate(idx, CheckKind::BadRegistration, addr, |ix| {
+            ix.insert(addr, len.max(1))
+        })
     }
 
     /// Drops the object starting at `addr` from pool `idx` and publishes
     /// that slot. A non-live or interior address is an illegal free.
     pub fn drop_obj(&self, idx: u32, addr: u64) -> Result<(u64, u64), CheckError> {
-        self.slot_or(idx, CheckKind::IllegalFree, addr)?
-            .drop_obj(addr)
-    }
-
-    /// Removes every object from pool `idx` (pool destruction).
-    pub fn clear_pool(&self, idx: u32) {
-        if let Some(s) = self.slot(idx) {
-            s.clear();
-        }
-    }
-
-    /// Fault injection: deregisters one live object of pool `idx`
-    /// (chosen by `seed`) and re-registers only its first half, then
-    /// publishes — the shared-plane counterpart of
-    /// `MetaPool::inject_corrupt_metadata`.
-    pub fn corrupt(&self, idx: u32, seed: u64) -> bool {
-        self.slot(idx).is_some_and(|s| s.corrupt(seed))
+        self.mutate(idx, CheckKind::IllegalFree, addr, |ix| {
+            ix.remove(addr)
+                .ok_or_else(|| "object not live at this address".to_string())
+        })
     }
 
     /// The plane epoch: how many publishes every slot together has done
     /// (`Acquire`).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
-    }
-
-    /// The published generation of pool `idx` (0 for an unknown slot).
-    pub fn generation(&self, idx: u32) -> u64 {
-        self.slot(idx).map_or(0, |s| s.generation())
-    }
-
-    /// Superseded snapshots still pinned by some reader — the deferred
-    /// reclamation window. Returns to 0 once every reader has refreshed
-    /// (quiesced) past the publishes that retired them.
-    pub fn retired_live(&self) -> usize {
-        let slots = self.slots.read().unwrap_or_else(|e| e.into_inner());
-        slots.iter().map(|s| s.retired_live()).sum()
     }
 }
 
@@ -365,70 +202,14 @@ fn plane_err(idx: u32, kind: CheckKind, addr: u64, detail: impl Into<String>) ->
     }
 }
 
-/// A read handle on one slot: caches the slot's snapshot `Arc` and
-/// refreshes it only when the slot generation moves.
-#[derive(Clone, Debug)]
-pub(crate) struct SlotReader {
-    slot: Arc<Slot>,
-    snap: Arc<PoolSnap>,
-}
-
-impl SlotReader {
-    pub(crate) fn new(slot: Arc<Slot>) -> SlotReader {
-        let snap = slot.current();
-        SlotReader { slot, snap }
-    }
-
-    /// The slot this reader watches.
-    pub(crate) fn slot(&self) -> &Slot {
-        &self.slot
-    }
-
-    /// The generation of the pinned snapshot.
-    #[inline]
-    pub(crate) fn pinned(&self) -> u64 {
-        self.snap.gen
-    }
-
-    /// The live ranges of the pinned snapshot.
-    #[inline]
-    pub(crate) fn ranges(&self) -> &RangeIndex {
-        &self.snap.ranges
-    }
-
-    /// Validates the pinned snapshot against the slot generation,
-    /// refreshing if it moved. Returns whether it refreshed. Steady state
-    /// is one `Acquire` load and a compare; the lock is taken only on
-    /// change. After it returns, an answer from the pinned snapshot is at
-    /// least as new as any publish on this slot that happened-before the
-    /// call — a drop that published generation G can never be answered
-    /// from an older one.
-    #[inline]
-    pub(crate) fn pin(&mut self) -> bool {
-        if self.slot.generation() == self.snap.gen {
-            return false;
-        }
-        self.refresh();
-        true
-    }
-
-    #[cold]
-    fn refresh(&mut self) {
-        self.snap = self.slot.current();
-    }
-}
-
-/// A standalone read handle on a whole plane (tests, diagnostics,
-/// benchmarks): pins each slot's snapshot on first use and refreshes a
-/// slot only when that slot's generation moves.
-/// [`crate::metapool::MetaPool`] bindings hold a per-slot reader instead.
+/// A read handle on a plane: pins each slot's snapshot on first use and
+/// refreshes a slot only when that slot's generation moves.
 #[derive(Clone, Debug)]
 pub struct PlaneReader {
     plane: Arc<SharedMetaPlane>,
-    /// Per plane slot, filled on first use.
-    pins: Vec<Option<SlotReader>>,
-    /// Generation-change refreshes this reader performed (diagnostics).
-    pub refreshes: u64,
+    /// Per plane slot, filled on first use: the slot and its pinned
+    /// snapshot.
+    pins: Vec<Option<(Arc<Slot>, Arc<PoolSnap>)>>,
 }
 
 impl PlaneReader {
@@ -437,17 +218,12 @@ impl PlaneReader {
         PlaneReader {
             plane,
             pins: Vec::new(),
-            refreshes: 0,
         }
-    }
-
-    /// The plane this reader is attached to.
-    pub fn plane(&self) -> &Arc<SharedMetaPlane> {
-        &self.plane
     }
 
     /// Pins pool `idx` — refreshing it if its slot generation moved —
     /// and returns the pinned snapshot (`None` for an unknown slot).
+    /// Steady state is one `Acquire` load and a compare.
     fn pinned_snap(&mut self, idx: u32) -> Option<&PoolSnap> {
         let i = idx as usize;
         if self.pins.get(i).is_none_or(Option::is_none) {
@@ -455,20 +231,14 @@ impl PlaneReader {
             if self.pins.len() <= i {
                 self.pins.resize(i + 1, None);
             }
-            self.pins[i] = Some(SlotReader::new(slot));
+            let snap = slot.current();
+            self.pins[i] = Some((slot, snap));
         }
-        let r = self.pins[i].as_mut()?;
-        if r.pin() {
-            self.refreshes += 1;
+        let (slot, snap) = self.pins[i].as_mut()?;
+        if slot.generation() != snap.gen {
+            *snap = slot.current();
         }
-        Some(&r.snap)
-    }
-
-    /// Validates the pinned snapshot of pool `idx` against its slot
-    /// generation, refreshing if it moved. Returns the generation now
-    /// pinned (0 for an unknown slot).
-    pub fn pin(&mut self, idx: u32) -> u64 {
-        self.pinned_snap(idx).map_or(0, |s| s.gen)
+        Some(&**snap)
     }
 
     /// Generation-validated lookup of `addr` in pool `idx`: the
@@ -476,26 +246,22 @@ impl PlaneReader {
     pub fn lookup(&mut self, idx: u32, addr: u64) -> Option<(u64, u64)> {
         self.pinned_snap(idx)?.ranges.find(addr)
     }
-
-    /// Live ranges of pool `idx` at its pinned generation (refreshes
-    /// first).
-    pub fn ranges(&mut self, idx: u32) -> Vec<(u64, u64)> {
-        self.pinned_snap(idx)
-            .map(|s| s.ranges.as_slice().to_vec())
-            .unwrap_or_default()
-    }
-
-    /// Live objects of pool `idx` at its pinned generation (refreshes
-    /// first).
-    pub fn live_objects(&mut self, idx: u32) -> usize {
-        self.pinned_snap(idx).map_or(0, |s| s.ranges.len())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The published generation of slot `idx`.
+    fn slot_gen(plane: &SharedMetaPlane, idx: u32) -> u64 {
+        plane.slot(idx).expect("slot exists").generation()
+    }
+
+    /// The generation of the snapshot `r` holds for slot `idx`.
+    fn pinned(r: &PlaneReader, idx: u32) -> u64 {
+        r.pins[idx as usize].as_ref().expect("slot pinned").1.gen
+    }
 
     #[test]
     fn register_lookup_drop_publishes_epochs() {
@@ -505,23 +271,23 @@ mod tests {
         assert_eq!(plane.epoch(), 2);
         plane.register(mp, 0x1000, 64).unwrap();
         assert_eq!(plane.epoch(), 3);
-        assert_eq!(plane.generation(mp), 3);
+        assert_eq!(slot_gen(&plane, mp), 3);
         let mut r = PlaneReader::new(plane.clone());
         assert_eq!(r.lookup(mp, 0x1020), Some((0x1000, 0x1040)));
         assert_eq!(r.lookup(mp, 0x2000), None);
         // A publish on another slot moves the epoch but not this slot's
         // generation: the reader keeps its pin.
         plane.register(other, 0x1000, 64).unwrap();
-        assert_eq!(plane.generation(mp), 3);
+        assert_eq!(slot_gen(&plane, mp), 3);
         assert_eq!(r.lookup(mp, 0x1020), Some((0x1000, 0x1040)));
-        assert_eq!(r.refreshes, 0);
+        assert_eq!(pinned(&r, mp), 3);
         plane.drop_obj(mp, 0x1000).unwrap();
         assert_eq!(plane.epoch(), 5);
-        assert_eq!(plane.generation(mp), 5);
+        assert_eq!(slot_gen(&plane, mp), 5);
         // The reader's next lookup revalidates the generation and must
         // miss.
         assert_eq!(r.lookup(mp, 0x1020), None);
-        assert_eq!(r.refreshes, 1);
+        assert_eq!(pinned(&r, mp), 5);
         // The other slot's object is untouched by the drop.
         assert_eq!(r.lookup(other, 0x1020), Some((0x1000, 0x1040)));
     }
@@ -542,7 +308,7 @@ mod tests {
         let e = plane.drop_obj(mp, 0x9000).unwrap_err();
         assert_eq!(e.kind, CheckKind::IllegalFree);
         // Rejections publish nothing.
-        assert_eq!(plane.generation(mp), plane.epoch());
+        assert_eq!(slot_gen(&plane, mp), plane.epoch());
         assert_eq!(plane.epoch(), 3);
         // Slots are separate namespaces: the same range is free in a
         // sibling slot.
@@ -564,33 +330,9 @@ mod tests {
         assert_eq!(e.kind, CheckKind::BadRegistration);
         assert!(e.detail.contains("wraps"), "{}", e.detail);
         assert_eq!(plane.epoch(), epoch);
+        assert_eq!(ranges(&plane, mp), vec![(0x1000, 0x1040)]);
         let mut r = PlaneReader::new(plane.clone());
-        assert_eq!(r.ranges(mp), vec![(0x1000, 0x1040)]);
         assert_eq!(r.lookup(mp, 8), None, "no inverted range was published");
-    }
-
-    #[test]
-    fn deferred_reclamation_tracks_pinned_readers() {
-        let plane = Arc::new(SharedMetaPlane::new());
-        let mp = plane.add_pool();
-        let other = plane.add_pool();
-        plane.register(mp, 0x1000, 64).unwrap();
-        let mut r1 = PlaneReader::new(plane.clone());
-        let mut r2 = PlaneReader::new(plane.clone());
-        r1.pin(mp);
-        r2.pin(mp);
-        // A publish on another slot retires nothing the readers pin.
-        plane.register(other, 0x1000, 64).unwrap();
-        assert_eq!(plane.retired_live(), 0);
-        // A publish on the pinned slot retires the snapshot both hold.
-        plane.register(mp, 0x2000, 64).unwrap();
-        assert_eq!(plane.retired_live(), 1);
-        // One reader quiesces: the old generation is still pinned.
-        r1.pin(mp);
-        assert_eq!(plane.retired_live(), 1);
-        // Both quiesced: reclaimed.
-        r2.pin(mp);
-        assert_eq!(plane.retired_live(), 0);
     }
 
     #[test]
@@ -625,13 +367,13 @@ mod tests {
                 s.spawn(move || {
                     let mut r = PlaneReader::new(plane.clone());
                     while stop.load(Ordering::Acquire) < 2 {
-                        let before = plane.generation(mp);
-                        assert!(r.pin(mp) >= before, "stale snapshot pinned");
+                        let before = slot_gen(&plane, mp);
                         // The stable object is always visible; the churn
                         // object may or may not be, but an answer from an
                         // old generation is impossible per the assert
-                        // above.
+                        // below.
                         assert_eq!(r.lookup(mp, 0x1010), Some((0x1000, 0x1040)));
+                        assert!(pinned(&r, mp) >= before, "stale snapshot pinned");
                     }
                     // Writers quiesced: the churn object was dropped last,
                     // so it must now be invisible — a stale hit here
@@ -668,40 +410,15 @@ mod tests {
         assert!(!visible, "the first range of a rejected adopt leaked in");
     }
 
-    #[test]
-    fn reset_slots_republishes_only_changed_slots_all_or_nothing() {
-        let plane = SharedMetaPlane::new();
-        let base = plane.add_pool();
-        plane.add_pool();
-        let baseline = vec![
-            vec![(0x1000, 0x1040)],
-            vec![(0x2000, 0x2010), (0x2010, 0x2020)],
-        ];
-        assert_eq!(plane.reset_slots(base, &baseline).unwrap(), 2);
-        // Already at the baseline: nothing publishes.
-        let epoch = plane.epoch();
-        assert_eq!(plane.reset_slots(base, &baseline).unwrap(), 0);
-        assert_eq!(plane.epoch(), epoch);
-        // Dirty one slot: only it republishes.
-        plane.register(base + 1, 0x3000, 8).unwrap();
-        let gen0 = plane.generation(base);
-        assert_eq!(plane.reset_slots(base, &baseline).unwrap(), 1);
-        assert_eq!(plane.generation(base), gen0);
-        let s1 = plane.slot(base + 1).unwrap();
-        assert_eq!(s1.ranges(), vec![(0x2000, 0x2010), (0x2010, 0x2020)]);
-        // A bad baseline in the second slot changes neither slot.
-        plane.register(base, 0x5000, 8).unwrap();
-        let bad = vec![
-            vec![(0x1000, 0x1040)],
-            vec![(0x2000, 0x2010), (0x2008, 0x2020)],
-        ];
-        let epoch = plane.epoch();
-        assert!(plane.reset_slots(base, &bad).is_err());
-        assert_eq!(plane.epoch(), epoch);
-        let s0 = plane.slot(base).unwrap();
-        assert_eq!(s0.ranges(), vec![(0x1000, 0x1040), (0x5000, 0x5008)]);
-        // Past the last slot is rejected too.
-        assert!(plane.reset_slots(base + 1, &baseline).is_err());
+    /// The published ranges of slot `idx`, ascending.
+    fn ranges(plane: &SharedMetaPlane, idx: u32) -> Vec<(u64, u64)> {
+        plane
+            .slot(idx)
+            .expect("slot exists")
+            .current()
+            .ranges
+            .as_slice()
+            .to_vec()
     }
 
     /// The publish invariant: a slot's published snapshot holds ascending,
@@ -709,15 +426,15 @@ mod tests {
     fn published_is_well_formed(plane: &SharedMetaPlane, slots: u32) -> Result<(), String> {
         for idx in 0..slots {
             let slot = plane.slot(idx).expect("slot exists");
-            let st = slot.locked();
-            let ranges = st.snap.ranges.as_slice();
+            let snap = slot.current();
+            let ranges = snap.ranges.as_slice();
             if ranges.iter().any(|&(s, e)| s >= e) || ranges.windows(2).any(|w| w[0].1 > w[1].0) {
                 return Err(format!("slot {idx}: published {ranges:?}"));
             }
-            if st.snap.gen != slot.generation() {
+            if snap.gen != slot.generation() {
                 return Err(format!(
                     "slot {idx}: snapshot gen {} != slot generation {}",
-                    st.snap.gen,
+                    snap.gen,
                     slot.generation()
                 ));
             }
@@ -730,7 +447,7 @@ mod tests {
 
         #[test]
         fn every_operation_leaves_each_slot_published_as_authoritative(
-            ops in prop::collection::vec((0u8..6, 0u32..3, 0u64..12, 1u64..4, any::<u64>()), 1..48),
+            ops in prop::collection::vec((0u8..3, 0u32..3, 0u64..12, 1u64..4, any::<u64>()), 1..48),
         ) {
             const SLOTS: u32 = 3;
             let plane = Arc::new(SharedMetaPlane::new());
@@ -738,11 +455,12 @@ mod tests {
                 plane.add_pool();
             }
             let mut reader = PlaneReader::new(plane.clone());
+            let ranges_of = |idx| ranges(&plane, idx);
             // 12 object positions, 0x40 apart; lengths of 1-3 × 0x20 can
             // overlap a neighbour, so rejections are exercised too.
             let addr = |k: u64| 0x1_0000 + k * 0x40;
             for &(op, slot, k, len, seed) in &ops {
-                let before: Vec<u64> = (0..SLOTS).map(|i| plane.generation(i)).collect();
+                let before: Vec<u64> = (0..SLOTS).map(|i| slot_gen(&plane, i)).collect();
                 match op {
                     0 => {
                         let _ = plane.register(slot, addr(k), len * 0x20);
@@ -750,58 +468,26 @@ mod tests {
                     1 => {
                         let _ = plane.drop_obj(slot, addr(k));
                     }
-                    2 => {
+                    _ => {
                         // 0x40 apart with up to 0x80 bytes each: the
                         // adopted ranges can overlap one another.
                         let ranges: Vec<(u64, u64)> = (0..len)
                             .map(|j| (addr(k + j), addr(k + j) + 0x20 * (seed % 4 + 1)))
                             .collect();
-                        let was = plane.slot(slot).unwrap().ranges();
+                        let was = ranges_of(slot);
                         if plane.adopt(slot, &ranges).is_err() {
-                            prop_assert_eq!(plane.slot(slot).unwrap().ranges(), was);
+                            prop_assert_eq!(ranges_of(slot), was);
                         }
-                    }
-                    3 => {
-                        let base = slot.min(SLOTS - 2);
-                        let baseline: Vec<Vec<(u64, u64)>> = (0..2u64)
-                            .map(|j| (0..(seed >> (j * 8)) % 3)
-                                .map(|m| (addr(k + m * 2 + j), addr(k + m * 2 + j) + 0x30 * len))
-                                .collect())
-                            .collect();
-                        let was: Vec<_> = (0..2).map(|j| plane.slot(base + j).unwrap().ranges()).collect();
-                        match plane.reset_slots(base, &baseline) {
-                            Ok(_) => {
-                                for j in 0..2u32 {
-                                    let want: Vec<(u64, u64)> = baseline[j as usize]
-                                        .iter()
-                                        .map(|&(s, e)| (s, e.max(s + 1)))
-                                        .collect();
-                                    prop_assert_eq!(plane.slot(base + j).unwrap().ranges(), want);
-                                }
-                            }
-                            Err(_) => {
-                                for j in 0..2u32 {
-                                    prop_assert_eq!(
-                                        &plane.slot(base + j).unwrap().ranges(),
-                                        &was[j as usize]
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    4 => plane.clear_pool(slot),
-                    _ => {
-                        plane.corrupt(slot, seed);
                     }
                 }
                 published_is_well_formed(&plane, SLOTS)?;
                 for i in 0..SLOTS {
-                    let now = plane.generation(i);
+                    let now = slot_gen(&plane, i);
                     prop_assert!(now >= before[i as usize], "slot {} generation went backwards", i);
                     prop_assert!(now <= plane.epoch());
                     // A standalone reader agrees with the published set
                     // at every probe address of every slot.
-                    let auth = plane.slot(i).unwrap().ranges();
+                    let auth = ranges_of(i);
                     for probe in 0..20u64 {
                         let a = addr(probe) + 0x10;
                         let want = auth.iter().copied().find(|&(s, e)| s <= a && a < e);

@@ -3,23 +3,17 @@
 //! [`SmpMachine`] runs `VmConfig::vcpus` virtual CPUs, one host thread
 //! each. The state split:
 //!
-//! * **Shared, read-only**: the translated code image (`Arc<CodeImage>`,
-//!   translation and superinstruction fusion happen once).
-//! * **Shared, published per slot**: metapool object metadata lives in
-//!   one [`SharedMetaPlane`]. Each vCPU owns a contiguous slot range
-//!   inside the plane (its kernel instance's object namespace), and every
-//!   slot publishes on its own: a registration or drop republishes only
-//!   its slot's sorted ranges and bumps only that slot's generation,
-//!   which kills the MRU lines tagged with the old generation at the
-//!   cost of a single `Acquire` load on their next lookup — cross-CPU
-//!   invalidation with zero traffic — and leaves every other slot's
-//!   lines alive.
-//! * **Private**: memory image, thread state, recovery-domain stack,
-//!   per-vCPU MRU lines, `CheckStats`, `VmStats`, console and
-//!   trace sinks. Each job runs on a fresh fork of the never-run
-//!   template ([`Vm::fork_for_cpu`]): its memory is a clone, which copies
-//!   only the pages the template has written, and the kernel-stack window
-//!   is carved into per-CPU lanes.
+//! * **Shared**: the translated code image (`Arc<CodeImage>`, read-only;
+//!   translation and superinstruction fusion happen once) and the
+//!   scheduler's run queues and virtual clocks.
+//! * **Private**: everything else. Each job runs on a fresh fork of the
+//!   never-run template ([`Vm::fork_for_cpu`]), a plain clone: its
+//!   memory copies only the pages the template has written, and its
+//!   metapool table — registries, MRU lines, quarantine state and
+//!   `CheckStats` — is its own, so every check, registration and drop
+//!   takes the path a 1-vCPU machine takes. Thread state, kernel stack,
+//!   recovery-domain stack, `VmStats`, console and trace sinks are the
+//!   fork's too.
 //!
 //! Work arrives as [`SmpJob`]s on per-vCPU run queues. An idle vCPU
 //! first drains its own queue, then *steals* from its neighbours
@@ -33,18 +27,18 @@
 //! [`SmpMachine::resume_quiesced`] share one per-vCPU runner, one
 //! [`JobResult`] builder and one merge. At halt the per-vCPU reports
 //! are merged **deterministically in cpu-id order** and job results are
-//! returned in submission order. With `vcpus == 1` no plane is created
-//! and no thread is spawned: the single fork takes exactly the classic
-//! machine's code path, so its `VmStats::equivalence_key` is
-//! byte-identical to the pre-SMP machine.
+//! returned in submission order. With `vcpus == 1` no thread is spawned:
+//! the single fork runs inline, so its `VmStats` are byte-identical to
+//! the classic machine's. At any vCPU count a job ends with the same
+//! exit, console and counters as the same job run alone.
 //!
 //! Throughput is reported in *virtual time*: the machine-level elapsed
 //! time of a run is the maximum virtual cycle count over vCPUs (they
 //! run concurrently), while syscalls served is the sum — so
-//! `syscalls_per_mcycle` scales with vCPU count as long as the shared
-//! plane does not serialize the check path. The steal rule keeps that
-//! makespan a property of the machine rather than of host scheduling: a
-//! vCPU whose host thread got a core first cannot drain the queues of
+//! `syscalls_per_mcycle` scales with vCPU count, since nothing on the
+//! check path is shared between vCPUs. The steal rule keeps that
+//! makespan a property of the machine rather than of host scheduling:
+//! a vCPU whose host thread got a core first cannot drain the queues of
 //! siblings still waiting for one. Wall-clock time is recorded too
 //! ([`SmpReport::wall`]); it is the host-time view of the same run.
 
@@ -73,9 +67,9 @@ pub struct SmpJob {
     pub label: String,
     /// Globals written before boot, in order.
     pub globals: Vec<(String, u64)>,
-    /// Per-job setup run on the fresh fork after its plane slot range is
-    /// bound but before the globals are written — fault-injection
-    /// campaigns arm a per-job plan and enable crash capture here.
+    /// Per-job setup run on the fresh fork before the globals are
+    /// written — fault-injection campaigns arm a per-job plan and enable
+    /// crash capture here.
     pub setup: Option<JobSetup>,
 }
 
@@ -180,10 +174,12 @@ pub struct SmpReport {
     pub max_cpu_cycles: u64,
     /// Host wall-clock time of the run (scheduling noise included).
     pub wall: Duration,
-    /// Plane epoch after the run (0 with no plane).
+    /// Always 0: no vCPU publishes to a metadata plane. Kept because
+    /// `benchmark/src/smp.rs` reads it; it goes with the next change to
+    /// the benchmark (ROADMAP item 6).
     pub final_epoch: u64,
-    /// Superseded plane snapshots still pinned at halt (deferred
-    /// reclamation backlog; 0 once every vCPU quiesced).
+    /// Always 0, for the same reason and with the same fate as
+    /// [`Self::final_epoch`].
     pub retired_snapshots: usize,
 }
 
@@ -232,45 +228,22 @@ pub struct SmpMachine {
     /// The pristine machine forks are cut from. Never run.
     template: Vm,
     vcpus: u32,
-    /// The shared metadata plane (`None` when `vcpus == 1`).
-    plane: Option<Arc<SharedMetaPlane>>,
-    /// Plane slot-range base per vCPU (`cpu * pools_per_cpu`).
-    slot_base: Vec<u32>,
-    /// Per-pool live ranges of the pristine template — what each slot
-    /// range is reset to before a job boots.
-    baseline: Vec<Vec<(u64, u64)>>,
 }
 
 impl SmpMachine {
     /// Builds the machine around a pristine (never-run) template VM.
-    /// `cfg.vcpus` on the template's config chooses the geometry. At
-    /// `vcpus >= 2` the template's pool table is published into a fresh
-    /// shared plane once per vCPU; at `vcpus == 1` no plane exists and
-    /// jobs take the classic single-machine path.
+    /// `cfg.vcpus` on the template's config chooses the geometry.
     pub fn new(template: Vm) -> SmpMachine {
         let vcpus = template.cfg.vcpus.max(1);
-        let baseline = template.pools.live_ranges_by_pool();
-        let (plane, slot_base) = if vcpus >= 2 {
-            let plane = Arc::new(SharedMetaPlane::new());
-            let bases = (0..vcpus)
-                .map(|_| template.pools.publish_to_plane(&plane))
-                .collect();
-            (Some(plane), bases)
-        } else {
-            (None, vec![0])
-        };
-        SmpMachine {
-            template,
-            vcpus,
-            plane,
-            slot_base,
-            baseline,
-        }
+        SmpMachine { template, vcpus }
     }
 
-    /// The shared metadata plane (`None` at `vcpus == 1`).
+    /// Always `None`: every vCPU checks against its own fork's metapool
+    /// table, and the machine builds no metadata plane. Kept because
+    /// `benchmark/src/smp.rs` calls it; it goes with the next change to
+    /// the benchmark (ROADMAP item 6).
     pub fn plane(&self) -> Option<&Arc<SharedMetaPlane>> {
-        self.plane.as_ref()
+        None
     }
 
     /// The pristine template machine.
@@ -386,19 +359,11 @@ impl SmpMachine {
         None
     }
 
-    /// Forks the template for `cpu`, resets and binds the vCPU's plane
-    /// slot range, runs the job's setup hook and writes its globals —
-    /// everything up to (but excluding) boot. A global that cannot be
-    /// written is the job's exit.
+    /// Forks the template for `cpu`, runs the job's setup hook and
+    /// writes its globals — everything up to (but excluding) boot. A
+    /// global that cannot be written is the job's exit.
     fn prepare_fork(&self, cpu: u32, job: &SmpJob) -> (Vm, Result<(), VmError>) {
         let mut vm = self.template.fork_for_cpu(cpu);
-        if let Some(plane) = &self.plane {
-            let base = self.slot_base[cpu as usize];
-            plane
-                .reset_slots(base, &self.baseline)
-                .expect("baseline ranges are disjoint");
-            vm.pools.bind_shared_at(plane, base);
-        }
         if let Some(setup) = &job.setup {
             setup(&mut vm);
         }
@@ -467,8 +432,8 @@ impl SmpMachine {
 
     /// Restores a coordinated image captured by [`Self::quiesce`] and
     /// runs every member on to terminal state, each on its own vCPU.
-    /// Every member is restored and bound before any member runs, so a
-    /// member that fails to restore leaves nothing run. Member images go
+    /// Every member is restored before any member runs, so a member that
+    /// fails to restore leaves nothing run. Member images go
     /// through the migration path ([`Vm::restore_migrated`]), so a
     /// coordinated image survives format-version bumps and compatible
     /// rebuilds like any other snapshot. The machine's vCPU count must
@@ -485,36 +450,16 @@ impl SmpMachine {
         let start = Instant::now();
         let forks = (0..)
             .zip(&members)
-            .map(|(cpu, member)| self.restore_member(cpu, member))
+            .map(|(cpu, member)| {
+                let mut vm = self.template.fork_for_cpu(cpu);
+                vm.restore_migrated(member).map(|_| vm)
+            })
             .collect::<Result<Vec<Vm>, _>>()?;
         let results = on_each_vcpu(forks, |cpu, mut vm| {
             let exit = vm.run();
             JobResult::of(cpu as usize, format!("resume:cpu{cpu}"), cpu, exit, vm)
         });
         Ok(self.merge_report(pinned(results), start.elapsed()))
-    }
-
-    /// Restores `member` into a fork for `cpu`. The fork is restored
-    /// unbound first (pool images repopulate the private registries);
-    /// then this vCPU's plane slots are reset to the *restored* ranges and
-    /// bound — the same bring-up order `MetaPoolTable::publish_to_plane`
-    /// and `bind_shared_at` use at machine construction.
-    fn restore_member(&self, cpu: u32, member: &[u8]) -> Result<Vm, MigrateError> {
-        let mut vm = self.template.fork_for_cpu(cpu);
-        vm.restore_migrated(member)?;
-        if let Some(plane) = &self.plane {
-            let base = self.slot_base[cpu as usize];
-            plane
-                .reset_slots(base, &vm.pools.live_ranges_by_pool())
-                .map_err(|e| {
-                    MigrateError::Image(SnapshotError::Malformed(format!(
-                        "member {cpu} pool ranges rejected by the plane: {}",
-                        e.detail
-                    )))
-                })?;
-            vm.pools.bind_shared_at(plane, base);
-        }
-        Ok(vm)
     }
 
     /// Deterministic merge shared by [`Self::run`], [`Self::quiesce`]
@@ -534,10 +479,6 @@ impl SmpMachine {
             merged.fold(&c.stats);
         }
         let max_cpu_cycles = cpus.iter().map(|c| c.stats.cycles).max().unwrap_or(0);
-        let (final_epoch, retired_snapshots) = match &self.plane {
-            Some(p) => (p.epoch(), p.retired_live()),
-            None => (0, 0),
-        };
         SmpReport {
             vcpus: self.vcpus,
             cpus,
@@ -546,8 +487,8 @@ impl SmpMachine {
             jobs: job_results,
             max_cpu_cycles,
             wall,
-            final_epoch,
-            retired_snapshots,
+            final_epoch: 0,
+            retired_snapshots: 0,
         }
     }
 }

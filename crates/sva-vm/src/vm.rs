@@ -194,9 +194,9 @@ pub struct VmConfig {
     /// Virtual CPUs of the machine (DESIGN.md §4.9). `1` (the default) is
     /// the classic single-threaded machine, bit-identical to the pre-SMP
     /// VM. At 2+ the [`crate::smp::SmpMachine`] runner forks one full VM
-    /// per job, sharing the code image and a metapool plane published per
-    /// slot; each vCPU keeps its private MRU, check counters and trace
-    /// rings, merged deterministically at halt.
+    /// per job, sharing only the code image; each fork keeps its own
+    /// metapool table, stats and trace rings, merged deterministically at
+    /// halt.
     pub vcpus: u32,
 }
 
@@ -1111,21 +1111,16 @@ impl<T: Tracer> Vm<T> {
     }
 
     /// SMP bring-up (DESIGN.md §4.9): forks an independent vCPU machine
-    /// from this booted machine's state. The code image is *shared*
-    /// (`Arc` — translation and fusion happen once); everything mutable —
-    /// memory, thread, interrupt contexts, recovery-domain stack, pool
-    /// table with its private MRU/counters — is deep-cloned, so each vCPU
-    /// steps without synchronizing. Memory is cloned region by region,
-    /// copying only the written pages, so a fork costs what the machine
-    /// has written, not the 32 MiB kernel region. Shared metadata comes
-    /// later: [`MetaPoolTable::bind_shared`] rebinds each fork's pools to
-    /// the machine's plane. The fork starts with fresh stats/fuel/forensics
-    /// and an untraced sink; per-vCPU counters are merged back at halt.
-    ///
-    /// Kernel stacks are per-CPU: the `KSTACK` window is carved into
-    /// `cfg.vcpus` equal lanes and the fork's kernel stack pointer starts
-    /// at the base of lane `cpu_id`. CPU 0's lane starts where the
-    /// classic machine's stack does, so a 1-vCPU fork is byte-identical.
+    /// from this machine's state, a plain clone stamped with `cpu_id`.
+    /// The code image is *shared* (`Arc` — translation and fusion happen
+    /// once); everything mutable — memory, thread and kernel stack,
+    /// interrupt contexts, recovery-domain stack, metapool table with its
+    /// MRU lines and counters — is deep-cloned, so each vCPU steps
+    /// without synchronizing. Memory is cloned region by region, copying
+    /// only the written pages, so a fork costs what the machine has
+    /// written, not the 32 MiB kernel region. The fork starts with fresh
+    /// stats/fuel/forensics and an untraced sink; per-vCPU counters are
+    /// merged back at halt.
     pub fn fork_for_cpu(&self, cpu_id: u32) -> Vm {
         self.fork_for_cpu_traced(cpu_id, NullTracer)
     }
@@ -1134,15 +1129,11 @@ impl<T: Tracer> Vm<T> {
     /// a `RingTracer` whose ring is merged at halt with
     /// `EventRing::fold_into`).
     pub fn fork_for_cpu_traced<U: Tracer>(&self, cpu_id: u32, tracer: U) -> Vm<U> {
-        let lanes = self.cfg.vcpus.max(1) as u64;
-        let lane = (KSTACK_END - KSTACK_BASE) / lanes;
-        let mut thread = self.thread.clone();
-        thread.ksp += u64::from(cpu_id).min(lanes - 1) * lane;
         Vm {
             mem: self.mem.clone(),
             code: Arc::clone(&self.code),
             cfg: self.cfg.clone(),
-            thread,
+            thread: self.thread.clone(),
             icontexts: self.icontexts.clone(),
             int_state: self.int_state.clone(),
             user_state: self.user_state.clone(),

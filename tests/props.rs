@@ -8,22 +8,20 @@
 //! * **splay tree vs model** — the range tree agrees with a naive model
 //!   under arbitrary operation sequences;
 //! * **fast-path equivalence** — a metapool on the range index (singleton
-//!   test, MRU, binary search), one on the splay-only baseline and one
-//!   bound to a shared plane answer every check alike under arbitrary
-//!   register/check/drop sequences;
+//!   test, MRU, binary search) and one on the splay-only baseline answer
+//!   every check alike under arbitrary register/check/drop sequences;
 //! * **signature integrity** — any single-bit flip in signed bytecode is
 //!   rejected.
 
 use proptest::prelude::*;
 
-use std::sync::Arc;
 use sva::ir::build::FunctionBuilder;
 use sva::ir::bytecode::{decode_module, encode_module, sign, verify_signature};
 use sva::ir::parse::parse_module;
 use sva::ir::print::print_module;
 use sva::ir::{BinOp, Linkage, Module, Operand};
 
-use sva::rt::{MetaPool, MetaPoolId, MetaPoolTable, SharedMetaPlane, SplayTree};
+use sva::rt::{MetaPool, SplayTree};
 use sva::vm::{KernelKind, Vm, VmConfig, VmExit};
 
 /// One generated operation: opcode, operand sources, immediate, width.
@@ -322,32 +320,24 @@ proptest! {
         narrow in any::<bool>(),
         toggle_at in 0usize..200,
     ) {
-        // The same operation sequence runs against a range-index pool, a
-        // splay-only pool and a pool bound to a one-slot shared plane;
-        // every observable result (check outcomes, bounds, live counts)
-        // must be identical, including after toggling the fast path
-        // mid-sequence (which moves the live ranges between registries).
-        // `narrow` packs the objects into 64 positions, so the pools move
-        // in and out of the one-object regime of the singleton test.
+        // The same operation sequence runs against a range-index pool and
+        // a splay-only pool; every observable result (check outcomes,
+        // bounds, live counts) must be identical, including after
+        // toggling the fast path mid-sequence (which moves the live ranges
+        // between registries). `narrow` packs the objects into 64
+        // positions, so the pools move in and out of the one-object regime
+        // of the singleton test.
         let mut fast = MetaPool::new("MPf", false, complete, None);
         let mut base = MetaPool::new("MPb", false, complete, None);
         base.set_fast_path(false);
-        let plane = Arc::new(SharedMetaPlane::new());
-        let mut table = MetaPoolTable::new();
-        table.add_pool(MetaPool::new("MPs", false, complete, None));
-        table.publish_to_plane(&plane);
-        table.bind_shared(&plane);
-        let shared = table.pool_mut(MetaPoolId(0));
         for (i, (op, pos, len, off)) in ops.into_iter().enumerate() {
             if i == toggle_at {
-                for p in [&mut fast, &mut *shared] {
-                    p.set_fast_path(false);
-                    p.set_fast_path(true);
-                }
+                fast.set_fast_path(false);
+                fast.set_fast_path(true);
             }
             let start = if narrow { pos % 64 } else { pos } * 8;
             let addr = start + off;
-            let outcomes: Vec<String> = [&mut fast, &mut base, &mut *shared]
+            let outcomes: Vec<String> = [&mut fast, &mut base]
                 .into_iter()
                 .map(|p| match op {
                     0 => format!("{:?}", p.reg_obj(start, len).is_ok()),
@@ -358,20 +348,15 @@ proptest! {
                 })
                 .collect();
             prop_assert_eq!(&outcomes[0], &outcomes[1], "op {} {}", i, op);
-            prop_assert_eq!(&outcomes[0], &outcomes[2], "op {} {}", i, op);
             prop_assert_eq!(fast.live_objects(), base.live_objects());
-            prop_assert_eq!(fast.live_objects(), shared.live_objects());
         }
         prop_assert_eq!(fast.live_ranges(), base.live_ranges());
-        prop_assert_eq!(fast.live_ranges(), shared.live_ranges());
-        // Layer accounting: the three pools saw the same lookups, the
-        // baseline answered all of its own from the tree, and the other
-        // two never walked one.
+        // Layer accounting: the two pools saw the same lookups, the
+        // baseline answered all of its own from the tree, and the range
+        // index never walked one.
         prop_assert_eq!(fast.stats().lookups(), base.stats().lookups());
-        prop_assert_eq!(fast.stats().lookups(), shared.stats().lookups());
         prop_assert_eq!(base.stats().tree_walks, base.stats().lookups());
         prop_assert_eq!(base.stats().cache_hits, 0);
         prop_assert_eq!(fast.stats().tree_walks, 0);
-        prop_assert_eq!(shared.stats().tree_walks, 0);
     }
 }

@@ -1,25 +1,21 @@
 //! SMP machine gates (DESIGN.md §4.9).
 //!
-//! 1. **N=1 equivalence**: a 1-vCPU [`SmpMachine`] creates no shared
-//!    plane and spawns no threads, so its stats must be *byte-identical*
-//!    (full `VmStats`, not just the equivalence key) to the classic
-//!    single machine across the opt-equivalence kernel corpus.
-//! 2. **Shared-plane coherence**: concurrent register/drop racing
-//!    checked loads on 2–4 vCPU pool clones must never answer from a
-//!    stale slot generation (a missed use-after-free) and never miss a
-//!    violation
-//!    — verified both by seeded deterministic schedules against a model
-//!    registry and by a free-running multithreaded race.
-//! 3. **4-vCPU kernel runs**: merged totals are deterministic and the
-//!    virtual-time syscall throughput scales.
-
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! 1. **N=1 equivalence**: a 1-vCPU [`SmpMachine`] spawns no threads, so
+//!    its stats must be *byte-identical* (full `VmStats`, not just the
+//!    equivalence key) to the classic single machine across the
+//!    opt-equivalence kernel corpus.
+//! 2. **Per-job identity**: every vCPU is a plain clone of the template
+//!    with its own metapool table, so at 2 and 4 vCPUs every job of a
+//!    batch ends exactly as it does run alone on one vCPU: exit,
+//!    console, full `VmStats` and `CheckStats`.
+//! 3. **Multi-vCPU kernel runs**: merged totals are deterministic and
+//!    the virtual-time syscall throughput scales.
+//! 4. **Coordinated quiesce**: a quiesced image resumes to the same
+//!    terminal state.
+//! 5. **Exploit detection** is the same at every vCPU count.
 
 use sva::kernel::harness::{boot_user, make_vm_cfg, pack_arg};
-use sva::rt::{CheckKind, MetaPool, SharedMetaPlane};
-use sva::vm::{decode_quiesce, KernelKind, SmpJob, SmpMachine, VmConfig, VmError, VmStats};
+use sva::vm::{decode_quiesce, KernelKind, SmpJob, SmpMachine, VmConfig, VmError};
 
 fn cfg(kind: KernelKind, opt: u8, vcpus: u32) -> VmConfig {
     VmConfig {
@@ -56,7 +52,6 @@ fn single_vcpu_machine_is_byte_identical_to_the_classic_machine() {
                 let template = make_vm_cfg(cfg(kind, opt, 1));
                 let addr = template.func_address(prog).expect("prog exists");
                 let mut smp = SmpMachine::new(template);
-                assert!(smp.plane().is_none(), "N=1 must not create a plane");
                 let report = smp.run(vec![SmpJob::boot_user(prog, addr, arg)]);
 
                 let jr = &report.jobs[0];
@@ -77,148 +72,52 @@ fn single_vcpu_machine_is_byte_identical_to_the_classic_machine() {
     }
 }
 
-// ---- 2. shared-plane coherence -------------------------------------------
+// ---- 2. per-job identity -------------------------------------------------
 
-/// Builds `n` pool clones bound to one plane slot, with `boot` objects
-/// adopted as the shared baseline.
-fn shared_pools(n: usize, boot: &[(u64, u64)]) -> (Arc<SharedMetaPlane>, Vec<MetaPool>) {
-    let plane = Arc::new(SharedMetaPlane::new());
-    let slot = plane.add_pool();
-    plane.adopt(slot, boot).expect("boot ranges disjoint");
-    let pools = (0..n)
-        .map(|i| {
-            let mut p = MetaPool::new(&format!("smp{i}"), false, true, None);
-            p.bind_shared(&plane, slot);
-            p
-        })
-        .collect();
-    (plane, pools)
+/// The corpus plus `user_scp`, whose checks get past the singleton test
+/// to the MRU and the range index.
+fn identity_batch() -> Vec<(&'static str, u64)> {
+    let mut batch = corpus();
+    batch.push(("user_scp", pack_arg(4, 4096, 0)));
+    batch
 }
 
-/// Deterministic seeded schedules: `k` logical vCPUs interleave
-/// register / drop / checked-load steps chosen by an LCG, and every
-/// checked load is compared against a model registry. A hit the model
-/// says is dead is a stale-epoch answer (missed use-after-free); a miss
-/// the model says is live is a lost registration. Both are fatal.
 #[test]
-fn seeded_schedules_never_see_stale_epochs_or_miss_violations() {
-    const STABLE: (u64, u64) = (0x1000, 0x1040);
-    for vcpus in 2..=4usize {
-        for seed in [1u64, 2, 3, 5, 8, 13, 21, 34] {
-            let (_plane, mut pools) = shared_pools(vcpus, &[STABLE]);
-            let mut live: HashSet<u64> = HashSet::new();
-            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-            let mut step = || {
-                rng = rng
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                rng >> 33
-            };
-            for _ in 0..400 {
-                let cpu = (step() as usize) % vcpus;
-                let obj = 0x10_000 + (step() % 8) * 0x100; // 8 slots, 64B objects
-                match step() % 4 {
-                    // Register: succeeds iff the model says dead.
-                    0 => {
-                        let r = pools[cpu].reg_obj(obj, 64);
-                        if live.insert(obj) {
-                            r.unwrap_or_else(|e| panic!("seed {seed}: lost registration: {e}"));
-                        } else {
-                            let e = r.expect_err("double registration must fail");
-                            assert_eq!(e.kind, CheckKind::BadRegistration);
-                        }
-                    }
-                    // Drop: succeeds iff the model says live.
-                    1 => {
-                        let r = pools[cpu].drop_obj(obj);
-                        if live.remove(&obj) {
-                            r.unwrap_or_else(|e| panic!("seed {seed}: lost drop: {e}"));
-                        } else {
-                            let e = r.expect_err("freeing a dead object must fail");
-                            assert_eq!(e.kind, CheckKind::IllegalFree);
-                        }
-                    }
-                    // Checked load on a churn object: pass iff live.
-                    2 => {
-                        let r = pools[cpu].ls_check(obj + 8);
-                        if live.contains(&obj) {
-                            r.unwrap_or_else(|e| {
-                                panic!("seed {seed}: checked load lost a live object: {e}")
-                            });
-                        } else {
-                            assert!(
-                                r.is_err(),
-                                "seed {seed}: stale hit on dead {obj:#x} (missed violation)"
-                            );
-                        }
-                    }
-                    // Checked load on the stable boot object: always live,
-                    // from every vCPU, at every epoch.
-                    _ => {
-                        pools[cpu]
-                            .ls_check(STABLE.0 + 0x10)
-                            .expect("stable object must stay visible");
-                    }
-                }
-            }
-            // Every vCPU sees the final model state.
-            for (i, p) in pools.iter_mut().enumerate() {
-                for slot in 0..8u64 {
-                    let obj = 0x10_000 + slot * 0x100;
-                    let r = p.ls_check(obj + 8);
-                    assert_eq!(
-                        r.is_ok(),
-                        live.contains(&obj),
-                        "seed {seed}: vCPU {i} disagrees with model on {obj:#x}"
-                    );
-                }
+fn every_job_matches_its_single_vcpu_run() {
+    for opt in [0u8, 2] {
+        let solo: Vec<_> = identity_batch()
+            .into_iter()
+            .map(|(prog, arg)| {
+                let template = make_vm_cfg(cfg(KernelKind::SvaSafe, opt, 1));
+                let addr = template.func_address(prog).expect("prog exists");
+                let mut smp = SmpMachine::new(template);
+                smp.run(vec![SmpJob::boot_user(prog, addr, arg)])
+                    .jobs
+                    .remove(0)
+            })
+            .collect();
+        for vcpus in [2u32, 4] {
+            let template = make_vm_cfg(cfg(KernelKind::SvaSafe, opt, vcpus));
+            // Two rounds of the batch, so every vCPU runs several jobs.
+            let jobs: Vec<SmpJob> = identity_batch()
+                .iter()
+                .cycle()
+                .take(2 * solo.len())
+                .map(|&(prog, arg)| {
+                    let addr = template.func_address(prog).expect("prog exists");
+                    SmpJob::boot_user(prog, addr, arg)
+                })
+                .collect();
+            let report = SmpMachine::new(template).run(jobs);
+            assert!(report.failures().is_empty(), "{:?}", report.failures());
+            for (j, alone) in report.jobs.iter().zip(solo.iter().cycle()) {
+                let at = format!("opt{opt} {vcpus} vCPUs: job {} ({})", j.job, j.label);
+                assert_eq!(format!("{:?}", j.exit), format!("{:?}", alone.exit), "{at}");
+                assert_eq!(j.console, alone.console, "{at}: console");
+                assert_eq!(j.stats, alone.stats, "{at}: VmStats");
+                assert_eq!(j.checks, alone.checks, "{at}: CheckStats");
             }
         }
-    }
-}
-
-/// Free-running race: one writer vCPU churns register/drop while reader
-/// vCPUs hammer checked loads through their own `MetaPool` clones. The
-/// stable object must never miss; after the writer quiesces with the
-/// churn object dropped, a hit on it would be a stale-epoch answer.
-#[test]
-fn racing_checked_loads_never_use_stale_metadata() {
-    const STABLE: (u64, u64) = (0x1000, 0x1040);
-    const CHURN: u64 = 0x8000;
-    for readers in [1usize, 3] {
-        let (plane, mut pools) = shared_pools(readers + 1, &[STABLE]);
-        let mut writer_pool = pools.pop().unwrap();
-        let quiesced = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            let q = quiesced.clone();
-            let p = plane.clone();
-            s.spawn(move || {
-                for _ in 0..300 {
-                    writer_pool.reg_obj(CHURN, 32).expect("churn register");
-                    writer_pool.drop_obj(CHURN).expect("churn drop");
-                }
-                let _ = p; // plane outlives the writer's bindings
-                q.store(1, Ordering::Release);
-            });
-            for mut pool in pools {
-                let q = quiesced.clone();
-                s.spawn(move || {
-                    while q.load(Ordering::Acquire) == 0 {
-                        pool.ls_check(STABLE.0 + 8)
-                            .expect("stable object must never miss");
-                    }
-                    // Writer done, churn object dead: a passing check
-                    // here means a reader used retired metadata.
-                    assert!(
-                        pool.ls_check(CHURN + 8).is_err(),
-                        "stale hit on dropped churn object"
-                    );
-                    assert!(pool.ls_check(STABLE.0 + 8).is_ok());
-                });
-            }
-        });
-        // All snapshots pinned by exited vCPUs have been reclaimed.
-        assert_eq!(plane.retired_live(), 0);
     }
 }
 
@@ -240,16 +139,12 @@ fn four_vcpu_kernel_batch_is_clean_and_deterministic() {
     let run = || {
         let template = make_vm_cfg(cfg(KernelKind::SvaSafe, 2, 4));
         let jobs = smp_jobs(&template, 2);
-        let mut smp = SmpMachine::new(template);
-        assert!(smp.plane().is_some());
-        smp.run(jobs)
+        SmpMachine::new(template).run(jobs)
     };
     let a = run();
     let b = run();
     assert!(a.failures().is_empty(), "failures: {:?}", a.failures());
     assert_eq!(a.jobs.len(), 6);
-    assert!(a.final_epoch > 0, "shared plane saw no publishes");
-    assert_eq!(a.retired_snapshots, 0, "snapshots leaked past quiescence");
     // Work-conserving: every job ran exactly once, whatever the steal
     // schedule did.
     assert_eq!(a.cpus.iter().map(|c| u64::from(c.jobs)).sum::<u64>(), 6);
@@ -261,10 +156,10 @@ fn four_vcpu_kernel_batch_is_clean_and_deterministic() {
         a.merged.cache_hits + a.merged.page_hits + a.merged.tree_walks + a.merged.singleton_hits,
         b.merged.cache_hits + b.merged.page_hits + b.merged.tree_walks + b.merged.singleton_hits,
     );
-    // So is the split between MRU hits and snapshot layers, and every
-    // job's own counters: each vCPU publishes only to its own slot range,
-    // and a publish on one slot never kills another slot's MRU lines, so
-    // a sibling's registrations and drops cannot reach a job's lookups.
+    // So is the split between MRU hits and the range index, and every
+    // job's own counters: each job checks against its own fork's
+    // metapools, so a sibling's registrations and drops cannot reach a
+    // job's lookups.
     assert_eq!(a.merged, b.merged);
     for (ja, jb) in a.jobs.iter().zip(&b.jobs) {
         assert_eq!(
@@ -314,18 +209,6 @@ fn midflight_boundary(c: &VmConfig) -> u64 {
     min / 2
 }
 
-/// The merged-machine equivalence key for SMP resume probes: a resumed
-/// member rebinds its pools to the plane with empty MRU lines, so a probe
-/// the uninterrupted run answered from the MRU may be answered by the
-/// slot snapshot after the cut; only the `cache_hits + page_hits` *sum*
-/// is stable between an uninterrupted run and its resumed twin.
-fn smp_key(s: &VmStats) -> VmStats {
-    let mut k = (*s).equivalence_key();
-    k.cache_hits += k.page_hits;
-    k.page_hits = 0;
-    k
-}
-
 /// The §4.10 acceptance gate: a 4-vCPU `quiesce()` yields one
 /// coordinated image whose members a fresh machine restores
 /// (`resume_quiesced`), and the resumed run finishes exactly like the
@@ -369,8 +252,8 @@ fn four_vcpu_quiesce_image_resumes_to_the_same_terminal_state() {
         );
         assert_eq!(a.console, b.console, "vCPU {} console diverged", a.cpu);
         assert_eq!(
-            smp_key(&a.stats),
-            smp_key(&b.stats),
+            a.stats.equivalence_key(),
+            b.stats.equivalence_key(),
             "vCPU {} stats diverged after resume",
             a.cpu
         );
@@ -420,8 +303,8 @@ fn single_vcpu_quiesce_member_is_byte_identical_to_a_solo_midflight_snapshot() {
 
 /// The §7.2 exploit suite run as SMP jobs: the detection rate must be
 /// exactly 4/5 (the paper's as-tested result) at every vCPU count —
-/// sharding the check path behind the per-slot published plane can neither
-/// open nor close a detection gap.
+/// running a job on a vCPU fork can neither open nor close a detection
+/// gap.
 #[test]
 fn exploit_detection_is_vcpu_invariant() {
     use sva::exploits::{EXPLOITS, EXPLOIT_FUEL};
